@@ -8,6 +8,7 @@ coordinate vectors in C^n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,17 +39,28 @@ class Algebra:
     # to shrink intertwiner systems.  Empty means "use the whole basis".
     generators: tuple = field(default=(), compare=False)
 
+    @cached_property
+    def nonzeros(self) -> tuple:
+        """COO form of mult: index arrays (i, j, k) and the values there."""
+        i, j, k = np.nonzero(self.mult)
+        return i, j, k, self.mult[i, j, k]
+
     def product(self, x, y) -> np.ndarray:
         """Coordinates of x*y."""
-        return np.einsum("i,j,ijk->k", np.asarray(x), np.asarray(y), self.mult)
+        i, j, k, v = self.nonzeros
+        return _scatter(k, np.asarray(x)[i] * np.asarray(y)[j] * v, self.dim)
 
     def left_mult(self, x) -> np.ndarray:
         """Matrix of left multiplication by x on coordinates."""
-        return np.einsum("i,ijk->kj", np.asarray(x), self.mult)
+        i, j, k, v = self.nonzeros
+        n = self.dim
+        return _scatter(k * n + j, np.asarray(x)[i] * v, n * n).reshape(n, n)
 
     def right_mult(self, x) -> np.ndarray:
         """Matrix of right multiplication by x on coordinates."""
-        return np.einsum("j,ijk->ki", np.asarray(x), self.mult)
+        i, j, k, v = self.nonzeros
+        n = self.dim
+        return _scatter(k * n + i, np.asarray(x)[j] * v, n * n).reshape(n, n)
 
     def basis_generators(self) -> list:
         if self.generators:
@@ -58,6 +70,11 @@ class Algebra:
     @property
     def scale(self) -> float:
         return max(float(np.linalg.norm(self.mult)), 1.0)
+
+
+def _scatter(idx, w, n) -> np.ndarray:
+    """out[idx[t]] += w[t] over a length-n complex vector."""
+    return np.bincount(idx, w.real, n) + 1j * np.bincount(idx, w.imag, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +107,20 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, labels=(),
 def _check_associativity(a: Algebra, seed) -> None:
     scale = a.scale ** 2
     if a.dim <= EXHAUSTIVE_DIM_LIMIT:
-        # (b_i b_j) b_k vs b_i (b_j b_k), all triples at once
-        left = np.einsum("ijm,mkl->ijkl", a.mult, a.mult)
-        right = np.einsum("jkm,iml->ijkl", a.mult, a.mult)
-        err = np.abs(left - right)
-        worst = float(err.max())
+        # (b_i b_j) b_k vs b_i (b_j b_k), one first index i at a time
+        n = a.dim
+        flat = a.mult.reshape(n, n * n)     # [m, (k, l)]
+        pairs = a.mult.reshape(n * n, n)    # [(j, k), m]
+        worst, at = -1.0, None
+        for i in range(n):
+            err = np.abs((a.mult[i] @ flat).reshape(-1)
+                         - (pairs @ a.mult[i]).reshape(-1))
+            t = int(err.argmax())
+            if err[t] > worst:
+                worst, at = float(err[t]), (i, t // (n * n), t // n % n)
         if worst > a.tol * scale:
-            idx = np.unravel_index(int(err.argmax()), err.shape)
             raise AssociativityViolation(
-                f"associativity fails at basis triple {idx[:3]}: residual {worst:.3e}")
+                f"associativity fails at basis triple {at}: residual {worst:.3e}")
         return
     rng = np.random.default_rng(seed)
     for t in range(_PROBE_COUNT):
@@ -156,9 +178,16 @@ def direct_sum(a: Algebra, b: Algebra, tol=None) -> Algebra:
 
 
 def trace_form(a: Algebra) -> np.ndarray:
-    """Gram matrix T[i, j] = trace(L_{b_i} L_{b_j})."""
-    lmats = np.einsum("ijk->ikj", a.mult)  # lmats[i] = left mult by b_i
-    return np.einsum("iab,jba->ij", lmats, lmats)
+    """Gram matrix T[i, j] = trace(L_{b_i} L_{b_j}).
+
+    The trace is sum_{m,n} c[i, m, n] c[j, n, m]: one matmul over the slots
+    (m, n) that hold a nonzero in both factors.
+    """
+    _, j, k, _ = a.nonzeros
+    n = a.dim
+    slots = np.intersect1d(j * n + k, k * n + j)
+    flat = a.mult.reshape(n, n * n)
+    return flat[:, slots] @ flat[:, slots % n * n + slots // n].T
 
 
 def is_semisimple(a: Algebra, tol=None) -> bool:

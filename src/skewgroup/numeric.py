@@ -96,15 +96,21 @@ def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     mats = [(as_complex(p), as_complex(q)) for p, q in pairs]
     d = mats[0][0].shape[0]
     dp = mats[0][1].shape[0]
-    floor = 1.0
-    gram = np.zeros((dp * d, dp * d), dtype=np.complex128)
-    for p, q in mats:
-        if p.shape != (d, d) or q.shape != (dp, dp):
-            raise InvalidInput("inconsistent pair dimensions")
-        floor = max(floor, float(np.abs(p).max()), float(np.abs(q).max()))
-        # row-major vec: vec(X @ P) = kron(I, P.T) vec(X), vec(Q @ X) = kron(Q, I) vec(X)
-        block = np.kron(np.eye(dp), p.T) - np.kron(q, np.eye(d))
-        gram += block.conj().T @ block
+    if any(p.shape != (d, d) or q.shape != (dp, dp) for p, q in mats):
+        raise InvalidInput("inconsistent pair dimensions")
+    ps = np.stack([p for p, _ in mats])
+    qs = np.stack([q for _, q in mats])
+    floor = max(1.0, float(np.abs(ps).max()), float(np.abs(qs).max()))
+    # row-major vec: vec(X @ P) = kron(I, P.T) vec(X), vec(Q @ X) = kron(Q, I) vec(X).
+    # Summed over the pairs, the Gram matrix of these blocks is
+    # I (x) sum conj(P) P.T + (sum Q^H Q) (x) I - S - S^H, S = sum kron(Q, conj(P)),
+    # assembled from the factors without forming any (dp*d)^2 block.
+    k, n = len(mats), dp * d
+    s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
+    s = s.transpose(0, 2, 1, 3).reshape(n, n)
+    gram = (np.kron(np.eye(dp), (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0))
+            + np.kron((qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0), np.eye(d))
+            - s - s.conj().T)
     # Joint kernel via the normal-equations Gram matrix: one Hermitian
     # eigenproblem of size dp*d instead of an SVD of the tall stack.  The
     # cutoff scale is floored by the input magnitudes because the blocks are

@@ -129,7 +129,9 @@ def hom_space(m: Module, n: Module, tol=None) -> list:
     if m.algebra is not n.algebra and not _same_algebra(m.algebra, n.algebra):
         raise AlgebraMismatch("hom_space requires modules over the same algebra")
     tol = tol if tol is not None else m.algebra.tol
-    pairs = [(m.act(g), n.act(g)) for g in m.algebra.basis_generators()]
+    gens = np.array(m.algebra.basis_generators())
+    pairs = list(zip(np.tensordot(gens, m._stack(), axes=1),
+                     np.tensordot(gens, n._stack(), axes=1)))
     return numeric.solve_sandwich(pairs, tol)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skewgroup.algebra import (
+    EXHAUSTIVE_DIM_LIMIT,
     Algebra,
     canonical_span,
     corner_algebra,
@@ -14,8 +15,10 @@ from skewgroup.algebra import (
     matrix_algebra,
     radical_dim_bruteforce,
     subalgebra_from_span,
+    trace_form,
 )
 from skewgroup.errors import (
+    AssociativityViolation,
     ClosureViolation,
     InvalidInput,
     NotIdempotent,
@@ -33,6 +36,81 @@ def _dual_numbers():
     c[0, 1, 1] = 1.0
     c[1, 0, 1] = 1.0
     return make_algebra(2, c, [1.0, 0.0], tol=TOL)
+
+
+# Dense einsum reference kernels, kept as the oracle for the nonzero-index
+# kernels of Algebra.
+def _dense_product(c, x, y):
+    return np.einsum("i,j,ijk->k", x, y, c)
+
+
+def _dense_left_mult(c, x):
+    return np.einsum("i,ijk->kj", x, c)
+
+
+def _dense_right_mult(c, x):
+    return np.einsum("j,ijk->ki", x, c)
+
+
+def _dense_trace_form(c):
+    lmats = np.einsum("ijk->ikj", c)
+    return np.einsum("iab,jba->ij", lmats, lmats)
+
+
+def _dense_worst_triple(c):
+    left = np.einsum("ijm,mkl->ijkl", c, c)
+    right = np.einsum("jkm,iml->ijkl", c, c)
+    err = np.abs(left - right)
+    return tuple(int(t) for t in np.unravel_index(int(err.argmax()), err.shape)[:3])
+
+
+def _random_dense_algebra(dim, seed):
+    """Algebra over a random tensor with no zero entry (not validated)."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((dim,) * 3) + 1j * rng.standard_normal((dim,) * 3)
+    return Algebra(dim=dim, mult=c, unit=np.eye(dim)[:, 0])
+
+
+def _skew_algebra(inst, name):
+    i = inst(name)
+    return skew_group_algebra(i.algebra, i.group, i.action, TOL).alg
+
+
+@pytest.mark.parametrize("source", ["dense", "pauli", "perm"])
+def test_kernels_match_dense_einsum_reference(inst, source):
+    a = (_random_dense_algebra(7, 0) if source == "dense"
+         else _skew_algebra(inst, source))
+    rng = np.random.default_rng(3)
+    x, y = (rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+            for _ in range(2))
+    bound = 1e-12 * a.scale * np.linalg.norm(x) * np.linalg.norm(y)
+    assert np.linalg.norm(a.product(x, y) - _dense_product(a.mult, x, y)) <= bound
+    for got, want in ((a.left_mult(x), _dense_left_mult(a.mult, x)),
+                      (a.right_mult(x), _dense_right_mult(a.mult, x))):
+        assert got.shape == want.shape == (a.dim, a.dim)
+        assert np.linalg.norm(got - want) <= 1e-12 * a.scale * np.linalg.norm(x)
+    t = trace_form(a)
+    assert t.shape == (a.dim, a.dim)
+    assert np.linalg.norm(t - _dense_trace_form(a.mult)) <= 1e-12 * a.scale ** 2
+
+
+def test_make_algebra_rejects_nonassociative_naming_worst_triple():
+    c = matrix_algebra(2).mult.copy()
+    c[2, 1, 1] = 2.0          # E10 E01 = E11 + 2 E01
+    # the residual peaks at this one triple only
+    assert _dense_worst_triple(c) == (2, 2, 1)
+    with pytest.raises(AssociativityViolation) as exc:
+        make_algebra(4, c, [1.0, 0.0, 0.0, 1.0], tol=TOL)
+    assert "basis triple (2, 2, 1):" in str(exc.value)
+
+
+def test_make_algebra_rejects_nonassociative_by_random_probes():
+    a = matrix_algebra(6)
+    assert a.dim > EXHAUSTIVE_DIM_LIMIT
+    c = a.mult.copy()
+    c[0, 0, 1] = 0.5
+    with pytest.raises(AssociativityViolation, match="random probe"):
+        make_algebra(a.dim, c, a.unit, tol=TOL)
 
 
 def test_make_algebra_field():

@@ -119,19 +119,60 @@ def _kron_nullity(pairs, tol):
     return int(np.sum(s <= tol * scale))
 
 
+def _matrix_units(n):
+    """Action matrices of the natural simple module of M_n."""
+    out = []
+    for p in range(n):
+        for q in range(n):
+            e = np.zeros((n, n))
+            e[p, q] = 1.0
+            out.append(e)
+    return out
+
+
 def test_solve_sandwich_schur_one_dimensional():
-    # action matrices of the natural simple module of M_2
-    e = [np.zeros((2, 2)) for _ in range(4)]
-    for p in range(2):
-        for q in range(2):
-            e[p * 2 + q] = np.zeros((2, 2))
-            e[p * 2 + q][p, q] = 1.0
-    pairs = [(m, m) for m in e]
+    pairs = [(m, m) for m in _matrix_units(2)]
     basis = numeric.solve_sandwich(pairs, TOL)
     assert len(basis) == 1
     x = basis[0]
     assert np.allclose(x / x[0, 0], np.eye(2))
     assert len(basis) == _kron_nullity(pairs, 1e-8)
+
+
+def _conjugated_double(mats, seed):
+    """Each matrix of the direct sum M + M, written in a random basis."""
+    rng = np.random.default_rng(seed)
+    d = 2 * mats[0].shape[0]
+    s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    s_inv = np.linalg.inv(s)
+    return [s @ np.kron(np.eye(2), m) @ s_inv for m in mats]
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("simple_into_double", 2),     # Hom(M, M + M), d = 2, d' = 4
+    ("double_into_simple", 2),     # Hom(M + M, M), d = 4, d' = 2
+    ("double_endomorphisms", 4),   # End(M + M) = M_2(C)
+    ("random_rectangular", 0),     # generic P (3 x 3) and Q (2 x 2)
+])
+def test_solve_sandwich_kernel_dim_matches_kron_stack(case, expected):
+    simple = _matrix_units(2)
+    double = _conjugated_double(simple, 6)
+    rng = np.random.default_rng(8)
+    pairs = {
+        "simple_into_double": list(zip(simple, double)),
+        "double_into_simple": list(zip(double, simple)),
+        "double_endomorphisms": list(zip(double, double)),
+        "random_rectangular": [
+            (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            for _ in range(2)],
+    }[case]
+    basis = numeric.solve_sandwich(pairs, TOL)
+    assert len(basis) == _kron_nullity(pairs, 1e-8) == expected
+    for x in basis:
+        assert x.shape == (pairs[0][1].shape[0], pairs[0][0].shape[0])
+        for p, q in pairs:
+            assert np.linalg.norm(x @ p - q @ x) <= 1e-8
 
 
 def test_solve_sandwich_inequivalent_characters():
