@@ -19,7 +19,7 @@ from .group_action import (
     make_action,
     make_group,
 )
-from .numeric import DEFAULT_SEED, DEFAULT_TOL, eig_hermitian, nullspace, rank, solve_sandwich
+from .numeric import DEFAULT_SEED, DEFAULT_TOL, nullspace, rank, solve_sandwich
 from .projective import (
     Cocycle,
     ProjectiveSystem,

@@ -93,8 +93,9 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, labels=(),
     """Validate structure constants and unit, returning an Algebra."""
     if dim < 1:
         raise InvalidInput("algebra dimension must be >= 1")
-    c = numeric.as_complex(mult)
-    u = numeric.as_complex(unit).reshape(-1)
+    # own copies: the cached `nonzeros` must keep describing `mult`
+    c = numeric.as_complex(np.array(mult, dtype=np.complex128))
+    u = numeric.as_complex(np.array(unit, dtype=np.complex128)).reshape(-1)
     if c.shape != (dim, dim, dim) or u.shape != (dim,):
         raise InvalidInput("structure tensor / unit shape mismatch")
     a = Algebra(dim=dim, mult=c, unit=u, labels=tuple(labels), tol=tol,

@@ -15,7 +15,11 @@ DEFAULT_SEED = 1
 
 
 def as_complex(m) -> np.ndarray:
-    """Return a complex128 ndarray copy, rejecting non-finite entries."""
+    """Return m as a complex128 ndarray, rejecting non-finite entries.
+
+    No copy is made when m already is one: callers that keep the array must
+    copy it themselves.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidInput("non-finite matrix entries")
@@ -72,16 +76,43 @@ def orthonormal_column_basis(m, tol: float = DEFAULT_TOL,
     return u[:, :r].copy()
 
 
-def eig_hermitian(m, tol: float = DEFAULT_TOL):
-    """Eigen-decomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = as_complex(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInput("matrix must be square")
-    scale = max(np.linalg.norm(a), 1.0)
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
-        raise InvalidInput("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return w, v
+def _diagonal_blocks(mats: np.ndarray) -> list[slice]:
+    """Finest contiguous diagonal-block split shared by a (k, n, n) stack.
+
+    Every entry of every matrix off the returned blocks is exactly zero.  The
+    index r closes a block when no row or column up to r reaches past r.
+    """
+    n = mats.shape[1]
+    if n == 1:
+        return [slice(0, 1)]
+    touch = (mats != 0).any(axis=0)
+    touch |= touch.T
+    touch.flat[::n + 1] = True
+    reach = np.maximum.accumulate(n - 1 - touch[:, ::-1].argmax(axis=1))
+    ends = ((reach == np.arange(n)).nonzero()[0] + 1).tolist()
+    return [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def _gram(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Gram matrix of the stacked system X P_i - Q_i X, X row-major vectorized.
+
+    vec(X @ P) = kron(I, P.T) vec(X) and vec(Q @ X) = kron(Q, I) vec(X);
+    summed over the pairs the Gram matrix of these blocks is
+    I (x) sum conj(P) P.T + (sum Q^H Q) (x) I - S - S^H, S = sum kron(Q, conj(P)),
+    assembled from the factors without forming any (dp*d)^2 block.
+    """
+    k, d, dp = ps.shape[0], ps.shape[1], qs.shape[1]
+    n = dp * d
+    s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
+    s = s.transpose(0, 2, 1, 3).reshape(n, n)
+    a = (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0)
+    b = (qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0)
+    # I (x) a and b (x) I as the broadcast products np.kron forms, without
+    # its per-call overhead
+    left = (np.eye(dp)[:, None, :, None] * a[:, None, :]).reshape(n, n)
+    right = (b[:, None, :, None] * np.eye(d)[:, None, :]).reshape(n, n)
+    gram = left + right - s - s.conj().T
+    return (gram + gram.conj().T) / 2
 
 
 def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -101,25 +132,26 @@ def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     ps = np.stack([p for p, _ in mats])
     qs = np.stack([q for _, q in mats])
     floor = max(1.0, float(np.abs(ps).max()), float(np.abs(qs).max()))
-    # row-major vec: vec(X @ P) = kron(I, P.T) vec(X), vec(Q @ X) = kron(Q, I) vec(X).
-    # Summed over the pairs, the Gram matrix of these blocks is
-    # I (x) sum conj(P) P.T + (sum Q^H Q) (x) I - S - S^H, S = sum kron(Q, conj(P)),
-    # assembled from the factors without forming any (dp*d)^2 block.
-    k, n = len(mats), dp * d
-    s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
-    s = s.transpose(0, 2, 1, 3).reshape(n, n)
-    gram = (np.kron(np.eye(dp), (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0))
-            + np.kron((qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0), np.eye(d))
-            - s - s.conj().T)
+    # Exact diagonal blocks shared by all Q_i split the rows of X, those of
+    # the P_i its columns, and the system decouples into one sub-system per
+    # (row block, column block): its Gram matrix is block-diagonal.
     # Joint kernel via the normal-equations Gram matrix: one Hermitian
-    # eigenproblem of size dp*d instead of an SVD of the tall stack.  The
-    # cutoff scale is floored by the input magnitudes because the blocks are
+    # eigenproblem per block instead of an SVD of the tall stack.  All blocks
+    # share the cutoff one eigh of the whole Gram matrix would apply; its
+    # scale is floored by the input magnitudes because the blocks are
     # differences of comparable products and may be pure rounding noise.
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
-    scale = max(float(w[-1]), floor * floor) if w.size else 1.0
-    keep = w <= tol * scale
-    ker = v[:, keep]
-    return [ker[:, j].reshape(dp, d) for j in range(ker.shape[1])]
+    rows, cols = _diagonal_blocks(qs), _diagonal_blocks(ps)
+    solved = [(r, c, *np.linalg.eigh(_gram(ps[:, c, c], qs[:, r, r])))
+              for r in rows for c in cols]
+    scale = max(max(float(w[-1]) for _, _, w, _ in solved), floor * floor)
+    kept = [(w[j], r, c, v[:, j]) for r, c, w, v in solved
+            for j in (w <= tol * scale).nonzero()[0]]
+    out = []
+    for _, r, c, vec in sorted(kept, key=lambda t: t[0]):
+        x = np.zeros((dp, d), dtype=np.complex128)
+        x[r, c] = vec.reshape(r.stop - r.start, c.stop - c.start)
+        out.append(x)
+    return out
 
 
 def rel_residual(delta, scale: float) -> float:

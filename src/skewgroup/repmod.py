@@ -194,7 +194,7 @@ def compress(m: Module, basis: np.ndarray, tol=None) -> Module:
     a = m.algebra
     tol = tol if tol is not None else a.tol
     rho = []
-    scale = max(float(np.abs(m._stack()).max()), 1.0)
+    scale = max(max(float(np.abs(r).max()) for r in m.rho), 1.0)
     for r in m.rho:
         rb = r @ basis
         small = basis.conj().T @ rb
@@ -322,15 +322,29 @@ def _classify(m: Module, raw_pieces, tol, seed) -> Decomposition:
 
 def _multiplicity_spaces(m: Module, pieces, representatives, tol) -> dict:
     """Realize each multiplicity space inside m as {f(w)}, w the first basis
-    vector of the class representative."""
+    vector of the class representative.
+
+    The homs are solved into the direct sum of the pieces, whose action is
+    exactly block-diagonal, so the intertwiner system splits into one small
+    system per piece; T = [piece bases], an isomorphism from that direct sum
+    onto m (the pieces are invariant and independent), carries them back.
+    """
+    t = np.hstack([p.basis for p in pieces])
+    rho = np.zeros((m.algebra.dim, m.dim, m.dim), dtype=np.complex128)
+    lo = 0
+    for p in pieces:
+        hi = lo + p.module.dim
+        rho[:, lo:hi, lo:hi] = p.module.rho
+        lo = hi
+    direct = Module(algebra=m.algebra, dim=m.dim, rho=tuple(rho))
     out = {}
     for cls, rep in representatives.items():
-        homs = hom_space(rep.module, m, tol)
+        homs = hom_space(rep.module, direct, tol)
         mult = sum(1 for p in pieces if p.iso_class == cls)
         if len(homs) != mult:
             raise NumericalInconsistency(
                 f"hom dimension {len(homs)} != multiplicity {mult} for class {cls}")
-        vectors = [f[:, 0] for f in homs]
+        vectors = [t @ f[:, 0] for f in homs]
         span = canonical_span(vectors, tol)
         if span.shape[1] != mult:
             raise NumericalInconsistency(

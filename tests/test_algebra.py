@@ -113,6 +113,16 @@ def test_make_algebra_rejects_nonassociative_by_random_probes():
         make_algebra(a.dim, c, a.unit, tol=TOL)
 
 
+def test_make_algebra_owns_its_structure_constants():
+    c = matrix_algebra(2).mult.copy()
+    a = make_algebra(4, c, [1.0, 0.0, 0.0, 1.0], tol=TOL)
+    c[2, 1, 3] = 0.0          # a caller edits its array afterwards
+    c[2, 1, 0] = 1.0
+    b2, b1 = np.eye(4)[:, 2], np.eye(4)[:, 1]
+    assert np.allclose(a.product(b2, b1), _dense_product(a.mult, b2, b1))
+    assert np.allclose(a.product(b2, b1), np.eye(4)[:, 3])    # E10 E01 = E11
+
+
 def test_make_algebra_field():
     a = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=TOL)
     assert a.dim == 1

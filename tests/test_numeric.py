@@ -1,4 +1,4 @@
-"""Rank, nullspace, Hermitian eigendecomposition, and the intertwiner solver."""
+"""Rank, nullspace, and the intertwiner solver."""
 
 import numpy as np
 import pytest
@@ -73,50 +73,23 @@ def test_nullspace_vectors_annihilated():
         assert np.linalg.norm(m @ ker[:, j]) <= TOL * norm
 
 
-def test_eig_hermitian_diag():
-    w, v = numeric.eig_hermitian(np.diag([2.0, 1.0]))
-    assert np.allclose(w, [1.0, 2.0])
-
-
-def test_eig_hermitian_pauli_x():
-    w, v = numeric.eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_eig_hermitian_identity():
-    w, v = numeric.eig_hermitian(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v.conj().T @ v, np.eye(2))
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(InvalidInput):
-        numeric.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_hermitian_reconstruction():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = a + a.conj().T
-    w, v = numeric.eig_hermitian(m)
-    assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - m) <= 10 * TOL * np.linalg.norm(m)
-
-
 def test_solve_sandwich_identity_pair():
     basis = numeric.solve_sandwich([(np.eye(2), np.eye(2))], TOL)
     assert len(basis) == 4
 
 
-def _kron_nullity(pairs, tol):
-    """Independent oracle: nullity of the explicitly stacked Kronecker system."""
-    blocks = []
-    for p, q in pairs:
-        d = p.shape[0]
-        dp = q.shape[0]
-        blocks.append(np.kron(np.eye(dp), p.T) - np.kron(q, np.eye(d)))
-    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+def _kron_blocks(pairs):
+    """The blocks kron(I, P.T) - kron(Q, I) acting on row-major vec(X)."""
+    return [np.kron(np.eye(q.shape[0]), p.T) - np.kron(q, np.eye(p.shape[0]))
+            for p, q in pairs]
+
+
+def _kron_kernel(pairs, tol):
+    """Independent oracle: kernel of the explicitly stacked Kronecker system,
+    one vec(X) per column."""
+    _, s, vh = np.linalg.svd(np.vstack(_kron_blocks(pairs)))
     scale = max(float(s[0]), 1.0)
-    return int(np.sum(s <= tol * scale))
+    return vh[int(np.sum(s > tol * scale)):].conj().T
 
 
 def _matrix_units(n):
@@ -136,7 +109,7 @@ def test_solve_sandwich_schur_one_dimensional():
     assert len(basis) == 1
     x = basis[0]
     assert np.allclose(x / x[0, 0], np.eye(2))
-    assert len(basis) == _kron_nullity(pairs, 1e-8)
+    assert len(basis) == _kron_kernel(pairs, 1e-8).shape[1]
 
 
 def _conjugated_double(mats, seed):
@@ -168,7 +141,7 @@ def test_solve_sandwich_kernel_dim_matches_kron_stack(case, expected):
             for _ in range(2)],
     }[case]
     basis = numeric.solve_sandwich(pairs, TOL)
-    assert len(basis) == _kron_nullity(pairs, 1e-8) == expected
+    assert len(basis) == _kron_kernel(pairs, 1e-8).shape[1] == expected
     for x in basis:
         assert x.shape == (pairs[0][1].shape[0], pairs[0][0].shape[0])
         for p, q in pairs:
@@ -203,3 +176,131 @@ def test_solve_sandwich_rejects_empty():
 def test_solve_sandwich_rejects_mismatched():
     with pytest.raises(InvalidInput):
         numeric.solve_sandwich([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(2))], TOL)
+
+
+def _block_diag(*mats):
+    n = sum(m.shape[0] for m in mats)
+    out = np.zeros((n, n), dtype=np.complex128)
+    lo = 0
+    for m in mats:
+        hi = lo + m.shape[0]
+        out[lo:hi, lo:hi] = m
+        lo = hi
+    return out
+
+
+def _projector(cols):
+    q, _ = np.linalg.qr(cols)
+    return q @ q.conj().T
+
+
+def _split_pairs(case):
+    """Actions of the basis of M_2 + C on modules that are exact direct sums.
+
+    m is the natural module of M_2 (zero on the C summand), mm is m + m and
+    c the character of C; conj writes a module in a random basis.
+    """
+    rng = np.random.default_rng(12)
+
+    def conj(mats):
+        d = mats[0].shape[0]
+        s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return [s @ x @ np.linalg.inv(s) for x in mats]
+
+    m = _matrix_units(2) + [np.zeros((2, 2))]
+    c = [np.zeros((1, 1))] * 4 + [np.eye(1)]
+    mm = [np.kron(np.eye(2), x) for x in m]
+    modules = {
+        "q_side": ([m], [c, conj(m), conj(mm)]),        # d = 2, d' = 1 + 2 + 4
+        "p_side": ([conj(mm), c, conj(m)], [m]),        # d = 4 + 1 + 2, d' = 2
+        "both": ([m, c], [c, conj(m), conj(mm)]),       # d = 2 + 1, d' = 1 + 2 + 4
+    }[case]
+    ps, qs = ([_block_diag(*xs) for xs in zip(*side)] for side in modules)
+    return list(zip(ps, qs))
+
+
+@pytest.mark.parametrize("case, blocks, expected", [
+    ("q_side", (1, 3), 3),      # Hom(M, C + M + M^2) = 3
+    ("p_side", (3, 1), 3),      # Hom(M^2 + C + M, M) = 3
+    ("both", (2, 3), 4),        # Hom(M + C, C + M + M^2) = 3 + 1
+])
+def test_solve_sandwich_splits_exact_blocks(case, blocks, expected):
+    pairs = _split_pairs(case)
+    ps = np.stack([p for p, _ in pairs])
+    qs = np.stack([q for _, q in pairs])
+    assert (len(numeric._diagonal_blocks(ps)),
+            len(numeric._diagonal_blocks(qs))) == blocks
+    basis = numeric.solve_sandwich(pairs, TOL)
+    oracle = _kron_kernel(pairs, 1e-8)
+    assert len(basis) == oracle.shape[1] == expected
+    vecs = np.column_stack([x.reshape(-1) for x in basis])
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(expected), atol=1e-10)
+    assert np.linalg.norm(_projector(vecs) - _projector(oracle)) <= 1e-8
+    for x in basis:
+        assert x.shape == (qs.shape[1], ps.shape[1])
+        for p, q in pairs:
+            assert np.linalg.norm(x @ p - q @ x) <= 1e-8
+
+
+def test_solve_sandwich_one_cutoff_for_all_blocks():
+    # A dense 3 x 3 block of O(1) entries beside a 2 x 2 block with entries of
+    # order 1e-6.  Written in unitary bases u, v, the small block's Gram matrix
+    # is diagonal with eigenvalues 1e-12 |a_t - b_s|^2: 0, 1e-12 and two near
+    # 4e-8.  Those two lie above tol * floor^2 but below tol * (largest
+    # eigenvalue of the whole Gram matrix), so only the global cutoff keeps them.
+    rng = np.random.default_rng(11)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, _ = np.linalg.qr(cn(2, 2))
+    v, _ = np.linalg.qr(cn(2, 2))
+    small_p = 1e-6 * u @ np.diag([0.0, 1.0]) @ u.conj().T
+    small_q = 1e-6 * v @ np.diag([0.0, 200.0]) @ v.conj().T
+    zero = np.zeros((2, 2))
+    pairs = [(_block_diag(cn(3, 3), small_p if i == 0 else zero),
+              _block_diag(cn(3, 3), small_q if i == 0 else zero))
+             for i in range(6)]
+    ps = np.stack([p for p, _ in pairs])
+    qs = np.stack([q for _, q in pairs])
+    assert len(numeric._diagonal_blocks(ps)) == len(numeric._diagonal_blocks(qs)) == 2
+    # test-local eigh of the full (block-diagonal) Gram matrix
+    gram = sum(b.conj().T @ b for b in _kron_blocks(pairs))
+    w, vecs = np.linalg.eigh(gram)
+    floor = max(1.0, float(np.abs(ps).max()), float(np.abs(qs).max()))
+    keep = w <= TOL * max(float(w[-1]), floor ** 2)
+    assert keep.sum() == 4
+    assert np.sum(w <= TOL * floor ** 2) == 2       # a floor-only cutoff keeps 2
+    basis = numeric.solve_sandwich(pairs, TOL)
+    assert len(basis) == 4
+    got = np.column_stack([x.reshape(-1) for x in basis])
+    assert np.linalg.norm(_projector(got) - _projector(vecs[:, keep])) <= 1e-8
+
+
+def _solve_sandwich_unsplit(pairs, tol):
+    """The solver before the block split: one eigh of the whole Gram matrix."""
+    ps = np.stack([np.asarray(p, dtype=np.complex128) for p, _ in pairs])
+    qs = np.stack([np.asarray(q, dtype=np.complex128) for _, q in pairs])
+    k, d, dp = ps.shape[0], ps.shape[1], qs.shape[1]
+    floor = max(1.0, float(np.abs(ps).max()), float(np.abs(qs).max()))
+    n = dp * d
+    s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
+    s = s.transpose(0, 2, 1, 3).reshape(n, n)
+    gram = (np.kron(np.eye(dp), (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0))
+            + np.kron((qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0), np.eye(d))
+            - s - s.conj().T)
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
+    scale = max(float(w[-1]), floor * floor) if w.size else 1.0
+    ker = v[:, w <= tol * scale]
+    return [ker[:, j].reshape(dp, d) for j in range(ker.shape[1])]
+
+
+def test_solve_sandwich_single_block_is_bitwise_unsplit():
+    pairs = list(zip(_matrix_units(2), _conjugated_double(_matrix_units(2), 6)))
+    for side in zip(*pairs):
+        assert len(numeric._diagonal_blocks(np.stack(side))) == 1
+    basis = numeric.solve_sandwich(pairs, TOL)
+    reference = _solve_sandwich_unsplit(pairs, TOL)
+    assert len(basis) == len(reference) == 2
+    for x, y in zip(basis, reference):
+        assert np.array_equal(x, y)

@@ -15,17 +15,21 @@ from skewgroup.errors import (
     NotARepresentation,
     NotSemisimple,
 )
+from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
+from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.repmod import (
     decompose,
     hom_space,
     invariant_subspace,
     is_simple,
     make_module,
+    regular_commutant,
     regular_module,
     restrict,
     twist,
 )
+from skewgroup.skew import skew_group_algebra
 
 TOL = 1e-9
 
@@ -214,6 +218,23 @@ def test_decompose_dimension_bookkeeping(inst):
                 img = np.asarray(r) @ p.basis
                 assert np.linalg.norm(img - proj @ img) <= 1e-7
             assert is_simple(p.module, seed=1, tol=TOL)
+
+
+@pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic",
+                                  "random2"])
+def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
+    i = random_instance(2) if name == "random2" else inst(name)
+    s = skew_group_algebra(i.algebra, i.group, i.action, TOL, 1).alg
+    reg = regular_module(s)
+    dec = decompose(reg, seed=1, tol=TOL, commutant=regular_commutant(s))
+    for cls in dec.class_ids():
+        # oracle: homs into the module itself, not into the sum of its pieces
+        homs = hom_space(dec.representatives[cls].module, reg, TOL)
+        assert len(homs) == dec.multiplicity(cls)
+        want = orthonormal_column_basis(np.column_stack([f[:, 0] for f in homs]), TOL)
+        got = dec.multiplicity_spaces[cls]
+        assert got.shape == want.shape
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-8
 
 
 def test_hom_dimension_symmetry(inst):
