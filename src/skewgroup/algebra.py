@@ -45,6 +45,21 @@ class Algebra:
         i, j, k = np.nonzero(self.mult)
         return i, j, k, self.mult[i, j, k]
 
+    @cached_property
+    def trace_gram(self) -> np.ndarray:
+        """Read-only trace form T[i, j] = trace(L_{b_i} L_{b_j}).
+
+        The trace is sum_{m,n} c[i, m, n] c[j, n, m]: one matmul over the
+        slots (m, n) that hold a nonzero in both factors.
+        """
+        _, j, k, _ = self.nonzeros
+        n = self.dim
+        slots = np.intersect1d(j * n + k, k * n + j)
+        flat = self.mult.reshape(n, n * n)
+        gram = flat[:, slots] @ flat[:, slots % n * n + slots // n].T
+        gram.flags.writeable = False
+        return gram
+
     def product(self, x, y) -> np.ndarray:
         """Coordinates of x*y."""
         i, j, k, v = self.nonzeros
@@ -179,28 +194,14 @@ def direct_sum(a: Algebra, b: Algebra, tol=None) -> Algebra:
 
 
 def trace_form(a: Algebra) -> np.ndarray:
-    """Gram matrix T[i, j] = trace(L_{b_i} L_{b_j}).
-
-    The trace is sum_{m,n} c[i, m, n] c[j, n, m]: one matmul over the slots
-    (m, n) that hold a nonzero in both factors.
-    """
-    _, j, k, _ = a.nonzeros
-    n = a.dim
-    slots = np.intersect1d(j * n + k, k * n + j)
-    flat = a.mult.reshape(n, n * n)
-    return flat[:, slots] @ flat[:, slots % n * n + slots // n].T
+    """Gram matrix T[i, j] = trace(L_{b_i} L_{b_j}), derived once per algebra."""
+    return a.trace_gram
 
 
 def is_semisimple(a: Algebra, tol=None) -> bool:
     """Full rank of the left-multiplication trace form."""
     tol = tol if tol is not None else a.tol
     return numeric.rank(trace_form(a), tol) == a.dim
-
-
-def radical_dim_bruteforce(a: Algebra, tol=None) -> int:
-    """Dimension of the trace-form radical; independent semisimplicity oracle."""
-    tol = tol if tol is not None else a.tol
-    return a.dim - numeric.rank(trace_form(a), tol)
 
 
 def canonical_span(vectors, tol=numeric.DEFAULT_TOL) -> np.ndarray:

@@ -142,13 +142,14 @@ def make_action(group: FiniteGroup, target: Algebra, mats,
     scale = target.scale
     for g in group.elements():
         m = ms[g]
-        # g(b_i b_j) = g(b_i) g(b_j) for all basis pairs, vectorized
-        lhs = np.einsum("ijk,lk->ijl", target.mult, m)
-        rhs = np.einsum("ai,bj,abl->ijl", m, m, target.mult)
+        # g(b_i b_j) = g(b_i) g(b_j) for all basis pairs, as matmuls:
+        # lhs[i, j] = m c[i, j], rhs[i, j] = sum_ab m[a, i] m[b, j] c[a, b]
+        lhs = target.mult @ m.T
+        rhs = m.T @ np.tensordot(m, target.mult, axes=(0, 0))
         res = numeric.rel_residual(lhs - rhs, scale * max(np.linalg.norm(m) ** 2, 1.0))
         if res > tol:
-            pair = np.unravel_index(int(np.abs(lhs - rhs).sum(axis=2).argmax()),
-                                    (d, d))
+            pair = tuple(int(t) for t in np.unravel_index(
+                int(np.abs(lhs - rhs).sum(axis=2).argmax()), (d, d)))
             raise NotAutomorphism(f"element {g} is not multiplicative at basis "
                                   f"pair {pair}: residual {res:.3e}")
         if numeric.rel_residual(m @ target.unit - target.unit, 1.0) > tol:

@@ -124,13 +124,15 @@ def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """
     if not pairs:
         raise InvalidInput("need at least one (P, Q) pair")
-    mats = [(as_complex(p), as_complex(q)) for p, q in pairs]
-    d = mats[0][0].shape[0]
-    dp = mats[0][1].shape[0]
-    if any(p.shape != (d, d) or q.shape != (dp, dp) for p, q in mats):
+    try:
+        ps = as_complex([p for p, _ in pairs])
+        qs = as_complex([q for _, q in pairs])
+    except ValueError:
         raise InvalidInput("inconsistent pair dimensions")
-    ps = np.stack([p for p, _ in mats])
-    qs = np.stack([q for _, q in mats])
+    if (ps.ndim != 3 or qs.ndim != 3 or ps.shape[1] != ps.shape[2]
+            or qs.shape[1] != qs.shape[2]):
+        raise InvalidInput("inconsistent pair dimensions")
+    d, dp = ps.shape[1], qs.shape[1]
     floor = max(1.0, float(np.abs(ps).max()), float(np.abs(qs).max()))
     # Exact diagonal blocks shared by all Q_i split the rows of X, those of
     # the P_i its columns, and the system decouples into one sub-system per

@@ -126,17 +126,16 @@ def inertia(m: Module, action: AlgebraAction, tol=None,
 
 def _check_intertwiners(m: Module, action: AlgebraAction, members, phi, tol):
     """phi(h) rho(h^{-1}(a)) = rho(a) phi(h) for every basis element a."""
-    a = m.algebra
     group = action.group
-    scale = max(float(np.abs(m._stack()).max()), 1.0) * np.sqrt(m.dim)
+    scale = m.scale * np.sqrt(m.dim)
     for local, h in enumerate(members):
         tmat = action.mats[group.inv(h)]
-        for i in range(a.dim):
-            lhs = phi[local] @ m.act(tmat[:, i])
-            rhs = m.act(np.eye(a.dim)[:, i]) @ phi[local]
-            if numeric.rel_residual(lhs - rhs, scale) > tol:
-                raise NotProjective(
-                    f"intertwiner for element {h} fails at basis index {i}")
+        lhs = phi[local] @ np.tensordot(tmat.T, m.rho, axes=1)
+        res = np.linalg.norm(lhs - m.rho @ phi[local], axis=(1, 2)) / scale
+        bad = (res > tol).nonzero()[0]
+        if bad.size:
+            raise NotProjective(
+                f"intertwiner for element {h} fails at basis index {bad[0]}")
 
 
 def extract_cocycle(phi, group: FiniteGroup, tol=numeric.DEFAULT_TOL) -> Cocycle:
@@ -216,7 +215,7 @@ def contragredient(w: Module, group: FiniteGroup, cocycle: Cocycle,
     if w.algebra.dim != group.order:
         raise InvalidInput("module algebra does not match the group order")
     alg = twisted_group_algebra(group, cocycle, -exponent, tol)
-    rho = tuple(np.linalg.inv(r).T for r in w.rho)
+    rho = np.linalg.inv(w.rho).transpose(0, 2, 1)
     return make_module(alg, rho, tol)
 
 

@@ -8,6 +8,7 @@ random commutant element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +40,16 @@ _PROBE_COUNT = 20
 class Module:
     algebra: Algebra
     dim: int
-    rho: tuple                # one (dim, dim) matrix per algebra basis element
+    rho: np.ndarray           # (algebra dim, dim, dim): rho[i] is the action of b_i
 
     def act(self, x) -> np.ndarray:
         """Action matrix of the element with coordinates x."""
-        return np.einsum("i,iab->ab", np.asarray(x), self._stack())
+        return np.einsum("i,iab->ab", np.asarray(x), self.rho)
 
-    def _stack(self) -> np.ndarray:
-        return np.stack(self.rho)
+    @cached_property
+    def scale(self) -> float:
+        """Largest action entry, floored at 1: the scale of residual bounds."""
+        return max(float(np.abs(self.rho).max()), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +78,18 @@ def make_module(algebra: Algebra, rho, tol=None, seed=numeric.DEFAULT_SEED,
                 _validate=True) -> Module:
     """Validate a representation given by one matrix per basis element."""
     tol = tol if tol is not None else algebra.tol
-    mats = tuple(numeric.as_complex(m) for m in rho)
-    if len(mats) != algebra.dim:
+    if len(rho) != algebra.dim:
         raise InvalidInput("need one action matrix per algebra basis element")
-    if not mats or mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
+    try:
+        stack = numeric.as_complex(rho)
+    except ValueError:
+        raise InvalidInput("inconsistent action matrix shapes")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise InvalidInput("action matrices must be square")
-    d = mats[0].shape[0]
+    d = stack.shape[1]
     if d == 0:
         raise InvalidInput("zero-dimensional module")
-    if any(m.shape != (d, d) for m in mats):
-        raise InvalidInput("inconsistent action matrix shapes")
-    m = Module(algebra=algebra, dim=d, rho=mats)
+    m = Module(algebra=algebra, dim=d, rho=stack)
     if _validate:
         validate_module(m, tol, seed)
     return m
@@ -95,14 +99,14 @@ def validate_module(m: Module, tol=None, seed=numeric.DEFAULT_SEED) -> None:
     """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I."""
     a = m.algebra
     tol = tol if tol is not None else a.tol
-    stack = m._stack()
     unit_res = numeric.rel_residual(m.act(a.unit) - np.eye(m.dim), 1.0)
     if unit_res > tol:
         raise NotARepresentation(f"rho(1) != I: residual {unit_res:.3e}")
-    scale = a.scale * max(float(np.abs(stack).max()), 1.0) ** 2 * m.dim
+    scale = a.scale * m.scale ** 2 * m.dim
     if a.dim <= EXHAUSTIVE_DIM_LIMIT:
-        lhs = np.einsum("iab,jbc->ijac", stack, stack)
-        rhs = np.einsum("ijk,kac->ijac", a.mult, stack)
+        n, d = a.dim, m.dim
+        lhs = m.rho[:, None] @ m.rho[None, :]
+        rhs = (a.mult.reshape(n * n, n) @ m.rho.reshape(n, d * d)).reshape(n, n, d, d)
         err = np.abs(lhs - rhs)
         worst = float(err.max())
         if worst > tol * scale:
@@ -130,8 +134,8 @@ def hom_space(m: Module, n: Module, tol=None) -> list:
         raise AlgebraMismatch("hom_space requires modules over the same algebra")
     tol = tol if tol is not None else m.algebra.tol
     gens = np.array(m.algebra.basis_generators())
-    pairs = list(zip(np.tensordot(gens, m._stack(), axes=1),
-                     np.tensordot(gens, n._stack(), axes=1)))
+    pairs = list(zip(np.tensordot(gens, m.rho, axes=1),
+                     np.tensordot(gens, n.rho, axes=1)))
     return numeric.solve_sandwich(pairs, tol)
 
 
@@ -156,12 +160,11 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED, tol=None) -> bool:
         raise NotSemisimple("is_simple requires a semisimple algebra")
     commutant_dim = len(hom_space(m, m, tol))
     by_commutant = commutant_dim == 1
-    stack = m._stack()
     rng = np.random.default_rng(seed)
     by_cyclic = True
     for _ in range(3):
         v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-        orbit = np.einsum("iab,b->ai", stack, v)
+        orbit = np.einsum("iab,b->ai", m.rho, v)
         if numeric.rank(orbit, tol) != m.dim:
             by_cyclic = False
             break
@@ -174,35 +177,33 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED, tol=None) -> bool:
 
 def twist(m: Module, g: int, action) -> Module:
     """Same carrier with a * m := g^{-1}(a) m."""
-    ginv = action.group.inv(g)
-    tmat = action.mats[ginv]
-    rho = tuple(m.act(tmat[:, i]) for i in range(m.algebra.dim))
-    return Module(algebra=m.algebra, dim=m.dim, rho=rho)
+    tmat = action.mats[action.group.inv(g)]
+    return Module(algebra=m.algebra, dim=m.dim,
+                  rho=np.tensordot(tmat.T, m.rho, axes=1))
 
 
 def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
     """View m as a module over the embedded subalgebra."""
     if not _same_algebra(embedding.parent, m.algebra):
         raise AlgebraMismatch("embedding does not target the module's algebra")
-    rho = tuple(m.act(embedding.inclusion[:, j])
-                for j in range(embedding.sub.dim))
-    return Module(algebra=embedding.sub, dim=m.dim, rho=rho)
+    return Module(algebra=embedding.sub, dim=m.dim,
+                  rho=np.tensordot(embedding.inclusion.T, m.rho, axes=1))
 
 
 def compress(m: Module, basis: np.ndarray, tol=None) -> Module:
     """Restrict the action to an invariant subspace with orthonormal basis."""
     a = m.algebra
     tol = tol if tol is not None else a.tol
-    rho = []
-    scale = max(max(float(np.abs(r).max()) for r in m.rho), 1.0)
-    for r in m.rho:
-        rb = r @ basis
-        small = basis.conj().T @ rb
-        res = numeric.rel_residual(rb - basis @ small, scale)
-        if res > tol:
-            raise NotARepresentation(f"subspace is not invariant: residual {res:.3e}")
-        rho.append(small)
-    return Module(algebra=a, dim=basis.shape[1], rho=tuple(rho))
+    # plain batched products: reshaping a strided stack (a regular module's
+    # transposed view) into one gemm would copy it
+    rb = m.rho @ basis
+    small = basis.conj().T @ rb
+    res = np.linalg.norm(rb - basis @ small, axis=(1, 2)) / m.scale
+    bad = (res > tol).nonzero()[0]
+    if bad.size:
+        raise NotARepresentation(
+            f"subspace is not invariant: residual {res[bad[0]]:.3e}")
+    return Module(algebra=a, dim=basis.shape[1], rho=small)
 
 
 def _random_commutant_sample(comm, rng) -> np.ndarray:
@@ -330,13 +331,7 @@ def _multiplicity_spaces(m: Module, pieces, representatives, tol) -> dict:
     onto m (the pieces are invariant and independent), carries them back.
     """
     t = np.hstack([p.basis for p in pieces])
-    rho = np.zeros((m.algebra.dim, m.dim, m.dim), dtype=np.complex128)
-    lo = 0
-    for p in pieces:
-        hi = lo + p.module.dim
-        rho[:, lo:hi, lo:hi] = p.module.rho
-        lo = hi
-    direct = Module(algebra=m.algebra, dim=m.dim, rho=tuple(rho))
+    direct = _direct_sum(m.algebra, [p.module for p in pieces])
     out = {}
     for cls, rep in representatives.items():
         homs = hom_space(rep.module, direct, tol)
@@ -353,6 +348,18 @@ def _multiplicity_spaces(m: Module, pieces, representatives, tol) -> dict:
     return out
 
 
+def _direct_sum(a: Algebra, modules) -> Module:
+    """Direct sum of modules over a, with block-diagonal actions."""
+    d = sum(n.dim for n in modules)
+    rho = np.zeros((a.dim, d, d), dtype=np.complex128)
+    lo = 0
+    for n in modules:
+        hi = lo + n.dim
+        rho[:, lo:hi, lo:hi] = n.rho
+        lo = hi
+    return Module(algebra=a, dim=d, rho=rho)
+
+
 def invariant_subspace(m: Module, tol=None) -> np.ndarray:
     """Fixed space of a module over a plain group algebra.
 
@@ -362,14 +369,12 @@ def invariant_subspace(m: Module, tol=None) -> np.ndarray:
     """
     a = m.algebra
     tol = tol if tol is not None else a.tol
-    stack = m._stack()
-    symmetrizer = stack.mean(axis=0)
+    symmetrizer = m.rho.mean(axis=0)
     # the symmetrizer is idempotent (nonzero singular values >= 1) and the
     # stacked blocks rho(g) - I are O(1); floor the rank scales so an
     # all-noise matrix reads as zero
     image = numeric.orthonormal_column_basis(symmetrizer, tol, scale_floor=1.0)
-    eye = np.eye(m.dim)
-    fixed = numeric.nullspace(np.vstack([r - eye for r in stack]), tol,
+    fixed = numeric.nullspace((m.rho - np.eye(m.dim)).reshape(-1, m.dim), tol,
                               scale_floor=1.0)
     if image.shape[1] != fixed.shape[1]:
         raise NumericalInconsistency(
@@ -383,8 +388,13 @@ def invariant_subspace(m: Module, tol=None) -> np.ndarray:
 
 
 def regular_module(a: Algebra) -> Module:
-    """Left regular representation of an algebra on itself."""
-    rho = tuple(np.einsum("jk->kj", a.mult[i]) for i in range(a.dim))
+    """Left regular representation of an algebra on itself.
+
+    The action is a read-only transposed view of the structure constants,
+    not a copy.
+    """
+    rho = a.mult.transpose(0, 2, 1)
+    rho.flags.writeable = False
     return Module(algebra=a, dim=a.dim, rho=rho)
 
 

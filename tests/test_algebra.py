@@ -13,7 +13,6 @@ from skewgroup.algebra import (
     is_semisimple,
     make_algebra,
     matrix_algebra,
-    radical_dim_bruteforce,
     subalgebra_from_span,
     trace_form,
 )
@@ -92,6 +91,18 @@ def test_kernels_match_dense_einsum_reference(inst, source):
     t = trace_form(a)
     assert t.shape == (a.dim, a.dim)
     assert np.linalg.norm(t - _dense_trace_form(a.mult)) <= 1e-12 * a.scale ** 2
+
+
+@pytest.mark.parametrize("name", ["pauli", "perm"])
+def test_trace_form_is_derived_once_and_read_only(inst, name):
+    a = _skew_algebra(inst, name)
+    t = trace_form(a)
+    assert trace_form(a) is t
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
+    want = np.einsum("imn,jnm->ij", a.mult, a.mult)
+    assert np.linalg.norm(t - want) <= 1e-12 * a.scale ** 2
 
 
 def test_make_algebra_rejects_nonassociative_naming_worst_triple():
@@ -204,14 +215,6 @@ def test_is_semisimple_group_algebra_z2():
 def test_is_semisimple_dual_numbers_false():
     a = _dual_numbers()
     assert not is_semisimple(a, TOL)
-    # oracle: the radical is span{x}, so the trace-form Gram matrix has rank 1
-    assert radical_dim_bruteforce(a, TOL) == 1
-
-
-def test_radical_bruteforce_agrees_on_semisimple():
-    for a in (matrix_algebra(1), matrix_algebra(2),
-              direct_sum(matrix_algebra(2), matrix_algebra(2))):
-        assert radical_dim_bruteforce(a, TOL) == 0
 
 
 def test_fixed_subalgebra_trivial_group(inst):

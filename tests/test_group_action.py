@@ -97,6 +97,26 @@ def test_make_action_rejects_non_automorphism():
         make_action(g, a, [np.eye(4), m], TOL)
 
 
+def test_make_action_names_the_worst_basis_pair():
+    a = matrix_algebra(2)
+    g = make_group([[0, 1], [1, 0]])
+    # an oblique reflection fixing the unit: linear, of order two, and not
+    # multiplicative, with one worst basis pair that is not symmetric
+    rng = np.random.default_rng(0)
+    u, v = rng.standard_normal(4), rng.standard_normal(4)
+    v -= (v @ a.unit.real) / 2 * a.unit.real
+    m = np.eye(4) - 2 * np.outer(u, v) / (v @ u)
+    lhs = np.einsum("ijk,lk->ijl", a.mult, m)
+    rhs = np.einsum("ai,bj,abl->ijl", m, m, a.mult)
+    err = np.abs(lhs - rhs).sum(axis=2)
+    pair = tuple(int(t) for t in np.unravel_index(int(err.argmax()), err.shape))
+    assert pair == (2, 1) and err[1, 2] < err[2, 1]
+    with pytest.raises(NotAutomorphism,
+                       match=rf"element 1 is not multiplicative at basis pair "
+                             rf"\({pair[0]}, {pair[1]}\)"):
+        make_action(g, a, [np.eye(4), m], TOL)
+
+
 def test_left_cosets_full_subgroup():
     g = cyclic_group(4)
     assert left_cosets(g, range(4)) == [0]

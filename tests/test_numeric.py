@@ -178,6 +178,24 @@ def test_solve_sandwich_rejects_mismatched():
         numeric.solve_sandwich([(np.eye(2), np.eye(2)), (np.eye(3), np.eye(2))], TOL)
 
 
+@pytest.mark.parametrize("pairs", [
+    [(np.eye(2), np.eye(2)), (np.eye(2), np.eye(3))],
+    [(np.ones((2, 3)), np.eye(2))],
+    [(np.eye(2), np.ones(2))],
+    [([[1.0, 0.0], [0.0]], np.eye(2))],
+    [(np.eye(2), [[1.0], [0.0, 1.0]])],
+], ids=["q_sizes_differ", "p_not_square", "q_not_a_matrix",
+        "ragged_p", "ragged_q"])
+def test_solve_sandwich_rejects_mismatched_or_ragged_shapes(pairs):
+    with pytest.raises(InvalidInput, match="inconsistent pair dimensions"):
+        numeric.solve_sandwich(pairs, TOL)
+
+
+def test_solve_sandwich_rejects_non_finite():
+    with pytest.raises(InvalidInput, match="non-finite"):
+        numeric.solve_sandwich([(np.eye(2), np.diag([1.0, np.nan]))], TOL)
+
+
 def _block_diag(*mats):
     n = sum(m.shape[0] for m in mats)
     out = np.zeros((n, n), dtype=np.complex128)

@@ -19,6 +19,8 @@ from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
 from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.repmod import (
+    _direct_sum,
+    compress,
     decompose,
     hom_space,
     invariant_subspace,
@@ -296,3 +298,84 @@ def test_invariant_subspace_sign_character():
     a = group_algebra(2)
     m = make_module(a, [np.eye(1), -np.eye(1)], TOL)
     assert invariant_subspace(m, TOL).shape[1] == 0
+
+
+def _assert_action_stack(m):
+    assert isinstance(m.rho, np.ndarray)
+    assert m.rho.dtype == np.complex128
+    assert m.rho.shape == (m.algebra.dim, m.dim, m.dim)
+
+
+def test_every_constructor_stores_one_action_stack(inst):
+    i = inst("pauli")
+    m = i.module
+    reg = regular_module(i.algebra)
+    dec = decompose(reg, seed=1, tol=TOL, commutant=regular_commutant(i.algebra))
+    emb = fixed_subalgebra(i.algebra, i.action)
+    built = [natural_module_m2(), m, twist(m, 1, i.action), restrict(m, emb),
+             compress(reg, dec.pieces[0].basis, TOL), reg,
+             _direct_sum(i.algebra, [p.module for p in dec.pieces])]
+    for mod in built:
+        _assert_action_stack(mod)
+
+
+def test_direct_sum_is_block_diagonal():
+    nat = natural_module_m2()
+    s = _direct_sum(nat.algebra, [nat, nat])
+    assert s.dim == 4
+    assert np.array_equal(s.rho[:, :2, :2], nat.rho)
+    assert np.array_equal(s.rho[:, 2:, 2:], nat.rho)
+    assert not s.rho[:, :2, 2:].any() and not s.rho[:, 2:, :2].any()
+
+
+def test_regular_module_is_a_view_of_the_structure_constants(inst):
+    for a in (matrix_algebra(2), group_algebra(3), inst("perm").algebra):
+        reg = regular_module(a)
+        assert np.shares_memory(reg.rho, a.mult)
+        assert not reg.rho.flags.writeable
+        for i in range(a.dim):
+            assert np.array_equal(reg.rho[i], a.left_mult(np.eye(a.dim)[:, i]))
+
+
+def _doubled_natural_m2():
+    rho = [np.kron(np.eye(2), np.asarray(r)) for r in natural_module_m2().rho]
+    return make_module(matrix_algebra(2), rho, TOL)
+
+
+def test_compress_matches_per_matrix_reference():
+    m = _doubled_natural_m2()
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    # {v (x) w}: invariant, since each action is I (x) r
+    basis = np.column_stack([np.kron(v, e) for e in np.eye(2)])
+    sub = compress(m, basis, TOL)
+    assert sub.dim == 2
+    for r, small in zip(m.rho, sub.rho):
+        assert np.linalg.norm(small - basis.conj().T @ r @ basis) <= 1e-12
+
+
+def test_compress_names_the_first_failing_action():
+    m = _doubled_natural_m2()
+    basis = np.array([[3.0], [4.0], [0.0], [0.0]]) / 5.0
+    residuals = [np.linalg.norm(r @ basis - basis @ (basis.T @ r @ basis))
+                 for r in m.rho]
+    first = next(res for res in residuals if res > TOL)
+    # the first failing action is not the worst one
+    assert first < max(residuals)
+    with pytest.raises(NotARepresentation,
+                       match=f"subspace is not invariant: residual {first:.3e}"):
+        compress(m, basis, TOL)
+
+
+def test_validate_module_names_the_worst_basis_pair():
+    rho = np.asarray(natural_module_m2().rho).copy()
+    rho[1] *= 2.0             # rho(E01) = 2 E01; the unit is untouched
+    a = matrix_algebra(2)
+    lhs = np.einsum("iab,jbc->ijac", rho, rho)
+    rhs = np.einsum("ijk,kac->ijac", a.mult, rho)
+    err = np.abs(lhs - rhs).reshape(a.dim, a.dim, -1).sum(-1)
+    i, j = np.unravel_index(int(err.argmax()), err.shape)
+    with pytest.raises(NotARepresentation,
+                       match=rf"rho\(b_{i}\) rho\(b_{j}\) != rho\(b_{i} b_{j}\)"):
+        make_module(a, rho, TOL)
