@@ -7,6 +7,7 @@ coordinate vectors in C^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +34,8 @@ class Algebra:
     dim: int
     mult: np.ndarray          # (dim, dim, dim) structure constants
     unit: np.ndarray          # (dim,) coordinates of 1
-    labels: tuple = ()
+    # The one tolerance of every rank and residual decision on this algebra,
+    # its modules and everything derived from it.
     tol: float = numeric.DEFAULT_TOL
     # Coordinate vectors that generate the algebra as a unital algebra; used
     # to shrink intertwiner systems.  Empty means "use the whole basis".
@@ -98,14 +100,16 @@ class SubalgebraEmbedding:
     sub: Algebra
     inclusion: np.ndarray     # (dim parent, dim sub), injective
 
-    def include(self, x) -> np.ndarray:
-        """Map sub coordinates into parent coordinates."""
-        return self.inclusion @ np.asarray(x)
 
+def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
+                 seed=numeric.DEFAULT_SEED) -> Algebra:
+    """Validate structure constants and unit, returning an Algebra.
 
-def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, labels=(),
-                 generators=(), seed=numeric.DEFAULT_SEED) -> Algebra:
-    """Validate structure constants and unit, returning an Algebra."""
+    `tol` is the algebra's tolerance, which everything derived from it
+    inherits.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
     if dim < 1:
         raise InvalidInput("algebra dimension must be >= 1")
     # own copies: the cached `nonzeros` must keep describing `mult`
@@ -113,8 +117,7 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, labels=(),
     u = numeric.as_complex(np.array(unit, dtype=np.complex128)).reshape(-1)
     if c.shape != (dim, dim, dim) or u.shape != (dim,):
         raise InvalidInput("structure tensor / unit shape mismatch")
-    a = Algebra(dim=dim, mult=c, unit=u, labels=tuple(labels), tol=tol,
-                generators=tuple(generators))
+    a = Algebra(dim=dim, mult=c, unit=u, tol=tol, generators=tuple(generators))
     _check_associativity(a, seed)
     _check_unit(a)
     return a
@@ -174,23 +177,22 @@ def matrix_algebra(n: int, tol=numeric.DEFAULT_TOL) -> Algebra:
     unit = np.zeros(dim, dtype=np.complex128)
     for p in range(n):
         unit[p * n + p] = 1.0
-    labels = tuple(f"E{p}{q}" for p in range(n) for q in range(n))
-    return make_algebra(dim, c, unit, tol=tol, labels=labels)
+    return make_algebra(dim, c, unit, tol=tol)
 
 
-def direct_sum(a: Algebra, b: Algebra, tol=None) -> Algebra:
+def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """A + B with componentwise products and unit (1_A, 1_B)."""
     if a.dim < 1 or b.dim < 1:
         raise InvalidInput("direct summands must have positive dimension")
-    tol = tol if tol is not None else min(a.tol, b.tol)
+    if a.tol != b.tol:
+        raise InvalidInput(f"direct summands have different tolerances "
+                           f"{a.tol!r} and {b.tol!r}")
     dim = a.dim + b.dim
     c = np.zeros((dim, dim, dim), dtype=np.complex128)
     c[: a.dim, : a.dim, : a.dim] = a.mult
     c[a.dim:, a.dim:, a.dim:] = b.mult
     unit = np.concatenate([a.unit, b.unit])
-    labels = tuple(f"L.{s}" for s in (a.labels or range(a.dim))) + tuple(
-        f"R.{s}" for s in (b.labels or range(b.dim)))
-    return make_algebra(dim, c, unit, tol=tol, labels=labels)
+    return make_algebra(dim, c, unit, tol=a.tol)
 
 
 def trace_form(a: Algebra) -> np.ndarray:
@@ -198,10 +200,9 @@ def trace_form(a: Algebra) -> np.ndarray:
     return a.trace_gram
 
 
-def is_semisimple(a: Algebra, tol=None) -> bool:
+def is_semisimple(a: Algebra) -> bool:
     """Full rank of the left-multiplication trace form."""
-    tol = tol if tol is not None else a.tol
-    return numeric.rank(trace_form(a), tol) == a.dim
+    return numeric.rank(trace_form(a), a.tol) == a.dim
 
 
 def canonical_span(vectors, tol=numeric.DEFAULT_TOL) -> np.ndarray:
@@ -230,15 +231,15 @@ def canonical_span(vectors, tol=numeric.DEFAULT_TOL) -> np.ndarray:
     return np.column_stack(out)
 
 
-def subalgebra_from_span(parent: Algebra, span, unit_coords=None,
-                         tol=None) -> SubalgebraEmbedding:
+def subalgebra_from_span(parent: Algebra, span,
+                         unit_coords=None) -> SubalgebraEmbedding:
     """Build a SubalgebraEmbedding from a spanning set of parent coordinates.
 
     Structure constants are recomputed by projecting basis products onto the
     span; a projection residual above tolerance means the span is not
     multiplicatively closed and raises ClosureViolation.
     """
-    tol = tol if tol is not None else parent.tol
+    tol = parent.tol
     basis = canonical_span(span, tol)
     k = basis.shape[1]
     if k == 0:
@@ -269,21 +270,19 @@ def fixed_subalgebra(parent: Algebra, action) -> SubalgebraEmbedding:
     eye = np.eye(parent.dim)
     stacked = np.vstack([m - eye for m in action.mats])
     fixed = numeric.nullspace(stacked, parent.tol)
-    return subalgebra_from_span(parent, fixed, unit_coords=parent.unit,
-                                tol=parent.tol)
+    return subalgebra_from_span(parent, fixed, unit_coords=parent.unit)
 
 
-def corner_algebra(parent: Algebra, e, tol=None) -> SubalgebraEmbedding:
+def corner_algebra(parent: Algebra, e) -> SubalgebraEmbedding:
     """The corner e*A*e for an idempotent e, with unit e."""
-    tol = tol if tol is not None else parent.tol
     e = numeric.as_complex(e).reshape(-1)
     res = numeric.rel_residual(parent.product(e, e) - e,
                                max(float(np.linalg.norm(e)), 1.0))
-    if res > tol:
+    if res > parent.tol:
         raise NotIdempotent(f"e*e != e: residual {res:.3e}")
     cols = []
     for i in range(parent.dim):
         b = np.zeros(parent.dim, dtype=np.complex128)
         b[i] = 1.0
         cols.append(parent.product(e, parent.product(b, e)))
-    return subalgebra_from_span(parent, cols, unit_coords=e, tol=tol)
+    return subalgebra_from_span(parent, cols, unit_coords=e)

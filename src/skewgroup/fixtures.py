@@ -62,25 +62,25 @@ def _conjugation_action_mats(n: int, units: list) -> list:
 def fixture_trivial(tol=numeric.DEFAULT_TOL) -> Instance:
     a = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=tol)
     g = make_group([[0]])
-    action = make_action(g, a, [np.eye(1)], tol)
-    m = make_module(a, [np.eye(1)], tol)
+    action = make_action(g, a, [np.eye(1)])
+    m = make_module(a, [np.eye(1)])
     return Instance("trivial", a, g, action, {"M": m})
 
 
 def fixture_swap(tol=numeric.DEFAULT_TOL) -> Instance:
-    a = direct_sum(matrix_algebra(2, tol), matrix_algebra(2, tol), tol)
+    a = direct_sum(matrix_algebra(2, tol), matrix_algebra(2, tol))
     g = cyclic_group(2)
     swap = np.zeros((8, 8))
     swap[:4, 4:] = np.eye(4)
     swap[4:, :4] = np.eye(4)
-    action = make_action(g, a, [np.eye(8), swap], tol)
+    action = make_action(g, a, [np.eye(8), swap])
     units = [np.zeros((2, 2)) for _ in range(8)]
     for p in range(2):
         for q in range(2):
             eb = np.zeros((2, 2))
             eb[p, q] = 1.0
             units[p * 2 + q] = eb          # first block acts naturally
-    m = make_module(a, units, tol)
+    m = make_module(a, units)
     return Instance("swap", a, g, action, {"M": m})
 
 
@@ -91,14 +91,14 @@ def fixture_pauli(tol=numeric.DEFAULT_TOL) -> Instance:
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     units = [np.eye(2, dtype=np.complex128), x, z, x @ z]
-    action = make_action(g, a, _conjugation_action_mats(2, units), tol)
+    action = make_action(g, a, _conjugation_action_mats(2, units))
     rho = []
     for p in range(2):
         for q in range(2):
             eb = np.zeros((2, 2), dtype=np.complex128)
             eb[p, q] = 1.0
             rho.append(eb)
-    m = make_module(a, rho, tol)
+    m = make_module(a, rho)
     return Instance("pauli", a, g, action, {"M": m})
 
 
@@ -114,8 +114,8 @@ def fixture_perm(tol=numeric.DEFAULT_TOL) -> Instance:
         for i in range(3):
             pm[p[i], i] = 1.0
         mats.append(pm)
-    action = make_action(g, a, mats, tol)
-    m = make_module(a, [np.array([[1.0 if i == 0 else 0.0]]) for i in range(3)], tol)
+    action = make_action(g, a, mats)
+    m = make_module(a, [np.array([[1.0 if i == 0 else 0.0]]) for i in range(3)])
     return Instance("perm", a, g, action, {"M": m})
 
 
@@ -131,9 +131,9 @@ def fixture_cyclic(tol=numeric.DEFAULT_TOL) -> Instance:
     invmat = np.zeros((3, 3))
     for k in range(3):
         invmat[(-k) % 3, k] = 1.0
-    action = make_action(g, a, [np.eye(3), invmat], tol)
+    action = make_action(g, a, [np.eye(3), invmat])
     omega = np.exp(2j * np.pi / 3)
-    m = make_module(a, [np.array([[omega ** k]]) for k in range(3)], tol)
+    m = make_module(a, [np.array([[omega ** k]]) for k in range(3)])
     return Instance("cyclic", a, g, action, {"M": m})
 
 
@@ -165,7 +165,7 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
     b = int(rng.integers(1, max_b + 1))
     a = matrix_algebra(n, tol)
     for _ in range(b - 1):
-        a = direct_sum(a, matrix_algebra(n, tol), tol)
+        a = direct_sum(a, matrix_algebra(n, tol))
 
     # Generator: rotate blocks by one, then conjugate blockwise by diagonal
     # root-of-unity matrices.  Its order divides b * q <= 8.
@@ -196,7 +196,7 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
         raise AssertionError("generator order exceeded 8")
     gmats = [np.eye(dim)] + mats[:order - 1]
     g = cyclic_group(order)
-    action = make_action(g, a, gmats, tol)
+    action = make_action(g, a, gmats)
 
     rho = []
     for i in range(b):
@@ -206,7 +206,7 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
                 if i == 0:
                     eb[p, q2] = 1.0
                 rho.append(eb)
-    m = make_module(a, rho, tol)
+    m = make_module(a, rho)
     return Instance(f"random{seed}", a, g, action, {"M": m})
 
 

@@ -6,7 +6,7 @@ metadata only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class AlgebraAction:
     group: FiniteGroup
     target: Algebra
     mats: tuple               # one (dim, dim) matrix per group element
-
-    def apply(self, g: int, x) -> np.ndarray:
-        return self.mats[g] @ np.asarray(x)
 
 
 def make_group(table) -> FiniteGroup:
@@ -117,10 +114,9 @@ def group_from_permutations(perms) -> tuple:
     return make_group(table), elems
 
 
-def make_action(group: FiniteGroup, target: Algebra, mats,
-                tol=None) -> AlgebraAction:
+def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     """Validate automorphism matrices, one per group element."""
-    tol = tol if tol is not None else target.tol
+    tol = target.tol
     if len(mats) != group.order:
         raise InvalidInput("need exactly one matrix per group element")
     ms = tuple(numeric.as_complex(m) for m in mats)

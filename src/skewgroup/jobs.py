@@ -8,6 +8,7 @@ row-major nested lists of scalars; structure constants are sparse
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .algebra import Algebra, make_algebra
 from .errors import ParseError
 from .fixtures import ALL_TASKS, Instance
 from .group_action import AlgebraAction, FiniteGroup, make_action, make_group
-from .repmod import Module, make_module
+from .repmod import make_module
 
 
 @dataclass
@@ -39,6 +40,15 @@ def _scalar(obj) -> complex:
             and all(isinstance(x, (int, float)) for x in obj)):
         return complex(obj[0], obj[1])
     raise ParseError(f"scalar must be a number or [re, im] pair, got {obj!r}")
+
+
+def _int(obj, where) -> int:
+    """An integer field; a whole float such as 2.0 counts, a bool does not."""
+    if isinstance(obj, numbers.Integral) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, float) and obj.is_integer():
+        return int(obj)
+    raise ParseError(f"{where} must be an integer, got {obj!r}")
 
 
 def _matrix(obj, rows, cols, where) -> np.ndarray:
@@ -65,12 +75,19 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     """Build and validate all objects referenced by a job dictionary."""
     if not isinstance(data, dict):
         raise ParseError("job file must contain a JSON object")
-    job_tol = float(tol if tol is not None else data.get("tol", numeric.DEFAULT_TOL))
-    job_seed = int(seed if seed is not None else data.get("seed", numeric.DEFAULT_SEED))
+    # --tol and --seed override the job's own values
+    if tol is None:
+        tol = data.get("tol", numeric.DEFAULT_TOL)
+    if seed is None:
+        seed = data.get("seed", numeric.DEFAULT_SEED)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ParseError(f"tol must be a number, got {tol!r}")
+    job_tol = float(tol)
+    job_seed = _int(seed, "seed")
 
     try:
         aspec = data["algebra"]
-        dim = int(aspec["dim"])
+        dim = _int(aspec["dim"], "algebra.dim")
         unit = [_scalar(z) for z in aspec["unit"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"algebra section malformed: {exc}")
@@ -80,7 +97,7 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     for entry in aspec.get("mult", []):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"mult entry must be [i, j, k, scalar], got {entry!r}")
-        i, j, k = (int(x) for x in entry[:3])
+        i, j, k = (_int(x, "mult index") for x in entry[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ParseError(f"mult entry index out of range: {entry[:3]}")
         mult[i, j, k] = _scalar(entry[3])
@@ -88,14 +105,16 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
 
     try:
         gspec = data["group"]
-        order = int(gspec["order"])
+        order = _int(gspec["order"], "group.order")
         table = gspec["table"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"group section malformed: {exc}")
     if (not isinstance(table, list) or len(table) != order
-            or any(len(row) != order for row in table)):
+            or any(not isinstance(row, list) or len(row) != order
+                   for row in table)):
         raise ParseError("group table must be order x order")
-    group = make_group(table)
+    group = make_group([[_int(x, "group.table entry") for x in row]
+                        for row in table])
 
     try:
         mats = data["action"]["mats"]
@@ -105,12 +124,12 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         raise ParseError("action needs one matrix per group element")
     action = make_action(group, algebra,
                          [_matrix(m, dim, dim, f"action.mats[{g}]")
-                          for g, m in enumerate(mats)], job_tol)
+                          for g, m in enumerate(mats)])
 
     modules = {}
     for name, mspec in data.get("modules", {}).items():
         try:
-            mdim = int(mspec["dim"])
+            mdim = _int(mspec["dim"], f"modules.{name}.dim")
             rho = mspec["rho"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"module {name!r} malformed: {exc}")
@@ -119,7 +138,7 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         modules[name] = make_module(
             algebra,
             [_matrix(m, mdim, mdim, f"modules.{name}.rho[{i}]")
-             for i, m in enumerate(rho)], job_tol)
+             for i, m in enumerate(rho)])
 
     default_module = next(iter(modules), None)
     tasks = []

@@ -65,10 +65,6 @@ class ProjectiveSystem:
     phi: tuple                # intertwiner matrix per inertia_group index
     cocycle: Cocycle
 
-    def member_of(self, local: int) -> int:
-        """Original group index of a local inertia index."""
-        return self.inertia_members[local]
-
 
 def subgroup_as_group(group: FiniteGroup, members) -> tuple:
     """Reindex a subgroup as its own FiniteGroup; returns (group, members)."""
@@ -92,18 +88,16 @@ def _normalize_intertwiner(f: np.ndarray, dim: int) -> np.ndarray:
     return f * (np.sqrt(dim) / np.linalg.norm(f))
 
 
-def inertia(m: Module, action: AlgebraAction, tol=None,
+def inertia(m: Module, action: AlgebraAction, *,
             seed=numeric.DEFAULT_SEED) -> ProjectiveSystem:
     """Inertia subgroup of a simple module with normalized intertwiners."""
-    a = m.algebra
-    tol = tol if tol is not None else a.tol
-    if not is_simple(m, seed=seed, tol=tol):
+    if not is_simple(m, seed=seed):
         raise NotSimple("inertia is defined for simple modules only")
     group = action.group
     members = []
     raw_phi = {}
     for h in group.elements():
-        homs = hom_space(twist(m, h, action), m, tol)
+        homs = hom_space(twist(m, h, action), m)
         if len(homs) > 1:
             raise NumericalInconsistency(
                 f"hom space from the twist by {h} has dimension {len(homs)} > 1")
@@ -118,13 +112,13 @@ def inertia(m: Module, action: AlgebraAction, tol=None,
         else:
             phi.append(raw_phi[h])
     phi = tuple(phi)
-    _check_intertwiners(m, action, members, phi, tol)
-    cocycle = extract_cocycle(phi, inertia_group, tol)
+    _check_intertwiners(m, action, members, phi)
+    cocycle = extract_cocycle(phi, inertia_group, m.algebra.tol)
     return ProjectiveSystem(module=m, action=action, inertia_members=members,
                             inertia_group=inertia_group, phi=phi, cocycle=cocycle)
 
 
-def _check_intertwiners(m: Module, action: AlgebraAction, members, phi, tol):
+def _check_intertwiners(m: Module, action: AlgebraAction, members, phi):
     """phi(h) rho(h^{-1}(a)) = rho(a) phi(h) for every basis element a."""
     group = action.group
     scale = m.scale * np.sqrt(m.dim)
@@ -132,7 +126,7 @@ def _check_intertwiners(m: Module, action: AlgebraAction, members, phi, tol):
         tmat = action.mats[group.inv(h)]
         lhs = phi[local] @ np.tensordot(tmat.T, m.rho, axes=1)
         res = np.linalg.norm(lhs - m.rho @ phi[local], axis=(1, 2)) / scale
-        bad = (res > tol).nonzero()[0]
+        bad = (res > m.algebra.tol).nonzero()[0]
         if bad.size:
             raise NotProjective(
                 f"intertwiner for element {h} fails at basis index {bad[0]}")
@@ -190,49 +184,47 @@ def twisted_group_algebra(group: FiniteGroup, cocycle: Cocycle,
             c[h, k, group.mul(h, k)] = cocycle.table[h, k] ** exponent
     unit = np.zeros(n, dtype=np.complex128)
     unit[group.identity] = 1.0
-    labels = tuple(f"c{h}" for h in range(n))
-    return make_algebra(n, c, unit, tol=tol, labels=labels)
+    return make_algebra(n, c, unit, tol=tol)
 
 
-def module_over_twisted(system: ProjectiveSystem, tol=None) -> Module:
+def module_over_twisted(system: ProjectiveSystem) -> Module:
     """M as a module over the exponent +1 twisted group algebra, c_h -> phi(h)."""
-    tol = tol if tol is not None else system.module.algebra.tol
-    alg = twisted_group_algebra(system.inertia_group, system.cocycle, 1, tol)
+    alg = twisted_group_algebra(system.inertia_group, system.cocycle, 1,
+                                system.module.algebra.tol)
     try:
-        return make_module(alg, system.phi, tol)
+        return make_module(alg, system.phi)
     except NotARepresentation as exc:
         raise NotProjective(f"phi does not represent the twisted algebra: {exc}")
 
 
 def contragredient(w: Module, group: FiniteGroup, cocycle: Cocycle,
-                   exponent: int = 1, tol=None) -> Module:
+                   exponent: int = 1) -> Module:
     """Dual module over the inverse-cocycle algebra.
 
     The basis element indexed by g acts on the dual by the transpose of the
     inverse of its action on w.
     """
-    tol = tol if tol is not None else w.algebra.tol
     if w.algebra.dim != group.order:
         raise InvalidInput("module algebra does not match the group order")
-    alg = twisted_group_algebra(group, cocycle, -exponent, tol)
+    alg = twisted_group_algebra(group, cocycle, -exponent, w.algebra.tol)
     rho = np.linalg.inv(w.rho).transpose(0, 2, 1)
-    return make_module(alg, rho, tol)
+    return make_module(alg, rho)
 
 
-def projective_isotypics(system: ProjectiveSystem, seed=numeric.DEFAULT_SEED,
-                         tol=None) -> Decomposition:
+def projective_isotypics(system: ProjectiveSystem,
+                         seed=numeric.DEFAULT_SEED) -> Decomposition:
     """Isotypic decomposition of M over the twisted group algebra.
 
     Verifies the identification of each isotypic component with
     (multiplicity space) tensor (representative): evaluating the hom basis on
     all representative basis vectors must span the component bijectively.
     """
-    m = module_over_twisted(system, tol)
-    tol = tol if tol is not None else m.algebra.tol
-    dec = decompose(m, seed=seed, tol=tol)
+    m = module_over_twisted(system)
+    tol = m.algebra.tol
+    dec = decompose(m, seed=seed)
     for cls in dec.class_ids():
         rep = dec.representatives[cls]
-        homs = hom_space(rep.module, m, tol)
+        homs = hom_space(rep.module, m)
         cols = np.hstack([f for f in homs])  # columns f_j(e_t), j major
         iso = dec.isotypics[cls]
         expected = iso.shape[1]

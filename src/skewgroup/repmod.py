@@ -74,10 +74,8 @@ class Decomposition:
         return sum(1 for p in self.pieces if p.iso_class == cls)
 
 
-def make_module(algebra: Algebra, rho, tol=None, seed=numeric.DEFAULT_SEED,
-                _validate=True) -> Module:
+def make_module(algebra: Algebra, rho, *, seed=numeric.DEFAULT_SEED) -> Module:
     """Validate a representation given by one matrix per basis element."""
-    tol = tol if tol is not None else algebra.tol
     if len(rho) != algebra.dim:
         raise InvalidInput("need one action matrix per algebra basis element")
     try:
@@ -90,15 +88,14 @@ def make_module(algebra: Algebra, rho, tol=None, seed=numeric.DEFAULT_SEED,
     if d == 0:
         raise InvalidInput("zero-dimensional module")
     m = Module(algebra=algebra, dim=d, rho=stack)
-    if _validate:
-        validate_module(m, tol, seed)
+    validate_module(m, seed=seed)
     return m
 
 
-def validate_module(m: Module, tol=None, seed=numeric.DEFAULT_SEED) -> None:
+def validate_module(m: Module, *, seed=numeric.DEFAULT_SEED) -> None:
     """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I."""
     a = m.algebra
-    tol = tol if tol is not None else a.tol
+    tol = a.tol
     unit_res = numeric.rel_residual(m.act(a.unit) - np.eye(m.dim), 1.0)
     if unit_res > tol:
         raise NotARepresentation(f"rho(1) != I: residual {unit_res:.3e}")
@@ -124,27 +121,28 @@ def validate_module(m: Module, tol=None, seed=numeric.DEFAULT_SEED) -> None:
             raise NotARepresentation(f"random probe {t} violates multiplicativity")
 
 
-def hom_space(m: Module, n: Module, tol=None) -> list:
+def hom_space(m: Module, n: Module) -> list:
     """Basis of intertwiners f with f rho_M(a) = rho_N(a) f for all a.
 
     Constraints are imposed for a generating set of the algebra only, which is
     exact because the intertwiner condition is closed under products.
     """
-    if m.algebra is not n.algebra and not _same_algebra(m.algebra, n.algebra):
+    if not _same_algebra(m.algebra, n.algebra):
         raise AlgebraMismatch("hom_space requires modules over the same algebra")
-    tol = tol if tol is not None else m.algebra.tol
     gens = np.array(m.algebra.basis_generators())
     pairs = list(zip(np.tensordot(gens, m.rho, axes=1),
                      np.tensordot(gens, n.rho, axes=1)))
-    return numeric.solve_sandwich(pairs, tol)
+    return numeric.solve_sandwich(pairs, m.algebra.tol)
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
+    if a is b:
+        return True
     return (a.dim == b.dim and a.mult.shape == b.mult.shape
             and np.array_equal(a.mult, b.mult) and np.array_equal(a.unit, b.unit))
 
 
-def is_simple(m: Module, seed=numeric.DEFAULT_SEED, tol=None) -> bool:
+def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
     """Dual-criterion simplicity test over a semisimple algebra.
 
     Criterion 1: the commutant is one-dimensional.  Criterion 2: three seeded
@@ -155,10 +153,10 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED, tol=None) -> bool:
     a non-simple module can still be cyclic, e.g. a regular module.)
     """
     a = m.algebra
-    tol = tol if tol is not None else a.tol
-    if not is_semisimple(a, tol):
+    tol = a.tol
+    if not is_semisimple(a):
         raise NotSemisimple("is_simple requires a semisimple algebra")
-    commutant_dim = len(hom_space(m, m, tol))
+    commutant_dim = len(hom_space(m, m))
     by_commutant = commutant_dim == 1
     rng = np.random.default_rng(seed)
     by_cyclic = True
@@ -190,16 +188,15 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
                   rho=np.tensordot(embedding.inclusion.T, m.rho, axes=1))
 
 
-def compress(m: Module, basis: np.ndarray, tol=None) -> Module:
+def compress(m: Module, basis: np.ndarray) -> Module:
     """Restrict the action to an invariant subspace with orthonormal basis."""
     a = m.algebra
-    tol = tol if tol is not None else a.tol
     # plain batched products: reshaping a strided stack (a regular module's
     # transposed view) into one gemm would copy it
     rb = m.rho @ basis
     small = basis.conj().T @ rb
     res = np.linalg.norm(rb - basis @ small, axis=(1, 2)) / m.scale
-    bad = (res > tol).nonzero()[0]
+    bad = (res > a.tol).nonzero()[0]
     if bad.size:
         raise NotARepresentation(
             f"subspace is not invariant: residual {res[bad[0]]:.3e}")
@@ -230,7 +227,7 @@ def _eig_clusters(x: np.ndarray):
     return [vecs[:, g] for g in groups]
 
 
-def decompose(m: Module, seed=numeric.DEFAULT_SEED, tol=None,
+def decompose(m: Module, seed=numeric.DEFAULT_SEED, *,
               commutant=None) -> Decomposition:
     """Split m into simple pieces grouped by isomorphism class.
 
@@ -242,27 +239,26 @@ def decompose(m: Module, seed=numeric.DEFAULT_SEED, tol=None,
     `commutant` optionally supplies a known basis of End(m) (e.g. right
     multiplications for a regular module), bypassing the generic solver.
     """
-    a = m.algebra
-    tol = tol if tol is not None else a.tol
-    if not is_semisimple(a, tol):
+    if not is_semisimple(m.algebra):
         raise NotSemisimple("decompose requires a semisimple algebra")
-    comm = commutant if commutant is not None else hom_space(m, m, tol)
+    comm = commutant if commutant is not None else hom_space(m, m)
     last = None
     for attempt in range(MAX_DECOMPOSE_RETRIES):
         rng = np.random.default_rng([seed, attempt, m.dim])
         try:
-            pieces = _try_split(m, comm, rng, tol, seed)
-            return _classify(m, pieces, tol, seed)
+            pieces = _try_split(m, comm, rng, seed=seed)
+            return _classify(m, pieces)
         except DegenerateSample as exc:
             last = exc
     raise DegenerateSample(f"no usable commutant sample after "
                            f"{MAX_DECOMPOSE_RETRIES} attempts: {last}")
 
 
-def _try_split(m: Module, comm, rng, tol, seed) -> list:
+def _try_split(m: Module, comm, rng, *, seed) -> list:
+    tol = m.algebra.tol
     if len(comm) == 1:
         basis = np.eye(m.dim, dtype=np.complex128)
-        return [(basis, compress(m, basis, tol))]
+        return [(basis, compress(m, basis))]
     x = _random_commutant_sample(comm, rng)
     blocks = _eig_clusters(x)
     out = []
@@ -273,11 +269,11 @@ def _try_split(m: Module, comm, rng, tol, seed) -> list:
             raise DegenerateSample("eigenvector block is rank-deficient")
         basis = canonical_span(basis, tol)
         try:
-            sub = compress(m, basis, tol)
+            sub = compress(m, basis)
         except NotARepresentation as exc:
             raise DegenerateSample(f"cluster subspace not invariant: {exc}")
         try:
-            if not is_simple(sub, seed=seed, tol=tol):
+            if not is_simple(sub, seed=seed):
                 raise DegenerateSample("eigenvalue cluster is not a simple piece")
         except NumericalInconsistency as exc:
             raise DegenerateSample(str(exc))
@@ -291,13 +287,13 @@ def _try_split(m: Module, comm, rng, tol, seed) -> list:
     return out
 
 
-def _classify(m: Module, raw_pieces, tol, seed) -> Decomposition:
+def _classify(m: Module, raw_pieces) -> Decomposition:
     reps = []   # (first index, dim, module)
     labels = []
     for basis, sub in raw_pieces:
         assigned = None
         for ci, (_, d, rep) in enumerate(reps):
-            if d == sub.dim and len(hom_space(sub, rep, tol)) > 0:
+            if d == sub.dim and len(hom_space(sub, rep)) > 0:
                 assigned = ci
                 break
         if assigned is None:
@@ -313,15 +309,16 @@ def _classify(m: Module, raw_pieces, tol, seed) -> Decomposition:
     representatives = {}
     for cls in sorted(remap.values()):
         members = [p for p in pieces if p.iso_class == cls]
-        isotypics[cls] = canonical_span(np.hstack([p.basis for p in members]), tol)
+        isotypics[cls] = canonical_span(np.hstack([p.basis for p in members]),
+                                        m.algebra.tol)
         representatives[cls] = members[0]
-    mult_spaces = _multiplicity_spaces(m, pieces, representatives, tol)
+    mult_spaces = _multiplicity_spaces(m, pieces, representatives)
     return Decomposition(module=m, pieces=pieces, isotypics=isotypics,
                          multiplicity_spaces=mult_spaces,
                          representatives=representatives)
 
 
-def _multiplicity_spaces(m: Module, pieces, representatives, tol) -> dict:
+def _multiplicity_spaces(m: Module, pieces, representatives) -> dict:
     """Realize each multiplicity space inside m as {f(w)}, w the first basis
     vector of the class representative.
 
@@ -334,13 +331,13 @@ def _multiplicity_spaces(m: Module, pieces, representatives, tol) -> dict:
     direct = _direct_sum(m.algebra, [p.module for p in pieces])
     out = {}
     for cls, rep in representatives.items():
-        homs = hom_space(rep.module, direct, tol)
+        homs = hom_space(rep.module, direct)
         mult = sum(1 for p in pieces if p.iso_class == cls)
         if len(homs) != mult:
             raise NumericalInconsistency(
                 f"hom dimension {len(homs)} != multiplicity {mult} for class {cls}")
         vectors = [t @ f[:, 0] for f in homs]
-        span = canonical_span(vectors, tol)
+        span = canonical_span(vectors, m.algebra.tol)
         if span.shape[1] != mult:
             raise NumericalInconsistency(
                 f"evaluation at the fixed vector dropped rank for class {cls}")
@@ -360,15 +357,14 @@ def _direct_sum(a: Algebra, modules) -> Module:
     return Module(algebra=a, dim=d, rho=rho)
 
 
-def invariant_subspace(m: Module, tol=None) -> np.ndarray:
+def invariant_subspace(m: Module) -> np.ndarray:
     """Fixed space of a module over a plain group algebra.
 
     Computed twice: as the image of the symmetrizer (mean of all basis
     actions) and as the joint fixed space of rho(g) - I; a dimension mismatch
     raises NumericalInconsistency.  Returns the joint-fixed-space basis.
     """
-    a = m.algebra
-    tol = tol if tol is not None else a.tol
+    tol = m.algebra.tol
     symmetrizer = m.rho.mean(axis=0)
     # the symmetrizer is idempotent (nonzero singular values >= 1) and the
     # stacked blocks rho(g) - I are O(1); floor the rank scales so an

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .algebra import corner_algebra, fixed_subalgebra, is_semisimple
+from .algebra import fixed_subalgebra, is_semisimple
 from .errors import (
     DegenerateSample,
     InvalidInput,
@@ -22,8 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .jobs import JobSpec
-from .projective import inertia, projective_isotypics
-from .repmod import hom_space
+from .projective import inertia
 from .skew import check_phi_psi, skew_group_algebra, symmetrizer
 from .theorems import (
     VerificationReport,
@@ -54,15 +53,13 @@ class JobContext:
     def skew(self):
         if self._skew is None:
             self._skew = skew_group_algebra(self.job.algebra, self.job.group,
-                                            self.job.action, self.job.tol,
-                                            self.job.seed)
+                                            self.job.action, seed=self.job.seed)
         return self._skew
 
     def system(self, name):
         if name not in self._systems:
             self._systems[name] = inertia(self.job.modules[name],
-                                          self.job.action, self.job.tol,
-                                          self.job.seed)
+                                          self.job.action, seed=self.job.seed)
         return self._systems[name]
 
     def context(self, name):
@@ -70,14 +67,14 @@ class JobContext:
             self._contexts[name] = build_context(self.job.algebra,
                                                  self.job.action,
                                                  self.job.modules[name],
-                                                 self.job.seed, self.job.tol)
+                                                 self.job.seed)
         return self._contexts[name]
 
 
 def _task_semisimple(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("semisimple", job.seed, job.tol)
-    rep.add("base_algebra_semisimple", is_semisimple(job.algebra, job.tol),
+    rep.add("base_algebra_semisimple", is_semisimple(job.algebra),
             dims={"dim": job.algebra.dim})
     return rep
 
@@ -139,7 +136,7 @@ def _task_phi_psi(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("phi_psi", job.seed, job.tol)
     fixed = fixed_subalgebra(job.algebra, job.action)
-    result = check_phi_psi(ctx.skew, fixed, tol=job.tol)
+    result = check_phi_psi(ctx.skew, fixed)
     rep.add("phi_bijective_multiplicative", result.phi_bijective,
             dims={"dim_invariants": fixed.sub.dim,
                   "dim_corner": result.corner.sub.dim},
@@ -151,16 +148,16 @@ def _task_phi_psi(ctx: JobContext, rec) -> VerificationReport:
 
 def _task_invariant_theory(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
-    return check_invariant_theory(ctx.skew, job.seed, job.tol)
+    return check_invariant_theory(ctx.skew, job.seed)
 
 
 def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("clifford", job.seed, job.tol)
-    dec = simple_classes(ctx.skew, job.seed, job.tol)
+    dec = simple_classes(ctx.skew, job.seed)
     for cls in dec.class_ids():
         sub = clifford_correspondence(dec.representatives[cls].module,
-                                      ctx.skew, job.seed, job.tol)
+                                      ctx.skew, job.seed)
         for c in sub.checks:
             rep.add(f"N{cls}_{c.name}", c.passed, dims=c.dims,
                     residual=c.residual, witness=c.witness)
@@ -172,8 +169,8 @@ def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
     rep = VerificationReport("induced_simplicity", job.seed, job.tol)
     mctx = ctx.context(rec["module"])
     for gamma in mctx.iso.class_ids():
-        sub = induced_simplicity(mctx.system, gamma, ctx.skew, dec=mctx.iso,
-                                 seed=job.seed, tol=job.tol)
+        sub = induced_simplicity(mctx.system, gamma, ctx.skew, mctx.iso,
+                                 job.seed)
         for c in sub.checks:
             rep.add(f"gamma{gamma}_{c.name}", c.passed, dims=c.dims,
                     residual=c.residual, witness=c.witness)
@@ -187,7 +184,7 @@ def _task_hom_inv(ctx: JobContext, rec) -> VerificationReport:
     for gamma in mctx.iso.class_ids():
         w = mctx.iso.representatives[gamma].module
         sub = hom_inv_check(w, w, mctx.system.inertia_group,
-                            mctx.system.cocycle, job.seed, job.tol)
+                            mctx.system.cocycle, job.seed)
         for c in sub.checks:
             rep.add(f"gamma{gamma}_{c.name}", c.passed, dims=c.dims,
                     residual=c.residual, witness=c.witness)
@@ -197,13 +194,13 @@ def _task_hom_inv(ctx: JobContext, rec) -> VerificationReport:
 def _task_main_theorem(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     return main_theorem(job.algebra, job.action, job.modules[rec["module"]],
-                        job.seed, job.tol, ctx=ctx.context(rec["module"]))
+                        job.seed, ctx=ctx.context(rec["module"]))
 
 
 def _task_complete_reducibility(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     return complete_reducibility(job.algebra, job.action,
-                                 job.modules[rec["module"]], job.seed, job.tol,
+                                 job.modules[rec["module"]], job.seed,
                                  ctx=ctx.context(rec["module"]))
 
 

@@ -24,7 +24,7 @@ from .projective import (
     subgroup_as_group,
     twisted_group_algebra,
 )
-from .repmod import Module, compress, make_module
+from .repmod import Module, make_module
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +49,20 @@ class SkewAlgebra:
         out[g::self.group.order] = self.base.unit
         return out
 
+    def base_embedding(self) -> SubalgebraEmbedding:
+        """A inside A x| G along a -> a * identity."""
+        inclusion = np.zeros((self.alg.dim, self.base.dim), dtype=np.complex128)
+        inclusion[self.group.identity::self.group.order] = np.eye(self.base.dim)
+        return SubalgebraEmbedding(parent=self.alg, sub=self.base,
+                                   inclusion=inclusion)
+
 
 def skew_group_algebra(base: Algebra, group: FiniteGroup,
-                       action: AlgebraAction, tol=None,
+                       action: AlgebraAction, *,
                        seed=numeric.DEFAULT_SEED) -> SkewAlgebra:
     """Build and validate A x| G from a validated action."""
-    tol = tol if tol is not None else base.tol
     if action.group is not group or action.target is not base:
-        action = make_action(group, base, action.mats, tol)
+        action = make_action(group, base, action.mats)
     da, ng = base.dim, group.order
     dim = da * ng
     c = np.zeros((dim, dim, dim), dtype=np.complex128)
@@ -78,7 +84,7 @@ def skew_group_algebra(base: Algebra, group: FiniteGroup,
         v = np.zeros(dim, dtype=np.complex128)
         v[g::ng] = base.unit
         gens.append(v)
-    alg = make_algebra(dim, c, unit, tol=tol, generators=gens, seed=seed)
+    alg = make_algebra(dim, c, unit, tol=base.tol, generators=gens, seed=seed)
     return SkewAlgebra(base=base, group=group, action=action, alg=alg)
 
 
@@ -94,7 +100,6 @@ def symmetrizer(s: SkewAlgebra) -> np.ndarray:
 class PhiPsiReport:
     fixed: SubalgebraEmbedding      # A^G inside A
     corner: SubalgebraEmbedding     # e (A x| G) e inside A x| G
-    phi_matrix: np.ndarray          # (dim skew, dim A^G): columns Phi(basis)
     phi_bijective: bool
     phi_mult_residual: float
     psi_bijective: bool
@@ -106,14 +111,12 @@ class PhiPsiReport:
         return self.phi_bijective and self.psi_bijective
 
 
-def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding,
-                  corner: SubalgebraEmbedding = None, tol=None) -> PhiPsiReport:
+def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding) -> PhiPsiReport:
     """Verify the corner isomorphism a -> ae and the bimodule map a -> ae."""
-    tol = tol if tol is not None else s.alg.tol
-    e = symmetrizer(s)
-    if corner is None:
-        corner = corner_algebra(s.alg, e, tol)
     alg = s.alg
+    tol = alg.tol
+    e = symmetrizer(s)
+    corner = corner_algebra(alg, e)
     k = fixed.sub.dim
 
     phi_cols = []
@@ -165,19 +168,18 @@ def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding,
 
     phi_ok = phi_bij and mult_res <= tol * 10
     psi_ok = psi_bij and left_res <= tol * 10 and right_res <= tol * 10
-    return PhiPsiReport(fixed=fixed, corner=corner, phi_matrix=phi,
+    return PhiPsiReport(fixed=fixed, corner=corner,
                         phi_bijective=phi_ok, phi_mult_residual=mult_res,
                         psi_bijective=psi_ok, psi_left_residual=left_res,
                         psi_right_residual=right_res)
 
 
-def corner_module(n: Module, corner: SubalgebraEmbedding, e,
-                  tol=None) -> tuple:
+def corner_module(n: Module, corner: SubalgebraEmbedding, e) -> tuple:
     """(Module over the corner algebra on the image of rho(e), basis).
 
     A zero corner gives a (None, empty basis) pair.
     """
-    tol = tol if tol is not None else n.algebra.tol
+    tol = n.algebra.tol
     proj = n.act(e)
     # rho(e) is idempotent, so its significant singular values are >= 1; the
     # floor keeps a numerically-zero corner from being mistaken for rank one.
@@ -195,32 +197,30 @@ def corner_module(n: Module, corner: SubalgebraEmbedding, e,
                 f"corner image is not invariant under corner element {t}: "
                 f"residual {res:.3e}")
         rho.append(small)
-    return make_module(corner.sub, rho, tol), basis
+    return make_module(corner.sub, rho), basis
 
 
-def sub_skew(s: SkewAlgebra, members, tol=None) -> tuple:
+def sub_skew(s: SkewAlgebra, members) -> tuple:
     """Materialize A x| H for a subgroup H; returns (SkewAlgebra, members)."""
     subgroup, members = subgroup_as_group(s.group, members)
     mats = tuple(s.action.mats[h] for h in members)
-    action = make_action(subgroup, s.base, mats,
-                         tol if tol is not None else s.base.tol)
-    return skew_group_algebra(s.base, subgroup, action, tol), members
+    action = make_action(subgroup, s.base, mats)
+    return skew_group_algebra(s.base, subgroup, action), members
 
 
-def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra = None,
-           tol=None) -> Module:
+def induce(m: Module, s: SkewAlgebra, members,
+           sub: SkewAlgebra = None) -> Module:
     """Induction from A x| H to A x| G along coset representatives.
 
     Basis: coset-representative major, module basis minor.  The action sends
     g_i (x) m to g_l (x) (g_l^{-1}(a) h) m where g g_i = g_l h with h in H.
     """
-    tol = tol if tol is not None else s.alg.tol
     if sub is None:
-        sub, members = sub_skew(s, members, tol)
+        sub, members = sub_skew(s, members)
     else:
         _, members = subgroup_as_group(s.group, members)
     if m.algebra.dim != sub.alg.dim or not np.allclose(
-            m.algebra.mult, sub.alg.mult, atol=tol * sub.alg.scale):
+            m.algebra.mult, sub.alg.mult, atol=s.alg.tol * sub.alg.scale):
         raise ModuleAlgebraMismatch("module is not over the sub skew algebra")
     group = s.group
     reps = left_cosets(group, members)
@@ -251,17 +251,17 @@ def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra = None,
                         block += acoords[p] * m.rho[p * nh + ht]
                 mat[l * d:(l + 1) * d, i * d:(i + 1) * d] = block
             rho.append(mat)
-    return make_module(s.alg, rho, tol)
+    return make_module(s.alg, rho)
 
 
 def extend_to_skew(m: Module, system: ProjectiveSystem, v: Module,
-                   s_inertia: SkewAlgebra, tol=None) -> Module:
+                   s_inertia: SkewAlgebra) -> Module:
     """The module on M (x) V over A x| G_M: (a h)(m (x) v) = a phi(h) m (x) c_h v.
 
     V must be a module over the inverse-cocycle twisted group algebra; the
     representation property of the result is re-validated.
     """
-    tol = tol if tol is not None else m.algebra.tol
+    tol = m.algebra.tol
     expected = twisted_group_algebra(system.inertia_group, system.cocycle, -1, tol)
     if v.algebra.dim != expected.dim or not np.allclose(
             v.algebra.mult, expected.mult, atol=tol * expected.scale):
@@ -277,4 +277,4 @@ def extend_to_skew(m: Module, system: ProjectiveSystem, v: Module,
         bj = m.rho[j]
         for h in range(nh):
             rho.append(np.kron(bj @ system.phi[h], v.rho[h]))
-    return make_module(s_inertia.alg, rho, tol)
+    return make_module(s_inertia.alg, rho)

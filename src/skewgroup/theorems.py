@@ -26,7 +26,6 @@ from .projective import (
     ProjectiveSystem,
     contragredient,
     inertia,
-    module_over_twisted,
     projective_isotypics,
     trivial_cocycle,
     twisted_group_algebra,
@@ -45,7 +44,6 @@ from .repmod import (
 )
 from .skew import (
     SkewAlgebra,
-    check_phi_psi,
     corner_module,
     extend_to_skew,
     induce,
@@ -100,38 +98,37 @@ class VerificationReport:
         }
 
 
-def _module_iso(m: Module, n: Module, tol, seed=numeric.DEFAULT_SEED):
+def _module_iso(m: Module, n: Module, *, seed=numeric.DEFAULT_SEED):
     """Isomorphism certificate: dim equality, nonzero hom, invertible sample."""
     if m.dim != n.dim:
         return False, 0.0
-    homs = hom_space(m, n, tol)
+    homs = hom_space(m, n)
     if not homs:
         return False, 0.0
     rng = np.random.default_rng([seed, m.dim])
     coeffs = rng.standard_normal(len(homs)) + 1j * rng.standard_normal(len(homs))
     sample = sum(c * f for c, f in zip(coeffs, homs))
-    return numeric.rank(sample, tol) == m.dim, float(len(homs))
+    return numeric.rank(sample, m.algebra.tol) == m.dim, float(len(homs))
 
 
-def simple_classes(s: SkewAlgebra, seed, tol):
+def simple_classes(s: SkewAlgebra, seed):
     """Representative simple modules of A x| G via its regular module."""
     reg = regular_module(s.alg)
-    dec = decompose(reg, seed=seed, tol=tol, commutant=regular_commutant(s.alg))
+    dec = decompose(reg, seed=seed, commutant=regular_commutant(s.alg))
     return dec
 
 
-def check_invariant_theory(s: SkewAlgebra, seed=numeric.DEFAULT_SEED,
-                           tol=None) -> VerificationReport:
+def check_invariant_theory(s: SkewAlgebra,
+                           seed=numeric.DEFAULT_SEED) -> VerificationReport:
     """eN simple over e(A x| G)e for every simple N with eN != 0, and every
     simple corner class is hit."""
-    tol = tol if tol is not None else s.alg.tol
-    rep = VerificationReport(name="invariant_theory", seed=seed, tol=tol)
-    if not is_semisimple(s.base, tol):
+    rep = VerificationReport(name="invariant_theory", seed=seed, tol=s.alg.tol)
+    if not is_semisimple(s.base):
         raise NotSemisimple("base algebra is not semisimple")
     e = symmetrizer(s)
-    corner = corner_algebra(s.alg, e, tol)
-    dec = simple_classes(s, seed, tol)
-    corner_dec = decompose(regular_module(corner.sub), seed=seed, tol=tol,
+    corner = corner_algebra(s.alg, e)
+    dec = simple_classes(s, seed)
+    corner_dec = decompose(regular_module(corner.sub), seed=seed,
                            commutant=regular_commutant(corner.sub))
     corner_reps = {cls: corner_dec.representatives[cls].module
                    for cls in corner_dec.class_ids()}
@@ -139,17 +136,17 @@ def check_invariant_theory(s: SkewAlgebra, seed=numeric.DEFAULT_SEED,
     nonzero = 0
     for cls in dec.class_ids():
         n = dec.representatives[cls].module
-        en, basis = corner_module(n, corner, e, tol)
+        en, basis = corner_module(n, corner, e)
         if en is None:
             rep.add(f"class{cls}_corner_zero", True,
                     dims={"dim_N": n.dim, "dim_eN": 0})
             continue
         nonzero += 1
-        simple = is_simple(en, seed=seed, tol=tol)
+        simple = is_simple(en, seed=seed)
         rep.add(f"class{cls}_eN_simple", simple,
                 dims={"dim_N": n.dim, "dim_eN": en.dim})
         matches = [cc for cc, cm in corner_reps.items()
-                   if cm.dim == en.dim and len(hom_space(en, cm, tol)) > 0]
+                   if cm.dim == en.dim and len(hom_space(en, cm)) > 0]
         rep.add(f"class{cls}_eN_matches_corner_class", len(matches) == 1,
                 dims={"matches": len(matches)})
         hit.update(matches)
@@ -164,27 +161,25 @@ def check_invariant_theory(s: SkewAlgebra, seed=numeric.DEFAULT_SEED,
 
 
 def clifford_correspondence(n: Module, s: SkewAlgebra,
-                            seed=numeric.DEFAULT_SEED, tol=None) -> VerificationReport:
+                            seed=numeric.DEFAULT_SEED) -> VerificationReport:
     """Reconstruct a simple A x| G-module as Ind(A^lambda (x) H^nu)."""
-    tol = tol if tol is not None else s.alg.tol
+    tol = s.alg.tol
     rep = VerificationReport(name="clifford", seed=seed, tol=tol)
-    if not is_simple(n, seed=seed, tol=tol):
+    if not is_simple(n, seed=seed):
         raise NotSimple("clifford correspondence starts from a simple module")
-    base = s.base
-    rest = make_module(base, [n.act(s.embed_base(np.eye(base.dim)[:, i]))
-                              for i in range(base.dim)], tol, _validate=False)
-    dec = decompose(rest, seed=seed, tol=tol)
+    rest = restrict(n, s.base_embedding())
+    dec = decompose(rest, seed=seed)
     piece = dec.pieces[0]
     lam = piece.module                 # simple A-module A^lambda
-    system = inertia(lam, s.action, tol, seed)
+    system = inertia(lam, s.action, seed=seed)
     members = system.inertia_members
     hgroup = system.inertia_group
 
     # P = sum_h h . A^lambda inside N
     cols = [n.act(s.embed_group(h)) @ piece.basis for h in members]
     p_basis = canonical_span(np.hstack(cols), tol)
-    p_mod = compress(rest, p_basis, tol)
-    homs = hom_space(lam, p_mod, tol)
+    p_mod = compress(rest, p_basis)
+    homs = hom_space(lam, p_mod)
     nu_dim = len(homs)
     rep.add("hom_A_lambda_P_nonzero", nu_dim > 0, dims={"dim_Hnu": nu_dim})
 
@@ -204,14 +199,14 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
         nu_rho.append(mats)
     rep.add("twisted_action_closes_on_Hnu", worst <= tol * 100, residual=worst)
     nu_alg = twisted_group_algebra(hgroup, system.cocycle, -1, tol)
-    nu_mod = make_module(nu_alg, nu_rho, tol)
-    rep.add("Hnu_simple", is_simple(nu_mod, seed=seed, tol=tol),
+    nu_mod = make_module(nu_alg, nu_rho)
+    rep.add("Hnu_simple", is_simple(nu_mod, seed=seed),
             dims={"dim_Hnu": nu_mod.dim})
 
-    ssub, members = sub_skew(s, members, tol)
-    ext = extend_to_skew(lam, system, nu_mod, ssub, tol)
-    ind = induce(ext, s, members, sub=ssub, tol=tol)
-    iso, hom_dim = _module_iso(ind, n, tol, seed)
+    ssub, members = sub_skew(s, members)
+    ext = extend_to_skew(lam, system, nu_mod, ssub)
+    ind = induce(ext, s, members, sub=ssub)
+    iso, hom_dim = _module_iso(ind, n, seed=seed)
     rep.add("induced_isomorphic_to_N", iso,
             dims={"dim_N": n.dim, "dim_Ind": ind.dim,
                   "index_G_H": s.group.order // hgroup.order,
@@ -220,40 +215,39 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
 
 
 def induced_simplicity(system: ProjectiveSystem, gamma: int, s: SkewAlgebra,
-                       dec=None, seed=numeric.DEFAULT_SEED,
-                       tol=None) -> VerificationReport:
-    """Ind(M (x) W_gamma^*) is a simple A x| G-module, with the dimension law."""
-    tol = tol if tol is not None else s.alg.tol
-    rep = VerificationReport(name="induced_simplicity", seed=seed, tol=tol)
-    if dec is None:
-        dec = projective_isotypics(system, seed, tol)
+                       dec, seed=numeric.DEFAULT_SEED) -> VerificationReport:
+    """Ind(M (x) W_gamma^*) is a simple A x| G-module, with the dimension law.
+
+    `dec` is the projective isotypic decomposition of the system's module.
+    """
+    rep = VerificationReport(name="induced_simplicity", seed=seed, tol=s.alg.tol)
     w = dec.representatives[gamma].module
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1, tol)
-    ssub, members = sub_skew(s, system.inertia_members, tol)
-    ext = extend_to_skew(system.module, system, wdual, ssub, tol)
-    ind = induce(ext, s, members, sub=ssub, tol=tol)
+    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
+    ssub, members = sub_skew(s, system.inertia_members)
+    ext = extend_to_skew(system.module, system, wdual, ssub)
+    ind = induce(ext, s, members, sub=ssub)
     index = s.group.order // system.inertia_group.order
     expected = index * system.module.dim * w.dim
     rep.add("dimension_law", ind.dim == expected,
             dims={"dim_induced": ind.dim, "index": index,
                   "dim_M": system.module.dim, "dim_W": w.dim})
-    rep.add("induced_simple", is_simple(ind, seed=seed, tol=tol),
+    rep.add("induced_simple", is_simple(ind, seed=seed),
             dims={"dim_induced": ind.dim})
     return rep
 
 
 def hom_inv_check(m: Module, n: Module, group, cocycle: Cocycle,
-                  seed=numeric.DEFAULT_SEED, tol=None) -> VerificationReport:
+                  seed=numeric.DEFAULT_SEED) -> VerificationReport:
     """dim Hom(M, N) over the twisted algebra equals the dimension of the
     invariant subspace of M^* (x) N under the plain group action."""
-    tol = tol if tol is not None else m.algebra.tol
+    tol = m.algebra.tol
     rep = VerificationReport(name="hom_inv", seed=seed, tol=tol)
-    hom_dim = len(hom_space(m, n, tol))
-    mdual = contragredient(m, group, cocycle, 1, tol)
+    hom_dim = len(hom_space(m, n))
+    mdual = contragredient(m, group, cocycle, 1)
     plain = twisted_group_algebra(group, trivial_cocycle(group), 1, tol)
     rho = [np.kron(mdual.rho[g], n.rho[g]) for g in group.elements()]
-    tensor = make_module(plain, rho, tol)
-    inv = invariant_subspace(tensor, tol)
+    tensor = make_module(plain, rho)
+    inv = invariant_subspace(tensor)
     rep.add("hom_dim_equals_invariant_dim", hom_dim == inv.shape[1],
             dims={"hom": hom_dim, "invariants": inv.shape[1],
                   "dim_M": m.dim, "dim_N": n.dim})
@@ -271,22 +265,21 @@ class MainTheoremContext:
 
 
 def build_context(base: Algebra, action: AlgebraAction, m: Module,
-                  seed=numeric.DEFAULT_SEED, tol=None) -> MainTheoremContext:
-    tol = tol if tol is not None else base.tol
-    if not is_semisimple(base, tol):
+                  seed=numeric.DEFAULT_SEED) -> MainTheoremContext:
+    if not is_semisimple(base):
         raise NotSemisimple("main theorem requires a semisimple base algebra")
-    system = inertia(m, action, tol, seed)
-    iso = projective_isotypics(system, seed, tol)
+    system = inertia(m, action, seed=seed)
+    iso = projective_isotypics(system, seed)
     fixed = fixed_subalgebra(base, action)
-    s = skew_group_algebra(base, action.group, action, tol, seed)
+    s = skew_group_algebra(base, action.group, action, seed=seed)
     restricted = restrict(m, fixed)
     return MainTheoremContext(system=system, iso=iso, fixed=fixed, skew=s,
                               restricted=restricted)
 
 
 def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
-                                    s: SkewAlgebra, fixed: SubalgebraEmbedding,
-                                    tol) -> Module:
+                                    s: SkewAlgebra,
+                                    fixed: SubalgebraEmbedding) -> Module:
     """Pull a corner-algebra module back to A^G along Phi: a -> ae."""
     e = symmetrizer(s)
     inc_pinv = np.linalg.pinv(corner.inclusion)
@@ -295,60 +288,60 @@ def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
         phi_t = s.alg.product(s.embed_base(fixed.inclusion[:, t]), e)
         coords = inc_pinv @ phi_t
         res = numeric.rel_residual(phi_t - corner.inclusion @ coords, 1.0)
-        if res > tol * 100:
+        if res > s.alg.tol * 100:
             raise NumericalInconsistency(
                 f"Phi image leaves the corner for invariant basis {t}: {res:.3e}")
         rho.append(en.act(coords))
-    return make_module(fixed.sub, rho, tol)
+    return make_module(fixed.sub, rho)
 
 
 def main_theorem(base: Algebra, action: AlgebraAction, m: Module,
-                 seed=numeric.DEFAULT_SEED, tol=None,
+                 seed=numeric.DEFAULT_SEED, *,
                  ctx: MainTheoremContext = None) -> VerificationReport:
     """Each multiplicity space is simple over A^G, by two agreeing routes."""
-    tol = tol if tol is not None else base.tol
-    rep = VerificationReport(name="main_theorem", seed=seed, tol=tol)
+    rep = VerificationReport(name="main_theorem", seed=seed, tol=base.tol)
     if ctx is None:
-        ctx = build_context(base, action, m, seed, tol)
-    if not is_simple(m, seed=seed, tol=tol):
+        ctx = build_context(base, action, m, seed)
+    if not is_simple(m, seed=seed):
         raise NotSimple("main theorem starts from a simple module")
     system, iso, fixed, s = ctx.system, ctx.iso, ctx.fixed, ctx.skew
     e = symmetrizer(s)
-    corner = corner_algebra(s.alg, e, tol)
-    ssub, members = sub_skew(s, system.inertia_members, tol)
+    corner = corner_algebra(s.alg, e)
+    ssub, members = sub_skew(s, system.inertia_members)
     index = s.group.order // system.inertia_group.order
     plain = twisted_group_algebra(system.inertia_group,
-                                  trivial_cocycle(system.inertia_group), 1, tol)
+                                  trivial_cocycle(system.inertia_group), 1,
+                                  base.tol)
     for gamma in iso.class_ids():
         w = iso.representatives[gamma].module
         mult_basis = iso.multiplicity_spaces[gamma]
-        direct = compress(ctx.restricted, mult_basis, tol)
-        simple_direct = is_simple(direct, seed=seed, tol=tol)
+        direct = compress(ctx.restricted, mult_basis)
+        simple_direct = is_simple(direct, seed=seed)
         rep.add(f"gamma{gamma}_direct_route_simple", simple_direct,
                 dims={"dim_M_gamma": direct.dim, "dim_AG": fixed.sub.dim})
 
-        wdual = contragredient(w, system.inertia_group, system.cocycle, 1, tol)
-        ext = extend_to_skew(m, system, wdual, ssub, tol)
-        ind = induce(ext, s, members, sub=ssub, tol=tol)
+        wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
+        ext = extend_to_skew(m, system, wdual, ssub)
+        ind = induce(ext, s, members, sub=ssub)
         rep.add(f"gamma{gamma}_dim_induced", ind.dim == index * m.dim * w.dim,
                 dims={"dim_induced": ind.dim, "index": index, "dim_W": w.dim})
-        en, _ = corner_module(ind, corner, e, tol)
+        en, _ = corner_module(ind, corner, e)
         tensor = make_module(plain,
                              [np.kron(w.rho[g], wdual.rho[g])
-                              for g in system.inertia_group.elements()], tol)
-        inv_dim = invariant_subspace(tensor, tol).shape[1]
+                              for g in system.inertia_group.elements()])
+        inv_dim = invariant_subspace(tensor).shape[1]
         en_dim = en.dim if en is not None else 0
         rep.add(f"gamma{gamma}_corner_dim_identity",
                 en_dim == direct.dim * inv_dim,
                 dims={"dim_eM": en_dim, "dim_M_gamma": direct.dim,
                       "dim_inv": inv_dim})
-        simple_corner = (en is not None and is_simple(en, seed=seed, tol=tol))
+        simple_corner = (en is not None and is_simple(en, seed=seed))
         rep.add(f"gamma{gamma}_corner_route_simple", simple_corner,
                 dims={"dim_eM": en_dim})
         rep.add(f"gamma{gamma}_routes_agree", simple_direct == simple_corner)
         if en is not None:
-            transported = _transport_corner_to_invariants(en, corner, s, fixed, tol)
-            linked = len(hom_space(direct, transported, tol)) > 0 and \
+            transported = _transport_corner_to_invariants(en, corner, s, fixed)
+            linked = len(hom_space(direct, transported)) > 0 and \
                 transported.dim == direct.dim
             rep.add(f"gamma{gamma}_routes_linked", linked,
                     dims={"dim_transported": transported.dim})
@@ -356,27 +349,26 @@ def main_theorem(base: Algebra, action: AlgebraAction, m: Module,
 
 
 def complete_reducibility(base: Algebra, action: AlgebraAction, m: Module,
-                          seed=numeric.DEFAULT_SEED, tol=None,
+                          seed=numeric.DEFAULT_SEED, *,
                           ctx: MainTheoremContext = None) -> VerificationReport:
     """Restriction of M to A^G splits into the multiplicity-space classes with
     multiplicities equal to the simple twisted-module dimensions."""
-    tol = tol if tol is not None else base.tol
-    rep = VerificationReport(name="complete_reducibility", seed=seed, tol=tol)
+    rep = VerificationReport(name="complete_reducibility", seed=seed, tol=base.tol)
     if ctx is None:
-        ctx = build_context(base, action, m, seed, tol)
+        ctx = build_context(base, action, m, seed)
     iso, fixed = ctx.iso, ctx.fixed
-    dec = decompose(ctx.restricted, seed=seed, tol=tol)
+    dec = decompose(ctx.restricted, seed=seed)
     total = sum(p.module.dim for p in dec.pieces)
     rep.add("pieces_exhaust_M", total == m.dim,
             dims={"sum_piece_dims": total, "dim_M": m.dim,
                   "pieces": len(dec.pieces)})
     matched = {}
     for gamma in iso.class_ids():
-        direct = compress(ctx.restricted, iso.multiplicity_spaces[gamma], tol)
+        direct = compress(ctx.restricted, iso.multiplicity_spaces[gamma])
         w_dim = iso.representatives[gamma].module.dim
         found = [cls for cls in dec.class_ids()
                  if dec.representatives[cls].module.dim == direct.dim
-                 and len(hom_space(direct, dec.representatives[cls].module, tol)) > 0]
+                 and len(hom_space(direct, dec.representatives[cls].module)) > 0]
         ok = len(found) == 1 and dec.multiplicity(found[0]) == w_dim
         rep.add(f"gamma{gamma}_multiplicity_equals_dim_W", ok,
                 dims={"multiplicity": dec.multiplicity(found[0]) if found else -1,

@@ -51,7 +51,7 @@ def _rand(seed):
 def _skew(i):
     key = ("skew", i.name)
     if key not in _CACHE:
-        _CACHE[key] = skew_group_algebra(i.algebra, i.group, i.action, TOL, SEED)
+        _CACHE[key] = skew_group_algebra(i.algebra, i.group, i.action, seed=SEED)
     return _CACHE[key]
 
 
@@ -98,7 +98,7 @@ def test_criterion_2_phi_psi():
         for name in FIXTURE_NAMES:
             i = _inst(name)
             fixed = fixed_subalgebra(i.algebra, i.action)
-            result = check_phi_psi(_skew(i), fixed, tol=TOL)
+            result = check_phi_psi(_skew(i), fixed)
             assert result.passed, name
             assert result.phi_mult_residual <= 1e-8, name
             assert fixed.sub.dim == result.corner.sub.dim == expected[name], name
@@ -107,13 +107,13 @@ def test_criterion_2_phi_psi():
 def test_criterion_3_invariant_theory():
     with _criterion(3, "invariant theory correspondence", 60.0):
         for name in FIXTURE_NAMES:
-            rep = check_invariant_theory(_skew(_inst(name)), SEED, TOL)
+            rep = check_invariant_theory(_skew(_inst(name)), SEED)
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            s = skew_group_algebra(i.algebra, i.group, i.action, TOL, SEED)
+            s = skew_group_algebra(i.algebra, i.group, i.action, seed=SEED)
             _CACHE[("rskew", seed)] = s
-            rep = check_invariant_theory(s, SEED, TOL)
+            rep = check_invariant_theory(s, SEED)
             assert rep.passed, ("random", seed)
 
 
@@ -121,7 +121,7 @@ def test_criterion_4_cocycle_validity():
     with _criterion(4, "cocycle validity", 1.0):
         for name in FIXTURE_NAMES:
             i = _inst(name)
-            system = inertia(i.module, i.action, TOL, SEED)
+            system = inertia(i.module, i.action, seed=SEED)
             _CACHE[("system", name)] = system
             coc = system.cocycle
             assert np.all(coc.table[0, :] == 1.0), name
@@ -136,12 +136,12 @@ def test_criterion_5_induced_simplicity():
     with _criterion(5, "induced module simplicity", 5.0):
         for name in FIXTURE_NAMES:
             i = _inst(name)
-            ctx = build_context(i.algebra, i.action, i.module, SEED, TOL)
+            ctx = build_context(i.algebra, i.action, i.module, SEED)
             _CACHE[("ctx", name)] = ctx
             s = _skew(i)
             for gamma in ctx.iso.class_ids():
                 rep = induced_simplicity(ctx.system, gamma, s, dec=ctx.iso,
-                                         seed=SEED, tol=TOL)
+                                         seed=SEED)
                 assert rep.passed, (name, gamma)
                 d = {c.name: c.dims for c in rep.checks}["dimension_law"]
                 assert d["dim_induced"] == d["index"] * d["dim_M"] * d["dim_W"]
@@ -165,8 +165,8 @@ def test_criterion_6_hom_equals_invariants():
                     + 1j * rng.standard_normal((dim, dim))
                 sinv = np.linalg.inv(s)
                 rho = [s @ np.diag(omega ** (ks * t)) @ sinv for t in range(n)]
-                mods.append(make_module(alg, rho, TOL))
-            rep = hom_inv_check(mods[0], mods[1], g, coc, SEED, TOL)
+                mods.append(make_module(alg, rho))
+            rep = hom_inv_check(mods[0], mods[1], g, coc, SEED)
             assert rep.passed, (n, done)
             done += 1
 
@@ -175,7 +175,7 @@ def test_criterion_7_main_theorem():
     with _criterion(7, "multiplicity spaces simple over invariants", 5.0):
         for name in FIXTURE_NAMES:
             i = _inst(name)
-            rep = main_theorem(i.algebra, i.action, i.module, SEED, TOL,
+            rep = main_theorem(i.algebra, i.action, i.module, SEED,
                                ctx=_CACHE.get(("ctx", name)))
             assert rep.passed, name
             checks = {c.name: c for c in rep.checks}
@@ -199,11 +199,11 @@ def test_criterion_8_complete_reducibility():
         for name in FIXTURE_NAMES:
             i = _inst(name)
             rep = complete_reducibility(i.algebra, i.action, i.module, SEED,
-                                        TOL, ctx=_CACHE.get(("ctx", name)))
+                                        ctx=_CACHE.get(("ctx", name)))
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            rep = complete_reducibility(i.algebra, i.action, i.module, SEED, TOL)
+            rep = complete_reducibility(i.algebra, i.action, i.module, SEED)
             assert rep.passed, ("random", seed)
 
 

@@ -143,3 +143,41 @@ def test_parse_rejects_unknown_module_reference(tmp_path, capsys):
     data["tasks"] = [{"task": "main_theorem", "module": "missing"}]
     path = _write(tmp_path, data)
     assert main(["validate", path]) == 2
+
+
+@pytest.mark.parametrize("via", ["flag", "job"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unusable_tolerance_exits_2(tmp_path, capsys, command, tol, via):
+    data = _fixture_job(capsys, "swap")
+    flags = ["--tol", repr(tol)] if via == "flag" else []
+    if via == "job":
+        data["tol"] = tol
+    assert main([command, _write(tmp_path, data), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("validation error: InvalidInput: tol must be a "
+                            f"finite positive number, got {tol!r}\n")
+
+
+@pytest.mark.parametrize("where, value", [
+    ("algebra.dim", "one"),
+    ("algebra.dim", 1.5),
+    ("algebra.mult.0.0", "zero"),
+    ("algebra.mult.0.2", 0.5),
+    ("group.table.0.0", "e"),
+    ("group.table.0.0", 0.5),
+    ("modules.M.dim", "one"),
+    ("seed", "one"),
+    ("seed", 1.5),
+    ("tol", "small"),
+])
+def test_malformed_numbers_are_parse_errors(tmp_path, capsys, where, value):
+    data = _fixture_job(capsys, "trivial")
+    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")

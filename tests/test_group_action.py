@@ -47,7 +47,7 @@ def test_cyclic_group_inverses():
 
 def test_make_action_trivial():
     a = matrix_algebra(2)
-    action = make_action(make_group([[0]]), a, [np.eye(4)], TOL)
+    action = make_action(make_group([[0]]), a, [np.eye(4)])
     assert len(action.mats) == 1
 
 
@@ -82,7 +82,7 @@ def test_make_action_rejects_non_homomorphism():
     a = matrix_algebra(2)
     g = make_group([[0, 1], [1, 0]])
     with pytest.raises(NotHomomorphism):
-        make_action(g, a, [np.eye(4), 2.0 * np.eye(4)], TOL)
+        make_action(g, a, [np.eye(4), 2.0 * np.eye(4)])
 
 
 def test_make_action_rejects_non_automorphism():
@@ -94,7 +94,7 @@ def test_make_action_rejects_non_automorphism():
     m[1, 1] = m[2, 2] = 0.0
     m[1, 2] = m[2, 1] = -1.0
     with pytest.raises(NotAutomorphism):
-        make_action(g, a, [np.eye(4), m], TOL)
+        make_action(g, a, [np.eye(4), m])
 
 
 def test_make_action_names_the_worst_basis_pair():
@@ -114,7 +114,7 @@ def test_make_action_names_the_worst_basis_pair():
     with pytest.raises(NotAutomorphism,
                        match=rf"element 1 is not multiplicative at basis pair "
                              rf"\({pair[0]}, {pair[1]}\)"):
-        make_action(g, a, [np.eye(4), m], TOL)
+        make_action(g, a, [np.eye(4), m])
 
 
 def test_left_cosets_full_subgroup():
@@ -182,5 +182,5 @@ def test_fixed_subalgebra_monotone_in_subgroup(inst):
             x = i.group.mul(x, g)
         sub, ordered = subgroup_as_group(i.group, members)
         action = make_action(sub, i.algebra,
-                             [i.action.mats[h] for h in ordered], TOL)
+                             [i.action.mats[h] for h in ordered])
         assert fixed_subalgebra(i.algebra, action).sub.dim >= full_dim

@@ -22,14 +22,14 @@ TOL = 1e-9
 
 def test_inertia_trivial_group(inst):
     i = inst("trivial")
-    system = inertia(i.module, i.action, TOL, 1)
+    system = inertia(i.module, i.action, seed=1)
     assert system.inertia_members == (0,)
     assert np.allclose(system.cocycle.table, 1.0)
 
 
 def test_inertia_pauli_full(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, TOL, 1)
+    system = inertia(i.module, i.action, seed=1)
     assert system.inertia_members == (0, 1, 2, 3)
     # phi(1) is exactly the identity
     assert np.array_equal(system.phi[0], np.eye(2, dtype=np.complex128))
@@ -37,7 +37,7 @@ def test_inertia_pauli_full(inst):
 
 def test_inertia_swap_trivial(inst):
     i = inst("swap")
-    system = inertia(i.module, i.action, TOL, 1)
+    system = inertia(i.module, i.action, seed=1)
     assert system.inertia_members == (0,)
 
 
@@ -49,15 +49,15 @@ def test_inertia_rejects_non_simple():
     from skewgroup.group_action import make_action
     a = make_algebra(2, c, [1.0, 0.0], tol=TOL)
     g = make_group([[0, 1], [1, 0]])
-    action = make_action(g, a, [np.eye(2), np.eye(2)], TOL)
+    action = make_action(g, a, [np.eye(2), np.eye(2)])
     with pytest.raises(NotSimple):
-        inertia(regular_module(a), action, TOL, 1)
+        inertia(regular_module(a), action, seed=1)
 
 
 def test_intertwiner_relation(inst):
     for name in ("pauli", "perm", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, TOL, 1)
+        system = inertia(i.module, i.action, seed=1)
         m = i.module
         a = m.algebra
         for local, h in enumerate(system.inertia_members):
@@ -102,7 +102,7 @@ def test_extract_cocycle_rejects_non_projective():
 def test_cocycle_identity_all_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, TOL, 1)
+        system = inertia(i.module, i.action, seed=1)
         assert system.cocycle.validate(1e-8) <= 1e-8
 
 
@@ -117,10 +117,10 @@ def test_twisted_group_algebra_trivial_cocycle():
 
 def test_twisted_group_algebra_pauli(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, TOL, 1)
+    system = inertia(i.module, i.action, seed=1)
     tw = twisted_group_algebra(system.inertia_group, system.cocycle, 1, TOL)
     assert tw.dim == 4
-    dec = decompose(regular_module(tw), seed=1, tol=TOL)
+    dec = decompose(regular_module(tw), seed=1)
     # a single 2-dim simple class of multiplicity 2: the algebra is M_2
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
@@ -136,11 +136,11 @@ def test_twisted_group_algebra_rejects_bad_exponent():
 
 def test_module_over_twisted_pauli(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, TOL, 1)
-    m = module_over_twisted(system, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    m = module_over_twisted(system)
     assert m.dim == 2
     from skewgroup.repmod import is_simple
-    assert is_simple(m, seed=1, tol=TOL)
+    assert is_simple(m, seed=1)
 
 
 def test_module_over_twisted_coboundary_equivalence(inst):
@@ -148,40 +148,40 @@ def test_module_over_twisted_coboundary_equivalence(inst):
     # a coboundary; undoing the scale recovers a module over the original
     # algebra isomorphic to the original one.
     i = inst("pauli")
-    system = inertia(i.module, i.action, TOL, 1)
+    system = inertia(i.module, i.action, seed=1)
     beta = np.array([1.0, -1.0, 1.0, -1.0])
     phi2 = tuple(beta[h] * system.phi[h] for h in range(4))
     coc2 = extract_cocycle(phi2, system.inertia_group, TOL)
     alg2 = twisted_group_algebra(system.inertia_group, coc2, 1, TOL)
-    make_module(alg2, phi2, TOL)                       # validates
+    make_module(alg2, phi2)                       # validates
     undone = tuple(phi2[h] / beta[h] for h in range(4))
-    original = module_over_twisted(system, TOL)
-    renorm = make_module(original.algebra, undone, TOL)
-    assert len(hom_space(renorm, original, TOL)) == 1
+    original = module_over_twisted(system)
+    renorm = make_module(original.algebra, undone)
+    assert len(hom_space(renorm, original)) == 1
 
 
 def test_contragredient_dual_line():
     g = make_group([[0]])
     alg = twisted_group_algebra(g, trivial_cocycle(g), 1, TOL)
-    w = make_module(alg, [np.eye(1)], TOL)
-    wd = contragredient(w, g, trivial_cocycle(g), 1, TOL)
+    w = make_module(alg, [np.eye(1)])
+    wd = contragredient(w, g, trivial_cocycle(g), 1)
     assert wd.dim == 1
 
 
 def test_contragredient_dimensions_and_double_dual(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, TOL, 1)
-    w = module_over_twisted(system, TOL)
-    wd = contragredient(w, system.inertia_group, system.cocycle, 1, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    w = module_over_twisted(system)
+    wd = contragredient(w, system.inertia_group, system.cocycle, 1)
     assert wd.dim == w.dim
-    wdd = contragredient(wd, system.inertia_group, system.cocycle, -1, TOL)
-    assert len(hom_space(wdd, w, TOL)) >= 1
+    wdd = contragredient(wd, system.inertia_group, system.cocycle, -1)
+    assert len(hom_space(wdd, w)) >= 1
 
 
 def test_projective_isotypics_trivial(inst):
     i = inst("trivial")
-    system = inertia(i.module, i.action, TOL, 1)
-    dec = projective_isotypics(system, 1, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    dec = projective_isotypics(system, 1)
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
     assert dec.multiplicity_spaces[cls].shape[1] == 1
@@ -189,8 +189,8 @@ def test_projective_isotypics_trivial(inst):
 
 def test_projective_isotypics_pauli(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, TOL, 1)
-    dec = projective_isotypics(system, 1, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    dec = projective_isotypics(system, 1)
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
     assert dec.representatives[cls].module.dim == 2
@@ -200,8 +200,8 @@ def test_projective_isotypics_pauli(inst):
 def test_projective_isotypics_dimension_sum(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, TOL, 1)
-        dec = projective_isotypics(system, 1, TOL)
+        system = inertia(i.module, i.action, seed=1)
+        dec = projective_isotypics(system, 1)
         total = sum(dec.representatives[c].module.dim
                     * dec.multiplicity_spaces[c].shape[1]
                     for c in dec.class_ids())
@@ -214,8 +214,8 @@ def test_multiplicity_spaces_invariant_under_fixed_subalgebra(inst):
     from skewgroup.algebra import fixed_subalgebra
     for name in ("pauli", "swap", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, TOL, 1)
-        dec = projective_isotypics(system, 1, TOL)
+        system = inertia(i.module, i.action, seed=1)
+        dec = projective_isotypics(system, 1)
         fixed = fixed_subalgebra(i.algebra, i.action)
         for cls in dec.class_ids():
             basis = dec.multiplicity_spaces[cls]

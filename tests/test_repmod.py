@@ -55,7 +55,7 @@ def natural_module_m2():
             m = np.zeros((2, 2))
             m[p, q] = 1.0
             rho.append(m)
-    return make_module(a, rho, TOL)
+    return make_module(a, rho)
 
 
 def test_make_module_regular():
@@ -73,18 +73,18 @@ def test_make_module_natural_m2():
 def test_make_module_rejects_bad_unit():
     a = group_algebra(2)
     with pytest.raises(NotARepresentation):
-        make_module(a, [np.zeros((2, 2)), np.zeros((2, 2))], TOL)
+        make_module(a, [np.zeros((2, 2)), np.zeros((2, 2))])
 
 
 def test_make_module_rejects_zero_dim():
     a = group_algebra(2)
     with pytest.raises(InvalidInput):
-        make_module(a, [np.zeros((0, 0)), np.zeros((0, 0))], TOL)
+        make_module(a, [np.zeros((0, 0)), np.zeros((0, 0))])
 
 
 def test_hom_space_schur():
     m = natural_module_m2()
-    assert len(hom_space(m, m, TOL)) == 1
+    assert len(hom_space(m, m)) == 1
 
 
 def test_hom_space_distinct_characters():
@@ -92,14 +92,14 @@ def test_hom_space_distinct_characters():
     c = np.zeros((2, 2, 2))
     c[0, 0, 0] = c[1, 1, 1] = 1.0
     a = make_algebra(2, c, [1.0, 1.0], tol=TOL)
-    chi1 = make_module(a, [np.eye(1), np.zeros((1, 1))], TOL)
-    chi2 = make_module(a, [np.zeros((1, 1)), np.eye(1)], TOL)
-    assert hom_space(chi1, chi2, TOL) == []
+    chi1 = make_module(a, [np.eye(1), np.zeros((1, 1))])
+    chi2 = make_module(a, [np.zeros((1, 1)), np.eye(1)])
+    assert hom_space(chi1, chi2) == []
 
 
 def test_hom_space_regular_z2():
     m = regular_module(group_algebra(2))
-    homs = hom_space(m, m, TOL)
+    homs = hom_space(m, m)
     assert len(homs) == 2
     # oracle: brute nullspace of the stacked intertwiner system
     blocks = []
@@ -112,17 +112,17 @@ def test_hom_space_regular_z2():
 
 def test_hom_space_rejects_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
-        hom_space(natural_module_m2(), regular_module(group_algebra(2)), TOL)
+        hom_space(natural_module_m2(), regular_module(group_algebra(2)))
 
 
 def test_is_simple_natural_m2():
-    assert is_simple(natural_module_m2(), seed=1, tol=TOL)
+    assert is_simple(natural_module_m2(), seed=1)
 
 
 def test_is_simple_regular_z2_false():
     a = group_algebra(2)
     m = regular_module(a)
-    assert not is_simple(m, seed=1, tol=TOL)
+    assert not is_simple(m, seed=1)
     # oracle: the idempotents (1 +- g)/2 split the module into two lines
     for sign in (1.0, -1.0):
         v = np.array([1.0, sign]) / 2.0
@@ -136,7 +136,7 @@ def test_is_simple_rejects_non_semisimple():
     dual = make_algebra(2, c, [1.0, 0.0], tol=TOL)
     m = regular_module(dual)
     with pytest.raises(NotSemisimple):
-        is_simple(m, seed=1, tol=TOL)
+        is_simple(m, seed=1)
 
 
 def test_twist_identity(inst):
@@ -154,7 +154,7 @@ def test_twist_swap_moves_support(inst):
     for k in range(4):
         assert np.allclose(t.rho[k], 0.0)
         assert np.allclose(np.asarray(t.rho[4 + k]), np.asarray(m.rho[k]))
-    assert hom_space(t, m, TOL) == []
+    assert hom_space(t, m) == []
 
 
 def test_twist_composition(inst):
@@ -170,14 +170,14 @@ def test_twist_composition(inst):
 
 def test_decompose_simple_single_piece():
     m = natural_module_m2()
-    dec = decompose(m, seed=1, tol=TOL)
+    dec = decompose(m, seed=1)
     assert len(dec.pieces) == 1
     assert dec.pieces[0].module.dim == 2
 
 
 def test_decompose_regular_z3_dft():
     a = group_algebra(3)
-    dec = decompose(regular_module(a), seed=1, tol=TOL)
+    dec = decompose(regular_module(a), seed=1)
     assert len(dec.pieces) == 3
     assert len(dec.class_ids()) == 3
     # oracle: the discrete Fourier vectors are the simple lines
@@ -194,22 +194,22 @@ def test_decompose_multiplicity_two():
     a = matrix_algebra(2)
     nat = natural_module_m2()
     rho = [np.kron(np.eye(2), np.asarray(r)) for r in nat.rho]
-    m = make_module(a, rho, TOL)        # C^2 + C^2
-    dec = decompose(m, seed=1, tol=TOL)
+    m = make_module(a, rho)        # C^2 + C^2
+    dec = decompose(m, seed=1)
     assert len(dec.pieces) == 2
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
     assert dec.multiplicity(cls) == 2
     assert dec.multiplicity_spaces[cls].shape[1] == 2
     # oracle: the endomorphism algebra of the double is M_2 (dim 4)
-    assert len(hom_space(m, m, TOL)) == 4
+    assert len(hom_space(m, m)) == 4
 
 
 def test_decompose_dimension_bookkeeping(inst):
     for name in ("swap", "pauli", "cyclic", "perm"):
         i = inst(name)
         reg = regular_module(i.algebra)
-        dec = decompose(reg, seed=1, tol=TOL)
+        dec = decompose(reg, seed=1)
         total = sum(dec.representatives[c].module.dim * dec.multiplicity(c)
                     for c in dec.class_ids())
         assert total == i.algebra.dim
@@ -219,19 +219,19 @@ def test_decompose_dimension_bookkeeping(inst):
             for r in reg.rho:
                 img = np.asarray(r) @ p.basis
                 assert np.linalg.norm(img - proj @ img) <= 1e-7
-            assert is_simple(p.module, seed=1, tol=TOL)
+            assert is_simple(p.module, seed=1)
 
 
 @pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic",
                                   "random2"])
 def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    s = skew_group_algebra(i.algebra, i.group, i.action, TOL, 1).alg
+    s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
     reg = regular_module(s)
-    dec = decompose(reg, seed=1, tol=TOL, commutant=regular_commutant(s))
+    dec = decompose(reg, seed=1, commutant=regular_commutant(s))
     for cls in dec.class_ids():
         # oracle: homs into the module itself, not into the sum of its pieces
-        homs = hom_space(dec.representatives[cls].module, reg, TOL)
+        homs = hom_space(dec.representatives[cls].module, reg)
         assert len(homs) == dec.multiplicity(cls)
         want = orthonormal_column_basis(np.column_stack([f[:, 0] for f in homs]), TOL)
         got = dec.multiplicity_spaces[cls]
@@ -242,8 +242,8 @@ def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
 def test_hom_dimension_symmetry(inst):
     a = group_algebra(2)
     reg = regular_module(a)
-    triv = make_module(a, [np.eye(1), np.eye(1)], TOL)
-    assert len(hom_space(reg, triv, TOL)) == len(hom_space(triv, reg, TOL))
+    triv = make_module(a, [np.eye(1), np.eye(1)])
+    assert len(hom_space(reg, triv)) == len(hom_space(triv, reg))
 
 
 def test_restrict_full_algebra():
@@ -261,7 +261,7 @@ def test_restrict_to_diagonal(inst):
     emb = fixed_subalgebra(i.algebra, i.action)
     reg = regular_module(i.algebra)
     r = restrict(reg, emb)
-    dec = decompose(r, seed=1, tol=TOL)
+    dec = decompose(r, seed=1)
     # C^8 over the diagonal M_2 splits as 4 copies of C^2
     assert len(dec.class_ids()) == 1
     assert dec.multiplicity(dec.class_ids()[0]) == 4
@@ -272,7 +272,7 @@ def test_restrict_to_unit_span():
     a = m.algebra
     span = a.unit.reshape(-1, 1) / np.linalg.norm(a.unit)
     from skewgroup.algebra import subalgebra_from_span
-    emb = subalgebra_from_span(a, span, unit_coords=a.unit, tol=TOL)
+    emb = subalgebra_from_span(a, span, unit_coords=a.unit)
     r = restrict(m, emb)
     assert np.allclose(r.act(emb.sub.unit), np.eye(2))
 
@@ -280,13 +280,13 @@ def test_restrict_to_unit_span():
 def test_invariant_subspace_trivial_group():
     c = np.ones((1, 1, 1))
     a = make_algebra(1, c, [1.0], tol=TOL)
-    m = make_module(a, [np.eye(3)], TOL)
-    assert invariant_subspace(m, TOL).shape[1] == 3
+    m = make_module(a, [np.eye(3)])
+    assert invariant_subspace(m).shape[1] == 3
 
 
 def test_invariant_subspace_regular_z2():
     m = regular_module(group_algebra(2))
-    inv = invariant_subspace(m, TOL)
+    inv = invariant_subspace(m)
     assert inv.shape[1] == 1
     # oracle: the symmetrizer image is the line through 1 + g
     v = inv[:, 0]
@@ -296,8 +296,8 @@ def test_invariant_subspace_regular_z2():
 
 def test_invariant_subspace_sign_character():
     a = group_algebra(2)
-    m = make_module(a, [np.eye(1), -np.eye(1)], TOL)
-    assert invariant_subspace(m, TOL).shape[1] == 0
+    m = make_module(a, [np.eye(1), -np.eye(1)])
+    assert invariant_subspace(m).shape[1] == 0
 
 
 def _assert_action_stack(m):
@@ -310,10 +310,10 @@ def test_every_constructor_stores_one_action_stack(inst):
     i = inst("pauli")
     m = i.module
     reg = regular_module(i.algebra)
-    dec = decompose(reg, seed=1, tol=TOL, commutant=regular_commutant(i.algebra))
+    dec = decompose(reg, seed=1, commutant=regular_commutant(i.algebra))
     emb = fixed_subalgebra(i.algebra, i.action)
     built = [natural_module_m2(), m, twist(m, 1, i.action), restrict(m, emb),
-             compress(reg, dec.pieces[0].basis, TOL), reg,
+             compress(reg, dec.pieces[0].basis), reg,
              _direct_sum(i.algebra, [p.module for p in dec.pieces])]
     for mod in built:
         _assert_action_stack(mod)
@@ -339,7 +339,7 @@ def test_regular_module_is_a_view_of_the_structure_constants(inst):
 
 def _doubled_natural_m2():
     rho = [np.kron(np.eye(2), np.asarray(r)) for r in natural_module_m2().rho]
-    return make_module(matrix_algebra(2), rho, TOL)
+    return make_module(matrix_algebra(2), rho)
 
 
 def test_compress_matches_per_matrix_reference():
@@ -349,7 +349,7 @@ def test_compress_matches_per_matrix_reference():
     v /= np.linalg.norm(v)
     # {v (x) w}: invariant, since each action is I (x) r
     basis = np.column_stack([np.kron(v, e) for e in np.eye(2)])
-    sub = compress(m, basis, TOL)
+    sub = compress(m, basis)
     assert sub.dim == 2
     for r, small in zip(m.rho, sub.rho):
         assert np.linalg.norm(small - basis.conj().T @ r @ basis) <= 1e-12
@@ -365,7 +365,7 @@ def test_compress_names_the_first_failing_action():
     assert first < max(residuals)
     with pytest.raises(NotARepresentation,
                        match=f"subspace is not invariant: residual {first:.3e}"):
-        compress(m, basis, TOL)
+        compress(m, basis)
 
 
 def test_validate_module_names_the_worst_basis_pair():
@@ -378,4 +378,4 @@ def test_validate_module_names_the_worst_basis_pair():
     i, j = np.unravel_index(int(err.argmax()), err.shape)
     with pytest.raises(NotARepresentation,
                        match=rf"rho\(b_{i}\) rho\(b_{j}\) != rho\(b_{i} b_{j}\)"):
-        make_module(a, rho, TOL)
+        make_module(a, rho)

@@ -17,7 +17,13 @@ from skewgroup.projective import (
     module_over_twisted,
     projective_isotypics,
 )
-from skewgroup.repmod import decompose, is_simple, make_module, regular_module
+from skewgroup.repmod import (
+    decompose,
+    is_simple,
+    make_module,
+    regular_module,
+    restrict,
+)
 from skewgroup.skew import (
     check_phi_psi,
     corner_module,
@@ -33,7 +39,7 @@ TOL = 1e-9
 
 
 def _skew(i):
-    return skew_group_algebra(i.algebra, i.group, i.action, TOL, 1)
+    return skew_group_algebra(i.algebra, i.group, i.action, seed=1)
 
 
 def test_skew_trivial_group_exact_relabel(inst):
@@ -45,8 +51,8 @@ def test_skew_trivial_group_exact_relabel(inst):
 def test_skew_of_field_is_group_algebra():
     f = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=TOL)
     g = cyclic_group(3)
-    action = make_action(g, f, [np.eye(1)] * 3, TOL)
-    s = skew_group_algebra(f, g, action, TOL, 1)
+    action = make_action(g, f, [np.eye(1)] * 3)
+    s = skew_group_algebra(f, g, action, seed=1)
     assert s.alg.dim == 3
     # the skew product degenerates to the group product: g1 * g1 = g2
     assert np.allclose(s.alg.product(s.embed_group(1), s.embed_group(1)),
@@ -57,11 +63,23 @@ def test_skew_swap_single_simple_class(inst):
     i = inst("swap")
     s = _skew(i)
     assert s.alg.dim == 16
-    dec = simple_classes(s, 1, TOL)
+    dec = simple_classes(s, 1)
     # oracle: decompose the regular module and count classes
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
     assert dec.representatives[cls].module.dim == 4       # A x| G = M_4
+
+
+@pytest.mark.parametrize("name", ["swap", "pauli", "perm", "cyclic"])
+def test_restriction_to_base_matches_acting_by_embedded_basis(inst, name):
+    s = _skew(inst(name))
+    eye = np.eye(s.base.dim)
+    for cls, piece in simple_classes(s, 1).representatives.items():
+        n = piece.module
+        rest = restrict(n, s.base_embedding())
+        assert rest.algebra is s.base
+        reference = [n.act(s.embed_base(eye[:, i])) for i in range(s.base.dim)]
+        assert np.array_equal(rest.rho, np.array(reference)), cls
 
 
 def test_skew_product_rule(inst):
@@ -117,7 +135,7 @@ def test_phi_psi_all_fixtures(inst):
         i = inst(name)
         s = _skew(i)
         fixed = fixed_subalgebra(i.algebra, i.action)
-        result = check_phi_psi(s, fixed, tol=TOL)
+        result = check_phi_psi(s, fixed)
         assert result.passed, name
         assert fixed.sub.dim == dim, name
         assert result.corner.sub.dim == dim, name
@@ -128,9 +146,9 @@ def test_corner_module_trivial_group(inst):
     i = inst("trivial")
     s = _skew(i)
     e = symmetrizer(s)
-    corner = corner_algebra(s.alg, e, TOL)
+    corner = corner_algebra(s.alg, e)
     n = regular_module(s.alg)
-    en, basis = corner_module(n, corner, e, TOL)
+    en, basis = corner_module(n, corner, e)
     assert en is not None
     assert en.dim == n.dim
 
@@ -139,19 +157,19 @@ def test_corner_module_swap(inst):
     i = inst("swap")
     s = _skew(i)
     e = symmetrizer(s)
-    corner = corner_algebra(s.alg, e, TOL)
-    dec = simple_classes(s, 1, TOL)
+    corner = corner_algebra(s.alg, e)
+    dec = simple_classes(s, 1)
     n = dec.representatives[dec.class_ids()[0]].module
-    en, _ = corner_module(n, corner, e, TOL)
+    en, _ = corner_module(n, corner, e)
     assert en.dim == 2
-    assert is_simple(en, seed=1, tol=TOL)
+    assert is_simple(en, seed=1)
 
 
 def test_induce_full_subgroup(inst):
     i = inst("pauli")
     s = _skew(i)
     n = regular_module(s.alg)
-    ind = induce(n, s, range(i.group.order), tol=TOL)
+    ind = induce(n, s, range(i.group.order))
     assert ind.dim == n.dim
     for a, b in zip(ind.rho, n.rho):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
@@ -160,24 +178,24 @@ def test_induce_full_subgroup(inst):
 def test_induce_swap_from_trivial_subgroup(inst):
     i = inst("swap")
     s = _skew(i)
-    ssub, members = sub_skew(s, [i.group.identity], TOL)
-    m = make_module(ssub.alg, i.module.rho, TOL)
-    ind = induce(m, s, members, sub=ssub, tol=TOL)
+    ssub, members = sub_skew(s, [i.group.identity])
+    m = make_module(ssub.alg, i.module.rho)
+    ind = induce(m, s, members, sub=ssub)
     assert ind.dim == 4                                  # [G:H] * dim M
-    assert is_simple(ind, seed=1, tol=TOL)
+    assert is_simple(ind, seed=1)
 
 
 def test_induce_dimension_law(inst):
     i = inst("perm")
     s = _skew(i)
-    system = inertia(i.module, i.action, TOL, 1)
-    ssub, members = sub_skew(s, system.inertia_members, TOL)
-    dec = projective_isotypics(system, 1, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    ssub, members = sub_skew(s, system.inertia_members)
+    dec = projective_isotypics(system, 1)
     cls = dec.class_ids()[0]
     w = dec.representatives[cls].module
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1, TOL)
-    ext = extend_to_skew(i.module, system, wdual, ssub, TOL)
-    ind = induce(ext, s, members, sub=ssub, tol=TOL)
+    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
+    ext = extend_to_skew(i.module, system, wdual, ssub)
+    ind = induce(ext, s, members, sub=ssub)
     index = i.group.order // system.inertia_group.order
     assert ind.dim == index * i.module.dim * w.dim
 
@@ -187,43 +205,43 @@ def test_induce_rejects_wrong_algebra(inst):
     s = _skew(i)
     # a module over the base algebra is not a module over A x| G itself
     with pytest.raises(ModuleAlgebraMismatch):
-        induce(i.module, s, range(i.group.order), tol=TOL)
+        induce(i.module, s, range(i.group.order))
 
 
 def test_extend_to_skew_trivial(inst):
     i = inst("trivial")
     s = _skew(i)
-    system = inertia(i.module, i.action, TOL, 1)
-    w = module_over_twisted(system, TOL)
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1, TOL)
-    ext = extend_to_skew(i.module, system, wdual, s, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    w = module_over_twisted(system)
+    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
+    ext = extend_to_skew(i.module, system, wdual, s)
     assert ext.dim == i.module.dim * wdual.dim
 
 
 def test_extend_to_skew_pauli(inst):
     i = inst("pauli")
     s = _skew(i)
-    system = inertia(i.module, i.action, TOL, 1)
-    dec = projective_isotypics(system, 1, TOL)
+    system = inertia(i.module, i.action, seed=1)
+    dec = projective_isotypics(system, 1)
     w = dec.representatives[dec.class_ids()[0]].module
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1, TOL)
-    ext = extend_to_skew(i.module, system, wdual, s, TOL)
+    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
+    ext = extend_to_skew(i.module, system, wdual, s)
     assert ext.dim == 4            # validated 4-dim module over M_2 x| (Z/2)^2
 
 
 def test_extend_to_skew_rejects_wrong_cocycle(inst):
     i = inst("pauli")
     s = _skew(i)
-    system = inertia(i.module, i.action, TOL, 1)
+    system = inertia(i.module, i.action, seed=1)
     # a plain group-algebra module is the wrong input: its algebra carries
     # the trivial cocycle, not the inverse of the extracted one (which has
     # genuine -1 entries for this instance)
     from skewgroup.projective import trivial_cocycle, twisted_group_algebra
     plain = twisted_group_algebra(system.inertia_group,
                                   trivial_cocycle(system.inertia_group), -1, TOL)
-    v = make_module(plain, [np.eye(1)] * 4, TOL)
+    v = make_module(plain, [np.eye(1)] * 4)
     with pytest.raises(CocycleMismatch):
-        extend_to_skew(i.module, system, v, s, TOL)
+        extend_to_skew(i.module, system, v, s)
 
 
 def test_embed_maps_multiplicative(inst):
