@@ -1,7 +1,8 @@
 """Finite-dimensional unital associative algebras by structure constants.
 
-An algebra of dimension n is a tensor c[i, j, k] with b_i b_j = sum_k
-c[i, j, k] b_k plus the coordinate vector of the unit.  Elements are
+An algebra of dimension n has structure constants c[i, j, k] with b_i b_j =
+sum_k c[i, j, k] b_k, plus the coordinate vector of the unit.  Only the
+nonzero constants are stored, in COO form sorted by (i, j, k).  Elements are
 coordinate vectors in C^n.
 """
 
@@ -27,12 +28,19 @@ from .errors import (
 # per triple and quickly dominates wall time).
 EXHAUSTIVE_DIM_LIMIT = 32
 _PROBE_COUNT = 50
+# Cost model of the exhaustive associativity check, measured on 2 cores: one
+# term of the join over the nonzeros costs about as much as 32 dense
+# multiply-adds, and a join has the fixed cost of about 1000 terms.
+_JOIN_TERM_COST = 32
+_JOIN_FIXED_TERMS = 1000
 
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
     dim: int
-    mult: np.ndarray          # (dim, dim, dim) structure constants
+    # The nonzero structure constants: read-only index arrays (i, j, k),
+    # sorted by (i, j, k) without repeats, and their complex128 values.
+    nonzeros: tuple
     unit: np.ndarray          # (dim,) coordinates of 1
     # The one tolerance of every rank and residual decision on this algebra,
     # its modules and everything derived from it.
@@ -42,56 +50,73 @@ class Algebra:
     generators: tuple = field(default=(), compare=False)
 
     @cached_property
-    def nonzeros(self) -> tuple:
-        """COO form of mult: index arrays (i, j, k) and the values there."""
-        i, j, k = np.nonzero(self.mult)
-        return i, j, k, self.mult[i, j, k]
-
-    @cached_property
     def trace_gram(self) -> np.ndarray:
         """Read-only trace form T[i, j] = trace(L_{b_i} L_{b_j}).
 
         The trace is sum_{m,n} c[i, m, n] c[j, n, m]: one matmul over the
         slots (m, n) that hold a nonzero in both factors.
         """
-        _, j, k, _ = self.nonzeros
+        i, j, k, v = self.nonzeros
         n = self.dim
-        slots = np.intersect1d(j * n + k, k * n + j)
-        flat = self.mult.reshape(n, n * n)
-        gram = flat[:, slots] @ flat[:, slots % n * n + slots // n].T
+        key = j * n + k
+        both = np.zeros(n * n, dtype=bool)
+        both[key] = True
+        both = both & both.reshape(n, n).T.ravel()
+        slots = both.nonzero()[0]
+        column = np.cumsum(both) - 1         # column of each slot in `flat`
+        hit = both[key]
+        flat = np.zeros((n, slots.size), dtype=np.complex128)
+        flat[i[hit], column[key[hit]]] = v[hit]
+        gram = flat @ flat[:, column[slots % n * n + slots // n]].T
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def scale(self) -> float:
+        """Frobenius norm of the structure constants, floored at 1."""
+        return max(float(np.linalg.norm(self.nonzeros[3])), 1.0)
 
     def product(self, x, y) -> np.ndarray:
         """Coordinates of x*y."""
         i, j, k, v = self.nonzeros
-        return _scatter(k, np.asarray(x)[i] * np.asarray(y)[j] * v, self.dim)
+        return numeric.scatter(k, np.asarray(x)[i] * np.asarray(y)[j] * v, self.dim)
 
     def left_mult(self, x) -> np.ndarray:
         """Matrix of left multiplication by x on coordinates."""
         i, j, k, v = self.nonzeros
         n = self.dim
-        return _scatter(k * n + j, np.asarray(x)[i] * v, n * n).reshape(n, n)
+        return numeric.scatter(k * n + j, np.asarray(x)[i] * v, n * n).reshape(n, n)
 
     def right_mult(self, x) -> np.ndarray:
         """Matrix of right multiplication by x on coordinates."""
         i, j, k, v = self.nonzeros
         n = self.dim
-        return _scatter(k * n + i, np.asarray(x)[j] * v, n * n).reshape(n, n)
+        return numeric.scatter(k * n + i, np.asarray(x)[j] * v, n * n).reshape(n, n)
 
     def basis_generators(self) -> list:
         if self.generators:
             return [np.asarray(g) for g in self.generators]
         return [np.eye(self.dim, dtype=np.complex128)[:, i] for i in range(self.dim)]
 
-    @property
-    def scale(self) -> float:
-        return max(float(np.linalg.norm(self.mult)), 1.0)
 
+def aligned_constants(a: Algebra, b: Algebra) -> tuple:
+    """The structure constants of two algebras of one dimension, as two value
+    vectors over the union of their nonzero slots.
 
-def _scatter(idx, w, n) -> np.ndarray:
-    """out[idx[t]] += w[t] over a length-n complex vector."""
-    return np.bincount(idx, w.real, n) + 1j * np.bincount(idx, w.imag, n)
+    Every slot outside the union is zero in both, so an entrywise comparison
+    of the two vectors is one of the whole tensors.
+    """
+    n = a.dim
+    keys = [(i * n + j) * n + k for i, j, k, _ in (a.nonzeros, b.nonzeros)]
+    if keys[0].shape == keys[1].shape and (keys[0] == keys[1]).all():
+        return a.nonzeros[3], b.nonzeros[3]
+    union = np.union1d(*keys)
+    out = []
+    for key, alg in zip(keys, (a, b)):
+        vals = np.zeros(union.size, dtype=np.complex128)
+        vals[np.searchsorted(union, key)] = alg.nonzeros[3]
+        out.append(vals)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,38 +130,74 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
                  seed=numeric.DEFAULT_SEED) -> Algebra:
     """Validate structure constants and unit, returning an Algebra.
 
-    `tol` is the algebra's tolerance, which everything derived from it
-    inherits.
+    `mult` is the dense (dim, dim, dim) tensor, or the COO tuple (i, j, k,
+    values) that `Algebra.nonzeros` holds, in any order and with each slot at
+    most once.  Exact zeros are dropped.  `tol` is the algebra's tolerance,
+    which everything derived from it inherits.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
+    numeric.check_tol(tol)
     if dim < 1:
         raise InvalidInput("algebra dimension must be >= 1")
-    # own copies: the cached `nonzeros` must keep describing `mult`
-    c = numeric.as_complex(np.array(mult, dtype=np.complex128))
+    nonzeros = _sorted_coo(dim, mult)
     u = numeric.as_complex(np.array(unit, dtype=np.complex128)).reshape(-1)
-    if c.shape != (dim, dim, dim) or u.shape != (dim,):
+    if u.shape != (dim,):
         raise InvalidInput("structure tensor / unit shape mismatch")
-    a = Algebra(dim=dim, mult=c, unit=u, tol=tol, generators=tuple(generators))
+    a = Algebra(dim=dim, nonzeros=nonzeros, unit=u, tol=tol,
+                generators=tuple(generators))
     _check_associativity(a, seed)
     _check_unit(a)
     return a
 
 
+def _sorted_coo(dim, mult) -> tuple:
+    """Own read-only COO arrays of dense or COO structure constants, sorted
+    by (i, j, k), without exact zeros."""
+    if (isinstance(mult, tuple) and len(mult) == 4
+            and all(isinstance(x, np.ndarray) and x.ndim == 1 for x in mult)):
+        if not mult[0].shape == mult[1].shape == mult[2].shape == mult[3].shape:
+            raise InvalidInput("structure constant COO arrays differ in length")
+        idx = np.array(mult[:3])
+        if idx.dtype.kind not in "iu":
+            raise InvalidInput("structure constant indices must be integers")
+        try:
+            key = np.ravel_multi_index(idx, (dim, dim, dim))
+        except ValueError:
+            raise InvalidInput("structure constant index out of range")
+        idx = idx.astype(np.intp, copy=False)
+        v = numeric.as_complex(np.array(mult[3], dtype=np.complex128))
+        if (key[1:] <= key[:-1]).any():
+            order = key.argsort(kind="stable")
+            if (np.diff(key[order]) == 0).any():
+                raise InvalidInput("structure constant slot given twice")
+            idx, v = idx[:, order], v[order]
+        keep = v != 0
+        if not keep.all():
+            idx, v = idx[:, keep], v[keep]
+        out = (*idx, v)
+    else:
+        c = numeric.as_complex(mult)
+        if c.shape != (dim, dim, dim):
+            raise InvalidInput("structure tensor / unit shape mismatch")
+        nz = np.nonzero(c)
+        out = (*nz, c[nz])
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def join(match, starts):
+    """Pairs (t, s): each t with every position s in starts[match[t]] up to
+    starts[match[t] + 1]."""
+    lo = starts[match]
+    cnt = starts[match + 1] - lo
+    t = np.arange(match.size).repeat(cnt)
+    return t, np.arange(t.size) + (lo - cnt.cumsum() + cnt).repeat(cnt)
+
+
 def _check_associativity(a: Algebra, seed) -> None:
     scale = a.scale ** 2
     if a.dim <= EXHAUSTIVE_DIM_LIMIT:
-        # (b_i b_j) b_k vs b_i (b_j b_k), one first index i at a time
-        n = a.dim
-        flat = a.mult.reshape(n, n * n)     # [m, (k, l)]
-        pairs = a.mult.reshape(n * n, n)    # [(j, k), m]
-        worst, at = -1.0, None
-        for i in range(n):
-            err = np.abs((a.mult[i] @ flat).reshape(-1)
-                         - (pairs @ a.mult[i]).reshape(-1))
-            t = int(err.argmax())
-            if err[t] > worst:
-                worst, at = float(err[t]), (i, t // (n * n), t // n % n)
+        worst, at = _worst_associator(a)
         if worst > a.tol * scale:
             raise AssociativityViolation(
                 f"associativity fails at basis triple {at}: residual {worst:.3e}")
@@ -149,6 +210,59 @@ def _check_associativity(a: Algebra, seed) -> None:
         res = numeric.rel_residual(delta, scale)
         if res > a.tol:
             raise AssociativityViolation(f"random probe {t}: residual {res:.3e}")
+
+
+def _worst_associator(a: Algebra) -> tuple:
+    """Largest entry of (b_r b_j) b_k - b_r (b_j b_k) over all basis triples,
+    and the first triple (r, j, k) that attains it.
+
+    The two sides are joins over the nonzeros, c[r, j, m] c[m, k, l] and
+    c[j, k, m] c[r, m, l], unless the join would cost more than contracting
+    a dense copy of the constants one first index r at a time: for small
+    algebras, and for constants that are mostly nonzero.
+    """
+    i, j, k, v = a.nonzeros
+    n = a.dim
+    budget = n ** 5 // _JOIN_TERM_COST - _JOIN_FIXED_TERMS
+    if budget > 0:
+        bounds = np.arange(n + 1)
+        rows = i.searchsorted(bounds)           # first index m: rows[m]:rows[m+1]
+        by_k = k.argsort(kind="stable")
+        thirds = k[by_k].searchsorted(bounds)   # third index m, in by_k
+        if np.diff(rows)[k].sum() + np.diff(thirds)[j].sum() < budget:
+            return _joined_associator(a, rows, by_k, thirds)
+    c = np.zeros((n, n, n), dtype=np.complex128)
+    c[i, j, k] = v
+    flat = c.reshape(n, n * n)     # [m, (k, l)]
+    pairs = c.reshape(n * n, n)    # [(j, k), m]
+    worst, at = -1.0, None
+    for r in range(n):
+        err = np.abs((c[r] @ flat).reshape(-1) - (pairs @ c[r]).reshape(-1))
+        t = int(err.argmax())
+        if err[t] > worst:
+            worst, at = float(err[t]), (r, t // (n * n), t // n % n)
+    return worst, at
+
+
+def _joined_associator(a: Algebra, rows, by_k, thirds) -> tuple:
+    i, j, k, v = a.nonzeros
+    n = a.dim
+    p, s = join(k, rows)
+    q, u = join(j, thirds)
+    u = by_k[u]
+    ij = i * n + j
+    # slot ((r, j, k), l) is ((r n + j) n + k) n + l
+    key = np.concatenate([ij[p] * n * n + j[s] * n + k[s],
+                          (i[q] * n * n + ij[u]) * n + k[q]])
+    w = np.concatenate([v[p] * v[s], -(v[u] * v[q])])
+    slots, at = np.unique(key, return_inverse=True)
+    if not slots.size:
+        return 0.0, (0, 0, 0)
+    re, im = np.bincount(at, w.real), np.bincount(at, w.imag)
+    err = re * re + im * im            # squared: cheaper than abs or hypot
+    t = int(err.argmax())
+    slot = int(slots[t])
+    return math.sqrt(err[t]), (slot // n ** 3, slot // (n * n) % n, slot // n % n)
 
 
 def _check_unit(a: Algebra) -> None:
@@ -168,16 +282,13 @@ def matrix_algebra(n: int, tol=numeric.DEFAULT_TOL) -> Algebra:
     if n < 1:
         raise InvalidInput("matrix algebra needs n >= 1")
     dim = n * n
-    c = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                # E_{pq} E_{qr} = E_{pr}
-                c[p * n + q, q * n + r, p * n + r] = 1.0
+    # E_{pq} E_{qr} = E_{pr}
+    p, q, r = (x.ravel() for x in np.indices((n, n, n)))
+    ones = np.ones(p.size, dtype=np.complex128)
     unit = np.zeros(dim, dtype=np.complex128)
-    for p in range(n):
-        unit[p * n + p] = 1.0
-    return make_algebra(dim, c, unit, tol=tol)
+    unit[::n + 1] = 1.0
+    return make_algebra(dim, (p * n + q, q * n + r, p * n + r, ones), unit,
+                        tol=tol)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -187,12 +298,11 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     if a.tol != b.tol:
         raise InvalidInput(f"direct summands have different tolerances "
                            f"{a.tol!r} and {b.tol!r}")
-    dim = a.dim + b.dim
-    c = np.zeros((dim, dim, dim), dtype=np.complex128)
-    c[: a.dim, : a.dim, : a.dim] = a.mult
-    c[a.dim:, a.dim:, a.dim:] = b.mult
+    nonzeros = tuple(np.concatenate([x, y + a.dim])
+                     for x, y in zip(a.nonzeros[:3], b.nonzeros[:3]))
+    values = np.concatenate([a.nonzeros[3], b.nonzeros[3]])
     unit = np.concatenate([a.unit, b.unit])
-    return make_algebra(dim, c, unit, tol=a.tol)
+    return make_algebra(a.dim + b.dim, nonzeros + (values,), unit, tol=a.tol)
 
 
 def trace_form(a: Algebra) -> np.ndarray:
@@ -213,6 +323,7 @@ def canonical_span(vectors, tol=numeric.DEFAULT_TOL) -> np.ndarray:
     phase-fixed so each leading significant coordinate is real positive.
     Keeps report output (and subalgebra structure constants) stable.
     """
+    numeric.check_tol(tol)
     m = np.column_stack(vectors) if isinstance(vectors, (list, tuple)) else np.asarray(vectors)
     raw = numeric.orthonormal_column_basis(m, tol)
     k = raw.shape[1]

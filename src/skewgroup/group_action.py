@@ -136,12 +136,16 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
                 raise NotHomomorphism(f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
                                       f"residual {res:.3e}")
     scale = target.scale
+    i, j, k, v = target.nonzeros
     for g in group.elements():
         m = ms[g]
-        # g(b_i b_j) = g(b_i) g(b_j) for all basis pairs, as matmuls:
-        # lhs[i, j] = m c[i, j], rhs[i, j] = sum_ab m[a, i] m[b, j] c[a, b]
-        lhs = target.mult @ m.T
-        rhs = m.T @ np.tensordot(m, target.mult, axes=(0, 0))
+        # g(b_i b_j) = g(b_i) g(b_j) for all basis pairs, scattered from the
+        # nonzeros: lhs[i, j] = m c[i, j], rhs[i, j] = sum_ab m[a, i] m[b, j]
+        # c[a, b], the latter through w[a, l] = sum_b c[a, b, l] m[b]
+        lhs = numeric.scatter(i * d + j, v[:, None] * m[:, k].T,
+                              d * d).reshape(d, d, d)
+        w = numeric.scatter(i * d + k, v[:, None] * m[j], d * d)
+        rhs = (m.T @ w.reshape(d, d * d)).reshape(d, d, d).transpose(0, 2, 1)
         res = numeric.rel_residual(lhs - rhs, scale * max(np.linalg.norm(m) ** 2, 1.0))
         if res > tol:
             pair = tuple(int(t) for t in np.unravel_index(

@@ -2,7 +2,8 @@
 
 Wire conventions: scalars are two-element [re, im] arrays; matrices are
 row-major nested lists of scalars; structure constants are sparse
-[i, j, k, scalar] entries with omitted entries zero; indices are 0-based.
+[i, j, k, scalar] entries with omitted entries zero and, for a slot given
+more than once, the last entry winning; indices are 0-based.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def _int(obj, where) -> int:
     raise ParseError(f"{where} must be an integer, got {obj!r}")
 
 
+def _list(obj, where) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"{where} must be a list, got {obj!r}")
+    return obj
+
+
 def _matrix(obj, rows, cols, where) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
@@ -93,15 +100,20 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         raise ParseError(f"algebra section malformed: {exc}")
     if len(unit) != dim:
         raise ParseError("algebra unit length does not match dim")
-    mult = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for entry in aspec.get("mult", []):
+    entries = _list(aspec.get("mult", []), "algebra.mult")
+    slots = {}
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"mult entry must be [i, j, k, scalar], got {entry!r}")
         i, j, k = (_int(x, "mult index") for x in entry[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ParseError(f"mult entry index out of range: {entry[:3]}")
-        mult[i, j, k] = _scalar(entry[3])
-    algebra = make_algebra(dim, mult, unit, tol=job_tol)
+        # a slot given more than once keeps its last value
+        slots[i, j, k] = _scalar(entry[3])
+    keys = sorted(slots)
+    i, j, k = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    values = np.array([slots[t] for t in keys], dtype=np.complex128)
+    algebra = make_algebra(dim, (i, j, k, values), unit, tol=job_tol)
 
     try:
         gspec = data["group"]
@@ -120,20 +132,23 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         mats = data["action"]["mats"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"action section malformed: {exc}")
-    if len(mats) != order:
+    if len(_list(mats, "action.mats")) != order:
         raise ParseError("action needs one matrix per group element")
     action = make_action(group, algebra,
                          [_matrix(m, dim, dim, f"action.mats[{g}]")
                           for g, m in enumerate(mats)])
 
     modules = {}
-    for name, mspec in data.get("modules", {}).items():
+    mspecs = data.get("modules", {})
+    if not isinstance(mspecs, dict):
+        raise ParseError(f"modules must be an object of named modules, got {mspecs!r}")
+    for name, mspec in mspecs.items():
         try:
             mdim = _int(mspec["dim"], f"modules.{name}.dim")
             rho = mspec["rho"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"module {name!r} malformed: {exc}")
-        if len(rho) != dim:
+        if len(_list(rho, f"modules.{name}.rho")) != dim:
             raise ParseError(f"module {name!r} needs one matrix per basis element")
         modules[name] = make_module(
             algebra,
@@ -142,14 +157,15 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
 
     default_module = next(iter(modules), None)
     tasks = []
-    for t in data.get("tasks", []):
+    for t in _list(data.get("tasks", []), "tasks"):
         if not isinstance(t, dict) or "task" not in t:
             raise ParseError(f"task record malformed: {t!r}")
         if t["task"] not in ALL_TASKS:
             raise ParseError(f"unknown task {t['task']!r}")
         rec = dict(t)
         rec.setdefault("module", default_module)
-        if rec["module"] is not None and rec["module"] not in modules:
+        if rec["module"] is not None and (not isinstance(rec["module"], str)
+                                          or rec["module"] not in modules):
             raise ParseError(f"task references unknown module {rec['module']!r}")
         tasks.append(rec)
 
@@ -170,13 +186,8 @@ def instance_to_job(inst: Instance, tol=numeric.DEFAULT_TOL,
                     seed=numeric.DEFAULT_SEED) -> dict:
     """Serialize an Instance as a job dictionary."""
     a = inst.algebra
-    mult = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                z = a.mult[i, j, k]
-                if z != 0:
-                    mult.append([i, j, k, _scalar_out(z)])
+    mult = [[int(i), int(j), int(k), _scalar_out(z)]
+            for i, j, k, z in zip(*a.nonzeros)]
     return {
         "name": inst.name,
         "algebra": {

@@ -6,6 +6,8 @@ that a single relative-threshold convention applies across the library.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -26,10 +28,15 @@ def as_complex(m) -> np.ndarray:
     return a
 
 
+def check_tol(tol) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
+
+
 def rank(m, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol relative to the largest one."""
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    check_tol(tol)
     a = as_complex(m)
     if a.size == 0:
         return 0
@@ -46,8 +53,7 @@ def nullspace(m, tol: float = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarr
     singular-value cutoff, for matrices that are differences of comparable
     quantities and may consist entirely of rounding noise.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    check_tol(tol)
     a = as_complex(m)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=np.complex128)
@@ -66,6 +72,7 @@ def orthonormal_column_basis(m, tol: float = DEFAULT_TOL,
     below, for inputs (e.g. idempotents) whose significant singular values
     have a known magnitude and which may degenerate to pure rounding noise.
     """
+    check_tol(tol)
     a = as_complex(m)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
@@ -153,6 +160,14 @@ def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
         x = np.zeros((dp, d), dtype=np.complex128)
         x[r, c] = vec.reshape(r.stop - r.start, c.stop - c.start)
         out.append(x)
+    return out
+
+
+def scatter(idx, w, n) -> np.ndarray:
+    """out[idx[t]] += w[t] over n complex entries, or n rows when w has rows,
+    summed in the order of t."""
+    out = np.zeros((n,) + np.shape(w)[1:], dtype=np.complex128)
+    np.add.at(out, idx, w)
     return out
 
 

@@ -178,13 +178,12 @@ def twisted_group_algebra(group: FiniteGroup, cocycle: Cocycle,
         raise InvalidInput("exponent must be +1 or -1")
     cocycle.validate(tol)
     n = group.order
-    c = np.zeros((n, n, n), dtype=np.complex128)
-    for h in range(n):
-        for k in range(n):
-            c[h, k, group.mul(h, k)] = cocycle.table[h, k] ** exponent
+    h, k = np.divmod(np.arange(n * n), n)
+    values = np.array([cocycle.table[a, b] ** exponent for a, b in zip(h, k)],
+                      dtype=np.complex128)
     unit = np.zeros(n, dtype=np.complex128)
     unit[group.identity] = 1.0
-    return make_algebra(n, c, unit, tol=tol)
+    return make_algebra(n, (h, k, group.table.ravel(), values), unit, tol=tol)
 
 
 def module_over_twisted(system: ProjectiveSystem) -> Module:

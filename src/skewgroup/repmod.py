@@ -16,6 +16,7 @@ from . import numeric
 from .algebra import (
     Algebra,
     SubalgebraEmbedding,
+    aligned_constants,
     canonical_span,
     is_semisimple,
     EXHAUSTIVE_DIM_LIMIT,
@@ -46,10 +47,118 @@ class Module:
         """Action matrix of the element with coordinates x."""
         return np.einsum("i,iab->ab", np.asarray(x), self.rho)
 
+    def actions(self, xs) -> np.ndarray:
+        """(len(xs), dim, dim) action matrices of the elements xs[t]."""
+        return np.tensordot(xs, self.rho, axes=1)
+
+    def images(self, basis) -> np.ndarray:
+        """(algebra dim, dim, k) stack of rho(b_i) @ basis for every i."""
+        return self.rho @ basis
+
     @cached_property
     def scale(self) -> float:
         """Largest action entry, floored at 1: the scale of residual bounds."""
         return max(float(np.abs(self.rho).max()), 1.0)
+
+
+class RegularModule(Module):
+    """The left regular module of an algebra, with no stored action.
+
+    Its actions are the left multiplications, scattered from the nonzero
+    structure constants when asked for.  `rho`, the full (dim, dim, dim)
+    stack, is assembled on each access for generic consumers; `act`,
+    `actions`, `images` and `scale` never form it, and they are all that a
+    decomposition with `regular_commutant` reads.
+    """
+
+    def __init__(self, algebra: Algebra):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "dim", algebra.dim)
+
+    @property
+    def rho(self) -> np.ndarray:
+        i, j, k, v = self.algebra.nonzeros
+        out = np.zeros((self.dim,) * 3, dtype=np.complex128)
+        out[i, k, j] = v
+        return out
+
+    def act(self, x) -> np.ndarray:
+        return self.algebra.left_mult(x)
+
+    def actions(self, xs) -> np.ndarray:
+        i, j, k, v = self.algebra.nonzeros
+        xs = np.asarray(xs)
+        n = self.dim
+        flat = numeric.scatter(k * n + j, (xs[:, i] * v).T, n * n)
+        return flat.T.reshape(len(xs), n, n)
+
+    def images(self, basis) -> np.ndarray:
+        # row k of L_{b_i} @ basis collects c[i, j, k] basis[j]
+        i, j, k, v = self.algebra.nonzeros
+        n = self.dim
+        return numeric.scatter(i * n + k, v[:, None] * basis[j],
+                               n * n).reshape(n, n, -1)
+
+    @cached_property
+    def scale(self) -> float:
+        return max(float(np.abs(self.algebra.nonzeros[3]).max()), 1.0)
+
+
+class DirectSum(Module):
+    """A direct sum of modules over one algebra, with no stored action.
+
+    Its actions are block-diagonal, spread from the summands' actions of the
+    same elements when asked for: a hom space into it needs those of the
+    algebra generators only.  `rho` is assembled on each access.
+    """
+
+    def __init__(self, algebra: Algebra, summands):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "summands", tuple(summands))
+        object.__setattr__(self, "dim", sum(n.dim for n in self.summands))
+
+    @cached_property
+    def _packed(self) -> tuple:
+        """The summands' flattened actions side by side, (algebra dim,
+        sum of d^2), and the flat position of each column in a block-diagonal
+        (dim, dim) matrix."""
+        cols, at, lo = [], [], 0
+        for n in self.summands:
+            cols.append(n.rho.reshape(len(n.rho), -1))
+            block = np.arange(lo, lo + n.dim)
+            at.append((block[:, None] * self.dim + block).ravel())
+            lo += n.dim
+        return np.hstack(cols), np.concatenate(at)
+
+    def _spread(self, flat) -> np.ndarray:
+        out = np.zeros((len(flat), self.dim * self.dim), dtype=np.complex128)
+        out[:, self._packed[1]] = flat
+        return out.reshape(len(flat), self.dim, self.dim)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._spread(self._packed[0])
+
+    def actions(self, xs) -> np.ndarray:
+        return self._spread(np.tensordot(xs, self._packed[0], axes=1))
+
+    @cached_property
+    def scale(self) -> float:
+        return max(n.scale for n in self.summands)
+
+
+@dataclass(frozen=True, eq=False)
+class RightMultiplications:
+    """The right multiplications by the basis of an algebra: an exact basis
+    of the commutant of its regular module, never stacked."""
+    algebra: Algebra
+
+    def __len__(self) -> int:
+        return self.algebra.dim
+
+    def combine(self, coeffs) -> np.ndarray:
+        """sum_j coeffs[j] R_{b_j}, which is R of the element coeffs."""
+        return self.algebra.right_mult(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +211,11 @@ def validate_module(m: Module, *, seed=numeric.DEFAULT_SEED) -> None:
     scale = a.scale * m.scale ** 2 * m.dim
     if a.dim <= EXHAUSTIVE_DIM_LIMIT:
         n, d = a.dim, m.dim
+        i, j, k, v = a.nonzeros
         lhs = m.rho[:, None] @ m.rho[None, :]
-        rhs = (a.mult.reshape(n * n, n) @ m.rho.reshape(n, d * d)).reshape(n, n, d, d)
+        # rhs[i, j] = sum_k c[i, j, k] rho[k], scattered from the nonzeros
+        rhs = numeric.scatter(i * n + j, v[:, None] * m.rho.reshape(n, d * d)[k],
+                              n * n).reshape(n, n, d, d)
         err = np.abs(lhs - rhs)
         worst = float(err.max())
         if worst > tol * scale:
@@ -130,16 +242,15 @@ def hom_space(m: Module, n: Module) -> list:
     if not _same_algebra(m.algebra, n.algebra):
         raise AlgebraMismatch("hom_space requires modules over the same algebra")
     gens = np.array(m.algebra.basis_generators())
-    pairs = list(zip(np.tensordot(gens, m.rho, axes=1),
-                     np.tensordot(gens, n.rho, axes=1)))
+    pairs = list(zip(m.actions(gens), n.actions(gens)))
     return numeric.solve_sandwich(pairs, m.algebra.tol)
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
     if a is b:
         return True
-    return (a.dim == b.dim and a.mult.shape == b.mult.shape
-            and np.array_equal(a.mult, b.mult) and np.array_equal(a.unit, b.unit))
+    return (a.dim == b.dim and np.array_equal(*aligned_constants(a, b))
+            and np.array_equal(a.unit, b.unit))
 
 
 def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
@@ -191,9 +302,7 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
 def compress(m: Module, basis: np.ndarray) -> Module:
     """Restrict the action to an invariant subspace with orthonormal basis."""
     a = m.algebra
-    # plain batched products: reshaping a strided stack (a regular module's
-    # transposed view) into one gemm would copy it
-    rb = m.rho @ basis
+    rb = m.images(basis)
     small = basis.conj().T @ rb
     res = np.linalg.norm(rb - basis @ small, axis=(1, 2)) / m.scale
     bad = (res > a.tol).nonzero()[0]
@@ -205,6 +314,8 @@ def compress(m: Module, basis: np.ndarray) -> Module:
 
 def _random_commutant_sample(comm, rng) -> np.ndarray:
     coeffs = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
+    if isinstance(comm, RightMultiplications):
+        return comm.combine(coeffs)
     return sum(c * b for c, b in zip(coeffs, comm))
 
 
@@ -236,8 +347,9 @@ def decompose(m: Module, seed=numeric.DEFAULT_SEED, *,
     submodules.  A degenerate sample is retried with the next derived seed,
     up to MAX_DECOMPOSE_RETRIES times.
 
-    `commutant` optionally supplies a known basis of End(m) (e.g. right
-    multiplications for a regular module), bypassing the generic solver.
+    `commutant` optionally supplies a known basis of End(m), a list of
+    matrices or, for a regular module, `regular_commutant`, bypassing the
+    generic solver.
     """
     if not is_semisimple(m.algebra):
         raise NotSemisimple("decompose requires a semisimple algebra")
@@ -328,7 +440,7 @@ def _multiplicity_spaces(m: Module, pieces, representatives) -> dict:
     onto m (the pieces are invariant and independent), carries them back.
     """
     t = np.hstack([p.basis for p in pieces])
-    direct = _direct_sum(m.algebra, [p.module for p in pieces])
+    direct = DirectSum(m.algebra, [p.module for p in pieces])
     out = {}
     for cls, rep in representatives.items():
         homs = hom_space(rep.module, direct)
@@ -343,18 +455,6 @@ def _multiplicity_spaces(m: Module, pieces, representatives) -> dict:
                 f"evaluation at the fixed vector dropped rank for class {cls}")
         out[cls] = span
     return out
-
-
-def _direct_sum(a: Algebra, modules) -> Module:
-    """Direct sum of modules over a, with block-diagonal actions."""
-    d = sum(n.dim for n in modules)
-    rho = np.zeros((a.dim, d, d), dtype=np.complex128)
-    lo = 0
-    for n in modules:
-        hi = lo + n.dim
-        rho[:, lo:hi, lo:hi] = n.rho
-        lo = hi
-    return Module(algebra=a, dim=d, rho=rho)
 
 
 def invariant_subspace(m: Module) -> np.ndarray:
@@ -384,17 +484,11 @@ def invariant_subspace(m: Module) -> np.ndarray:
 
 
 def regular_module(a: Algebra) -> Module:
-    """Left regular representation of an algebra on itself.
-
-    The action is a read-only transposed view of the structure constants,
-    not a copy.
-    """
-    rho = a.mult.transpose(0, 2, 1)
-    rho.flags.writeable = False
-    return Module(algebra=a, dim=a.dim, rho=rho)
+    """Left regular representation of an algebra on itself, with no stored
+    action."""
+    return RegularModule(a)
 
 
-def regular_commutant(a: Algebra) -> list:
+def regular_commutant(a: Algebra) -> RightMultiplications:
     """Right multiplications: an exact basis of End(regular module)."""
-    return [a.right_mult(np.eye(a.dim, dtype=np.complex128)[:, j])
-            for j in range(a.dim)]
+    return RightMultiplications(a)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .algebra import fixed_subalgebra, is_semisimple
+from .algebra import aligned_constants, fixed_subalgebra, is_semisimple
 from .errors import (
     DegenerateSample,
     InvalidInput,
@@ -124,7 +124,7 @@ def _task_skew(ctx: JobContext, rec) -> VerificationReport:
         worst = max(worst, numeric.rel_residual(delta, scale * s.alg.dim ** 1.5))
     rep.add("random_triple_associativity", worst <= 1e-8, residual=worst)
     if job.group.order == 1:
-        same = np.array_equal(s.alg.mult, job.algebra.mult)
+        same = np.array_equal(*aligned_constants(s.alg, job.algebra))
         rep.add("trivial_group_relabel_exact", same)
     e = symmetrizer(s)
     idem = numeric.rel_residual(s.alg.product(e, e) - e, 1.0)

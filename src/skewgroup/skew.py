@@ -11,7 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .algebra import Algebra, SubalgebraEmbedding, corner_algebra, make_algebra
+from .algebra import (
+    Algebra,
+    SubalgebraEmbedding,
+    aligned_constants,
+    corner_algebra,
+    join,
+    make_algebra,
+)
 from .errors import (
     CocycleMismatch,
     InvalidInput,
@@ -65,13 +72,26 @@ def skew_group_algebra(base: Algebra, group: FiniteGroup,
         action = make_action(group, base, action.mats)
     da, ng = base.dim, group.order
     dim = da * ng
-    c = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for g in group.elements():
-        # coefficients of b_i * g(b_j) for all i, j at once
-        prod = np.einsum("mj,imk->ijk", action.mats[g], base.mult)
-        for h in group.elements():
-            gh = group.mul(g, h)
-            c[g::ng, h::ng, gh::ng] = prod
+    # b_i g(b_j) = sum_m mats[g][m, j] b_i b_m: each base nonzero c[i, m, k]
+    # meets row m of every action matrix, and the terms of one slot
+    # (g, i, j, k) are summed in increasing m
+    ci, cm, ck, cv = base.nonzeros
+    mats = np.array(action.mats)
+    g, rows, cols = np.nonzero(mats)
+    by_row = np.argsort(rows, kind="stable")
+    t, s = join(cm, np.searchsorted(rows[by_row], np.arange(da + 1)))
+    s = by_row[s]
+    slots, at = np.unique(((g[s] * da + ci[t]) * da + cols[s]) * da + ck[t],
+                          return_inverse=True)
+    values = numeric.scatter(at, cv[t] * mats[g[s], rows[s], cols[s]],
+                             slots.size)
+    # (b_i g)(b_j h) = b_i g(b_j) gh for every h
+    sg, si, sj, sk = (slots // da ** 3, slots // da ** 2 % da,
+                      slots // da % da, slots % da)
+    nonzeros = (np.repeat(si * ng + sg, ng),
+                (sj[:, None] * ng + np.arange(ng)).ravel(),
+                (sk[:, None] * ng + group.table[sg]).ravel(),
+                np.repeat(values, ng))
     unit = np.zeros(dim, dtype=np.complex128)
     unit[group.identity::ng] = base.unit
     gens = []
@@ -84,7 +104,8 @@ def skew_group_algebra(base: Algebra, group: FiniteGroup,
         v = np.zeros(dim, dtype=np.complex128)
         v[g::ng] = base.unit
         gens.append(v)
-    alg = make_algebra(dim, c, unit, tol=base.tol, generators=gens, seed=seed)
+    alg = make_algebra(dim, nonzeros, unit, tol=base.tol, generators=gens,
+                       seed=seed)
     return SkewAlgebra(base=base, group=group, action=action, alg=alg)
 
 
@@ -137,7 +158,8 @@ def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding) -> PhiPsiReport:
             rhs = alg.product(phi_cols[si], phi_cols[ti])
             mult_res = max(mult_res, numeric.rel_residual(lhs - rhs, 1.0))
 
-    psi = np.column_stack([alg.product(s.embed_base(np.eye(s.base.dim)[:, i]), e)
+    eye = np.eye(s.base.dim)
+    psi = np.column_stack([alg.product(s.embed_base(eye[:, i]), e)
                            for i in range(s.base.dim)])
     right_ideal = numeric.orthonormal_column_basis(alg.right_mult(e), tol)
     psi_in = numeric.rel_residual(
@@ -152,8 +174,7 @@ def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding) -> PhiPsiReport:
             for j in range(s.base.dim):
                 ag = np.zeros(alg.dim, dtype=np.complex128)
                 ag[s.index(i, g)] = 1.0
-                acted = s.base.product(np.eye(s.base.dim)[:, i],
-                                       s.action.mats[g][:, j])
+                acted = s.base.product(eye[:, i], s.action.mats[g][:, j])
                 lhs = alg.product(s.embed_base(acted), e)
                 rhs = alg.product(ag, psi[:, j])
                 left_res = max(left_res, numeric.rel_residual(lhs - rhs, 1.0))
@@ -162,7 +183,7 @@ def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding) -> PhiPsiReport:
     for j in range(s.base.dim):
         for t in range(k):
             x = fixed.inclusion[:, t]
-            lhs = alg.product(s.embed_base(s.base.product(np.eye(s.base.dim)[:, j], x)), e)
+            lhs = alg.product(s.embed_base(s.base.product(eye[:, j], x)), e)
             rhs = alg.product(psi[:, j], s.embed_base(x))
             right_res = max(right_res, numeric.rel_residual(lhs - rhs, 1.0))
 
@@ -220,7 +241,7 @@ def induce(m: Module, s: SkewAlgebra, members,
     else:
         _, members = subgroup_as_group(s.group, members)
     if m.algebra.dim != sub.alg.dim or not np.allclose(
-            m.algebra.mult, sub.alg.mult, atol=s.alg.tol * sub.alg.scale):
+            *aligned_constants(m.algebra, sub.alg), atol=s.alg.tol * sub.alg.scale):
         raise ModuleAlgebraMismatch("module is not over the sub skew algebra")
     group = s.group
     reps = left_cosets(group, members)
@@ -264,7 +285,7 @@ def extend_to_skew(m: Module, system: ProjectiveSystem, v: Module,
     tol = m.algebra.tol
     expected = twisted_group_algebra(system.inertia_group, system.cocycle, -1, tol)
     if v.algebra.dim != expected.dim or not np.allclose(
-            v.algebra.mult, expected.mult, atol=tol * expected.scale):
+            *aligned_constants(v.algebra, expected), atol=tol * expected.scale):
         raise CocycleMismatch(
             "V is not a module over the inverse-cocycle twisted group algebra")
     if s_inertia.group.order != system.inertia_group.order or not np.array_equal(

@@ -191,8 +191,9 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
     for t, h in enumerate(members):
         ph = p_basis.conj().T @ n.act(s.embed_group(h)) @ p_basis
         mats = np.zeros((nu_dim, nu_dim), dtype=np.complex128)
+        phi_inv = np.linalg.inv(system.phi[t])
         for j, f in enumerate(homs):
-            img = ph @ f @ np.linalg.inv(system.phi[t])
+            img = ph @ f @ phi_inv
             coords = pinv @ img.ravel()
             worst = max(worst, numeric.rel_residual(img.ravel() - flat @ coords, 1.0))
             mats[:, j] = coords

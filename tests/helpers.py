@@ -1,0 +1,21 @@
+"""Dense structure tensors for tests that use them as an oracle."""
+
+import numpy as np
+
+from skewgroup.algebra import Algebra
+
+
+def dense(a):
+    """The (dim, dim, dim) structure constants of an algebra."""
+    c = np.zeros((a.dim,) * 3, dtype=np.complex128)
+    i, j, k, v = a.nonzeros
+    c[i, j, k] = v
+    return c
+
+
+def unvalidated_algebra(dim, c, unit):
+    """An Algebra over a dense tensor, built without any check."""
+    c = np.asarray(c, dtype=np.complex128)
+    i, j, k = np.nonzero(c)
+    return Algebra(dim=dim, nonzeros=(i, j, k, c[i, j, k]),
+                   unit=np.asarray(unit, dtype=np.complex128))

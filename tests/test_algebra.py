@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import dense, unvalidated_algebra
 
+from skewgroup import algebra
 from skewgroup.algebra import (
     EXHAUSTIVE_DIM_LIMIT,
-    Algebra,
     canonical_span,
     corner_algebra,
     direct_sum,
@@ -67,7 +68,7 @@ def _random_dense_algebra(dim, seed):
     """Algebra over a random tensor with no zero entry (not validated)."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((dim,) * 3) + 1j * rng.standard_normal((dim,) * 3)
-    return Algebra(dim=dim, mult=c, unit=np.eye(dim)[:, 0])
+    return unvalidated_algebra(dim, c, np.eye(dim)[:, 0])
 
 
 def _skew_algebra(inst, name):
@@ -83,14 +84,15 @@ def test_kernels_match_dense_einsum_reference(inst, source):
     x, y = (rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
             for _ in range(2))
     bound = 1e-12 * a.scale * np.linalg.norm(x) * np.linalg.norm(y)
-    assert np.linalg.norm(a.product(x, y) - _dense_product(a.mult, x, y)) <= bound
-    for got, want in ((a.left_mult(x), _dense_left_mult(a.mult, x)),
-                      (a.right_mult(x), _dense_right_mult(a.mult, x))):
+    c = dense(a)
+    assert np.linalg.norm(a.product(x, y) - _dense_product(c, x, y)) <= bound
+    for got, want in ((a.left_mult(x), _dense_left_mult(c, x)),
+                      (a.right_mult(x), _dense_right_mult(c, x))):
         assert got.shape == want.shape == (a.dim, a.dim)
         assert np.linalg.norm(got - want) <= 1e-12 * a.scale * np.linalg.norm(x)
     t = trace_form(a)
     assert t.shape == (a.dim, a.dim)
-    assert np.linalg.norm(t - _dense_trace_form(a.mult)) <= 1e-12 * a.scale ** 2
+    assert np.linalg.norm(t - _dense_trace_form(c)) <= 1e-12 * a.scale ** 2
 
 
 @pytest.mark.parametrize("name", ["pauli", "perm"])
@@ -101,12 +103,12 @@ def test_trace_form_is_derived_once_and_read_only(inst, name):
     assert not t.flags.writeable
     with pytest.raises(ValueError):
         t[0, 0] = 1.0
-    want = np.einsum("imn,jnm->ij", a.mult, a.mult)
+    want = np.einsum("imn,jnm->ij", dense(a), dense(a))
     assert np.linalg.norm(t - want) <= 1e-12 * a.scale ** 2
 
 
 def test_make_algebra_rejects_nonassociative_naming_worst_triple():
-    c = matrix_algebra(2).mult.copy()
+    c = dense(matrix_algebra(2))
     c[2, 1, 1] = 2.0          # E10 E01 = E11 + 2 E01
     # the residual peaks at this one triple only
     assert _dense_worst_triple(c) == (2, 2, 1)
@@ -115,22 +117,55 @@ def test_make_algebra_rejects_nonassociative_naming_worst_triple():
     assert "basis triple (2, 2, 1):" in str(exc.value)
 
 
+def _perturbed_cyclic_group_algebra(n):
+    """Structure constants of C[Z/n] with c[3, 1, 0] changed to 0.5."""
+    c = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            c[i, j, (i + j) % n] = 1.0
+    c[3, 1, 0] = 0.5
+    return c
+
+
+@pytest.mark.parametrize("case, joined", [("cyclic4", False), ("cyclic12", True),
+                                          ("dense12", False)])
+def test_worst_associator_matches_dense_reference(monkeypatch, case, joined):
+    """Sparse constants of a large enough algebra go through the join over
+    the nonzeros, small or mostly nonzero ones through dense slices; both
+    name the first worst triple of the einsum reference."""
+    if case == "dense12":
+        a = _random_dense_algebra(12, 1)
+        c = dense(a)
+    else:
+        c = _perturbed_cyclic_group_algebra(int(case[6:]))
+        a = unvalidated_algebra(c.shape[0], c, np.eye(c.shape[0])[:, 0])
+    calls = []
+    joined_associator = algebra._joined_associator
+    monkeypatch.setattr(algebra, "_joined_associator",
+                        lambda *args: calls.append(1) or joined_associator(*args))
+    worst, at = algebra._worst_associator(a)
+    err = np.abs(np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c))
+    assert bool(calls) == joined
+    assert at == _dense_worst_triple(c)
+    assert abs(worst - err.max()) <= 1e-12 * err.max()
+
+
 def test_make_algebra_rejects_nonassociative_by_random_probes():
     a = matrix_algebra(6)
     assert a.dim > EXHAUSTIVE_DIM_LIMIT
-    c = a.mult.copy()
+    c = dense(a)
     c[0, 0, 1] = 0.5
     with pytest.raises(AssociativityViolation, match="random probe"):
         make_algebra(a.dim, c, a.unit, tol=TOL)
 
 
 def test_make_algebra_owns_its_structure_constants():
-    c = matrix_algebra(2).mult.copy()
+    c = dense(matrix_algebra(2))
     a = make_algebra(4, c, [1.0, 0.0, 0.0, 1.0], tol=TOL)
     c[2, 1, 3] = 0.0          # a caller edits its array afterwards
     c[2, 1, 0] = 1.0
     b2, b1 = np.eye(4)[:, 2], np.eye(4)[:, 1]
-    assert np.allclose(a.product(b2, b1), _dense_product(a.mult, b2, b1))
+    assert np.allclose(a.product(b2, b1), _dense_product(dense(a), b2, b1))
     assert np.allclose(a.product(b2, b1), np.eye(4)[:, 3])    # E10 E01 = E11
 
 
@@ -196,7 +231,7 @@ def test_direct_sum_matrix_blocks():
 
 def test_direct_sum_rejects_zero_dim():
     f = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=TOL)
-    zero = Algebra(dim=0, mult=np.zeros((0, 0, 0)), unit=np.zeros(0))
+    zero = unvalidated_algebra(0, np.zeros((0, 0, 0)), np.zeros(0))
     with pytest.raises(InvalidInput):
         direct_sum(f, zero)
 

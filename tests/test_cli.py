@@ -181,3 +181,23 @@ def test_malformed_numbers_are_parse_errors(tmp_path, capsys, where, value):
     target[last] = value
     assert main(["validate", _write(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("where, value", [
+    ("modules", []),
+    ("action.mats", 5),
+    ("modules.M.rho", 3),
+    ("algebra.mult", 7),
+    ("tasks", 4),
+    ("tasks.0.module", ["M"]),
+])
+def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value):
+    data = _fixture_job(capsys, "trivial")
+    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1

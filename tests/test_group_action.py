@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import dense
 
 from skewgroup.algebra import fixed_subalgebra, matrix_algebra
 from skewgroup.errors import (
@@ -106,8 +107,8 @@ def test_make_action_names_the_worst_basis_pair():
     u, v = rng.standard_normal(4), rng.standard_normal(4)
     v -= (v @ a.unit.real) / 2 * a.unit.real
     m = np.eye(4) - 2 * np.outer(u, v) / (v @ u)
-    lhs = np.einsum("ijk,lk->ijl", a.mult, m)
-    rhs = np.einsum("ai,bj,abl->ijl", m, m, a.mult)
+    lhs = np.einsum("ijk,lk->ijl", dense(a), m)
+    rhs = np.einsum("ai,bj,abl->ijl", m, m, dense(a))
     err = np.abs(lhs - rhs).sum(axis=2)
     pair = tuple(int(t) for t in np.unravel_index(int(err.argmax()), err.shape))
     assert pair == (2, 1) and err[1, 2] < err[2, 1]

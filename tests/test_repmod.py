@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import dense
 
 from skewgroup.algebra import (
     SubalgebraEmbedding,
@@ -19,7 +20,7 @@ from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
 from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.repmod import (
-    _direct_sum,
+    DirectSum,
     compress,
     decompose,
     hom_space,
@@ -314,27 +315,33 @@ def test_every_constructor_stores_one_action_stack(inst):
     emb = fixed_subalgebra(i.algebra, i.action)
     built = [natural_module_m2(), m, twist(m, 1, i.action), restrict(m, emb),
              compress(reg, dec.pieces[0].basis), reg,
-             _direct_sum(i.algebra, [p.module for p in dec.pieces])]
+             DirectSum(i.algebra, [p.module for p in dec.pieces])]
     for mod in built:
         _assert_action_stack(mod)
 
 
 def test_direct_sum_is_block_diagonal():
     nat = natural_module_m2()
-    s = _direct_sum(nat.algebra, [nat, nat])
+    s = DirectSum(nat.algebra, [nat, nat])
     assert s.dim == 4
     assert np.array_equal(s.rho[:, :2, :2], nat.rho)
     assert np.array_equal(s.rho[:, 2:, 2:], nat.rho)
     assert not s.rho[:, :2, 2:].any() and not s.rho[:, 2:, :2].any()
 
 
-def test_regular_module_is_a_view_of_the_structure_constants(inst):
-    for a in (matrix_algebra(2), group_algebra(3), inst("perm").algebra):
-        reg = regular_module(a)
-        assert np.shares_memory(reg.rho, a.mult)
-        assert not reg.rho.flags.writeable
-        for i in range(a.dim):
-            assert np.array_equal(reg.rho[i], a.left_mult(np.eye(a.dim)[:, i]))
+@pytest.mark.parametrize("name", ["pauli", "perm", "random2"])
+def test_regular_module_compresses_to_the_left_multiplications(inst, name):
+    i = random_instance(2) if name == "random2" else inst(name)
+    a = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    reg = regular_module(a)
+    dec = decompose(reg, seed=1, commutant=regular_commutant(a))
+    eye = np.eye(a.dim)
+    for p in dec.pieces:
+        sub = compress(reg, p.basis)
+        for b in range(a.dim):
+            want = p.basis.conj().T @ a.left_mult(eye[:, b]) @ p.basis
+            assert np.linalg.norm(sub.rho[b] - want) <= 1e-12
+        assert np.array_equal(sub.rho, p.module.rho)
 
 
 def _doubled_natural_m2():
@@ -373,7 +380,7 @@ def test_validate_module_names_the_worst_basis_pair():
     rho[1] *= 2.0             # rho(E01) = 2 E01; the unit is untouched
     a = matrix_algebra(2)
     lhs = np.einsum("iab,jbc->ijac", rho, rho)
-    rhs = np.einsum("ijk,kac->ijac", a.mult, rho)
+    rhs = np.einsum("ijk,kac->ijac", dense(a), rho)
     err = np.abs(lhs - rhs).reshape(a.dim, a.dim, -1).sum(-1)
     i, j = np.unravel_index(int(err.argmax()), err.shape)
     with pytest.raises(NotARepresentation,

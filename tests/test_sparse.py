@@ -1,0 +1,227 @@
+"""Sparse storage: every algebra holds its structure constants as sorted COO
+arrays, equal bit for bit to the dense constructions they replace."""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from helpers import dense
+
+from skewgroup.algebra import (
+    corner_algebra,
+    direct_sum,
+    fixed_subalgebra,
+    make_algebra,
+    matrix_algebra,
+)
+from skewgroup.cli import main
+from skewgroup.errors import InvalidInput
+from skewgroup.fixtures import FIXTURE_NAMES, random_instance
+from skewgroup.jobs import instance_to_job, parse_job
+from skewgroup.projective import inertia, twisted_group_algebra
+from skewgroup.skew import skew_group_algebra, symmetrizer
+from skewgroup.theorems import simple_classes
+
+INSTANCES = list(FIXTURE_NAMES) + [f"random{s}" for s in range(20)]
+
+
+def _instance(inst, name):
+    return random_instance(int(name[6:])) if name.startswith("random") else inst(name)
+
+
+def _assert_coo_of(a, c):
+    """a.nonzeros is the COO form of the dense tensor c, bit for bit."""
+    want = np.nonzero(c)
+    assert all(np.array_equal(x, y) for x, y in zip(a.nonzeros[:3], want))
+    assert a.nonzeros[3].dtype == np.complex128
+    assert a.nonzeros[3].tobytes() == c[want].astype(np.complex128).tobytes()
+
+
+# Dense references: the constructions as they were before sparse storage.
+def _dense_matrix_algebra(n):
+    c = np.zeros((n * n,) * 3, dtype=np.complex128)
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                c[p * n + q, q * n + r, p * n + r] = 1.0
+    return c
+
+
+def _dense_direct_sum(ca, cb):
+    da, db = ca.shape[0], cb.shape[0]
+    c = np.zeros((da + db,) * 3, dtype=np.complex128)
+    c[:da, :da, :da] = ca
+    c[da:, da:, da:] = cb
+    return c
+
+
+def _dense_skew(c, group, mats):
+    da, ng = c.shape[0], group.order
+    out = np.zeros((da * ng,) * 3, dtype=np.complex128)
+    for g in group.elements():
+        prod = np.einsum("mj,imk->ijk", mats[g], c)
+        for h in group.elements():
+            out[g::ng, h::ng, group.mul(g, h)::ng] = prod
+    return out
+
+
+def _dense_twisted(group, cocycle, exponent):
+    n = group.order
+    c = np.zeros((n, n, n), dtype=np.complex128)
+    for h in range(n):
+        for k in range(n):
+            c[h, k, group.mul(h, k)] = cocycle.table[h, k] ** exponent
+    return c
+
+
+def _dense_subalgebra(emb):
+    basis, k = emb.inclusion, emb.sub.dim
+    c = np.zeros((k, k, k), dtype=np.complex128)
+    for i in range(k):
+        for j in range(k):
+            c[i, j] = basis.conj().T @ emb.parent.product(basis[:, i], basis[:, j])
+    return c
+
+
+def _dense_parse(data):
+    dim = data["algebra"]["dim"]
+    c = np.zeros((dim, dim, dim), dtype=np.complex128)
+    for i, j, k, (re, im) in data["algebra"]["mult"]:
+        c[i, j, k] = complex(re, im)
+    return c
+
+
+def _dense_mult_list(a):
+    c = dense(a)
+    return [[i, j, k, [float(np.real(c[i, j, k])), float(np.imag(c[i, j, k]))]]
+            for i in range(a.dim) for j in range(a.dim) for k in range(a.dim)
+            if c[i, j, k] != 0]
+
+
+def test_make_algebra_sorts_and_checks_coo_input():
+    a = matrix_algebra(2)
+    i, j, k, v = a.nonzeros
+    order = np.random.default_rng(3).permutation(i.size)
+    zero = (np.array([0]), np.array([3]), np.array([1]), np.array([0j]))
+    shuffled = tuple(np.concatenate([x[order], z]) for x, z in zip(a.nonzeros, zero))
+    b = make_algebra(4, shuffled, a.unit)
+    assert all(np.array_equal(x, y) for x, y in zip(a.nonzeros, b.nonzeros))
+    bad = [((i, j, k + 4, v), "out of range"),
+           ((i, j, -k, v), "out of range"),
+           ((i, j, k.astype(float), v), "must be integers"),
+           ((i, j, k, v[:-1]), "differ in length"),
+           (tuple(np.concatenate([x, x[:1]]) for x in a.nonzeros), "given twice")]
+    for mult, message in bad:
+        with pytest.raises(InvalidInput, match=message):
+            make_algebra(4, mult, a.unit)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_algebra_matches_dense_reference(n):
+    _assert_coo_of(matrix_algebra(n), _dense_matrix_algebra(n))
+
+
+def test_direct_sum_matches_dense_reference():
+    a, b = matrix_algebra(2), matrix_algebra(1)
+    _assert_coo_of(direct_sum(a, b), _dense_direct_sum(dense(a), dense(b)))
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_every_constructor_matches_dense_reference(inst, name):
+    i = _instance(inst, name)
+    data = instance_to_job(i)
+    _assert_coo_of(parse_job(data).algebra, _dense_parse(data))
+    s = skew_group_algebra(i.algebra, i.group, i.action)
+    _assert_coo_of(s.alg, _dense_skew(dense(i.algebra), i.group, i.action.mats))
+    for emb in (fixed_subalgebra(i.algebra, i.action),
+                corner_algebra(s.alg, symmetrizer(s))):
+        _assert_coo_of(emb.sub, _dense_subalgebra(emb))
+    system = inertia(i.module, i.action)
+    for exponent in (1, -1):
+        _assert_coo_of(
+            twisted_group_algebra(system.inertia_group, system.cocycle, exponent),
+            _dense_twisted(system.inertia_group, system.cocycle, exponent))
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_instance_to_job_emits_the_dense_mult_list(inst, name):
+    a = _instance(inst, name).algebra
+    assert instance_to_job(_instance(inst, name))["algebra"]["mult"] == \
+        _dense_mult_list(a)
+
+
+def test_no_algebra_stores_a_cubic_array():
+    i = random_instance(2)
+    s = skew_group_algebra(i.algebra, i.group, i.action)
+    simple_classes(s, 1)
+    for a in (i.algebra, s.alg):
+        arrays = [x for x in vars(a).values() if isinstance(x, np.ndarray)]
+        arrays += [x for x in a.nonzeros]
+        assert all(x.ndim < 3 for x in arrays)
+        assert all(not x.flags.writeable for x in a.nonzeros)
+
+
+def _run_json(tmp_path, data, name):
+    """Exit code and the --json report without its echo of the job file."""
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["run", str(path), "--json"])
+    report = json.loads(out.getvalue()) if out.getvalue() else {}
+    report.pop("job", None)
+    return code, json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["pauli", "perm", "random0", "random6"])
+def test_entry_order_does_not_change_the_report(tmp_path, inst, name):
+    data = instance_to_job(_instance(inst, name))
+    rng = np.random.default_rng(7)
+    entries = data["algebra"]["mult"]
+    shuffled = dict(data, algebra=dict(
+        data["algebra"], mult=[entries[t] for t in rng.permutation(len(entries))]))
+    assert shuffled["algebra"]["mult"] != entries
+    assert _run_json(tmp_path, shuffled, "b.json") == _run_json(tmp_path, data, "a.json")
+
+
+def test_repeated_entry_keeps_the_last_value(tmp_path, inst):
+    data = instance_to_job(inst("perm"))
+    entries = data["algebra"]["mult"]
+    stale = [[*entries[0][:3], [5.0, 0.0]]]
+    before = dict(data, algebra=dict(data["algebra"], mult=stale + entries))
+    after = dict(data, algebra=dict(data["algebra"], mult=entries + stale))
+    assert _run_json(tmp_path, before, "b.json") == _run_json(tmp_path, data, "a.json")
+    assert _run_json(tmp_path, after, "c.json")[0] == 2
+
+
+def _peak_mb(fn):
+    """tracemalloc peak of fn() above what was allocated before, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_skew72_allocations_stay_sparse():
+    """At skew dimension 72 one dense (dim, dim, dim) array takes 6 MB.
+
+    Building the skew algebra peaked at 12.4 MB and the regular-module
+    decomposition at 16.6 MB while they held such arrays; now they peak
+    near 0.5 and 4.7 MB, so one such array brought back fails either bound.
+    """
+    i = random_instance(2)
+
+    def build():
+        return skew_group_algebra(i.algebra, i.group, i.action)
+
+    simple_classes(build(), 1)          # first calls: imports and caches
+    s = build()
+    assert s.alg.dim == 72
+    assert _peak_mb(build) <= 1.0
+    assert _peak_mb(lambda: simple_classes(s, 1)) <= 6.0

@@ -5,10 +5,13 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import skewgroup
+from skewgroup import numeric
 from skewgroup.algebra import (
+    canonical_span,
     corner_algebra,
     direct_sum,
     fixed_subalgebra,
@@ -23,7 +26,8 @@ from skewgroup.runner import run_job
 from skewgroup.skew import skew_group_algebra, sub_skew, symmetrizer
 
 # The callables through which a tolerance enters: algebra constructors, the
-# fixture and job front ends, and matrix-level primitives that see no algebra.
+# fixture and job front ends, matrix-level primitives that see no algebra, and
+# the one check that all of them apply to it.
 ENTRY_POINTS = {
     "algebra.make_algebra", "algebra.matrix_algebra", "algebra.canonical_span",
     "projective.twisted_group_algebra", "projective.extract_cocycle",
@@ -33,7 +37,7 @@ ENTRY_POINTS = {
     "fixtures.random_instance",
     "jobs.parse_job", "jobs.load_job", "jobs.instance_to_job",
     "numeric.rank", "numeric.nullspace", "numeric.orthonormal_column_basis",
-    "numeric.solve_sandwich",
+    "numeric.solve_sandwich", "numeric.check_tol",
 }
 # Records that store the value as a field: the algebra that owns it, and the
 # job and report that print it.
@@ -102,3 +106,13 @@ def test_stale_positional_tolerance_is_a_type_error():
         skew_group_algebra(i.algebra, i.group, i.action, 1e-9)
     with pytest.raises(TypeError):
         decompose(regular_module(i.algebra), 1, 1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("primitive", [numeric.rank, numeric.nullspace,
+                                       numeric.orthonormal_column_basis,
+                                       canonical_span])
+def test_matrix_primitives_reject_an_unusable_tolerance(primitive, tol):
+    with pytest.raises(InvalidInput, match=rf"^tol must be a finite positive "
+                                           rf"number, got {tol!r}$"):
+        primitive(np.eye(3), tol)
