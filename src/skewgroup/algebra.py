@@ -93,10 +93,16 @@ class Algebra:
         n = self.dim
         return numeric.scatter(k * n + i, np.asarray(x)[j] * v, n * n).reshape(n, n)
 
-    def basis_generators(self) -> list:
+    @cached_property
+    def generator_stack(self) -> np.ndarray:
+        """Read-only (k, dim) coordinates of the generators, the whole basis
+        when `generators` is empty."""
         if self.generators:
-            return [np.asarray(g) for g in self.generators]
-        return [np.eye(self.dim, dtype=np.complex128)[:, i] for i in range(self.dim)]
+            out = np.array([np.asarray(g) for g in self.generators])
+        else:
+            out = np.eye(self.dim, dtype=np.complex128)
+        out.flags.writeable = False
+        return out
 
 
 def aligned_constants(a: Algebra, b: Algebra) -> tuple:

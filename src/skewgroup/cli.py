@@ -18,7 +18,7 @@ from .errors import (
     SkewGroupError,
     UnknownFixture,
 )
-from .fixtures import FIXTURE_NAMES, fixture
+from .fixtures import ALL_TASKS, FIXTURE_NAMES, fixture
 from .jobs import instance_to_job, load_job
 from .runner import EXIT_NUMERICAL, EXIT_VALIDATION, run_job
 
@@ -65,6 +65,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _task_filter_problem(task, job):
+    """Why a --task filter would select no task of the job, or None."""
+    if task is None:
+        return None
+    listed = list(dict.fromkeys(rec["task"] for rec in job.tasks))
+    if task not in ALL_TASKS:
+        return f"unknown task {task!r}; known tasks: {', '.join(ALL_TASKS)}"
+    if task not in listed:
+        return (f"task {task!r} is not listed in the job; listed tasks: "
+                f"{', '.join(listed) or 'none'}")
+    return None
+
+
 def cmd_run(args) -> int:
     try:
         job = load_job(args.path, tol=args.tol, seed=args.seed)
@@ -73,6 +86,10 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     except SkewGroupError as exc:
         print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    problem = _task_filter_problem(args.task, job)
+    if problem:
+        print(f"task error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         results, exit_code = run_job(job, task_filter=args.task)

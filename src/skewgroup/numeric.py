@@ -7,6 +7,7 @@ that a single relative-threshold convention applies across the library.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -122,25 +123,96 @@ def _gram(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return (gram + gram.conj().T) / 2
 
 
+class Side:
+    """One side of an intertwiner system X P_i = Q_i X: k square (dim, dim)
+    matrices, held as stacks of their diagonal blocks.
+
+    `blocks` holds (slice, (k, b, b) stack) pairs in order along the
+    diagonal; every entry off the blocks is exactly zero.
+    """
+
+    def __init__(self, dim: int, blocks):
+        self.dim = dim
+        self.blocks = tuple(blocks)
+        if len({len(stack) for _, stack in self.blocks}) != 1:
+            raise InvalidInput("blocks of one side hold different numbers "
+                               "of matrices")
+
+    @classmethod
+    def split(cls, mats) -> Side:
+        """The side of a stack of matrices along its finest diagonal-block
+        split, checked square and finite; the blocks are views of the stack."""
+        try:
+            a = as_complex(mats)
+        except ValueError:
+            raise InvalidInput("inconsistent pair dimensions")
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise InvalidInput("inconsistent pair dimensions")
+        return cls(a.shape[1], [(s, a[:, s, s]) for s in _diagonal_blocks(a)])
+
+    @classmethod
+    def direct_sum(cls, sides) -> Side:
+        """The side of block-diagonal matrices with the given sides as
+        blocks: their blocks, shifted and never copied."""
+        blocks, lo = [], 0
+        for side in sides:
+            blocks += [(slice(s.start + lo, s.stop + lo), stack)
+                       for s, stack in side.blocks]
+            lo += side.dim
+        return cls(lo, blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks[0][1])
+
+    def __getitem__(self, t) -> np.ndarray:
+        """Matrix t, spread to (dim, dim)."""
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for s, stack in self.blocks:
+            out[s, s] = stack[t]
+        return out
+
+    @cached_property
+    def largest(self) -> float:
+        """Largest entry modulus over all matrices."""
+        return max(float(np.abs(stack).max()) for _, stack in self.blocks)
+
+
+class Pairs:
+    """The pairs (P_i, Q_i) of an intertwiner system, held as its two sides.
+
+    A sequence: pairs[t] is (P_t, Q_t) spread to dense matrices.
+    """
+
+    def __init__(self, p: Side, q: Side):
+        if len(p) != len(q):
+            raise InvalidInput(f"sides hold {len(p)} and {len(q)} matrices")
+        self.p, self.q = p, q
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, t) -> tuple:
+        return self.p[t], self.q[t]
+
+
 def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """All X with X @ P_i == Q_i @ X for every pair (P_i, Q_i).
 
-    Returns an orthonormal (as vectorized matrices) basis of the joint
-    solution space, computed as the kernel of the stacked linear system.
-    X has shape (rows of Q, rows of P).
+    `pairs` is a list of matrix pairs or a `Pairs`.  Returns an orthonormal
+    (as vectorized matrices) basis of the joint solution space, computed as
+    the kernel of the stacked linear system.  X has shape (rows of Q, rows
+    of P).
     """
     if not pairs:
         raise InvalidInput("need at least one (P, Q) pair")
-    try:
-        ps = as_complex([p for p, _ in pairs])
-        qs = as_complex([q for _, q in pairs])
-    except ValueError:
-        raise InvalidInput("inconsistent pair dimensions")
-    if (ps.ndim != 3 or qs.ndim != 3 or ps.shape[1] != ps.shape[2]
-            or qs.shape[1] != qs.shape[2]):
-        raise InvalidInput("inconsistent pair dimensions")
-    d, dp = ps.shape[1], qs.shape[1]
-    floor = max(1.0, float(np.abs(ps).max()), float(np.abs(qs).max()))
+    if not isinstance(pairs, Pairs):
+        pairs = Pairs(Side.split([p for p, _ in pairs]),
+                      Side.split([q for _, q in pairs]))
+    p, q = pairs.p, pairs.q
+    d, dp = p.dim, q.dim
+    # Off-block entries are exact zeros, so this is the largest entry of all
+    # the matrices.
+    floor = max(1.0, p.largest, q.largest)
     # Exact diagonal blocks shared by all Q_i split the rows of X, those of
     # the P_i its columns, and the system decouples into one sub-system per
     # (row block, column block): its Gram matrix is block-diagonal.
@@ -149,9 +221,8 @@ def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     # share the cutoff one eigh of the whole Gram matrix would apply; its
     # scale is floored by the input magnitudes because the blocks are
     # differences of comparable products and may be pure rounding noise.
-    rows, cols = _diagonal_blocks(qs), _diagonal_blocks(ps)
-    solved = [(r, c, *np.linalg.eigh(_gram(ps[:, c, c], qs[:, r, r])))
-              for r in rows for c in cols]
+    solved = [(r, c, *np.linalg.eigh(_gram(pb, qb)))
+              for r, qb in q.blocks for c, pb in p.blocks]
     scale = max(max(float(w[-1]) for _, _, w, _ in solved), floor * floor)
     kept = [(w[j], r, c, v[:, j]) for r, c, w, v in solved
             for j in (w <= tol * scale).nonzero()[0]]

@@ -60,6 +60,20 @@ class Module:
         """Largest action entry, floored at 1: the scale of residual bounds."""
         return max(float(np.abs(self.rho).max()), 1.0)
 
+    @cached_property
+    def generator_actions(self) -> np.ndarray:
+        """Read-only (k, dim, dim) actions of the algebra's k generators,
+        checked finite."""
+        out = numeric.as_complex(self.actions(self.algebra.generator_stack))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def generator_side(self) -> numeric.Side:
+        """The generator actions split along their exact diagonal blocks:
+        this module's side of every intertwiner system."""
+        return numeric.Side.split(self.generator_actions)
+
 
 class RegularModule(Module):
     """The left regular module of an algebra, with no stored action.
@@ -108,8 +122,9 @@ class DirectSum(Module):
     """A direct sum of modules over one algebra, with no stored action.
 
     Its actions are block-diagonal, spread from the summands' actions of the
-    same elements when asked for: a hom space into it needs those of the
-    algebra generators only.  `rho` is assembled on each access.
+    same elements when asked for.  Its generator side is the summands' sides
+    side by side, so a hom space into it never spreads them.  `rho` is
+    assembled on each access.
     """
 
     def __init__(self, algebra: Algebra, summands):
@@ -117,34 +132,35 @@ class DirectSum(Module):
         object.__setattr__(self, "summands", tuple(summands))
         object.__setattr__(self, "dim", sum(n.dim for n in self.summands))
 
-    @cached_property
-    def _packed(self) -> tuple:
-        """The summands' flattened actions side by side, (algebra dim,
-        sum of d^2), and the flat position of each column in a block-diagonal
-        (dim, dim) matrix."""
-        cols, at, lo = [], [], 0
-        for n in self.summands:
-            cols.append(n.rho.reshape(len(n.rho), -1))
-            block = np.arange(lo, lo + n.dim)
-            at.append((block[:, None] * self.dim + block).ravel())
-            lo += n.dim
-        return np.hstack(cols), np.concatenate(at)
-
-    def _spread(self, flat) -> np.ndarray:
-        out = np.zeros((len(flat), self.dim * self.dim), dtype=np.complex128)
-        out[:, self._packed[1]] = flat
-        return out.reshape(len(flat), self.dim, self.dim)
+    def _spread(self, stacks) -> np.ndarray:
+        """The block-diagonal stack with the summands' stacks as blocks."""
+        out = np.zeros((len(stacks[0]), self.dim, self.dim), dtype=np.complex128)
+        lo = 0
+        for stack in stacks:
+            hi = lo + stack.shape[1]
+            out[:, lo:hi, lo:hi] = stack
+            lo = hi
+        return out
 
     @property
     def rho(self) -> np.ndarray:
-        return self._spread(self._packed[0])
+        return self._spread([n.rho for n in self.summands])
 
     def actions(self, xs) -> np.ndarray:
-        return self._spread(np.tensordot(xs, self._packed[0], axes=1))
+        return self._spread([n.actions(xs) for n in self.summands])
+
+    def images(self, basis) -> np.ndarray:
+        rows = np.cumsum([0] + [n.dim for n in self.summands])
+        return np.concatenate([n.images(basis[lo:hi]) for n, lo, hi
+                               in zip(self.summands, rows, rows[1:])], axis=1)
 
     @cached_property
     def scale(self) -> float:
         return max(n.scale for n in self.summands)
+
+    @cached_property
+    def generator_side(self) -> numeric.Side:
+        return numeric.Side.direct_sum(n.generator_side for n in self.summands)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,8 +257,7 @@ def hom_space(m: Module, n: Module) -> list:
     """
     if not _same_algebra(m.algebra, n.algebra):
         raise AlgebraMismatch("hom_space requires modules over the same algebra")
-    gens = np.array(m.algebra.basis_generators())
-    pairs = list(zip(m.actions(gens), n.actions(gens)))
+    pairs = numeric.Pairs(m.generator_side, n.generator_side)
     return numeric.solve_sandwich(pairs, m.algebra.tol)
 
 
@@ -273,7 +288,7 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
     by_cyclic = True
     for _ in range(3):
         v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-        orbit = np.einsum("iab,b->ai", m.rho, v)
+        orbit = m.images(v[:, None])[:, :, 0].T
         if numeric.rank(orbit, tol) != m.dim:
             by_cyclic = False
             break
@@ -304,7 +319,10 @@ def compress(m: Module, basis: np.ndarray) -> Module:
     a = m.algebra
     rb = m.images(basis)
     small = basis.conj().T @ rb
-    res = np.linalg.norm(rb - basis @ small, axis=(1, 2)) / m.scale
+    rb -= basis @ small
+    re, im = rb.real, rb.imag
+    res = np.sqrt(np.einsum("iab,iab->i", re, re)
+                  + np.einsum("iab,iab->i", im, im)) / m.scale
     bad = (res > a.tol).nonzero()[0]
     if bad.size:
         raise NotARepresentation(

@@ -201,3 +201,25 @@ def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value):
     assert main(["validate", _write(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+def test_run_unknown_task_exits_2(tmp_path, capsys, flags):
+    path = _write(tmp_path, _fixture_job(capsys, "pauli"))
+    assert main(["run", path, "--task", "nosuch", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'nosuch'" in err and "known tasks: semisimple, inertia," in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+def test_run_task_the_job_does_not_list_exits_2(tmp_path, capsys, flags):
+    data = _fixture_job(capsys, "pauli")
+    data["tasks"] = [{"task": "main_theorem"}, {"task": "skew"}]
+    path = _write(tmp_path, data)
+    assert main(["run", path, "--task", "inertia", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'inertia'" in err and "listed tasks: main_theorem, skew" in err

@@ -18,9 +18,12 @@ from skewgroup.errors import (
 )
 from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
+from skewgroup import numeric
 from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.repmod import (
     DirectSum,
+    Module,
+    RegularModule,
     compress,
     decompose,
     hom_space,
@@ -386,3 +389,115 @@ def test_validate_module_names_the_worst_basis_pair():
     with pytest.raises(NotARepresentation,
                        match=rf"rho\(b_{i}\) rho\(b_{j}\) != rho\(b_{i} b_{j}\)"):
         make_module(a, rho)
+
+
+# Intertwiner systems built from each module's cached generator side.
+
+def _regular_decomposition(inst, name):
+    i = random_instance(2) if name == "random2" else inst(name)
+    s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    reg = regular_module(s)
+    dec = decompose(reg, seed=1, commutant=regular_commutant(s))
+    return s, dec, DirectSum(s, [p.module for p in dec.pieces])
+
+
+def _same_side(got, want):
+    assert got.dim == want.dim
+    assert [s for s, _ in got.blocks] == [s for s, _ in want.blocks]
+    for (_, x), (_, y) in zip(got.blocks, want.blocks):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+SKEW_CASES = ["trivial", "swap", "pauli", "perm", "cyclic", "random2"]
+
+
+@pytest.mark.parametrize("name", SKEW_CASES)
+def test_sides_solve_bitwise_like_dense_pairs(inst, name):
+    s, dec, direct = _regular_decomposition(inst, name)
+    gens = s.generator_stack
+    dense_direct = direct.actions(gens)
+    systems = [(rep.module, direct, dense_direct)
+               for rep in dec.representatives.values()]
+    systems += [(p.module, q.module, q.module.generator_actions)
+                for p in dec.pieces for q in dec.pieces]
+    for m, n, n_dense in systems:
+        got = numeric.solve_sandwich(
+            numeric.Pairs(m.generator_side, n.generator_side), TOL)
+        want = numeric.solve_sandwich(
+            list(zip(m.generator_actions, n_dense)), TOL)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", SKEW_CASES)
+def test_direct_sum_side_is_the_finest_dense_split(inst, name):
+    s, _, direct = _regular_decomposition(inst, name)
+    _same_side(direct.generator_side,
+               numeric.Side.split(direct.actions(s.generator_stack)))
+
+
+def test_hom_space_into_a_direct_sum_never_spreads_it(inst, monkeypatch):
+    s, dec, direct = _regular_decomposition(inst, "pauli")
+
+    def spread(*args):
+        raise AssertionError("direct sum spread")
+
+    monkeypatch.setattr(DirectSum, "_spread", spread)
+    for cls, rep in dec.representatives.items():
+        assert len(hom_space(rep.module, direct)) == dec.multiplicity(cls)
+
+
+def test_generator_side_is_derived_once_and_shares_the_cached_stack(monkeypatch):
+    m = _doubled_natural_m2()
+    calls = []
+    actions = Module.actions
+
+    def counted(self, xs):
+        calls.append(self)
+        return actions(self, xs)
+
+    monkeypatch.setattr(Module, "actions", counted)
+    assert len(hom_space(m, m)) == len(hom_space(m, m)) == 4
+    assert calls == [m]
+    stack = m.generator_actions
+    assert not stack.flags.writeable
+    assert stack.shape == (m.algebra.dim, m.dim, m.dim)
+    assert len(m.generator_side.blocks) == 2
+    for _, block in m.generator_side.blocks:
+        assert np.shares_memory(block, stack)
+
+
+def test_implicit_modules_are_simple_without_their_action_stack(monkeypatch):
+    a = group_algebra(2)
+    reg = regular_module(a)
+    chars = DirectSum(a, [make_module(a, [np.eye(1), x * np.eye(1)])
+                          for x in (1.0, -1.0)])
+
+    def stack(*args):
+        raise AssertionError("action stack assembled")
+
+    monkeypatch.setattr(RegularModule, "rho", property(stack))
+    monkeypatch.setattr(DirectSum, "_spread", stack)
+    assert not is_simple(reg)
+    assert not is_simple(chars)
+
+
+def test_sides_with_unequal_matrix_counts_are_rejected():
+    one = numeric.Side.split(np.eye(2)[None])
+    two = numeric.Side.split(np.stack([np.eye(2), np.eye(2)]))
+    with pytest.raises(InvalidInput, match="1 and 2 matrices"):
+        numeric.Pairs(one, two)
+    with pytest.raises(InvalidInput, match="different numbers"):
+        numeric.Side.direct_sum([one, two])
+
+
+def test_non_finite_actions_are_rejected_on_their_side():
+    with pytest.raises(InvalidInput, match="non-finite"):
+        numeric.Side.split(np.array([[[1.0, 0.0], [0.0, np.inf]]]))
+    a = matrix_algebra(2)
+    rho = np.array(natural_module_m2().rho)
+    rho[3, 1, 1] = np.nan
+    bad = Module(algebra=a, dim=2, rho=rho)
+    with pytest.raises(InvalidInput, match="non-finite"):
+        hom_space(natural_module_m2(), bad)
