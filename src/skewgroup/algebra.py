@@ -321,7 +321,7 @@ def is_semisimple(a: Algebra) -> bool:
     return numeric.rank(trace_form(a), a.tol) == a.dim
 
 
-def canonical_span(vectors, tol=numeric.DEFAULT_TOL) -> np.ndarray:
+def canonical_span(vectors, tol) -> np.ndarray:
     """Deterministic orthonormal basis of the span of the given column vectors.
 
     The result depends only on the subspace, not on the spanning set: columns
@@ -349,7 +349,7 @@ def canonical_span(vectors, tol=numeric.DEFAULT_TOL) -> np.ndarray:
 
 
 def subalgebra_from_span(parent: Algebra, span,
-                         unit_coords=None) -> SubalgebraEmbedding:
+                         unit_coords) -> SubalgebraEmbedding:
     """Build a SubalgebraEmbedding from a spanning set of parent coordinates.
 
     Structure constants are recomputed by projecting basis products onto the
@@ -373,8 +373,6 @@ def subalgebra_from_span(parent: Algebra, span,
                     f"span not closed under multiplication at pair ({i},{j}): "
                     f"residual {res:.3e}")
             c[i, j] = coeff
-    if unit_coords is None:
-        unit_coords = parent.unit
     u = basis.conj().T @ numeric.as_complex(unit_coords)
     if numeric.rel_residual(numeric.as_complex(unit_coords) - basis @ u, 1.0) > tol:
         raise ClosureViolation("designated unit does not lie in the span")

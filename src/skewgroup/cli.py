@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from . import numeric
 from .errors import (
     DegenerateSample,
     NumericalInconsistency,
@@ -134,8 +133,7 @@ def cmd_fixture(args) -> int:
     except UnknownFixture as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    print(_dump(instance_to_job(inst, tol=numeric.DEFAULT_TOL,
-                                seed=numeric.DEFAULT_SEED)))
+    print(_dump(instance_to_job(inst)))
     return 0
 
 

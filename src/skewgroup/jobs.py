@@ -182,8 +182,7 @@ def load_job(path, tol=None, seed=None) -> JobSpec:
     return parse_job(data, tol=tol, seed=seed)
 
 
-def instance_to_job(inst: Instance, tol=numeric.DEFAULT_TOL,
-                    seed=numeric.DEFAULT_SEED) -> dict:
+def instance_to_job(inst: Instance) -> dict:
     """Serialize an Instance as a job dictionary."""
     a = inst.algebra
     mult = [[int(i), int(j), int(k), _scalar_out(z)]
@@ -205,6 +204,6 @@ def instance_to_job(inst: Instance, tol=numeric.DEFAULT_TOL,
             for name, mod in inst.modules.items()
         },
         "tasks": [{"task": t, "module": "M"} for t in inst.tasks],
-        "tol": tol,
-        "seed": seed,
+        "tol": numeric.DEFAULT_TOL,
+        "seed": numeric.DEFAULT_SEED,
     }

@@ -35,7 +35,7 @@ def check_tol(tol) -> None:
         raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
 
 
-def rank(m, tol: float = DEFAULT_TOL) -> int:
+def rank(m, tol: float) -> int:
     """Number of singular values above tol relative to the largest one."""
     check_tol(tol)
     a = as_complex(m)
@@ -46,7 +46,7 @@ def rank(m, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol * scale))
 
 
-def nullspace(m, tol: float = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarray:
+def nullspace(m, tol: float, scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the right kernel, columns of the returned matrix.
 
     The column count is cols - rank; an empty kernel gives a (cols, 0) array.
@@ -65,7 +65,7 @@ def nullspace(m, tol: float = DEFAULT_TOL, scale_floor: float = 0.0) -> np.ndarr
     return vh[r:].conj().T.copy()
 
 
-def orthonormal_column_basis(m, tol: float = DEFAULT_TOL,
+def orthonormal_column_basis(m, tol: float,
                              scale_floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the column span of m.
 
@@ -195,7 +195,7 @@ class Pairs:
         return self.p[t], self.q[t]
 
 
-def solve_sandwich(pairs, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def solve_sandwich(pairs, tol: float) -> list[np.ndarray]:
     """All X with X @ P_i == Q_i @ X for every pair (P_i, Q_i).
 
     `pairs` is a list of matrix pairs or a `Pairs`.  Returns an orthonormal

@@ -37,7 +37,7 @@ class Cocycle:
     group: FiniteGroup        # the inertia subgroup, reindexed 0..|G_M|-1
     table: np.ndarray         # (|G_M|, |G_M|) values alpha(h, k)
 
-    def validate(self, tol=numeric.DEFAULT_TOL) -> float:
+    def validate(self, tol) -> float:
         """Check normalization and the cocycle identity; return worst residual."""
         g = self.group
         t = self.table
@@ -124,15 +124,15 @@ def _check_intertwiners(m: Module, action: AlgebraAction, members, phi):
     scale = m.scale * np.sqrt(m.dim)
     for local, h in enumerate(members):
         tmat = action.mats[group.inv(h)]
-        lhs = phi[local] @ np.tensordot(tmat.T, m.rho, axes=1)
-        res = np.linalg.norm(lhs - m.rho @ phi[local], axis=(1, 2)) / scale
+        lhs = phi[local] @ m.actions(tmat.T)
+        res = np.linalg.norm(lhs - m.images(phi[local]), axis=(1, 2)) / scale
         bad = (res > m.algebra.tol).nonzero()[0]
         if bad.size:
             raise NotProjective(
                 f"intertwiner for element {h} fails at basis index {bad[0]}")
 
 
-def extract_cocycle(phi, group: FiniteGroup, tol=numeric.DEFAULT_TOL) -> Cocycle:
+def extract_cocycle(phi, group: FiniteGroup, tol) -> Cocycle:
     """Scalar table alpha with phi(h) phi(k) = alpha(h, k) phi(hk).
 
     The scalar is read off at the largest-magnitude entry of phi(hk) (best
@@ -172,7 +172,7 @@ def trivial_cocycle(group: FiniteGroup) -> Cocycle:
 
 
 def twisted_group_algebra(group: FiniteGroup, cocycle: Cocycle,
-                          exponent: int = 1, tol=numeric.DEFAULT_TOL) -> Algebra:
+                          exponent: int, tol) -> Algebra:
     """Algebra with basis c_h and product c_h c_k = alpha(h,k)^exponent c_{hk}."""
     if exponent not in (1, -1):
         raise InvalidInput("exponent must be +1 or -1")

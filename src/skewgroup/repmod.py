@@ -79,22 +79,13 @@ class RegularModule(Module):
     """The left regular module of an algebra, with no stored action.
 
     Its actions are the left multiplications, scattered from the nonzero
-    structure constants when asked for.  `rho`, the full (dim, dim, dim)
-    stack, is assembled on each access for generic consumers; `act`,
-    `actions`, `images` and `scale` never form it, and they are all that a
-    decomposition with `regular_commutant` reads.
+    structure constants when asked for; no method forms the full (dim, dim,
+    dim) stack.
     """
 
     def __init__(self, algebra: Algebra):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", algebra.dim)
-
-    @property
-    def rho(self) -> np.ndarray:
-        i, j, k, v = self.algebra.nonzeros
-        out = np.zeros((self.dim,) * 3, dtype=np.complex128)
-        out[i, k, j] = v
-        return out
 
     def act(self, x) -> np.ndarray:
         return self.algebra.left_mult(x)
@@ -123,8 +114,7 @@ class DirectSum(Module):
 
     Its actions are block-diagonal, spread from the summands' actions of the
     same elements when asked for.  Its generator side is the summands' sides
-    side by side, so a hom space into it never spreads them.  `rho` is
-    assembled on each access.
+    side by side, so a hom space into it never spreads them.
     """
 
     def __init__(self, algebra: Algebra, summands):
@@ -142,9 +132,8 @@ class DirectSum(Module):
             lo = hi
         return out
 
-    @property
-    def rho(self) -> np.ndarray:
-        return self._spread([n.rho for n in self.summands])
+    def act(self, x) -> np.ndarray:
+        return self.actions(np.asarray(x)[None])[0]
 
     def actions(self, xs) -> np.ndarray:
         return self._spread([n.actions(xs) for n in self.summands])
@@ -161,20 +150,6 @@ class DirectSum(Module):
     @cached_property
     def generator_side(self) -> numeric.Side:
         return numeric.Side.direct_sum(n.generator_side for n in self.summands)
-
-
-@dataclass(frozen=True, eq=False)
-class RightMultiplications:
-    """The right multiplications by the basis of an algebra: an exact basis
-    of the commutant of its regular module, never stacked."""
-    algebra: Algebra
-
-    def __len__(self) -> int:
-        return self.algebra.dim
-
-    def combine(self, coeffs) -> np.ndarray:
-        """sum_j coeffs[j] R_{b_j}, which is R of the element coeffs."""
-        return self.algebra.right_mult(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +174,7 @@ class Decomposition:
         return sum(1 for p in self.pieces if p.iso_class == cls)
 
 
-def make_module(algebra: Algebra, rho, *, seed=numeric.DEFAULT_SEED) -> Module:
+def make_module(algebra: Algebra, rho) -> Module:
     """Validate a representation given by one matrix per basis element."""
     if len(rho) != algebra.dim:
         raise InvalidInput("need one action matrix per algebra basis element")
@@ -213,11 +188,11 @@ def make_module(algebra: Algebra, rho, *, seed=numeric.DEFAULT_SEED) -> Module:
     if d == 0:
         raise InvalidInput("zero-dimensional module")
     m = Module(algebra=algebra, dim=d, rho=stack)
-    validate_module(m, seed=seed)
+    validate_module(m)
     return m
 
 
-def validate_module(m: Module, *, seed=numeric.DEFAULT_SEED) -> None:
+def validate_module(m: Module) -> None:
     """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I."""
     a = m.algebra
     tol = a.tol
@@ -240,7 +215,7 @@ def validate_module(m: Module, *, seed=numeric.DEFAULT_SEED) -> None:
             raise NotARepresentation(
                 f"rho(b_{i}) rho(b_{j}) != rho(b_{i} b_{j}): residual {worst:.3e}")
         return
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(numeric.DEFAULT_SEED)
     for t in range(_PROBE_COUNT):
         x = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
         y = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
@@ -302,8 +277,7 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
 def twist(m: Module, g: int, action) -> Module:
     """Same carrier with a * m := g^{-1}(a) m."""
     tmat = action.mats[action.group.inv(g)]
-    return Module(algebra=m.algebra, dim=m.dim,
-                  rho=np.tensordot(tmat.T, m.rho, axes=1))
+    return Module(algebra=m.algebra, dim=m.dim, rho=m.actions(tmat.T))
 
 
 def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
@@ -311,7 +285,7 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
     if not _same_algebra(embedding.parent, m.algebra):
         raise AlgebraMismatch("embedding does not target the module's algebra")
     return Module(algebra=embedding.sub, dim=m.dim,
-                  rho=np.tensordot(embedding.inclusion.T, m.rho, axes=1))
+                  rho=m.actions(embedding.inclusion.T))
 
 
 def compress(m: Module, basis: np.ndarray) -> Module:
@@ -330,11 +304,17 @@ def compress(m: Module, basis: np.ndarray) -> Module:
     return Module(algebra=a, dim=basis.shape[1], rho=small)
 
 
-def _random_commutant_sample(comm, rng) -> np.ndarray:
-    coeffs = rng.standard_normal(len(comm)) + 1j * rng.standard_normal(len(comm))
-    if isinstance(comm, RightMultiplications):
-        return comm.combine(coeffs)
-    return sum(c * b for c, b in zip(coeffs, comm))
+def _commutant(m: Module) -> tuple:
+    """(dim End(m), map from coefficients to elements of End(m)).
+
+    The right multiplications are exactly the commutant of a regular module,
+    so an element of it is one `right_mult`; any other module solves
+    `hom_space(m, m)` once.
+    """
+    if isinstance(m, RegularModule):
+        return m.dim, m.algebra.right_mult
+    homs = hom_space(m, m)
+    return len(homs), lambda coeffs: sum(c * f for c, f in zip(coeffs, homs))
 
 
 def _eig_clusters(x: np.ndarray):
@@ -356,22 +336,19 @@ def _eig_clusters(x: np.ndarray):
     return [vecs[:, g] for g in groups]
 
 
-def decompose(m: Module, seed=numeric.DEFAULT_SEED, *,
-              commutant=None) -> Decomposition:
+def decompose(m: Module, seed=numeric.DEFAULT_SEED) -> Decomposition:
     """Split m into simple pieces grouped by isomorphism class.
 
-    A random element of the commutant is sampled (seeded); its eigenvalue
-    clusters give invariant subspaces, which are validated as simple
-    submodules.  A degenerate sample is retried with the next derived seed,
-    up to MAX_DECOMPOSE_RETRIES times.
-
-    `commutant` optionally supplies a known basis of End(m), a list of
-    matrices or, for a regular module, `regular_commutant`, bypassing the
-    generic solver.
+    A random element of the commutant End(m) is sampled (seeded): for a
+    regular module one right multiplication, for any other module a
+    combination of the basis that `hom_space(m, m)` solves once.  Its
+    eigenvalue clusters give invariant subspaces, which are validated as
+    simple submodules.  A degenerate sample is retried with the next derived
+    seed, up to MAX_DECOMPOSE_RETRIES times.
     """
     if not is_semisimple(m.algebra):
         raise NotSemisimple("decompose requires a semisimple algebra")
-    comm = commutant if commutant is not None else hom_space(m, m)
+    comm = _commutant(m)
     last = None
     for attempt in range(MAX_DECOMPOSE_RETRIES):
         rng = np.random.default_rng([seed, attempt, m.dim])
@@ -386,10 +363,11 @@ def decompose(m: Module, seed=numeric.DEFAULT_SEED, *,
 
 def _try_split(m: Module, comm, rng, *, seed) -> list:
     tol = m.algebra.tol
-    if len(comm) == 1:
+    n, combine = comm
+    if n == 1:
         basis = np.eye(m.dim, dtype=np.complex128)
         return [(basis, compress(m, basis))]
-    x = _random_commutant_sample(comm, rng)
+    x = combine(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     blocks = _eig_clusters(x)
     out = []
     total = 0
@@ -505,8 +483,3 @@ def regular_module(a: Algebra) -> Module:
     """Left regular representation of an algebra on itself, with no stored
     action."""
     return RegularModule(a)
-
-
-def regular_commutant(a: Algebra) -> RightMultiplications:
-    """Right multiplications: an exact basis of End(regular module)."""
-    return RightMultiplications(a)

@@ -158,9 +158,7 @@ def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
     for cls in dec.class_ids():
         sub = clifford_correspondence(dec.representatives[cls].module,
                                       ctx.skew, job.seed)
-        for c in sub.checks:
-            rep.add(f"N{cls}_{c.name}", c.passed, dims=c.dims,
-                    residual=c.residual, witness=c.witness)
+        rep.include(f"N{cls}_", sub)
     return rep
 
 
@@ -171,9 +169,7 @@ def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
     for gamma in mctx.iso.class_ids():
         sub = induced_simplicity(mctx.system, gamma, ctx.skew, mctx.iso,
                                  job.seed)
-        for c in sub.checks:
-            rep.add(f"gamma{gamma}_{c.name}", c.passed, dims=c.dims,
-                    residual=c.residual, witness=c.witness)
+        rep.include(f"gamma{gamma}_", sub)
     return rep
 
 
@@ -185,23 +181,16 @@ def _task_hom_inv(ctx: JobContext, rec) -> VerificationReport:
         w = mctx.iso.representatives[gamma].module
         sub = hom_inv_check(w, w, mctx.system.inertia_group,
                             mctx.system.cocycle, job.seed)
-        for c in sub.checks:
-            rep.add(f"gamma{gamma}_{c.name}", c.passed, dims=c.dims,
-                    residual=c.residual, witness=c.witness)
+        rep.include(f"gamma{gamma}_", sub)
     return rep
 
 
 def _task_main_theorem(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    return main_theorem(job.algebra, job.action, job.modules[rec["module"]],
-                        job.seed, ctx=ctx.context(rec["module"]))
+    return main_theorem(ctx.context(rec["module"]), ctx.job.seed)
 
 
 def _task_complete_reducibility(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    return complete_reducibility(job.algebra, job.action,
-                                 job.modules[rec["module"]], job.seed,
-                                 ctx=ctx.context(rec["module"]))
+    return complete_reducibility(ctx.context(rec["module"]), ctx.job.seed)
 
 
 _DISPATCH = {

@@ -19,19 +19,14 @@ from .algebra import (
     join,
     make_algebra,
 )
-from .errors import (
-    CocycleMismatch,
-    InvalidInput,
-    ModuleAlgebraMismatch,
-    NotARepresentation,
-)
+from .errors import CocycleMismatch, InvalidInput, ModuleAlgebraMismatch
 from .group_action import AlgebraAction, FiniteGroup, left_cosets, make_action
 from .projective import (
     ProjectiveSystem,
     subgroup_as_group,
     twisted_group_algebra,
 )
-from .repmod import Module, make_module
+from .repmod import Module, compress, make_module, restrict
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,25 +195,14 @@ def corner_module(n: Module, corner: SubalgebraEmbedding, e) -> tuple:
 
     A zero corner gives a (None, empty basis) pair.
     """
-    tol = n.algebra.tol
-    proj = n.act(e)
+    rest = restrict(n, corner)      # first: rejects a module over another algebra
     # rho(e) is idempotent, so its significant singular values are >= 1; the
     # floor keeps a numerically-zero corner from being mistaken for rank one.
-    basis = numeric.orthonormal_column_basis(proj, tol, scale_floor=1.0)
+    basis = numeric.orthonormal_column_basis(n.act(e), n.algebra.tol,
+                                             scale_floor=1.0)
     if basis.shape[1] == 0:
         return None, basis
-    rho = []
-    scale = max(float(np.abs(proj).max()), 1.0)
-    for t in range(corner.sub.dim):
-        rb = n.act(corner.inclusion[:, t]) @ basis
-        small = basis.conj().T @ rb
-        res = numeric.rel_residual(rb - basis @ small, scale)
-        if res > tol:
-            raise NotARepresentation(
-                f"corner image is not invariant under corner element {t}: "
-                f"residual {res:.3e}")
-        rho.append(small)
-    return make_module(corner.sub, rho), basis
+    return make_module(corner.sub, compress(rest, basis).rho), basis
 
 
 def sub_skew(s: SkewAlgebra, members) -> tuple:
@@ -229,17 +213,14 @@ def sub_skew(s: SkewAlgebra, members) -> tuple:
     return skew_group_algebra(s.base, subgroup, action), members
 
 
-def induce(m: Module, s: SkewAlgebra, members,
-           sub: SkewAlgebra = None) -> Module:
+def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra) -> Module:
     """Induction from A x| H to A x| G along coset representatives.
 
-    Basis: coset-representative major, module basis minor.  The action sends
+    `sub` is A x| H as `sub_skew(s, members)` builds it.  Basis:
+    coset-representative major, module basis minor.  The action sends
     g_i (x) m to g_l (x) (g_l^{-1}(a) h) m where g g_i = g_l h with h in H.
     """
-    if sub is None:
-        sub, members = sub_skew(s, members)
-    else:
-        _, members = subgroup_as_group(s.group, members)
+    _, members = subgroup_as_group(s.group, members)
     if m.algebra.dim != sub.alg.dim or not np.allclose(
             *aligned_constants(m.algebra, sub.alg), atol=s.alg.tol * sub.alg.scale):
         raise ModuleAlgebraMismatch("module is not over the sub skew algebra")

@@ -6,7 +6,7 @@ pass/fail, dimensions, and the worst residual, suitable for JSON reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .repmod import (
     invariant_subspace,
     is_simple,
     make_module,
-    regular_commutant,
     regular_module,
     restrict,
 )
@@ -88,6 +87,10 @@ class VerificationReport:
                                        dims=dims or {}, residual=residual,
                                        witness=witness))
 
+    def include(self, prefix: str, other: VerificationReport) -> None:
+        """Append the checks of another report, each name prefixed."""
+        self.checks += [replace(c, name=prefix + c.name) for c in other.checks]
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -113,9 +116,7 @@ def _module_iso(m: Module, n: Module, *, seed=numeric.DEFAULT_SEED):
 
 def simple_classes(s: SkewAlgebra, seed):
     """Representative simple modules of A x| G via its regular module."""
-    reg = regular_module(s.alg)
-    dec = decompose(reg, seed=seed, commutant=regular_commutant(s.alg))
-    return dec
+    return decompose(regular_module(s.alg), seed=seed)
 
 
 def check_invariant_theory(s: SkewAlgebra,
@@ -128,8 +129,7 @@ def check_invariant_theory(s: SkewAlgebra,
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
     dec = simple_classes(s, seed)
-    corner_dec = decompose(regular_module(corner.sub), seed=seed,
-                           commutant=regular_commutant(corner.sub))
+    corner_dec = decompose(regular_module(corner.sub), seed=seed)
     corner_reps = {cls: corner_dec.representatives[cls].module
                    for cls in corner_dec.class_ids()}
     hit = set()
@@ -296,23 +296,21 @@ def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
     return make_module(fixed.sub, rho)
 
 
-def main_theorem(base: Algebra, action: AlgebraAction, m: Module,
-                 seed=numeric.DEFAULT_SEED, *,
-                 ctx: MainTheoremContext = None) -> VerificationReport:
+def main_theorem(ctx: MainTheoremContext,
+                 seed=numeric.DEFAULT_SEED) -> VerificationReport:
     """Each multiplicity space is simple over A^G, by two agreeing routes."""
-    rep = VerificationReport(name="main_theorem", seed=seed, tol=base.tol)
-    if ctx is None:
-        ctx = build_context(base, action, m, seed)
+    system, iso, fixed, s = ctx.system, ctx.iso, ctx.fixed, ctx.skew
+    m, tol = system.module, s.base.tol
+    rep = VerificationReport(name="main_theorem", seed=seed, tol=tol)
     if not is_simple(m, seed=seed):
         raise NotSimple("main theorem starts from a simple module")
-    system, iso, fixed, s = ctx.system, ctx.iso, ctx.fixed, ctx.skew
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
     ssub, members = sub_skew(s, system.inertia_members)
     index = s.group.order // system.inertia_group.order
     plain = twisted_group_algebra(system.inertia_group,
                                   trivial_cocycle(system.inertia_group), 1,
-                                  base.tol)
+                                  tol)
     for gamma in iso.class_ids():
         w = iso.representatives[gamma].module
         mult_basis = iso.multiplicity_spaces[gamma]
@@ -349,15 +347,13 @@ def main_theorem(base: Algebra, action: AlgebraAction, m: Module,
     return rep
 
 
-def complete_reducibility(base: Algebra, action: AlgebraAction, m: Module,
-                          seed=numeric.DEFAULT_SEED, *,
-                          ctx: MainTheoremContext = None) -> VerificationReport:
+def complete_reducibility(ctx: MainTheoremContext,
+                          seed=numeric.DEFAULT_SEED) -> VerificationReport:
     """Restriction of M to A^G splits into the multiplicity-space classes with
     multiplicities equal to the simple twisted-module dimensions."""
-    rep = VerificationReport(name="complete_reducibility", seed=seed, tol=base.tol)
-    if ctx is None:
-        ctx = build_context(base, action, m, seed)
-    iso, fixed = ctx.iso, ctx.fixed
+    iso, m = ctx.iso, ctx.system.module
+    rep = VerificationReport(name="complete_reducibility", seed=seed,
+                             tol=ctx.skew.base.tol)
     dec = decompose(ctx.restricted, seed=seed)
     total = sum(p.module.dim for p in dec.pieces)
     rep.add("pieces_exhaust_M", total == m.dim,

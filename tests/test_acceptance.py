@@ -49,6 +49,14 @@ def _rand(seed):
     return _CACHE[key]
 
 
+def _ctx(name):
+    key = ("ctx", name)
+    if key not in _CACHE:
+        i = _inst(name)
+        _CACHE[key] = build_context(i.algebra, i.action, i.module, SEED)
+    return _CACHE[key]
+
+
 def _skew(i):
     key = ("skew", i.name)
     if key not in _CACHE:
@@ -137,8 +145,7 @@ def test_criterion_5_induced_simplicity():
     with _criterion(5, "induced module simplicity", 5.0):
         for name in FIXTURE_NAMES:
             i = _inst(name)
-            ctx = build_context(i.algebra, i.action, i.module, SEED)
-            _CACHE[("ctx", name)] = ctx
+            ctx = _ctx(name)
             s = _skew(i)
             for gamma in ctx.iso.class_ids():
                 rep = induced_simplicity(ctx.system, gamma, s, dec=ctx.iso,
@@ -175,9 +182,7 @@ def test_criterion_6_hom_equals_invariants():
 def test_criterion_7_main_theorem():
     with _criterion(7, "multiplicity spaces simple over invariants", 5.0):
         for name in FIXTURE_NAMES:
-            i = _inst(name)
-            rep = main_theorem(i.algebra, i.action, i.module, SEED,
-                               ctx=_CACHE.get(("ctx", name)))
+            rep = main_theorem(_ctx(name), SEED)
             assert rep.passed, name
             checks = {c.name: c for c in rep.checks}
             for c in rep.checks:
@@ -198,13 +203,12 @@ def test_criterion_7_main_theorem():
 def test_criterion_8_complete_reducibility():
     with _criterion(8, "complete reducibility over invariants", 30.0):
         for name in FIXTURE_NAMES:
-            i = _inst(name)
-            rep = complete_reducibility(i.algebra, i.action, i.module, SEED,
-                                        ctx=_CACHE.get(("ctx", name)))
+            rep = complete_reducibility(_ctx(name), SEED)
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            rep = complete_reducibility(i.algebra, i.action, i.module, SEED)
+            rep = complete_reducibility(
+                build_context(i.algebra, i.action, i.module, SEED), SEED)
             assert rep.passed, ("random", seed)
 
 

@@ -18,19 +18,17 @@ from skewgroup.errors import (
 )
 from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
-from skewgroup import numeric
+from skewgroup import numeric, repmod
 from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.repmod import (
     DirectSum,
     Module,
-    RegularModule,
     compress,
     decompose,
     hom_space,
     invariant_subspace,
     is_simple,
     make_module,
-    regular_commutant,
     regular_module,
     restrict,
     twist,
@@ -107,7 +105,7 @@ def test_hom_space_regular_z2():
     assert len(homs) == 2
     # oracle: brute nullspace of the stacked intertwiner system
     blocks = []
-    for r in m.rho:
+    for r in m.actions(np.eye(2)):
         blocks.append(np.kron(np.eye(2), np.asarray(r).T)
                       - np.kron(np.asarray(r), np.eye(2)))
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
@@ -220,7 +218,7 @@ def test_decompose_dimension_bookkeeping(inst):
         for p in dec.pieces:
             # invariance: projection residual of the acted basis
             proj = p.basis @ p.basis.conj().T
-            for r in reg.rho:
+            for r in reg.actions(np.eye(i.algebra.dim)):
                 img = np.asarray(r) @ p.basis
                 assert np.linalg.norm(img - proj @ img) <= 1e-7
             assert is_simple(p.module, seed=1)
@@ -232,7 +230,7 @@ def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
     s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
     reg = regular_module(s)
-    dec = decompose(reg, seed=1, commutant=regular_commutant(s))
+    dec = decompose(reg, seed=1)
     for cls in dec.class_ids():
         # oracle: homs into the module itself, not into the sum of its pieces
         homs = hom_space(dec.representatives[cls].module, reg)
@@ -241,6 +239,24 @@ def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
         got = dec.multiplicity_spaces[cls]
         assert got.shape == want.shape
         assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic"])
+def test_regular_decomposition_never_solves_its_commutant(inst, monkeypatch, name):
+    i = inst(name)
+    s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    reg = regular_module(s)
+    # what decompose relies on: End(reg) is the dim A right multiplications
+    assert len(hom_space(reg, reg)) == s.dim
+    seen = []
+
+    def spy(m, n):
+        seen.append((m, n))
+        return hom_space(m, n)
+
+    monkeypatch.setattr(repmod, "hom_space", spy)
+    decompose(reg, seed=1)
+    assert seen and all(reg is not m and reg is not n for m, n in seen)
 
 
 def test_hom_dimension_symmetry(inst):
@@ -289,7 +305,8 @@ def test_invariant_subspace_trivial_group():
 
 
 def test_invariant_subspace_regular_z2():
-    m = regular_module(group_algebra(2))
+    a = group_algebra(2)
+    m = make_module(a, regular_module(a).actions(np.eye(2)))
     inv = invariant_subspace(m)
     assert inv.shape[1] == 1
     # oracle: the symmetrizer image is the line through 1 + g
@@ -314,22 +331,46 @@ def test_every_constructor_stores_one_action_stack(inst):
     i = inst("pauli")
     m = i.module
     reg = regular_module(i.algebra)
-    dec = decompose(reg, seed=1, commutant=regular_commutant(i.algebra))
+    dec = decompose(reg, seed=1)
     emb = fixed_subalgebra(i.algebra, i.action)
     built = [natural_module_m2(), m, twist(m, 1, i.action), restrict(m, emb),
-             compress(reg, dec.pieces[0].basis), reg,
-             DirectSum(i.algebra, [p.module for p in dec.pieces])]
+             compress(reg, dec.pieces[0].basis), twist(reg, 1, i.action),
+             restrict(reg, emb)]
     for mod in built:
         _assert_action_stack(mod)
+
+
+def test_regular_module_and_direct_sum_store_no_action_stack(inst):
+    i = inst("pauli")
+    reg = regular_module(i.algebra)
+    dec = decompose(reg, seed=1)
+    x = np.arange(1.0, i.algebra.dim + 1)
+    for mod in (reg, DirectSum(i.algebra, [p.module for p in dec.pieces])):
+        assert not hasattr(mod, "rho")
+        assert np.allclose(mod.act(x), mod.actions(x[None])[0])
+
+
+@pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic"])
+def test_twist_and_restrict_of_regular_module_match_its_dense_copy(inst, name):
+    i = inst(name)
+    a = i.algebra
+    reg = regular_module(a)
+    dense = make_module(a, reg.actions(np.eye(a.dim)))
+    emb = fixed_subalgebra(a, i.action)
+    assert np.array_equal(restrict(reg, emb).rho, restrict(dense, emb).rho)
+    for g in i.group.elements():
+        assert np.array_equal(twist(reg, g, i.action).rho,
+                              twist(dense, g, i.action).rho), g
 
 
 def test_direct_sum_is_block_diagonal():
     nat = natural_module_m2()
     s = DirectSum(nat.algebra, [nat, nat])
     assert s.dim == 4
-    assert np.array_equal(s.rho[:, :2, :2], nat.rho)
-    assert np.array_equal(s.rho[:, 2:, 2:], nat.rho)
-    assert not s.rho[:, :2, 2:].any() and not s.rho[:, 2:, :2].any()
+    rho = s.actions(np.eye(nat.algebra.dim))
+    assert np.array_equal(rho[:, :2, :2], nat.rho)
+    assert np.array_equal(rho[:, 2:, 2:], nat.rho)
+    assert not rho[:, :2, 2:].any() and not rho[:, 2:, :2].any()
 
 
 @pytest.mark.parametrize("name", ["pauli", "perm", "random2"])
@@ -337,7 +378,7 @@ def test_regular_module_compresses_to_the_left_multiplications(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
     a = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
     reg = regular_module(a)
-    dec = decompose(reg, seed=1, commutant=regular_commutant(a))
+    dec = decompose(reg, seed=1)
     eye = np.eye(a.dim)
     for p in dec.pieces:
         sub = compress(reg, p.basis)
@@ -397,7 +438,7 @@ def _regular_decomposition(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
     s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
     reg = regular_module(s)
-    dec = decompose(reg, seed=1, commutant=regular_commutant(s))
+    dec = decompose(reg, seed=1)
     return s, dec, DirectSum(s, [p.module for p in dec.pieces])
 
 
@@ -477,7 +518,6 @@ def test_implicit_modules_are_simple_without_their_action_stack(monkeypatch):
     def stack(*args):
         raise AssertionError("action stack assembled")
 
-    monkeypatch.setattr(RegularModule, "rho", property(stack))
     monkeypatch.setattr(DirectSum, "_spread", stack)
     assert not is_simple(reg)
     assert not is_simple(chars)

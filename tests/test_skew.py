@@ -10,7 +10,7 @@ from skewgroup.algebra import (
     make_algebra,
     matrix_algebra,
 )
-from skewgroup.errors import CocycleMismatch, ModuleAlgebraMismatch
+from skewgroup.errors import AlgebraMismatch, CocycleMismatch, ModuleAlgebraMismatch
 from skewgroup.group_action import cyclic_group, make_action
 from skewgroup.projective import (
     contragredient,
@@ -166,11 +166,21 @@ def test_corner_module_swap(inst):
     assert is_simple(en, seed=1)
 
 
+def test_corner_module_rejects_a_module_over_another_algebra(inst):
+    i = inst("swap")
+    s = _skew(i)
+    e = symmetrizer(s)
+    corner = corner_algebra(s.alg, e)
+    with pytest.raises(AlgebraMismatch):
+        corner_module(regular_module(i.algebra), corner, e)
+
+
 def test_induce_full_subgroup(inst):
     i = inst("pauli")
     s = _skew(i)
-    n = regular_module(s.alg)
-    ind = induce(n, s, range(i.group.order))
+    n = make_module(s.alg, regular_module(s.alg).actions(np.eye(s.alg.dim)))
+    ssub, members = sub_skew(s, range(i.group.order))
+    ind = induce(n, s, members, sub=ssub)
     assert ind.dim == n.dim
     for a, b in zip(ind.rho, n.rho):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
@@ -204,9 +214,10 @@ def test_induce_dimension_law(inst):
 def test_induce_rejects_wrong_algebra(inst):
     i = inst("pauli")
     s = _skew(i)
+    ssub, members = sub_skew(s, range(i.group.order))
     # a module over the base algebra is not a module over A x| G itself
     with pytest.raises(ModuleAlgebraMismatch):
-        induce(i.module, s, range(i.group.order))
+        induce(i.module, s, members, sub=ssub)
 
 
 def test_extend_to_skew_trivial(inst):

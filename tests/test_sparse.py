@@ -142,7 +142,8 @@ def test_every_constructor_matches_dense_reference(inst, name):
     system = inertia(i.module, i.action)
     for exponent in (1, -1):
         _assert_coo_of(
-            twisted_group_algebra(system.inertia_group, system.cocycle, exponent),
+            twisted_group_algebra(system.inertia_group, system.cocycle, exponent,
+                                  i.algebra.tol),
             _dense_twisted(system.inertia_group, system.cocycle, exponent))
 
 

@@ -145,13 +145,13 @@ def test_hom_inv_pauli_w(inst):
 
 def test_main_theorem_trivial(inst):
     i = inst("trivial")
-    rep = main_theorem(i.algebra, i.action, i.module, 1)
+    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
     assert rep.passed
 
 
 def test_main_theorem_pauli(inst):
     i = inst("pauli")
-    rep = main_theorem(i.algebra, i.action, i.module, 1)
+    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
     assert rep.passed
     checks = _checks(rep)
     assert checks["gamma0_direct_route_simple"].dims == \
@@ -162,7 +162,7 @@ def test_main_theorem_pauli(inst):
 
 def test_main_theorem_swap(inst):
     i = inst("swap")
-    rep = main_theorem(i.algebra, i.action, i.module, 1)
+    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
     assert rep.passed
     checks = _checks(rep)
     # M_gamma = C^2, simple over the diagonal M_2 (dim 4)
@@ -173,7 +173,7 @@ def test_main_theorem_swap(inst):
 def test_main_theorem_routes_agree_all_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        rep = main_theorem(i.algebra, i.action, i.module, 1)
+        rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
         assert rep.passed, name
         for c in rep.checks:
             if c.name.endswith("routes_agree"):
@@ -184,7 +184,7 @@ def test_main_theorem_inv_dim_one_for_simple_w(inst):
     # Inv(W (x) W*) is one-dimensional whenever W is simple
     for name in ("trivial", "pauli", "perm", "cyclic"):
         i = inst(name)
-        rep = main_theorem(i.algebra, i.action, i.module, 1)
+        rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
         for c in rep.checks:
             if c.name.endswith("corner_dim_identity"):
                 assert c.dims["dim_inv"] == 1, name
@@ -192,13 +192,13 @@ def test_main_theorem_inv_dim_one_for_simple_w(inst):
 
 def test_complete_reducibility_trivial(inst):
     i = inst("trivial")
-    rep = complete_reducibility(i.algebra, i.action, i.module, 1)
+    rep = complete_reducibility(build_context(i.algebra, i.action, i.module, 1), 1)
     assert rep.passed
 
 
 def test_complete_reducibility_pauli(inst):
     i = inst("pauli")
-    rep = complete_reducibility(i.algebra, i.action, i.module, 1)
+    rep = complete_reducibility(build_context(i.algebra, i.action, i.module, 1), 1)
     assert rep.passed
     checks = _checks(rep)
     assert checks["pieces_exhaust_M"].dims == \
@@ -210,7 +210,7 @@ def test_complete_reducibility_pauli(inst):
 
 def test_complete_reducibility_swap(inst):
     i = inst("swap")
-    rep = complete_reducibility(i.algebra, i.action, i.module, 1)
+    rep = complete_reducibility(build_context(i.algebra, i.action, i.module, 1), 1)
     assert rep.passed
     checks = _checks(rep)
     assert checks["pieces_exhaust_M"].dims["pieces"] == 1
@@ -220,7 +220,7 @@ def test_complete_reducibility_swap(inst):
 
 def test_report_serialization_shape(inst):
     i = inst("pauli")
-    rep = main_theorem(i.algebra, i.action, i.module, 1)
+    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
     d = rep.to_dict()
     assert d["name"] == "main_theorem"
     assert d["passed"] is True

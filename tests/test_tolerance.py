@@ -20,7 +20,14 @@ from skewgroup.algebra import (
 from skewgroup.errors import InvalidInput
 from skewgroup.fixtures import fixture
 from skewgroup.jobs import instance_to_job, parse_job
-from skewgroup.projective import contragredient, inertia, module_over_twisted
+from skewgroup.projective import (
+    Cocycle,
+    contragredient,
+    extract_cocycle,
+    inertia,
+    module_over_twisted,
+    twisted_group_algebra,
+)
 from skewgroup.repmod import decompose, make_module, regular_module
 from skewgroup.runner import run_job
 from skewgroup.skew import skew_group_algebra, sub_skew, symmetrizer
@@ -35,7 +42,7 @@ ENTRY_POINTS = {
     "fixtures.fixture", "fixtures.fixture_trivial", "fixtures.fixture_swap",
     "fixtures.fixture_pauli", "fixtures.fixture_perm", "fixtures.fixture_cyclic",
     "fixtures.random_instance",
-    "jobs.parse_job", "jobs.load_job", "jobs.instance_to_job",
+    "jobs.parse_job", "jobs.load_job",
     "numeric.rank", "numeric.nullspace", "numeric.orthonormal_column_basis",
     "numeric.solve_sandwich", "numeric.check_tol",
 }
@@ -106,6 +113,16 @@ def test_stale_positional_tolerance_is_a_type_error():
         skew_group_algebra(i.algebra, i.group, i.action, 1e-9)
     with pytest.raises(TypeError):
         decompose(regular_module(i.algebra), 1, 1e-9)
+
+
+@pytest.mark.parametrize("fn", [numeric.rank, numeric.nullspace,
+                                numeric.orthonormal_column_basis,
+                                numeric.solve_sandwich, canonical_span,
+                                Cocycle.validate, extract_cocycle,
+                                twisted_group_algebra])
+def test_a_tolerance_not_set_by_an_algebra_has_no_default(fn):
+    # a caller that forgets it gets a TypeError, not a silent 1e-9
+    assert inspect.signature(fn).parameters["tol"].default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
