@@ -10,16 +10,10 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    DegenerateSample,
-    NumericalInconsistency,
-    ParseError,
-    SkewGroupError,
-    UnknownFixture,
-)
+from .errors import ParseError, SkewGroupError, UnknownFixture
 from .fixtures import ALL_TASKS, FIXTURE_NAMES, fixture
 from .jobs import instance_to_job, load_job
-from .runner import EXIT_NUMERICAL, EXIT_VALIDATION, run_job
+from .runner import EXIT_VALIDATION, run_job
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,14 +45,19 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def cmd_validate(args) -> int:
+def _load(path, **overrides):
+    """The loaded job, or None after reporting on stderr why it did not load."""
     try:
-        load_job(args.path, tol=args.tol)
+        return load_job(path, **overrides)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SkewGroupError as exc:
         print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(args) -> int:
+    if _load(args.path, tol=args.tol) is None:
         return EXIT_VALIDATION
     print(f"{args.path}: OK")
     return 0
@@ -78,24 +77,14 @@ def _task_filter_problem(task, job):
 
 
 def cmd_run(args) -> int:
-    try:
-        job = load_job(args.path, tol=args.tol, seed=args.seed)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SkewGroupError as exc:
-        print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    job = _load(args.path, tol=args.tol, seed=args.seed)
+    if job is None:
         return EXIT_VALIDATION
     problem = _task_filter_problem(args.task, job)
     if problem:
         print(f"task error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        results, exit_code = run_job(job, task_filter=args.task)
-    except (NumericalInconsistency, DegenerateSample) as exc:
-        print(f"numerical inconsistency: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+    results, exit_code = run_job(job, task_filter=args.task)
     if args.as_json:
         # Timing is intentionally excluded so reports are byte-identical for
         # identical (job, seed, tol).

@@ -180,7 +180,8 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
     for i in range(b):
         phases = np.exp(2j * np.pi * rng.integers(0, q, size=n) / q)
         d = np.diag(phases)
-        conj[i * nn:(i + 1) * nn, i * nn:(i + 1) * nn] = _conj_block(d)
+        conj[i * nn:(i + 1) * nn, i * nn:(i + 1) * nn] = \
+            _conjugation_action_mats(n, [d])[0]
     gen = conj @ blockperm
 
     # order of the generator as an automorphism
@@ -208,16 +209,3 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
                 rho.append(eb)
     m = make_module(a, rho)
     return Instance(f"random{seed}", a, g, action, {"M": m})
-
-
-def _conj_block(d: np.ndarray) -> np.ndarray:
-    """Coordinate matrix of a -> d a d^{-1} on matrix units of one block."""
-    n = d.shape[0]
-    dinv = np.linalg.inv(d)
-    cols = []
-    for p in range(n):
-        for q in range(n):
-            eb = np.zeros((n, n), dtype=np.complex128)
-            eb[p, q] = 1.0
-            cols.append((d @ eb @ dinv).reshape(-1))
-    return np.column_stack(cols)

@@ -139,9 +139,8 @@ def extract_cocycle(phi, group: FiniteGroup, tol) -> Cocycle:
     conditioning); the full matrix identity is then enforced at tolerance.
     """
     e = group.identity
-    if numeric.rel_residual(phi[e] - np.eye(phi[e].shape[0]), 1.0) > 0:
-        if not np.array_equal(phi[e], np.eye(phi[e].shape[0], dtype=np.complex128)):
-            raise InvalidInput("phi at the identity must be exactly the identity")
+    if not np.array_equal(phi[e], np.eye(phi[e].shape[0])):
+        raise InvalidInput("phi at the identity must be exactly the identity")
     n = group.order
     table = np.ones((n, n), dtype=np.complex128)
     for h in range(n):
@@ -171,12 +170,13 @@ def trivial_cocycle(group: FiniteGroup) -> Cocycle:
                                               dtype=np.complex128))
 
 
-def twisted_group_algebra(group: FiniteGroup, cocycle: Cocycle,
-                          exponent: int, tol) -> Algebra:
-    """Algebra with basis c_h and product c_h c_k = alpha(h,k)^exponent c_{hk}."""
+def twisted_group_algebra(cocycle: Cocycle, exponent: int, tol) -> Algebra:
+    """Algebra with basis c_h and product c_h c_k = alpha(h,k)^exponent c_{hk},
+    h and k in the cocycle's group."""
     if exponent not in (1, -1):
         raise InvalidInput("exponent must be +1 or -1")
     cocycle.validate(tol)
+    group = cocycle.group
     n = group.order
     h, k = np.divmod(np.arange(n * n), n)
     values = np.array([cocycle.table[a, b] ** exponent for a, b in zip(h, k)],
@@ -188,25 +188,25 @@ def twisted_group_algebra(group: FiniteGroup, cocycle: Cocycle,
 
 def module_over_twisted(system: ProjectiveSystem) -> Module:
     """M as a module over the exponent +1 twisted group algebra, c_h -> phi(h)."""
-    alg = twisted_group_algebra(system.inertia_group, system.cocycle, 1,
-                                system.module.algebra.tol)
+    alg = twisted_group_algebra(system.cocycle, 1, system.module.algebra.tol)
     try:
         return make_module(alg, system.phi)
     except NotARepresentation as exc:
         raise NotProjective(f"phi does not represent the twisted algebra: {exc}")
 
 
-def contragredient(w: Module, group: FiniteGroup, cocycle: Cocycle,
-                   exponent: int = 1) -> Module:
-    """Dual module over the inverse-cocycle algebra.
+def contragredient(w: Module, cocycle: Cocycle) -> Module:
+    """Dual of a module over the cocycle's twisted group algebra, a module
+    over the inverse-cocycle algebra.
 
     The basis element indexed by g acts on the dual by the transpose of the
     inverse of its action on w.
     """
-    if w.algebra.dim != group.order:
+    n = cocycle.group.order
+    if w.algebra.dim != n:
         raise InvalidInput("module algebra does not match the group order")
-    alg = twisted_group_algebra(group, cocycle, -exponent, w.algebra.tol)
-    rho = np.linalg.inv(w.rho).transpose(0, 2, 1)
+    alg = twisted_group_algebra(cocycle, -1, w.algebra.tol)
+    rho = np.linalg.inv(w.actions(np.eye(n))).transpose(0, 2, 1)
     return make_module(alg, rho)
 
 

@@ -461,12 +461,13 @@ def invariant_subspace(m: Module) -> np.ndarray:
     raises NumericalInconsistency.  Returns the joint-fixed-space basis.
     """
     tol = m.algebra.tol
-    symmetrizer = m.rho.mean(axis=0)
+    stack = m.actions(np.eye(m.algebra.dim))
+    symmetrizer = stack.mean(axis=0)
     # the symmetrizer is idempotent (nonzero singular values >= 1) and the
     # stacked blocks rho(g) - I are O(1); floor the rank scales so an
     # all-noise matrix reads as zero
     image = numeric.orthonormal_column_basis(symmetrizer, tol, scale_floor=1.0)
-    fixed = numeric.nullspace((m.rho - np.eye(m.dim)).reshape(-1, m.dim), tol,
+    fixed = numeric.nullspace((stack - np.eye(m.dim)).reshape(-1, m.dim), tol,
                               scale_floor=1.0)
     if image.shape[1] != fixed.shape[1]:
         raise NumericalInconsistency(

@@ -7,12 +7,12 @@ decompositions) are computed once per job and reused across tasks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numeric
-from .algebra import aligned_constants, fixed_subalgebra, is_semisimple
+from .algebra import aligned_constants, is_semisimple
 from .errors import (
     DegenerateSample,
     InvalidInput,
@@ -52,8 +52,7 @@ class JobContext:
     @property
     def skew(self):
         if self._skew is None:
-            self._skew = skew_group_algebra(self.job.algebra, self.job.group,
-                                            self.job.action, seed=self.job.seed)
+            self._skew = skew_group_algebra(self.job.action, seed=self.job.seed)
         return self._skew
 
     def system(self, name):
@@ -64,8 +63,7 @@ class JobContext:
 
     def context(self, name):
         if name not in self._contexts:
-            self._contexts[name] = build_context(self.job.algebra,
-                                                 self.job.action,
+            self._contexts[name] = build_context(self.job.action,
                                                  self.job.modules[name],
                                                  self.job.seed)
         return self._contexts[name]
@@ -135,10 +133,9 @@ def _task_skew(ctx: JobContext, rec) -> VerificationReport:
 def _task_phi_psi(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("phi_psi", job.seed, job.tol)
-    fixed = fixed_subalgebra(job.algebra, job.action)
-    result = check_phi_psi(ctx.skew, fixed)
+    result = check_phi_psi(ctx.skew)
     rep.add("phi_bijective_multiplicative", result.phi_bijective,
-            dims={"dim_invariants": fixed.sub.dim,
+            dims={"dim_invariants": result.fixed.sub.dim,
                   "dim_corner": result.corner.sub.dim},
             residual=result.phi_mult_residual)
     rep.add("psi_bimodule_isomorphism", result.psi_bijective,
@@ -165,10 +162,11 @@ def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
 def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("induced_simplicity", job.seed, job.tol)
-    mctx = ctx.context(rec["module"])
+    # The job's skew algebra, not the context's equal copy: earlier tasks
+    # cached its trace form, which `is_simple` of each induced module reads.
+    mctx = replace(ctx.context(rec["module"]), skew=ctx.skew)
     for gamma in mctx.iso.class_ids():
-        sub = induced_simplicity(mctx.system, gamma, ctx.skew, mctx.iso,
-                                 job.seed)
+        sub = induced_simplicity(mctx, gamma)
         rep.include(f"gamma{gamma}_", sub)
     return rep
 
@@ -179,18 +177,17 @@ def _task_hom_inv(ctx: JobContext, rec) -> VerificationReport:
     mctx = ctx.context(rec["module"])
     for gamma in mctx.iso.class_ids():
         w = mctx.iso.representatives[gamma].module
-        sub = hom_inv_check(w, w, mctx.system.inertia_group,
-                            mctx.system.cocycle, job.seed)
+        sub = hom_inv_check(w, w, mctx.system.cocycle, job.seed)
         rep.include(f"gamma{gamma}_", sub)
     return rep
 
 
 def _task_main_theorem(ctx: JobContext, rec) -> VerificationReport:
-    return main_theorem(ctx.context(rec["module"]), ctx.job.seed)
+    return main_theorem(ctx.context(rec["module"]))
 
 
 def _task_complete_reducibility(ctx: JobContext, rec) -> VerificationReport:
-    return complete_reducibility(ctx.context(rec["module"]), ctx.job.seed)
+    return complete_reducibility(ctx.context(rec["module"]))
 
 
 _DISPATCH = {

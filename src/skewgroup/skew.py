@@ -16,6 +16,7 @@ from .algebra import (
     SubalgebraEmbedding,
     aligned_constants,
     corner_algebra,
+    fixed_subalgebra,
     join,
     make_algebra,
 )
@@ -26,7 +27,7 @@ from .projective import (
     subgroup_as_group,
     twisted_group_algebra,
 )
-from .repmod import Module, compress, make_module, restrict
+from .repmod import Module, compress, make_module, restrict, validate_module
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +60,10 @@ class SkewAlgebra:
                                    inclusion=inclusion)
 
 
-def skew_group_algebra(base: Algebra, group: FiniteGroup,
-                       action: AlgebraAction, *,
+def skew_group_algebra(action: AlgebraAction, *,
                        seed=numeric.DEFAULT_SEED) -> SkewAlgebra:
-    """Build and validate A x| G from a validated action."""
-    if action.group is not group or action.target is not base:
-        action = make_action(group, base, action.mats)
+    """Build and validate A x| G from a validated action of G on A."""
+    base, group = action.target, action.group
     da, ng = base.dim, group.order
     dim = da * ng
     # b_i g(b_j) = sum_m mats[g][m, j] b_i b_m: each base nonzero c[i, m, k]
@@ -127,10 +126,12 @@ class PhiPsiReport:
         return self.phi_bijective and self.psi_bijective
 
 
-def check_phi_psi(s: SkewAlgebra, fixed: SubalgebraEmbedding) -> PhiPsiReport:
-    """Verify the corner isomorphism a -> ae and the bimodule map a -> ae."""
+def check_phi_psi(s: SkewAlgebra) -> PhiPsiReport:
+    """Verify the corner isomorphism a -> ae of A^G and the bimodule map
+    a -> ae of A."""
     alg = s.alg
     tol = alg.tol
+    fixed = fixed_subalgebra(s.base, s.action)
     e = symmetrizer(s)
     corner = corner_algebra(alg, e)
     k = fixed.sub.dim
@@ -202,15 +203,16 @@ def corner_module(n: Module, corner: SubalgebraEmbedding, e) -> tuple:
                                              scale_floor=1.0)
     if basis.shape[1] == 0:
         return None, basis
-    return make_module(corner.sub, compress(rest, basis).rho), basis
+    en = compress(rest, basis)
+    validate_module(en)
+    return en, basis
 
 
 def sub_skew(s: SkewAlgebra, members) -> tuple:
     """Materialize A x| H for a subgroup H; returns (SkewAlgebra, members)."""
     subgroup, members = subgroup_as_group(s.group, members)
     mats = tuple(s.action.mats[h] for h in members)
-    action = make_action(subgroup, s.base, mats)
-    return skew_group_algebra(s.base, subgroup, action), members
+    return skew_group_algebra(make_action(subgroup, s.base, mats)), members
 
 
 def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra) -> Module:
@@ -236,7 +238,8 @@ def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra) -> Module:
             coset_of[group.mul(r, h)] = l
     d = m.dim
     dim = k * d
-    da, ng = s.base.dim, group.order
+    da = s.base.dim
+    stack = m.actions(np.eye(m.algebra.dim))
     rho = []
     for j in range(da):
         for g in group.elements():
@@ -250,21 +253,23 @@ def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra) -> Module:
                 ht = local[h]
                 for p in range(da):
                     if acoords[p] != 0:
-                        block += acoords[p] * m.rho[p * nh + ht]
+                        block += acoords[p] * stack[p * nh + ht]
                 mat[l * d:(l + 1) * d, i * d:(i + 1) * d] = block
             rho.append(mat)
     return make_module(s.alg, rho)
 
 
-def extend_to_skew(m: Module, system: ProjectiveSystem, v: Module,
+def extend_to_skew(system: ProjectiveSystem, v: Module,
                    s_inertia: SkewAlgebra) -> Module:
-    """The module on M (x) V over A x| G_M: (a h)(m (x) v) = a phi(h) m (x) c_h v.
+    """The module on M (x) V over A x| G_M, M the system's module:
+    (a h)(m (x) v) = a phi(h) m (x) c_h v.
 
     V must be a module over the inverse-cocycle twisted group algebra; the
     representation property of the result is re-validated.
     """
+    m = system.module
     tol = m.algebra.tol
-    expected = twisted_group_algebra(system.inertia_group, system.cocycle, -1, tol)
+    expected = twisted_group_algebra(system.cocycle, -1, tol)
     if v.algebra.dim != expected.dim or not np.allclose(
             *aligned_constants(v.algebra, expected), atol=tol * expected.scale):
         raise CocycleMismatch(
@@ -272,11 +277,10 @@ def extend_to_skew(m: Module, system: ProjectiveSystem, v: Module,
     if s_inertia.group.order != system.inertia_group.order or not np.array_equal(
             s_inertia.group.table, system.inertia_group.table):
         raise InvalidInput("skew algebra group does not match the inertia subgroup")
-    da = m.algebra.dim
     nh = system.inertia_group.order
+    vs = v.actions(np.eye(nh))
     rho = []
-    for j in range(da):
-        bj = m.rho[j]
+    for bj in m.actions(np.eye(m.algebra.dim)):
         for h in range(nh):
-            rho.append(np.kron(bj @ system.phi[h], v.rho[h]))
+            rho.append(np.kron(bj @ system.phi[h], vs[h]))
     return make_module(s_inertia.alg, rho)

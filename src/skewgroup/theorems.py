@@ -199,13 +199,13 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
             mats[:, j] = coords
         nu_rho.append(mats)
     rep.add("twisted_action_closes_on_Hnu", worst <= tol * 100, residual=worst)
-    nu_alg = twisted_group_algebra(hgroup, system.cocycle, -1, tol)
+    nu_alg = twisted_group_algebra(system.cocycle, -1, tol)
     nu_mod = make_module(nu_alg, nu_rho)
     rep.add("Hnu_simple", is_simple(nu_mod, seed=seed),
             dims={"dim_Hnu": nu_mod.dim})
 
     ssub, members = sub_skew(s, members)
-    ext = extend_to_skew(lam, system, nu_mod, ssub)
+    ext = extend_to_skew(system, nu_mod, ssub)
     ind = induce(ext, s, members, sub=ssub)
     iso, hom_dim = _module_iso(ind, n, seed=seed)
     rep.add("induced_isomorphic_to_N", iso,
@@ -215,17 +215,19 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
     return rep
 
 
-def induced_simplicity(system: ProjectiveSystem, gamma: int, s: SkewAlgebra,
-                       dec, seed=numeric.DEFAULT_SEED) -> VerificationReport:
+def induced_simplicity(ctx: MainTheoremContext,
+                       gamma: int) -> VerificationReport:
     """Ind(M (x) W_gamma^*) is a simple A x| G-module, with the dimension law.
 
-    `dec` is the projective isotypic decomposition of the system's module.
+    W_gamma is the representative of class gamma of the context's projective
+    isotypic decomposition.
     """
+    system, s, seed = ctx.system, ctx.skew, ctx.seed
     rep = VerificationReport(name="induced_simplicity", seed=seed, tol=s.alg.tol)
-    w = dec.representatives[gamma].module
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
+    w = ctx.iso.representatives[gamma].module
+    wdual = contragredient(w, system.cocycle)
     ssub, members = sub_skew(s, system.inertia_members)
-    ext = extend_to_skew(system.module, system, wdual, ssub)
+    ext = extend_to_skew(system, wdual, ssub)
     ind = induce(ext, s, members, sub=ssub)
     index = s.group.order // system.inertia_group.order
     expected = index * system.module.dim * w.dim
@@ -237,18 +239,24 @@ def induced_simplicity(system: ProjectiveSystem, gamma: int, s: SkewAlgebra,
     return rep
 
 
-def hom_inv_check(m: Module, n: Module, group, cocycle: Cocycle,
+def _tensor_invariants(plain: Algebra, m: Module, n: Module) -> np.ndarray:
+    """Fixed space of M (x) N under the plain group algebra, where c_g acts
+    by the Kronecker product of the actions of c_g on M and on N."""
+    eye = np.eye(plain.dim)
+    rho = [np.kron(x, y) for x, y in zip(m.actions(eye), n.actions(eye))]
+    return invariant_subspace(make_module(plain, rho))
+
+
+def hom_inv_check(m: Module, n: Module, cocycle: Cocycle,
                   seed=numeric.DEFAULT_SEED) -> VerificationReport:
-    """dim Hom(M, N) over the twisted algebra equals the dimension of the
-    invariant subspace of M^* (x) N under the plain group action."""
+    """dim Hom(M, N) over the cocycle's twisted algebra equals the dimension
+    of the invariant subspace of M^* (x) N under the plain group action."""
     tol = m.algebra.tol
     rep = VerificationReport(name="hom_inv", seed=seed, tol=tol)
     hom_dim = len(hom_space(m, n))
-    mdual = contragredient(m, group, cocycle, 1)
-    plain = twisted_group_algebra(group, trivial_cocycle(group), 1, tol)
-    rho = [np.kron(mdual.rho[g], n.rho[g]) for g in group.elements()]
-    tensor = make_module(plain, rho)
-    inv = invariant_subspace(tensor)
+    mdual = contragredient(m, cocycle)
+    plain = twisted_group_algebra(trivial_cocycle(cocycle.group), 1, tol)
+    inv = _tensor_invariants(plain, mdual, n)
     rep.add("hom_dim_equals_invariant_dim", hom_dim == inv.shape[1],
             dims={"hom": hom_dim, "invariants": inv.shape[1],
                   "dim_M": m.dim, "dim_N": n.dim})
@@ -257,25 +265,30 @@ def hom_inv_check(m: Module, n: Module, group, cocycle: Cocycle,
 
 @dataclass
 class MainTheoremContext:
-    """Everything the main-theorem pipeline computes once per instance."""
+    """Everything the main-theorem pipeline computes once per instance, and
+    the seed it was computed with."""
     system: ProjectiveSystem
     iso: object
     fixed: SubalgebraEmbedding
     skew: SkewAlgebra
     restricted: Module
+    seed: int
 
 
-def build_context(base: Algebra, action: AlgebraAction, m: Module,
+def build_context(action: AlgebraAction, m: Module,
                   seed=numeric.DEFAULT_SEED) -> MainTheoremContext:
+    """The main-theorem context of a simple module m over the algebra the
+    action acts on."""
+    base = action.target
     if not is_semisimple(base):
         raise NotSemisimple("main theorem requires a semisimple base algebra")
     system = inertia(m, action, seed=seed)
     iso = projective_isotypics(system, seed)
     fixed = fixed_subalgebra(base, action)
-    s = skew_group_algebra(base, action.group, action, seed=seed)
+    s = skew_group_algebra(action, seed=seed)
     restricted = restrict(m, fixed)
     return MainTheoremContext(system=system, iso=iso, fixed=fixed, skew=s,
-                              restricted=restricted)
+                              restricted=restricted, seed=seed)
 
 
 def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
@@ -296,10 +309,10 @@ def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
     return make_module(fixed.sub, rho)
 
 
-def main_theorem(ctx: MainTheoremContext,
-                 seed=numeric.DEFAULT_SEED) -> VerificationReport:
+def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
     """Each multiplicity space is simple over A^G, by two agreeing routes."""
-    system, iso, fixed, s = ctx.system, ctx.iso, ctx.fixed, ctx.skew
+    system, iso, fixed, s, seed = (ctx.system, ctx.iso, ctx.fixed, ctx.skew,
+                                   ctx.seed)
     m, tol = system.module, s.base.tol
     rep = VerificationReport(name="main_theorem", seed=seed, tol=tol)
     if not is_simple(m, seed=seed):
@@ -308,9 +321,7 @@ def main_theorem(ctx: MainTheoremContext,
     corner = corner_algebra(s.alg, e)
     ssub, members = sub_skew(s, system.inertia_members)
     index = s.group.order // system.inertia_group.order
-    plain = twisted_group_algebra(system.inertia_group,
-                                  trivial_cocycle(system.inertia_group), 1,
-                                  tol)
+    plain = twisted_group_algebra(trivial_cocycle(system.inertia_group), 1, tol)
     for gamma in iso.class_ids():
         w = iso.representatives[gamma].module
         mult_basis = iso.multiplicity_spaces[gamma]
@@ -319,16 +330,13 @@ def main_theorem(ctx: MainTheoremContext,
         rep.add(f"gamma{gamma}_direct_route_simple", simple_direct,
                 dims={"dim_M_gamma": direct.dim, "dim_AG": fixed.sub.dim})
 
-        wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
-        ext = extend_to_skew(m, system, wdual, ssub)
+        wdual = contragredient(w, system.cocycle)
+        ext = extend_to_skew(system, wdual, ssub)
         ind = induce(ext, s, members, sub=ssub)
         rep.add(f"gamma{gamma}_dim_induced", ind.dim == index * m.dim * w.dim,
                 dims={"dim_induced": ind.dim, "index": index, "dim_W": w.dim})
         en, _ = corner_module(ind, corner, e)
-        tensor = make_module(plain,
-                             [np.kron(w.rho[g], wdual.rho[g])
-                              for g in system.inertia_group.elements()])
-        inv_dim = invariant_subspace(tensor).shape[1]
+        inv_dim = _tensor_invariants(plain, w, wdual).shape[1]
         en_dim = en.dim if en is not None else 0
         rep.add(f"gamma{gamma}_corner_dim_identity",
                 en_dim == direct.dim * inv_dim,
@@ -347,11 +355,10 @@ def main_theorem(ctx: MainTheoremContext,
     return rep
 
 
-def complete_reducibility(ctx: MainTheoremContext,
-                          seed=numeric.DEFAULT_SEED) -> VerificationReport:
+def complete_reducibility(ctx: MainTheoremContext) -> VerificationReport:
     """Restriction of M to A^G splits into the multiplicity-space classes with
     multiplicities equal to the simple twisted-module dimensions."""
-    iso, m = ctx.iso, ctx.system.module
+    iso, m, seed = ctx.iso, ctx.system.module, ctx.seed
     rep = VerificationReport(name="complete_reducibility", seed=seed,
                              tol=ctx.skew.base.tol)
     dec = decompose(ctx.restricted, seed=seed)

@@ -53,14 +53,14 @@ def _ctx(name):
     key = ("ctx", name)
     if key not in _CACHE:
         i = _inst(name)
-        _CACHE[key] = build_context(i.algebra, i.action, i.module, SEED)
+        _CACHE[key] = build_context(i.action, i.module, SEED)
     return _CACHE[key]
 
 
 def _skew(i):
     key = ("skew", i.name)
     if key not in _CACHE:
-        _CACHE[key] = skew_group_algebra(i.algebra, i.group, i.action, seed=SEED)
+        _CACHE[key] = skew_group_algebra(i.action, seed=SEED)
     return _CACHE[key]
 
 
@@ -107,7 +107,7 @@ def test_criterion_2_phi_psi():
         for name in FIXTURE_NAMES:
             i = _inst(name)
             fixed = fixed_subalgebra(i.algebra, i.action)
-            result = check_phi_psi(_skew(i), fixed)
+            result = check_phi_psi(_skew(i))
             assert result.passed, name
             assert result.phi_mult_residual <= 1e-8, name
             assert fixed.sub.dim == result.corner.sub.dim == expected[name], name
@@ -120,7 +120,7 @@ def test_criterion_3_invariant_theory():
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            s = skew_group_algebra(i.algebra, i.group, i.action, seed=SEED)
+            s = skew_group_algebra(i.action, seed=SEED)
             _CACHE[("rskew", seed)] = s
             rep = check_invariant_theory(s, SEED)
             assert rep.passed, ("random", seed)
@@ -144,12 +144,9 @@ def test_criterion_4_cocycle_validity():
 def test_criterion_5_induced_simplicity():
     with _criterion(5, "induced module simplicity", 5.0):
         for name in FIXTURE_NAMES:
-            i = _inst(name)
             ctx = _ctx(name)
-            s = _skew(i)
             for gamma in ctx.iso.class_ids():
-                rep = induced_simplicity(ctx.system, gamma, s, dec=ctx.iso,
-                                         seed=SEED)
+                rep = induced_simplicity(ctx, gamma)
                 assert rep.passed, (name, gamma)
                 d = {c.name: c.dims for c in rep.checks}["dimension_law"]
                 assert d["dim_induced"] == d["index"] * d["dim_M"] * d["dim_W"]
@@ -163,7 +160,7 @@ def test_criterion_6_hom_equals_invariants():
             n = int(rng.integers(2, 9))
             g = cyclic_group(n)
             coc = trivial_cocycle(g)
-            alg = twisted_group_algebra(g, coc, 1, TOL)
+            alg = twisted_group_algebra(coc, 1, TOL)
             omega = np.exp(2j * np.pi / n)
             mods = []
             for _ in range(2):
@@ -174,7 +171,7 @@ def test_criterion_6_hom_equals_invariants():
                 sinv = np.linalg.inv(s)
                 rho = [s @ np.diag(omega ** (ks * t)) @ sinv for t in range(n)]
                 mods.append(make_module(alg, rho))
-            rep = hom_inv_check(mods[0], mods[1], g, coc, SEED)
+            rep = hom_inv_check(mods[0], mods[1], coc, SEED)
             assert rep.passed, (n, done)
             done += 1
 
@@ -182,7 +179,7 @@ def test_criterion_6_hom_equals_invariants():
 def test_criterion_7_main_theorem():
     with _criterion(7, "multiplicity spaces simple over invariants", 5.0):
         for name in FIXTURE_NAMES:
-            rep = main_theorem(_ctx(name), SEED)
+            rep = main_theorem(_ctx(name))
             assert rep.passed, name
             checks = {c.name: c for c in rep.checks}
             for c in rep.checks:
@@ -203,12 +200,11 @@ def test_criterion_7_main_theorem():
 def test_criterion_8_complete_reducibility():
     with _criterion(8, "complete reducibility over invariants", 30.0):
         for name in FIXTURE_NAMES:
-            rep = complete_reducibility(_ctx(name), SEED)
+            rep = complete_reducibility(_ctx(name))
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            rep = complete_reducibility(
-                build_context(i.algebra, i.action, i.module, SEED), SEED)
+            rep = complete_reducibility(build_context(i.action, i.module, SEED))
             assert rep.passed, ("random", seed)
 
 

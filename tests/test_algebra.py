@@ -73,7 +73,7 @@ def _random_dense_algebra(dim, seed):
 
 def _skew_algebra(inst, name):
     i = inst(name)
-    return skew_group_algebra(i.algebra, i.group, i.action).alg
+    return skew_group_algebra(i.action).alg
 
 
 @pytest.mark.parametrize("source", ["dense", "pauli", "perm"])
@@ -315,7 +315,7 @@ def test_corner_algebra_rejects_non_idempotent():
 
 def test_corner_algebra_pauli_symmetrizer(inst):
     i = inst("pauli")
-    s = skew_group_algebra(i.algebra, i.group, i.action)
+    s = skew_group_algebra(i.action)
     e = symmetrizer(s)
     emb = corner_algebra(s.alg, e)
     assert emb.sub.dim == 1

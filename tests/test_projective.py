@@ -99,6 +99,16 @@ def test_extract_cocycle_rejects_non_projective():
         extract_cocycle(bad, g, TOL)
 
 
+@pytest.mark.parametrize("entry", [np.nan, complex(1.0, np.nan), 1.0 + 1e-15])
+def test_extract_cocycle_rejects_an_identity_intertwiner_that_is_not_exact(entry):
+    # a NaN has no residual that exceeds zero; it must still be rejected
+    g = make_group([[0, 1], [1, 0]])
+    ident = np.eye(2, dtype=np.complex128)
+    ident[0, 0] = entry
+    with pytest.raises(InvalidInput, match="exactly the identity"):
+        extract_cocycle((ident, np.eye(2, dtype=np.complex128)), g, TOL)
+
+
 def test_cocycle_identity_all_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
@@ -108,7 +118,7 @@ def test_cocycle_identity_all_fixtures(inst):
 
 def test_twisted_group_algebra_trivial_cocycle():
     g = cyclic_group(3)
-    a = twisted_group_algebra(g, trivial_cocycle(g), 1, TOL)
+    a = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
     assert a.dim == 3
     # plain group algebra: c_1 c_1 = c_2
     assert np.allclose(a.product(np.eye(3)[:, 1], np.eye(3)[:, 1]),
@@ -118,7 +128,7 @@ def test_twisted_group_algebra_trivial_cocycle():
 def test_twisted_group_algebra_pauli(inst):
     i = inst("pauli")
     system = inertia(i.module, i.action, seed=1)
-    tw = twisted_group_algebra(system.inertia_group, system.cocycle, 1, TOL)
+    tw = twisted_group_algebra(system.cocycle, 1, TOL)
     assert tw.dim == 4
     dec = decompose(regular_module(tw), seed=1)
     # a single 2-dim simple class of multiplicity 2: the algebra is M_2
@@ -131,7 +141,7 @@ def test_twisted_group_algebra_pauli(inst):
 def test_twisted_group_algebra_rejects_bad_exponent():
     g = cyclic_group(2)
     with pytest.raises(InvalidInput):
-        twisted_group_algebra(g, trivial_cocycle(g), 2, TOL)
+        twisted_group_algebra(trivial_cocycle(g), 2, TOL)
 
 
 def test_module_over_twisted_pauli(inst):
@@ -152,7 +162,7 @@ def test_module_over_twisted_coboundary_equivalence(inst):
     beta = np.array([1.0, -1.0, 1.0, -1.0])
     phi2 = tuple(beta[h] * system.phi[h] for h in range(4))
     coc2 = extract_cocycle(phi2, system.inertia_group, TOL)
-    alg2 = twisted_group_algebra(system.inertia_group, coc2, 1, TOL)
+    alg2 = twisted_group_algebra(coc2, 1, TOL)
     make_module(alg2, phi2)                       # validates
     undone = tuple(phi2[h] / beta[h] for h in range(4))
     original = module_over_twisted(system)
@@ -162,9 +172,9 @@ def test_module_over_twisted_coboundary_equivalence(inst):
 
 def test_contragredient_dual_line():
     g = make_group([[0]])
-    alg = twisted_group_algebra(g, trivial_cocycle(g), 1, TOL)
+    alg = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
     w = make_module(alg, [np.eye(1)])
-    wd = contragredient(w, g, trivial_cocycle(g), 1)
+    wd = contragredient(w, trivial_cocycle(g))
     assert wd.dim == 1
 
 
@@ -172,9 +182,13 @@ def test_contragredient_dimensions_and_double_dual(inst):
     i = inst("pauli")
     system = inertia(i.module, i.action, seed=1)
     w = module_over_twisted(system)
-    wd = contragredient(w, system.inertia_group, system.cocycle, 1)
+    wd = contragredient(w, system.cocycle)
     assert wd.dim == w.dim
-    wdd = contragredient(wd, system.inertia_group, system.cocycle, -1)
+    # wd is a module over the inverse-cocycle algebra, so it dualizes back
+    # with the inverse cocycle
+    inverse = Cocycle(group=system.inertia_group,
+                      table=1.0 / system.cocycle.table)
+    wdd = contragredient(wd, inverse)
     assert len(hom_space(wdd, w)) >= 1
 
 

@@ -228,7 +228,7 @@ def test_decompose_dimension_bookkeeping(inst):
                                   "random2"])
 def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    s = skew_group_algebra(i.action, seed=1).alg
     reg = regular_module(s)
     dec = decompose(reg, seed=1)
     for cls in dec.class_ids():
@@ -244,7 +244,7 @@ def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
 @pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic"])
 def test_regular_decomposition_never_solves_its_commutant(inst, monkeypatch, name):
     i = inst(name)
-    s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    s = skew_group_algebra(i.action, seed=1).alg
     reg = regular_module(s)
     # what decompose relies on: End(reg) is the dim A right multiplications
     assert len(hom_space(reg, reg)) == s.dim
@@ -306,8 +306,7 @@ def test_invariant_subspace_trivial_group():
 
 def test_invariant_subspace_regular_z2():
     a = group_algebra(2)
-    m = make_module(a, regular_module(a).actions(np.eye(2)))
-    inv = invariant_subspace(m)
+    inv = invariant_subspace(regular_module(a))
     assert inv.shape[1] == 1
     # oracle: the symmetrizer image is the line through 1 + g
     v = inv[:, 0]
@@ -376,7 +375,7 @@ def test_direct_sum_is_block_diagonal():
 @pytest.mark.parametrize("name", ["pauli", "perm", "random2"])
 def test_regular_module_compresses_to_the_left_multiplications(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    a = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    a = skew_group_algebra(i.action, seed=1).alg
     reg = regular_module(a)
     dec = decompose(reg, seed=1)
     eye = np.eye(a.dim)
@@ -436,7 +435,7 @@ def test_validate_module_names_the_worst_basis_pair():
 
 def _regular_decomposition(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    s = skew_group_algebra(i.algebra, i.group, i.action, seed=1).alg
+    s = skew_group_algebra(i.action, seed=1).alg
     reg = regular_module(s)
     dec = decompose(reg, seed=1)
     return s, dec, DirectSum(s, [p.module for p in dec.pieces])

@@ -1,5 +1,7 @@
 """The skew product algebra, corner maps, induction, and extensions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import dense
@@ -17,9 +19,13 @@ from skewgroup.projective import (
     inertia,
     module_over_twisted,
     projective_isotypics,
+    trivial_cocycle,
+    twisted_group_algebra,
 )
 from skewgroup.repmod import (
+    DirectSum,
     decompose,
+    invariant_subspace,
     is_simple,
     make_module,
     regular_module,
@@ -34,13 +40,18 @@ from skewgroup.skew import (
     sub_skew,
     symmetrizer,
 )
-from skewgroup.theorems import simple_classes
+from skewgroup.theorems import (
+    build_context,
+    hom_inv_check,
+    main_theorem,
+    simple_classes,
+)
 
 TOL = 1e-9
 
 
 def _skew(i):
-    return skew_group_algebra(i.algebra, i.group, i.action, seed=1)
+    return skew_group_algebra(i.action, seed=1)
 
 
 def test_skew_trivial_group_exact_relabel(inst):
@@ -53,7 +64,7 @@ def test_skew_of_field_is_group_algebra():
     f = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=TOL)
     g = cyclic_group(3)
     action = make_action(g, f, [np.eye(1)] * 3)
-    s = skew_group_algebra(f, g, action, seed=1)
+    s = skew_group_algebra(action, seed=1)
     assert s.alg.dim == 3
     # the skew product degenerates to the group product: g1 * g1 = g2
     assert np.allclose(s.alg.product(s.embed_group(1), s.embed_group(1)),
@@ -136,7 +147,7 @@ def test_phi_psi_all_fixtures(inst):
         i = inst(name)
         s = _skew(i)
         fixed = fixed_subalgebra(i.algebra, i.action)
-        result = check_phi_psi(s, fixed)
+        result = check_phi_psi(s)
         assert result.passed, name
         assert fixed.sub.dim == dim, name
         assert result.corner.sub.dim == dim, name
@@ -178,11 +189,11 @@ def test_corner_module_rejects_a_module_over_another_algebra(inst):
 def test_induce_full_subgroup(inst):
     i = inst("pauli")
     s = _skew(i)
-    n = make_module(s.alg, regular_module(s.alg).actions(np.eye(s.alg.dim)))
+    n = regular_module(s.alg)
     ssub, members = sub_skew(s, range(i.group.order))
     ind = induce(n, s, members, sub=ssub)
     assert ind.dim == n.dim
-    for a, b in zip(ind.rho, n.rho):
+    for a, b in zip(ind.rho, n.actions(np.eye(s.alg.dim))):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
 
 
@@ -204,8 +215,8 @@ def test_induce_dimension_law(inst):
     dec = projective_isotypics(system, 1)
     cls = dec.class_ids()[0]
     w = dec.representatives[cls].module
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
-    ext = extend_to_skew(i.module, system, wdual, ssub)
+    wdual = contragredient(w, system.cocycle)
+    ext = extend_to_skew(system, wdual, ssub)
     ind = induce(ext, s, members, sub=ssub)
     index = i.group.order // system.inertia_group.order
     assert ind.dim == index * i.module.dim * w.dim
@@ -225,8 +236,8 @@ def test_extend_to_skew_trivial(inst):
     s = _skew(i)
     system = inertia(i.module, i.action, seed=1)
     w = module_over_twisted(system)
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
-    ext = extend_to_skew(i.module, system, wdual, s)
+    wdual = contragredient(w, system.cocycle)
+    ext = extend_to_skew(system, wdual, s)
     assert ext.dim == i.module.dim * wdual.dim
 
 
@@ -236,8 +247,8 @@ def test_extend_to_skew_pauli(inst):
     system = inertia(i.module, i.action, seed=1)
     dec = projective_isotypics(system, 1)
     w = dec.representatives[dec.class_ids()[0]].module
-    wdual = contragredient(w, system.inertia_group, system.cocycle, 1)
-    ext = extend_to_skew(i.module, system, wdual, s)
+    wdual = contragredient(w, system.cocycle)
+    ext = extend_to_skew(system, wdual, s)
     assert ext.dim == 4            # validated 4-dim module over M_2 x| (Z/2)^2
 
 
@@ -248,12 +259,11 @@ def test_extend_to_skew_rejects_wrong_cocycle(inst):
     # a plain group-algebra module is the wrong input: its algebra carries
     # the trivial cocycle, not the inverse of the extracted one (which has
     # genuine -1 entries for this instance)
-    from skewgroup.projective import trivial_cocycle, twisted_group_algebra
-    plain = twisted_group_algebra(system.inertia_group,
-                                  trivial_cocycle(system.inertia_group), -1, TOL)
+    plain = twisted_group_algebra(trivial_cocycle(system.inertia_group), -1,
+                                  TOL)
     v = make_module(plain, [np.eye(1)] * 4)
     with pytest.raises(CocycleMismatch):
-        extend_to_skew(i.module, system, v, s)
+        extend_to_skew(system, v, s)
 
 
 def test_embed_maps_multiplicative(inst):
@@ -272,3 +282,62 @@ def test_embed_maps_multiplicative(inst):
             lhs = s.alg.product(s.embed_group(g), s.embed_group(h))
             rhs = s.embed_group(i.group.mul(g, h))
             assert np.allclose(lhs, rhs)
+
+
+def _implicit(a):
+    """The two modules over `a` that store no action stack."""
+    return regular_module(a), DirectSum(a, [regular_module(a)] * 2)
+
+
+def _dense_copy(m):
+    return make_module(m.algebra, m.actions(np.eye(m.algebra.dim)))
+
+
+def _assert_same_actions(x, y):
+    eye = np.eye(x.algebra.dim)
+    assert x.dim == y.dim
+    assert np.allclose(x.actions(eye), y.actions(eye), atol=1e-12)
+
+
+def test_functions_taking_a_module_accept_implicit_ones(inst):
+    # each reads its module through `actions`, and gives what it gives for a
+    # dense copy of the same module
+    pauli = inst("pauli")
+    system = inertia(pauli.module, pauli.action, seed=1)
+    twisted = twisted_group_algebra(system.cocycle, 1, TOL)
+    for m in _implicit(twisted):
+        _assert_same_actions(contragredient(m, system.cocycle),
+                             contragredient(_dense_copy(m), system.cocycle))
+        reports = [hom_inv_check(x, x, system.cocycle, 1)
+                   for x in (m, _dense_copy(m))]
+        assert reports[0].passed
+        assert reports[0].to_dict() == reports[1].to_dict()
+    plain = twisted_group_algebra(trivial_cocycle(system.inertia_group), 1, TOL)
+    for m in _implicit(plain):
+        fixed = invariant_subspace(m)
+        assert fixed.shape[1] == m.dim // plain.dim
+        assert np.allclose(fixed, invariant_subspace(_dense_copy(m)))
+
+    s = _skew(pauli)
+    inverse = twisted_group_algebra(system.cocycle, -1, TOL)
+    implicit_m = replace(system, module=DirectSum(pauli.algebra, [pauli.module]))
+    for v in _implicit(inverse):
+        _assert_same_actions(extend_to_skew(implicit_m, v, s),
+                             extend_to_skew(system, _dense_copy(v), s))
+    ctxs = [build_context(pauli.action, m, 1)
+            for m in (implicit_m.module, pauli.module)]
+    assert main_theorem(ctxs[0]).to_dict() == main_theorem(ctxs[1]).to_dict()
+
+    swap = inst("swap")
+    s = _skew(swap)
+    ssub, members = sub_skew(s, [swap.group.identity])
+    for m in _implicit(ssub.alg):
+        _assert_same_actions(induce(m, s, members, sub=ssub),
+                             induce(_dense_copy(m), s, members, sub=ssub))
+    e = symmetrizer(s)
+    corner = corner_algebra(s.alg, e)
+    for m in _implicit(s.alg):
+        en, basis = corner_module(m, corner, e)
+        dense_en, dense_basis = corner_module(_dense_copy(m), corner, e)
+        assert np.allclose(basis, dense_basis)
+        _assert_same_actions(en, dense_en)

@@ -134,7 +134,7 @@ def test_every_constructor_matches_dense_reference(inst, name):
     i = _instance(inst, name)
     data = instance_to_job(i)
     _assert_coo_of(parse_job(data).algebra, _dense_parse(data))
-    s = skew_group_algebra(i.algebra, i.group, i.action)
+    s = skew_group_algebra(i.action)
     _assert_coo_of(s.alg, _dense_skew(dense(i.algebra), i.group, i.action.mats))
     for emb in (fixed_subalgebra(i.algebra, i.action),
                 corner_algebra(s.alg, symmetrizer(s))):
@@ -142,8 +142,7 @@ def test_every_constructor_matches_dense_reference(inst, name):
     system = inertia(i.module, i.action)
     for exponent in (1, -1):
         _assert_coo_of(
-            twisted_group_algebra(system.inertia_group, system.cocycle, exponent,
-                                  i.algebra.tol),
+            twisted_group_algebra(system.cocycle, exponent, i.algebra.tol),
             _dense_twisted(system.inertia_group, system.cocycle, exponent))
 
 
@@ -156,7 +155,7 @@ def test_instance_to_job_emits_the_dense_mult_list(inst, name):
 
 def test_no_algebra_stores_a_cubic_array():
     i = random_instance(2)
-    s = skew_group_algebra(i.algebra, i.group, i.action)
+    s = skew_group_algebra(i.action)
     simple_classes(s, 1)
     for a in (i.algebra, s.alg):
         arrays = [x for x in vars(a).values() if isinstance(x, np.ndarray)]
@@ -222,7 +221,7 @@ def test_skew72_allocations_stay_sparse():
     i = random_instance(2)
 
     def build():
-        return skew_group_algebra(i.algebra, i.group, i.action)
+        return skew_group_algebra(i.action)
 
     simple_classes(build(), 1)          # first calls: imports and caches
     s = build()

@@ -24,7 +24,7 @@ TOL = 1e-9
 
 
 def _skew(i):
-    return skew_group_algebra(i.algebra, i.group, i.action, seed=1)
+    return skew_group_algebra(i.action, seed=1)
 
 
 def _checks(report):
@@ -63,7 +63,7 @@ def test_invariant_theory_rejects_non_semisimple():
     dual = make_algebra(2, c, [1.0, 0.0], tol=TOL)
     g = make_group([[0]])
     action = make_action(g, dual, [np.eye(2)])
-    s = skew_group_algebra(dual, g, action, seed=1)
+    s = skew_group_algebra(action, seed=1)
     with pytest.raises(NotSemisimple):
         check_invariant_theory(s, 1)
 
@@ -107,11 +107,9 @@ def test_clifford_pauli(inst):
 def test_induced_simplicity_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        s = _skew(i)
-        ctx = build_context(i.algebra, i.action, i.module, 1)
+        ctx = build_context(i.action, i.module, 1)
         for gamma in ctx.iso.class_ids():
-            rep = induced_simplicity(ctx.system, gamma, s, dec=ctx.iso,
-                                     seed=1)
+            rep = induced_simplicity(ctx, gamma)
             assert rep.passed, (name, gamma)
             d = _checks(rep)["dimension_law"].dims
             assert d["dim_induced"] == d["index"] * d["dim_M"] * d["dim_W"]
@@ -120,14 +118,14 @@ def test_induced_simplicity_fixtures(inst):
 def test_hom_inv_trivial_characters():
     g = make_group([[0, 1], [1, 0]])
     from skewgroup.projective import twisted_group_algebra
-    plain = twisted_group_algebra(g, trivial_cocycle(g), 1, TOL)
+    plain = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
     triv = make_module(plain, [np.eye(1), np.eye(1)])
     sign = make_module(plain, [np.eye(1), -np.eye(1)])
-    rep = hom_inv_check(triv, triv, g, trivial_cocycle(g), 1)
+    rep = hom_inv_check(triv, triv, trivial_cocycle(g), 1)
     assert rep.passed
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims == \
         {"hom": 1, "invariants": 1, "dim_M": 1, "dim_N": 1}
-    rep = hom_inv_check(triv, sign, g, trivial_cocycle(g), 1)
+    rep = hom_inv_check(triv, sign, trivial_cocycle(g), 1)
     assert rep.passed
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims["hom"] == 0
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims["invariants"] == 0
@@ -137,7 +135,7 @@ def test_hom_inv_pauli_w(inst):
     i = inst("pauli")
     system = inertia(i.module, i.action, seed=1)
     w = module_over_twisted(system)
-    rep = hom_inv_check(w, w, system.inertia_group, system.cocycle, 1)
+    rep = hom_inv_check(w, w, system.cocycle, 1)
     assert rep.passed
     d = _checks(rep)["hom_dim_equals_invariant_dim"].dims
     assert d["hom"] == 1 and d["invariants"] == 1
@@ -145,13 +143,13 @@ def test_hom_inv_pauli_w(inst):
 
 def test_main_theorem_trivial(inst):
     i = inst("trivial")
-    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = main_theorem(build_context(i.action, i.module, 1))
     assert rep.passed
 
 
 def test_main_theorem_pauli(inst):
     i = inst("pauli")
-    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = main_theorem(build_context(i.action, i.module, 1))
     assert rep.passed
     checks = _checks(rep)
     assert checks["gamma0_direct_route_simple"].dims == \
@@ -162,7 +160,7 @@ def test_main_theorem_pauli(inst):
 
 def test_main_theorem_swap(inst):
     i = inst("swap")
-    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = main_theorem(build_context(i.action, i.module, 1))
     assert rep.passed
     checks = _checks(rep)
     # M_gamma = C^2, simple over the diagonal M_2 (dim 4)
@@ -173,7 +171,7 @@ def test_main_theorem_swap(inst):
 def test_main_theorem_routes_agree_all_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
+        rep = main_theorem(build_context(i.action, i.module, 1))
         assert rep.passed, name
         for c in rep.checks:
             if c.name.endswith("routes_agree"):
@@ -184,7 +182,7 @@ def test_main_theorem_inv_dim_one_for_simple_w(inst):
     # Inv(W (x) W*) is one-dimensional whenever W is simple
     for name in ("trivial", "pauli", "perm", "cyclic"):
         i = inst(name)
-        rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
+        rep = main_theorem(build_context(i.action, i.module, 1))
         for c in rep.checks:
             if c.name.endswith("corner_dim_identity"):
                 assert c.dims["dim_inv"] == 1, name
@@ -192,13 +190,13 @@ def test_main_theorem_inv_dim_one_for_simple_w(inst):
 
 def test_complete_reducibility_trivial(inst):
     i = inst("trivial")
-    rep = complete_reducibility(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = complete_reducibility(build_context(i.action, i.module, 1))
     assert rep.passed
 
 
 def test_complete_reducibility_pauli(inst):
     i = inst("pauli")
-    rep = complete_reducibility(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = complete_reducibility(build_context(i.action, i.module, 1))
     assert rep.passed
     checks = _checks(rep)
     assert checks["pieces_exhaust_M"].dims == \
@@ -210,7 +208,7 @@ def test_complete_reducibility_pauli(inst):
 
 def test_complete_reducibility_swap(inst):
     i = inst("swap")
-    rep = complete_reducibility(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = complete_reducibility(build_context(i.action, i.module, 1))
     assert rep.passed
     checks = _checks(rep)
     assert checks["pieces_exhaust_M"].dims["pieces"] == 1
@@ -220,7 +218,7 @@ def test_complete_reducibility_swap(inst):
 
 def test_report_serialization_shape(inst):
     i = inst("pauli")
-    rep = main_theorem(build_context(i.algebra, i.action, i.module, 1), 1)
+    rep = main_theorem(build_context(i.action, i.module, 1))
     d = rep.to_dict()
     assert d["name"] == "main_theorem"
     assert d["passed"] is True

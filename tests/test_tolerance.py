@@ -78,7 +78,7 @@ def test_only_entry_points_take_a_tolerance():
 
 def test_derived_algebras_inherit_the_job_tolerance():
     job = parse_job(instance_to_job(fixture("pauli")), tol=1e-7)
-    s = skew_group_algebra(job.algebra, job.group, job.action)
+    s = skew_group_algebra(job.action)
     system = inertia(job.modules["M"], job.action)
     w = module_over_twisted(system)
     derived = {
@@ -89,8 +89,7 @@ def test_derived_algebras_inherit_the_job_tolerance():
         "fixed": fixed_subalgebra(job.algebra, job.action).sub,
         "direct_sum": direct_sum(job.algebra, job.algebra),
         "twisted": w.algebra,
-        "contragredient": contragredient(w, system.inertia_group,
-                                         system.cocycle).algebra,
+        "contragredient": contragredient(w, system.cocycle).algebra,
     }
     assert {k: a.tol for k, a in derived.items()} == dict.fromkeys(derived, 1e-7)
     results, code = run_job(job)
@@ -110,7 +109,7 @@ def test_stale_positional_tolerance_is_a_type_error():
     with pytest.raises(TypeError):
         inertia(i.module, i.action, 1e-9)
     with pytest.raises(TypeError):
-        skew_group_algebra(i.algebra, i.group, i.action, 1e-9)
+        skew_group_algebra(i.action, 1e-9)
     with pytest.raises(TypeError):
         decompose(regular_module(i.algebra), 1, 1e-9)
 
