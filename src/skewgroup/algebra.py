@@ -53,21 +53,35 @@ class Algebra:
     def trace_gram(self) -> np.ndarray:
         """Read-only trace form T[i, j] = trace(L_{b_i} L_{b_j}).
 
-        The trace is sum_{m,n} c[i, m, n] c[j, n, m]: one matmul over the
-        slots (m, n) that hold a nonzero in both factors.
+        The trace is sum_{m,n} c[i, m, n] c[j, n, m], a join over the
+        nonzeros: each nonzero t in slot (m, n) meets every nonzero s in slot
+        (n, m), and v_t v_s is scattered into T at (i_t, i_s).  Exact for any
+        structure constants, associative or not.  The join runs over chunks
+        of about dim^2 pairs, so no temporary is larger than T or the
+        nonzeros themselves, even for dense constants with their dim^4 pairs.
         """
         i, j, k, v = self.nonzeros
         n = self.dim
-        key = j * n + k
-        both = np.zeros(n * n, dtype=bool)
-        both[key] = True
-        both = both & both.reshape(n, n).T.ravel()
-        slots = both.nonzero()[0]
-        column = np.cumsum(both) - 1         # column of each slot in `flat`
-        hit = both[key]
-        flat = np.zeros((n, slots.size), dtype=np.complex128)
-        flat[i[hit], column[key[hit]]] = v[hit]
-        gram = flat @ flat[:, column[slots % n * n + slots // n]].T
+        order = (j * n + k).argsort(kind="stable")
+        slots = (j * n + k)[order]
+        # the nonzeros in slot (n, m) of nonzero t, in slot (m, n), are
+        # order[lo[t]:hi[t]]
+        swapped = k * n + j
+        lo = slots.searchsorted(swapped)
+        hi = slots.searchsorted(swapped, side="right")
+        done = (hi - lo).cumsum()                  # pairs joined up to t
+        total = int(done[-1]) if done.size else 0
+        # a chunk is at least one join's fixed cost
+        size = max(n * n, _JOIN_FIXED_TERMS)
+        cuts = done.searchsorted(np.arange(size, total, size), side="right")
+        bounds = [0, *cuts.tolist(), lo.size]
+        gram = np.zeros(n * n, dtype=np.complex128)
+        for a, b in zip(bounds, bounds[1:]):
+            t, s = join(lo[a:b], hi[a:b])
+            t += a
+            s = order[s]
+            np.add.at(gram, i[t] * n + i[s], v[t] * v[s])
+        gram = gram.reshape(n, n)
         gram.flags.writeable = False
         return gram
 
@@ -191,12 +205,10 @@ def _sorted_coo(dim, mult) -> tuple:
     return out
 
 
-def join(match, starts):
-    """Pairs (t, s): each t with every position s in starts[match[t]] up to
-    starts[match[t] + 1]."""
-    lo = starts[match]
-    cnt = starts[match + 1] - lo
-    t = np.arange(match.size).repeat(cnt)
+def join(lo, hi):
+    """Pairs (t, s): each t with every position s from lo[t] up to hi[t]."""
+    cnt = hi - lo
+    t = np.arange(lo.size).repeat(cnt)
     return t, np.arange(t.size) + (lo - cnt.cumsum() + cnt).repeat(cnt)
 
 
@@ -253,8 +265,8 @@ def _worst_associator(a: Algebra) -> tuple:
 def _joined_associator(a: Algebra, rows, by_k, thirds) -> tuple:
     i, j, k, v = a.nonzeros
     n = a.dim
-    p, s = join(k, rows)
-    q, u = join(j, thirds)
+    p, s = join(rows[k], rows[k + 1])
+    q, u = join(thirds[j], thirds[j + 1])
     u = by_k[u]
     ij = i * n + j
     # slot ((r, j, k), l) is ((r n + j) n + k) n + l

@@ -58,7 +58,9 @@ def nullspace(m, tol: float, scale_floor: float = 0.0) -> np.ndarray:
     a = as_complex(m)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # A thin SVD already gives all right singular vectors of a matrix with at
+    # least as many rows as columns, without forming a (rows, rows) U.
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     scale = s[0] if s.size and s[0] > 0 else 1.0
     scale = max(scale, scale_floor)
     r = int(np.sum(s > tol * scale))

@@ -193,7 +193,18 @@ def make_module(algebra: Algebra, rho) -> Module:
 
 
 def validate_module(m: Module) -> None:
-    """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I."""
+    """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I.
+
+    Only a module with a stored action can be validated.  Up to
+    EXHAUSTIVE_DIM_LIMIT every basis pair is checked, in blocks of
+    ceil(dim A / d) first indices i, so no temporary holds more than about
+    (dim A)^2 d entries; a failure names the largest entry and the pair
+    (i, j) of largest summed error, the first such pair in row-major order.
+    Larger algebras are checked on seeded random pairs.
+    """
+    if not hasattr(m, "rho"):
+        raise InvalidInput(f"validate_module needs a module with a stored "
+                           f"action; a {type(m).__name__} has none")
     a = m.algebra
     tol = a.tol
     unit_res = numeric.rel_residual(m.act(a.unit) - np.eye(m.dim), 1.0)
@@ -201,17 +212,10 @@ def validate_module(m: Module) -> None:
         raise NotARepresentation(f"rho(1) != I: residual {unit_res:.3e}")
     scale = a.scale * m.scale ** 2 * m.dim
     if a.dim <= EXHAUSTIVE_DIM_LIMIT:
-        n, d = a.dim, m.dim
-        i, j, k, v = a.nonzeros
-        lhs = m.rho[:, None] @ m.rho[None, :]
-        # rhs[i, j] = sum_k c[i, j, k] rho[k], scattered from the nonzeros
-        rhs = numeric.scatter(i * n + j, v[:, None] * m.rho.reshape(n, d * d)[k],
-                              n * n).reshape(n, n, d, d)
-        err = np.abs(lhs - rhs)
-        worst = float(err.max())
+        worst = max(float(err.max()) for err in _product_errors(m))
         if worst > tol * scale:
-            i, j = np.unravel_index(int(err.reshape(a.dim, a.dim, -1).sum(-1).argmax()),
-                                    (a.dim, a.dim))
+            sums = np.concatenate([err.sum(-1) for err in _product_errors(m)])
+            i, j = divmod(int(sums.argmax()), a.dim)
             raise NotARepresentation(
                 f"rho(b_{i}) rho(b_{j}) != rho(b_{i} b_{j}): residual {worst:.3e}")
         return
@@ -222,6 +226,23 @@ def validate_module(m: Module) -> None:
         delta = m.act(x) @ m.act(y) - m.act(a.product(x, y))
         if numeric.rel_residual(delta, scale * a.dim) > tol:
             raise NotARepresentation(f"random probe {t} violates multiplicativity")
+
+
+def _product_errors(m: Module):
+    """|rho(b_i) rho(b_j) - rho(b_i b_j)| entrywise, as (rows, d*d) blocks
+    with row (i, j) at i n + j, over consecutive blocks of first indices i."""
+    i, j, k, v = m.algebra.nonzeros
+    n, d = m.algebra.dim, m.dim
+    step = -(-n // d)
+    flat = m.rho.reshape(n, d * d)
+    firsts = range(0, n, step)
+    bounds = i.searchsorted([*firsts, n])    # nonzeros of each block
+    for r, lo, hi in zip(firsts, bounds, bounds[1:]):
+        err = (m.rho[r:r + step, None] @ m.rho[None]).reshape(-1, d * d)
+        # rho(b_i b_j) = sum_k c[i, j, k] rho(b_k), scattered from the nonzeros
+        err -= numeric.scatter((i[lo:hi] - r) * n + j[lo:hi],
+                               v[lo:hi, None] * flat[k[lo:hi]], len(err))
+        yield np.abs(err)
 
 
 def hom_space(m: Module, n: Module) -> list:

@@ -73,7 +73,8 @@ def skew_group_algebra(action: AlgebraAction, *,
     mats = np.array(action.mats)
     g, rows, cols = np.nonzero(mats)
     by_row = np.argsort(rows, kind="stable")
-    t, s = join(cm, np.searchsorted(rows[by_row], np.arange(da + 1)))
+    starts = np.searchsorted(rows[by_row], np.arange(da + 1))
+    t, s = join(starts[cm], starts[cm + 1])
     s = by_row[s]
     slots, at = np.unique(((g[s] * da + ci[t]) * da + cols[s]) * da + ck[t],
                           return_inverse=True)

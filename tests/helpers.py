@@ -1,4 +1,7 @@
-"""Dense structure tensors for tests that use them as an oracle."""
+"""Dense structure tensors for tests that use them as an oracle, and a
+tracemalloc probe for tests that bound memory."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -19,3 +22,14 @@ def unvalidated_algebra(dim, c, unit):
     i, j, k = np.nonzero(c)
     return Algebra(dim=dim, nonzeros=(i, j, k, c[i, j, k]),
                    unit=np.asarray(unit, dtype=np.complex128))
+
+
+def peak_bytes(fn):
+    """tracemalloc peak of fn() above what was allocated before, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

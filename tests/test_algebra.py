@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import dense, unvalidated_algebra
+from helpers import dense, peak_bytes, unvalidated_algebra
 
 from skewgroup import algebra
 from skewgroup.algebra import (
@@ -105,6 +105,32 @@ def test_trace_form_is_derived_once_and_read_only(inst, name):
         t[0, 0] = 1.0
     want = np.einsum("imn,jnm->ij", dense(a), dense(a))
     assert np.linalg.norm(t - want) <= 1e-12 * a.scale ** 2
+
+
+def test_trace_form_of_m16_is_a_join_over_the_nonzeros():
+    """M_16 has 4096 nonzeros, and a dense (dim, slots) copy of them took
+    35 MB; the join peaks near the 1 MB of its (256, 256) output.  The dense
+    einsum reference sum_{m,n} c[i, m, n] c[j, n, m] has the closed form
+    T[E_pq, E_rs] = 16 [q = r] [p = s] here, exact in floating point."""
+    n = 16
+    a = matrix_algebra(n)
+    fresh = algebra.Algebra(dim=a.dim, nonzeros=a.nonzeros, unit=a.unit)
+    assert peak_bytes(lambda: fresh.trace_gram) < 4 * a.dim ** 2 * 16
+    p, q, r, s = np.indices((n,) * 4)
+    want = (n * (q == r) * (p == s)).reshape(a.dim, a.dim)
+    assert np.array_equal(trace_form(a), want)
+    assert np.array_equal(fresh.trace_gram, want)
+
+
+def test_trace_form_of_dense_constants_joins_in_chunks():
+    """Dense constants of dim 24 give 24^4 joined pairs, whose products alone
+    take 5.3 MB; joined in chunks of about dim^2 pairs the trace form peaks
+    below twice the 0.55 MB of the stored nonzeros."""
+    a = _random_dense_algebra(24, 1)
+    stored = sum(x.nbytes for x in a.nonzeros)
+    assert peak_bytes(lambda: a.trace_gram) < 2 * stored
+    want = _dense_trace_form(dense(a))
+    assert np.linalg.norm(a.trace_gram - want) <= 1e-12 * a.scale ** 2
 
 
 def test_make_algebra_rejects_nonassociative_naming_worst_triple():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import peak_bytes
 
 from skewgroup import numeric
 from skewgroup.errors import InvalidInput
@@ -71,6 +72,23 @@ def test_nullspace_vectors_annihilated():
     norm = np.linalg.norm(m)
     for j in range(ker.shape[1]):
         assert np.linalg.norm(m @ ker[:, j]) <= TOL * norm
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(2000, 8, 5), (3, 8, 2), (8, 8, 8)])
+def test_nullspace_matches_full_svd_reference(rows, cols, rank):
+    """Tall, wide and square: the kernel spans the full SVD's last right
+    singular vectors."""
+    rng = np.random.default_rng(7)
+    m = ((rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank)))
+         @ rng.standard_normal((rank, cols)))
+    ker = numeric.nullspace(m, TOL)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    want = vh[int(np.sum(s > TOL * s[0])):].conj().T
+    assert ker.shape == want.shape == (cols, cols - rank)
+    assert np.linalg.norm(ker @ ker.conj().T - want @ want.conj().T) <= 1e-12
+    if rows > 100 * cols:
+        # a thin SVD: no (rows, rows) U, which takes 2000^2 * 16 B = 64 MB
+        assert peak_bytes(lambda: numeric.nullspace(m, TOL)) < rows * rows * 16
 
 
 def test_solve_sandwich_identity_pair():

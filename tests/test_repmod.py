@@ -1,8 +1,10 @@
 """Modules: hom spaces, simplicity, twists, restriction, decomposition."""
 
+import re
+
 import numpy as np
 import pytest
-from helpers import dense
+from helpers import dense, peak_bytes
 
 from skewgroup.algebra import (
     SubalgebraEmbedding,
@@ -32,6 +34,7 @@ from skewgroup.repmod import (
     regular_module,
     restrict,
     twist,
+    validate_module,
 )
 from skewgroup.skew import skew_group_algebra
 
@@ -429,6 +432,52 @@ def test_validate_module_names_the_worst_basis_pair():
     with pytest.raises(NotARepresentation,
                        match=rf"rho\(b_{i}\) rho\(b_{j}\) != rho\(b_{i} b_{j}\)"):
         make_module(a, rho)
+
+
+def _dense_regular_random19():
+    """The regular module of random_instance(19)'s skew algebra (dim 25),
+    with its actions stored as a dense (25, 25, 25) stack."""
+    s = skew_group_algebra(random_instance(19).action).alg
+    rho = np.ascontiguousarray(regular_module(s).actions(np.eye(s.dim)))
+    return s, rho
+
+
+def test_validate_module_works_in_blocks_of_first_indices():
+    """The one-shot check held four (dim A)^2 d^2 stacks, 21.9 MB here; in
+    blocks of ceil(dim A / d) first indices no stack exceeds (dim A)^2 d."""
+    s, rho = _dense_regular_random19()
+    m = Module(algebra=s, dim=s.dim, rho=rho)
+    assert s.dim == 25
+    validate_module(m)
+    assert peak_bytes(lambda: validate_module(m)) < 4 * s.dim ** 3 * 16
+
+
+def test_validate_module_reports_the_global_worst_pair():
+    s, rho = _dense_regular_random19()
+    rho[2, 0, 1] += 1e-5       # neither basis element is part of the unit
+    rho[17, 1, 0] += 1e-2
+    # one-shot reference: every pair (i, j) at once
+    err = np.abs(np.einsum("iab,jbc->ijac", rho, rho)
+                 - np.einsum("ijk,kac->ijac", dense(s), rho)).reshape(s.dim, s.dim, -1)
+    worst = float(err.max())
+    i, j = np.unravel_index(int(err.sum(-1).argmax()), (s.dim, s.dim))
+    scale = s.scale * np.abs(rho).max() ** 2 * s.dim
+    # one first index per block (d = dim A); the first failing block is not
+    # the worst pair's
+    first = int((err.max(axis=(1, 2)) > s.tol * scale).argmax())
+    assert first != i
+    message = f"rho(b_{i}) rho(b_{j}) != rho(b_{i} b_{j}): residual {worst:.3e}"
+    with pytest.raises(NotARepresentation, match=re.escape(message)):
+        make_module(s, rho)
+
+
+def test_validate_module_rejects_modules_without_a_stored_action(inst):
+    a = inst("pauli").algebra
+    m = inst("pauli").module
+    for module, kind in ((regular_module(a), "RegularModule"),
+                         (DirectSum(a, [m, m]), "DirectSum")):
+        with pytest.raises(InvalidInput, match=f"a {kind} has none"):
+            validate_module(module)
 
 
 # Intertwiner systems built from each module's cached generator side.

@@ -4,11 +4,10 @@ arrays, equal bit for bit to the dense constructions they replace."""
 import contextlib
 import io
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import dense
+from helpers import dense, peak_bytes
 
 from skewgroup.algebra import (
     corner_algebra,
@@ -197,17 +196,6 @@ def test_repeated_entry_keeps_the_last_value(tmp_path, inst):
     assert _run_json(tmp_path, after, "c.json")[0] == 2
 
 
-def _peak_mb(fn):
-    """tracemalloc peak of fn() above what was allocated before, in MB."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 def test_skew72_allocations_stay_sparse():
     """At skew dimension 72 one dense (dim, dim, dim) array takes 6 MB.
 
@@ -226,5 +214,5 @@ def test_skew72_allocations_stay_sparse():
     simple_classes(build(), 1)          # first calls: imports and caches
     s = build()
     assert s.alg.dim == 72
-    assert _peak_mb(build) <= 1.0
-    assert _peak_mb(lambda: simple_classes(s, 1)) <= 3.0
+    assert peak_bytes(build) <= 1.0e6
+    assert peak_bytes(lambda: simple_classes(s, 1)) <= 3.0e6
