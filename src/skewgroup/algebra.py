@@ -347,7 +347,7 @@ def canonical_span(vectors, tol) -> np.ndarray:
     k = raw.shape[1]
     if k == 0:
         return raw
-    residual = (raw @ raw.conj().T).copy()
+    residual = raw @ raw.conj().T
     out = []
     for _ in range(k):
         norms = np.linalg.norm(residual, axis=0)

@@ -28,6 +28,9 @@ FIXTURE_NAMES = ("trivial", "swap", "pauli", "perm", "cyclic")
 ALL_TASKS = ("semisimple", "inertia", "cocycle", "skew", "phi_psi",
              "invariant_theory", "clifford", "induced_simplicity", "hom_inv",
              "main_theorem", "complete_reducibility")
+# the tasks that read a job module
+MODULE_TASKS = ("inertia", "cocycle", "induced_simplicity", "hom_inv",
+                "main_theorem", "complete_reducibility")
 
 
 @dataclass

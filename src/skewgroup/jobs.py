@@ -17,7 +17,7 @@ import numpy as np
 from . import numeric
 from .algebra import Algebra, make_algebra
 from .errors import ParseError
-from .fixtures import ALL_TASKS, Instance
+from .fixtures import ALL_TASKS, MODULE_TASKS, Instance
 from .group_action import AlgebraAction, FiniteGroup, make_action, make_group
 from .repmod import make_module
 
@@ -91,6 +91,8 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         raise ParseError(f"tol must be a number, got {tol!r}")
     job_tol = float(tol)
     job_seed = _int(seed, "seed")
+    if job_seed < 0:
+        raise ParseError(f"seed must be a non-negative integer, got {seed!r}")
 
     try:
         aspec = data["algebra"]
@@ -167,6 +169,9 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         if rec["module"] is not None and (not isinstance(rec["module"], str)
                                           or rec["module"] not in modules):
             raise ParseError(f"task references unknown module {rec['module']!r}")
+        if rec["module"] is None and rec["task"] in MODULE_TASKS:
+            raise ParseError(f"task {rec['task']!r} needs a module, but none "
+                             f"is given")
         tasks.append(rec)
 
     return JobSpec(algebra=algebra, group=group, action=action, modules=modules,

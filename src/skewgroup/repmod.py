@@ -51,9 +51,10 @@ class Module:
         """(len(xs), dim, dim) action matrices of the elements xs[t]."""
         return np.tensordot(xs, self.rho, axes=1)
 
-    def images(self, basis) -> np.ndarray:
-        """(algebra dim, dim, k) stack of rho(b_i) @ basis for every i."""
-        return self.rho @ basis
+    def images(self, basis, lo=0, hi=None) -> np.ndarray:
+        """(hi - lo, dim, k) stack of rho(b_i) @ basis for the basis elements
+        lo <= i < hi (by default all of them), given a (dim, k) basis."""
+        return self.rho[lo:hi] @ basis
 
     @cached_property
     def scale(self) -> float:
@@ -97,12 +98,16 @@ class RegularModule(Module):
         flat = numeric.scatter(k * n + j, (xs[:, i] * v).T, n * n)
         return flat.T.reshape(len(xs), n, n)
 
-    def images(self, basis) -> np.ndarray:
-        # row k of L_{b_i} @ basis collects c[i, j, k] basis[j]
-        i, j, k, v = self.algebra.nonzeros
+    def images(self, basis, lo=0, hi=None) -> np.ndarray:
+        # row k of L_{b_i} @ basis collects c[i, j, k] basis[j]; the
+        # nonzeros are sorted by i, so those of rows lo..hi are one run
         n = self.dim
-        return numeric.scatter(i * n + k, v[:, None] * basis[j],
-                               n * n).reshape(n, n, -1)
+        hi = n if hi is None else hi
+        i, j, k, v = self.algebra.nonzeros
+        run = slice(*i.searchsorted([lo, hi]))
+        flat = numeric.scatter((i[run] - lo) * n + k[run],
+                               v[run, None] * basis[j[run]], (hi - lo) * n)
+        return flat.reshape(hi - lo, n, basis.shape[1])
 
     @cached_property
     def scale(self) -> float:
@@ -138,9 +143,9 @@ class DirectSum(Module):
     def actions(self, xs) -> np.ndarray:
         return self._spread([n.actions(xs) for n in self.summands])
 
-    def images(self, basis) -> np.ndarray:
+    def images(self, basis, lo=0, hi=None) -> np.ndarray:
         rows = np.cumsum([0] + [n.dim for n in self.summands])
-        return np.concatenate([n.images(basis[lo:hi]) for n, lo, hi
+        return np.concatenate([n.images(basis[r:s], lo, hi) for n, r, s
                                in zip(self.summands, rows, rows[1:])], axis=1)
 
     @cached_property
@@ -310,19 +315,31 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
 
 
 def compress(m: Module, basis: np.ndarray) -> Module:
-    """Restrict the action to an invariant subspace with orthonormal basis."""
+    """Restrict the action to an invariant subspace with orthonormal basis.
+
+    The (dim A, k, k) result is filled in blocks of ceil(dim A / k) basis
+    elements, k = basis.shape[1], so no other temporary holds more than about
+    dim A * dim M entries.  Every basis element's invariance residual is
+    checked, and a failure names the first one above tolerance.
+    """
     a = m.algebra
-    rb = m.images(basis)
-    small = basis.conj().T @ rb
-    rb -= basis @ small
-    re, im = rb.real, rb.imag
-    res = np.sqrt(np.einsum("iab,iab->i", re, re)
-                  + np.einsum("iab,iab->i", im, im)) / m.scale
-    bad = (res > a.tol).nonzero()[0]
-    if bad.size:
-        raise NotARepresentation(
-            f"subspace is not invariant: residual {res[bad[0]]:.3e}")
-    return Module(algebra=a, dim=basis.shape[1], rho=small)
+    n, k = a.dim, basis.shape[1]
+    step = -(-n // k)
+    adjoint = basis.conj().T
+    small = np.empty((n, k, k), dtype=np.complex128)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rb = m.images(basis, lo, hi)
+        small[lo:hi] = adjoint @ rb
+        rb -= basis @ small[lo:hi]
+        re, im = rb.real, rb.imag
+        res = np.sqrt(np.einsum("iab,iab->i", re, re)
+                      + np.einsum("iab,iab->i", im, im)) / m.scale
+        bad = (res > a.tol).nonzero()[0]
+        if bad.size:
+            raise NotARepresentation(
+                f"subspace is not invariant: residual {res[bad[0]]:.3e}")
+    return Module(algebra=a, dim=k, rho=small)
 
 
 def _commutant(m: Module) -> tuple:

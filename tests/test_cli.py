@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import itertools
 import json
 
 import pytest
@@ -223,3 +224,47 @@ def test_run_task_the_job_does_not_list_exits_2(tmp_path, capsys, flags):
     assert out == ""
     assert err.count("\n") == 1
     assert "'inertia'" in err and "listed tasks: main_theorem, skew" in err
+
+
+@pytest.mark.parametrize("command, via", [("validate", "job"), ("run", "job"),
+                                          ("run", "flag")])
+def test_negative_seed_exits_2(tmp_path, capsys, command, via):
+    """A negative seed used to pass `validate` and crash `run` in numpy's
+    generator with exit 1; it is a parse error naming the seed."""
+    data = _fixture_job(capsys, "pauli")
+    seed = -1 if via == "flag" else -3
+    flags = ["--seed", str(seed)] if via == "flag" else []
+    if via == "job":
+        data["seed"] = seed
+    assert main([command, _write(tmp_path, data), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: seed must be a non-negative "
+                            f"integer, got {seed}\n")
+
+
+@pytest.mark.parametrize("task", ["inertia", "cocycle", "induced_simplicity",
+                                  "hom_inv", "main_theorem",
+                                  "complete_reducibility"])
+def test_module_task_in_a_job_without_modules_exits_2(tmp_path, capsys, task):
+    """It used to pass `validate` and crash `run` with a KeyError, as did a
+    task whose module is given as null."""
+    data = _fixture_job(capsys, "pauli")
+    nulled = dict(data, tasks=[{"task": task, "module": None}])
+    data["modules"] = {}
+    data["tasks"] = [{"task": "semisimple"}, {"task": task}]
+    paths = [_write(tmp_path, data), _write(tmp_path, nulled, "nulled.json")]
+    for command, path in itertools.product(("validate", "run"), paths):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"parse error: task {task!r} needs a module, "
+                                "but none is given\n")
+
+
+def test_module_free_tasks_run_in_a_job_without_modules(tmp_path, capsys):
+    data = _fixture_job(capsys, "pauli")
+    data["modules"] = {}
+    data["tasks"] = [{"task": t} for t in ("semisimple", "skew", "phi_psi")]
+    assert main(["run", _write(tmp_path, data), "--quiet"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 3
