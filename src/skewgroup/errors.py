@@ -69,10 +69,6 @@ class AlgebraMismatch(ValidationError):
     pass
 
 
-class ModuleAlgebraMismatch(ValidationError):
-    pass
-
-
 class NotSemisimple(SkewGroupError):
     pass
 

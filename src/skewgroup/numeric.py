@@ -35,6 +35,12 @@ def check_tol(tol) -> None:
         raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
 
 
+def _scale(s, scale_floor: float = 0.0) -> float:
+    """Scale of every relative singular-value cutoff: the largest of the
+    descending singular values s (1 when none is positive), floored."""
+    return max(s[0] if s.size and s[0] > 0 else 1.0, scale_floor)
+
+
 def rank(m, tol: float) -> int:
     """Number of singular values above tol relative to the largest one."""
     check_tol(tol)
@@ -42,8 +48,7 @@ def rank(m, tol: float) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    return int(np.sum(s > tol * scale))
+    return int(np.sum(s > tol * _scale(s)))
 
 
 def nullspace(m, tol: float, scale_floor: float = 0.0) -> np.ndarray:
@@ -61,9 +66,7 @@ def nullspace(m, tol: float, scale_floor: float = 0.0) -> np.ndarray:
     # A thin SVD already gives all right singular vectors of a matrix with at
     # least as many rows as columns, without forming a (rows, rows) U.
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    scale = max(scale, scale_floor)
-    r = int(np.sum(s > tol * scale))
+    r = int(np.sum(s > tol * _scale(s, scale_floor)))
     return vh[r:].conj().T.copy()
 
 
@@ -80,9 +83,7 @@ def orthonormal_column_basis(m, tol: float,
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    scale = max(scale, scale_floor)
-    r = int(np.sum(s > tol * scale))
+    r = int(np.sum(s > tol * _scale(s, scale_floor)))
     return u[:, :r].copy()
 
 

@@ -59,11 +59,9 @@ class Cocycle:
 @dataclass(frozen=True, eq=False)
 class ProjectiveSystem:
     module: Module            # simple module over the base algebra
-    action: AlgebraAction     # the full group action on the algebra
     inertia_members: tuple    # original group indices belonging to G_M
-    inertia_group: FiniteGroup  # G_M with its own 0-based indexing
-    phi: tuple                # intertwiner matrix per inertia_group index
-    cocycle: Cocycle
+    phi: tuple                # intertwiner matrix per index of cocycle.group
+    cocycle: Cocycle          # its group is G_M with its own 0-based indexing
 
 
 def subgroup_as_group(group: FiniteGroup, members) -> tuple:
@@ -105,17 +103,12 @@ def inertia(m: Module, action: AlgebraAction, *,
             members.append(h)
             raw_phi[h] = _normalize_intertwiner(homs[0], m.dim)
     inertia_group, members = subgroup_as_group(group, members)
-    phi = []
-    for local, h in enumerate(members):
-        if local == inertia_group.identity:
-            phi.append(np.eye(m.dim, dtype=np.complex128))
-        else:
-            phi.append(raw_phi[h])
-    phi = tuple(phi)
+    phi = tuple(np.eye(m.dim, dtype=np.complex128) if h == group.identity
+                else raw_phi[h] for h in members)
     _check_intertwiners(m, action, members, phi)
     cocycle = extract_cocycle(phi, inertia_group, m.algebra.tol)
-    return ProjectiveSystem(module=m, action=action, inertia_members=members,
-                            inertia_group=inertia_group, phi=phi, cocycle=cocycle)
+    return ProjectiveSystem(module=m, inertia_members=members, phi=phi,
+                            cocycle=cocycle)
 
 
 def _check_intertwiners(m: Module, action: AlgebraAction, members, phi):

@@ -256,13 +256,14 @@ def hom_space(m: Module, n: Module) -> list:
     Constraints are imposed for a generating set of the algebra only, which is
     exact because the intertwiner condition is closed under products.
     """
-    if not _same_algebra(m.algebra, n.algebra):
+    if not same_algebra(m.algebra, n.algebra):
         raise AlgebraMismatch("hom_space requires modules over the same algebra")
     pairs = numeric.Pairs(m.generator_side, n.generator_side)
     return numeric.solve_sandwich(pairs, m.algebra.tol)
 
 
-def _same_algebra(a: Algebra, b: Algebra) -> bool:
+def same_algebra(a: Algebra, b: Algebra) -> bool:
+    """Exact equality: dimension, structure constants and unit."""
     if a is b:
         return True
     return (a.dim == b.dim and np.array_equal(*aligned_constants(a, b))
@@ -308,7 +309,7 @@ def twist(m: Module, g: int, action) -> Module:
 
 def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
     """View m as a module over the embedded subalgebra."""
-    if not _same_algebra(embedding.parent, m.algebra):
+    if not same_algebra(embedding.parent, m.algebra):
         raise AlgebraMismatch("embedding does not target the module's algebra")
     return Module(algebra=embedding.sub, dim=m.dim,
                   rho=m.actions(embedding.inclusion.T))

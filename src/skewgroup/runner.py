@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numeric
-from .algebra import aligned_constants, is_semisimple
+from .algebra import is_semisimple
 from .errors import (
     DegenerateSample,
     InvalidInput,
@@ -23,6 +23,7 @@ from .errors import (
 )
 from .jobs import JobSpec
 from .projective import inertia
+from .repmod import same_algebra
 from .skew import check_phi_psi, skew_group_algebra, symmetrizer
 from .theorems import (
     VerificationReport,
@@ -83,7 +84,7 @@ def _task_inertia(ctx: JobContext, rec) -> VerificationReport:
     system = ctx.system(rec["module"])
     rep.add("inertia_subgroup_computed", True,
             dims={"group_order": job.group.order,
-                  "inertia_order": system.inertia_group.order},
+                  "inertia_order": system.cocycle.group.order},
             witness="members=" + ",".join(str(h) for h in system.inertia_members))
     return rep
 
@@ -122,8 +123,7 @@ def _task_skew(ctx: JobContext, rec) -> VerificationReport:
         worst = max(worst, numeric.rel_residual(delta, scale * s.alg.dim ** 1.5))
     rep.add("random_triple_associativity", worst <= 1e-8, residual=worst)
     if job.group.order == 1:
-        same = np.array_equal(*aligned_constants(s.alg, job.algebra))
-        rep.add("trivial_group_relabel_exact", same)
+        rep.add("trivial_group_relabel_exact", same_algebra(s.alg, job.algebra))
     e = symmetrizer(s)
     idem = numeric.rel_residual(s.alg.product(e, e) - e, 1.0)
     rep.add("symmetrizer_idempotent", idem <= job.tol, residual=idem)

@@ -6,7 +6,7 @@ Basis of A x| G is indexed (algebra index major, group index minor):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,20 +14,26 @@ from . import numeric
 from .algebra import (
     Algebra,
     SubalgebraEmbedding,
-    aligned_constants,
     corner_algebra,
     fixed_subalgebra,
     join,
     make_algebra,
 )
-from .errors import CocycleMismatch, InvalidInput, ModuleAlgebraMismatch
+from .errors import AlgebraMismatch, CocycleMismatch, InvalidInput
 from .group_action import AlgebraAction, FiniteGroup, left_cosets, make_action
 from .projective import (
     ProjectiveSystem,
     subgroup_as_group,
     twisted_group_algebra,
 )
-from .repmod import Module, compress, make_module, restrict, validate_module
+from .repmod import (
+    Module,
+    compress,
+    make_module,
+    restrict,
+    same_algebra,
+    validate_module,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +42,7 @@ class SkewAlgebra:
     group: FiniteGroup
     action: AlgebraAction
     alg: Algebra              # dimension dim(base) * |G|
+    members: tuple            # the elements of `group` in the parent group
 
     def index(self, i: int, g: int) -> int:
         return i * self.group.order + g
@@ -101,7 +108,8 @@ def skew_group_algebra(action: AlgebraAction, *,
         gens.append(v)
     alg = make_algebra(dim, nonzeros, unit, tol=base.tol, generators=gens,
                        seed=seed)
-    return SkewAlgebra(base=base, group=group, action=action, alg=alg)
+    return SkewAlgebra(base=base, group=group, action=action, alg=alg,
+                       members=tuple(group.elements()))
 
 
 def symmetrizer(s: SkewAlgebra) -> np.ndarray:
@@ -209,55 +217,41 @@ def corner_module(n: Module, corner: SubalgebraEmbedding, e) -> tuple:
     return en, basis
 
 
-def sub_skew(s: SkewAlgebra, members) -> tuple:
-    """Materialize A x| H for a subgroup H; returns (SkewAlgebra, members)."""
+def sub_skew(s: SkewAlgebra, members) -> SkewAlgebra:
+    """Materialize A x| H for a subgroup H given by its members in s.group."""
     subgroup, members = subgroup_as_group(s.group, members)
     mats = tuple(s.action.mats[h] for h in members)
-    return skew_group_algebra(make_action(subgroup, s.base, mats)), members
+    return replace(skew_group_algebra(make_action(subgroup, s.base, mats)),
+                   members=members)
 
 
-def induce(m: Module, s: SkewAlgebra, members, sub: SkewAlgebra) -> Module:
+def induce(m: Module, s: SkewAlgebra, sub: SkewAlgebra) -> Module:
     """Induction from A x| H to A x| G along coset representatives.
 
-    `sub` is A x| H as `sub_skew(s, members)` builds it.  Basis:
-    coset-representative major, module basis minor.  The action sends
+    `sub` is A x| H as `sub_skew(s, members)` builds it, and H is read from
+    `sub.members`.  Basis: coset-representative major, module basis minor.  The action sends
     g_i (x) m to g_l (x) (g_l^{-1}(a) h) m where g g_i = g_l h with h in H.
     """
-    _, members = subgroup_as_group(s.group, members)
-    if m.algebra.dim != sub.alg.dim or not np.allclose(
-            *aligned_constants(m.algebra, sub.alg), atol=s.alg.tol * sub.alg.scale):
-        raise ModuleAlgebraMismatch("module is not over the sub skew algebra")
-    group = s.group
+    if not same_algebra(m.algebra, sub.alg):
+        raise AlgebraMismatch("module is not over the sub skew algebra")
+    group, members = s.group, np.array(sub.members)
     reps = left_cosets(group, members)
-    k = len(reps)
-    nh = len(members)
-    local = {h: t for t, h in enumerate(members)}
-    # coset index of each group element
-    coset_of = {}
-    for l, r in enumerate(reps):
-        for h in members:
-            coset_of[group.mul(r, h)] = l
-    d = m.dim
-    dim = k * d
-    da = s.base.dim
-    stack = m.actions(np.eye(m.algebra.dim))
-    rho = []
-    for j in range(da):
-        for g in group.elements():
-            mat = np.zeros((dim, dim), dtype=np.complex128)
-            for i, gi in enumerate(reps):
-                w = group.mul(g, gi)
-                l = coset_of[w]
-                h = group.mul(group.inv(reps[l]), w)
-                acoords = s.action.mats[group.inv(reps[l])][:, j]
-                block = np.zeros((d, d), dtype=np.complex128)
-                ht = local[h]
-                for p in range(da):
-                    if acoords[p] != 0:
-                        block += acoords[p] * stack[p * nh + ht]
-                mat[l * d:(l + 1) * d, i * d:(i + 1) * d] = block
-            rho.append(mat)
-    return make_module(s.alg, rho)
+    d, k, da = m.dim, len(reps), s.base.dim
+    # coset l and local index t of each element g_l h_t
+    cosets = group.table[np.ix_(reps, members)]
+    coset, local = np.empty((2, group.order), dtype=np.int64)
+    coset[cosets] = np.arange(k)[:, None]
+    local[cosets] = np.arange(members.size)
+    stack = m.actions(np.eye(m.algebra.dim)).reshape(da, members.size, d, d)
+    rho = np.zeros((da, group.order, k * d, k * d), dtype=np.complex128)
+    for g in group.elements():
+        for i, w in enumerate(group.table[g, reps]):
+            l = coset[w]
+            # block_j = sum_p mats[g_l^{-1}][p, j] rho(b_p h), g g_i = g_l h
+            rho[:, g, l * d:(l + 1) * d, i * d:(i + 1) * d] = np.tensordot(
+                s.action.mats[group.inv(reps[l])], stack[:, local[w]],
+                axes=(0, 0))
+    return make_module(s.alg, rho.reshape(da * group.order, k * d, k * d))
 
 
 def extend_to_skew(system: ProjectiveSystem, v: Module,
@@ -269,16 +263,13 @@ def extend_to_skew(system: ProjectiveSystem, v: Module,
     representation property of the result is re-validated.
     """
     m = system.module
-    tol = m.algebra.tol
-    expected = twisted_group_algebra(system.cocycle, -1, tol)
-    if v.algebra.dim != expected.dim or not np.allclose(
-            *aligned_constants(v.algebra, expected), atol=tol * expected.scale):
+    expected = twisted_group_algebra(system.cocycle, -1, m.algebra.tol)
+    if not same_algebra(v.algebra, expected):
         raise CocycleMismatch(
             "V is not a module over the inverse-cocycle twisted group algebra")
-    if s_inertia.group.order != system.inertia_group.order or not np.array_equal(
-            s_inertia.group.table, system.inertia_group.table):
+    if s_inertia.members != system.inertia_members:
         raise InvalidInput("skew algebra group does not match the inertia subgroup")
-    nh = system.inertia_group.order
+    nh = len(s_inertia.members)
     vs = v.actions(np.eye(nh))
     rho = []
     for bj in m.actions(np.eye(m.algebra.dim)):

@@ -173,7 +173,6 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
     lam = piece.module                 # simple A-module A^lambda
     system = inertia(lam, s.action, seed=seed)
     members = system.inertia_members
-    hgroup = system.inertia_group
 
     # P = sum_h h . A^lambda inside N
     cols = [n.act(s.embed_group(h)) @ piece.basis for h in members]
@@ -204,13 +203,12 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
     rep.add("Hnu_simple", is_simple(nu_mod, seed=seed),
             dims={"dim_Hnu": nu_mod.dim})
 
-    ssub, members = sub_skew(s, members)
-    ext = extend_to_skew(system, nu_mod, ssub)
-    ind = induce(ext, s, members, sub=ssub)
+    ssub = sub_skew(s, members)
+    ind = induce(extend_to_skew(system, nu_mod, ssub), s, ssub)
     iso, hom_dim = _module_iso(ind, n, seed=seed)
     rep.add("induced_isomorphic_to_N", iso,
             dims={"dim_N": n.dim, "dim_Ind": ind.dim,
-                  "index_G_H": s.group.order // hgroup.order,
+                  "index_G_H": s.group.order // len(members),
                   "dim_lambda": lam.dim, "hom_dim": int(hom_dim)})
     return rep
 
@@ -226,10 +224,9 @@ def induced_simplicity(ctx: MainTheoremContext,
     rep = VerificationReport(name="induced_simplicity", seed=seed, tol=s.alg.tol)
     w = ctx.iso.representatives[gamma].module
     wdual = contragredient(w, system.cocycle)
-    ssub, members = sub_skew(s, system.inertia_members)
-    ext = extend_to_skew(system, wdual, ssub)
-    ind = induce(ext, s, members, sub=ssub)
-    index = s.group.order // system.inertia_group.order
+    ssub = sub_skew(s, system.inertia_members)
+    ind = induce(extend_to_skew(system, wdual, ssub), s, ssub)
+    index = s.group.order // system.cocycle.group.order
     expected = index * system.module.dim * w.dim
     rep.add("dimension_law", ind.dim == expected,
             dims={"dim_induced": ind.dim, "index": index,
@@ -319,9 +316,9 @@ def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
         raise NotSimple("main theorem starts from a simple module")
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
-    ssub, members = sub_skew(s, system.inertia_members)
-    index = s.group.order // system.inertia_group.order
-    plain = twisted_group_algebra(trivial_cocycle(system.inertia_group), 1, tol)
+    ssub = sub_skew(s, system.inertia_members)
+    index = s.group.order // system.cocycle.group.order
+    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, tol)
     for gamma in iso.class_ids():
         w = iso.representatives[gamma].module
         mult_basis = iso.multiplicity_spaces[gamma]
@@ -331,8 +328,7 @@ def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
                 dims={"dim_M_gamma": direct.dim, "dim_AG": fixed.sub.dim})
 
         wdual = contragredient(w, system.cocycle)
-        ext = extend_to_skew(system, wdual, ssub)
-        ind = induce(ext, s, members, sub=ssub)
+        ind = induce(extend_to_skew(system, wdual, ssub), s, ssub)
         rep.add(f"gamma{gamma}_dim_induced", ind.dim == index * m.dim * w.dim,
                 dims={"dim_induced": ind.dim, "index": index, "dim_W": w.dim})
         en, _ = corner_module(ind, corner, e)

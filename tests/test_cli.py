@@ -82,6 +82,35 @@ def test_run_all_tasks_text_output(tmp_path, capsys):
     assert "overall: PASS" in out
 
 
+def _relabel_identity(data, at):
+    """The job with group elements 0 and `at` swapped in the table and in the
+    list of action matrices."""
+    perm = list(range(data["group"]["order"]))
+    perm[0], perm[at] = at, 0
+    table = data["group"]["table"]
+    relabelled = [[0] * len(perm) for _ in perm]
+    for g, row in enumerate(table):
+        for h, gh in enumerate(row):
+            relabelled[perm[g]][perm[h]] = perm[gh]
+    mats = [data["action"]["mats"][perm[g]] for g in range(len(perm))]
+    return dict(data, group=dict(data["group"], table=relabelled),
+                action={"mats": mats})
+
+
+@pytest.mark.parametrize("name, at", [("swap", 1), ("pauli", 3)])
+def test_run_accepts_the_identity_at_any_index(tmp_path, capsys, name, at):
+    data = _fixture_job(capsys, name)
+    assert data["group"]["table"][0] == list(range(data["group"]["order"]))
+    data = _relabel_identity(data, at)
+    assert data["group"]["table"][at] == list(range(data["group"]["order"]))
+    path = _write(tmp_path, data)
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 11
+    assert "overall: PASS" in out
+
+
 def test_run_failing_check_exits_1(tmp_path, capsys):
     # dual numbers: a valid unital algebra with a radical, so the
     # semisimplicity check fails without any parse/validation error

@@ -161,7 +161,7 @@ def test_module_over_twisted_coboundary_equivalence(inst):
     system = inertia(i.module, i.action, seed=1)
     beta = np.array([1.0, -1.0, 1.0, -1.0])
     phi2 = tuple(beta[h] * system.phi[h] for h in range(4))
-    coc2 = extract_cocycle(phi2, system.inertia_group, TOL)
+    coc2 = extract_cocycle(phi2, system.cocycle.group, TOL)
     alg2 = twisted_group_algebra(coc2, 1, TOL)
     make_module(alg2, phi2)                       # validates
     undone = tuple(phi2[h] / beta[h] for h in range(4))
@@ -186,7 +186,7 @@ def test_contragredient_dimensions_and_double_dual(inst):
     assert wd.dim == w.dim
     # wd is a module over the inverse-cocycle algebra, so it dualizes back
     # with the inverse cocycle
-    inverse = Cocycle(group=system.inertia_group,
+    inverse = Cocycle(group=system.cocycle.group,
                       table=1.0 / system.cocycle.table)
     wdd = contragredient(wd, inverse)
     assert len(hom_space(wdd, w)) >= 1

@@ -12,7 +12,9 @@ from skewgroup.algebra import (
     make_algebra,
     matrix_algebra,
 )
-from skewgroup.errors import AlgebraMismatch, CocycleMismatch, ModuleAlgebraMismatch
+from skewgroup.errors import AlgebraMismatch, CocycleMismatch, InvalidInput
+from skewgroup.fixtures import random_instance
+from skewgroup.group_action import left_cosets
 from skewgroup.group_action import cyclic_group, make_action
 from skewgroup.projective import (
     contragredient,
@@ -190,8 +192,8 @@ def test_induce_full_subgroup(inst):
     i = inst("pauli")
     s = _skew(i)
     n = regular_module(s.alg)
-    ssub, members = sub_skew(s, range(i.group.order))
-    ind = induce(n, s, members, sub=ssub)
+    ssub = sub_skew(s, range(i.group.order))
+    ind = induce(n, s, ssub)
     assert ind.dim == n.dim
     for a, b in zip(ind.rho, n.actions(np.eye(s.alg.dim))):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
@@ -200,9 +202,9 @@ def test_induce_full_subgroup(inst):
 def test_induce_swap_from_trivial_subgroup(inst):
     i = inst("swap")
     s = _skew(i)
-    ssub, members = sub_skew(s, [i.group.identity])
+    ssub = sub_skew(s, [i.group.identity])
     m = make_module(ssub.alg, i.module.rho)
-    ind = induce(m, s, members, sub=ssub)
+    ind = induce(m, s, ssub)
     assert ind.dim == 4                                  # [G:H] * dim M
     assert is_simple(ind, seed=1)
 
@@ -211,24 +213,100 @@ def test_induce_dimension_law(inst):
     i = inst("perm")
     s = _skew(i)
     system = inertia(i.module, i.action, seed=1)
-    ssub, members = sub_skew(s, system.inertia_members)
+    ssub = sub_skew(s, system.inertia_members)
     dec = projective_isotypics(system, 1)
     cls = dec.class_ids()[0]
     w = dec.representatives[cls].module
     wdual = contragredient(w, system.cocycle)
     ext = extend_to_skew(system, wdual, ssub)
-    ind = induce(ext, s, members, sub=ssub)
-    index = i.group.order // system.inertia_group.order
+    ind = induce(ext, s, ssub)
+    index = i.group.order // system.cocycle.group.order
     assert ind.dim == index * i.module.dim * w.dim
 
 
 def test_induce_rejects_wrong_algebra(inst):
     i = inst("pauli")
     s = _skew(i)
-    ssub, members = sub_skew(s, range(i.group.order))
+    ssub = sub_skew(s, range(i.group.order))
     # a module over the base algebra is not a module over A x| G itself
-    with pytest.raises(ModuleAlgebraMismatch):
-        induce(i.module, s, members, sub=ssub)
+    with pytest.raises(AlgebraMismatch):
+        induce(i.module, s, ssub)
+
+
+def _induce_by_loops(m, s, sub):
+    """Induction action written entry by entry: the block of g at (l, i),
+    g g_i = g_l h, is sum_p mats[g_l^{-1}][p, j] rho(b_p h) for each j."""
+    group, members = s.group, sub.members
+    reps = left_cosets(group, members)
+    local = {h: t for t, h in enumerate(members)}
+    coset_of = {group.mul(r, h): l for l, r in enumerate(reps) for h in members}
+    d, nh, da = m.dim, len(members), s.base.dim
+    stack = m.actions(np.eye(m.algebra.dim))
+    rho = []
+    for j in range(da):
+        for g in group.elements():
+            mat = np.zeros((len(reps) * d,) * 2, dtype=np.complex128)
+            for i, gi in enumerate(reps):
+                w = group.mul(g, gi)
+                l = coset_of[w]
+                h = group.mul(group.inv(reps[l]), w)
+                acoords = s.action.mats[group.inv(reps[l])][:, j]
+                block = np.zeros((d, d), dtype=np.complex128)
+                for p in range(da):
+                    if acoords[p] != 0:
+                        block += acoords[p] * stack[p * nh + local[h]]
+                mat[l * d:(l + 1) * d, i * d:(i + 1) * d] = block
+            rho.append(mat)
+    return np.array(rho)
+
+
+def _assert_induce_matches_loops(m, s, sub):
+    ind = induce(m, s, sub)
+    assert np.allclose(ind.actions(np.eye(s.alg.dim)),
+                       _induce_by_loops(m, s, sub), rtol=0, atol=1e-12)
+    return ind
+
+
+@pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic",
+                                  *range(20)])
+def test_induce_matches_the_loop_reference(inst, name):
+    i = random_instance(name) if isinstance(name, int) else inst(name)
+    s = _skew(i)
+    # the trivial subgroup: A x| {1} has the basis of A
+    trivial = sub_skew(s, [i.group.identity])
+    _assert_induce_matches_loops(make_module(trivial.alg, i.module.rho), s,
+                                 trivial)
+    # the inertia subgroup, on M (x) W*, and the whole group, on its induction
+    system = inertia(i.module, i.action, seed=1)
+    dec = projective_isotypics(system, 1)
+    w = dec.representatives[dec.class_ids()[0]].module
+    ssub = sub_skew(s, system.inertia_members)
+    ext = extend_to_skew(system, contragredient(w, system.cocycle), ssub)
+    ind = _assert_induce_matches_loops(ext, s, ssub)
+    _assert_induce_matches_loops(ind, s, s)
+
+
+def test_sub_skew_knows_its_subgroup(inst):
+    i = inst("perm")
+    s = _skew(i)
+    assert s.members == tuple(range(i.group.order))
+    sub = sub_skew(s, [2, 0])
+    assert sub.members == (0, 2)
+    assert sub.group.order == 2 and sub.base is s.base
+
+
+def test_extend_to_skew_rejects_a_sub_skew_algebra_of_another_subgroup(inst):
+    # the inertia subgroup of perm is {0, 2}; {0, 1} is another Z/2, with
+    # the same multiplication table
+    i = inst("perm")
+    s = _skew(i)
+    system = inertia(i.module, i.action, seed=1)
+    assert system.inertia_members == (0, 2)
+    other = sub_skew(s, (0, 1))
+    assert np.array_equal(other.group.table, system.cocycle.group.table)
+    w = module_over_twisted(system)
+    with pytest.raises(InvalidInput, match="inertia subgroup"):
+        extend_to_skew(system, contragredient(w, system.cocycle), other)
 
 
 def test_extend_to_skew_trivial(inst):
@@ -259,7 +337,7 @@ def test_extend_to_skew_rejects_wrong_cocycle(inst):
     # a plain group-algebra module is the wrong input: its algebra carries
     # the trivial cocycle, not the inverse of the extracted one (which has
     # genuine -1 entries for this instance)
-    plain = twisted_group_algebra(trivial_cocycle(system.inertia_group), -1,
+    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), -1,
                                   TOL)
     v = make_module(plain, [np.eye(1)] * 4)
     with pytest.raises(CocycleMismatch):
@@ -312,7 +390,7 @@ def test_functions_taking_a_module_accept_implicit_ones(inst):
                    for x in (m, _dense_copy(m))]
         assert reports[0].passed
         assert reports[0].to_dict() == reports[1].to_dict()
-    plain = twisted_group_algebra(trivial_cocycle(system.inertia_group), 1, TOL)
+    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, TOL)
     for m in _implicit(plain):
         fixed = invariant_subspace(m)
         assert fixed.shape[1] == m.dim // plain.dim
@@ -330,10 +408,10 @@ def test_functions_taking_a_module_accept_implicit_ones(inst):
 
     swap = inst("swap")
     s = _skew(swap)
-    ssub, members = sub_skew(s, [swap.group.identity])
+    ssub = sub_skew(s, [swap.group.identity])
     for m in _implicit(ssub.alg):
-        _assert_same_actions(induce(m, s, members, sub=ssub),
-                             induce(_dense_copy(m), s, members, sub=ssub))
+        _assert_same_actions(induce(m, s, ssub),
+                             induce(_dense_copy(m), s, ssub))
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
     for m in _implicit(s.alg):

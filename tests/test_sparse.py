@@ -142,7 +142,7 @@ def test_every_constructor_matches_dense_reference(inst, name):
     for exponent in (1, -1):
         _assert_coo_of(
             twisted_group_algebra(system.cocycle, exponent, i.algebra.tol),
-            _dense_twisted(system.inertia_group, system.cocycle, exponent))
+            _dense_twisted(system.cocycle.group, system.cocycle, exponent))
 
 
 @pytest.mark.parametrize("name", INSTANCES)

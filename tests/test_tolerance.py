@@ -84,7 +84,7 @@ def test_derived_algebras_inherit_the_job_tolerance():
     derived = {
         "base": job.algebra,
         "skew": s.alg,
-        "sub_skew": sub_skew(s, system.inertia_members)[0].alg,
+        "sub_skew": sub_skew(s, system.inertia_members).alg,
         "corner": corner_algebra(s.alg, symmetrizer(s)).sub,
         "fixed": fixed_subalgebra(job.algebra, job.action).sub,
         "direct_sum": direct_sum(job.algebra, job.algebra),
