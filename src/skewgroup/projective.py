@@ -7,7 +7,7 @@ the 2-cocycle extracted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .repmod import (
 class Cocycle:
     group: FiniteGroup        # the inertia subgroup, reindexed 0..|G_M|-1
     table: np.ndarray         # (|G_M|, |G_M|) values alpha(h, k)
+    # (exponent, tol) -> its twisted group algebra, built once
+    twisted: dict = field(default_factory=dict, init=False, repr=False)
 
     def validate(self, tol) -> float:
         """Check normalization and the cocycle identity; return worst residual."""
@@ -165,9 +167,16 @@ def trivial_cocycle(group: FiniteGroup) -> Cocycle:
 
 def twisted_group_algebra(cocycle: Cocycle, exponent: int, tol) -> Algebra:
     """Algebra with basis c_h and product c_h c_k = alpha(h,k)^exponent c_{hk},
-    h and k in the cocycle's group."""
+    h and k in the cocycle's group.
+
+    Each (exponent, tol) is built once and kept on the cocycle, so every
+    caller with the same cocycle gets the same algebra object.
+    """
     if exponent not in (1, -1):
         raise InvalidInput("exponent must be +1 or -1")
+    key = (exponent, tol)
+    if key in cocycle.twisted:
+        return cocycle.twisted[key]
     cocycle.validate(tol)
     group = cocycle.group
     n = group.order
@@ -176,7 +185,9 @@ def twisted_group_algebra(cocycle: Cocycle, exponent: int, tol) -> Algebra:
                       dtype=np.complex128)
     unit = np.zeros(n, dtype=np.complex128)
     unit[group.identity] = 1.0
-    return make_algebra(n, (h, k, group.table.ravel(), values), unit, tol=tol)
+    alg = make_algebra(n, (h, k, group.table.ravel(), values), unit, tol=tol)
+    cocycle.twisted[key] = alg
+    return alg
 
 
 def module_over_twisted(system: ProjectiveSystem) -> Module:

@@ -157,11 +157,44 @@ class DirectSum(Module):
         return numeric.Side.direct_sum(n.generator_side for n in self.summands)
 
 
+class CompressedModule(Module):
+    """An invariant subspace of a parent module, with no stored action.
+
+    It keeps its parent, its orthonormal basis and, from the stack `compress`
+    built, its generator actions and scale.  `images` goes through the
+    parent; `act` and `actions` rebuild the stack on first use, in
+    compress's blocks and so bitwise the same, and keep it.  A piece read
+    only through hom spaces never holds one.
+    """
+
+    def __init__(self, parent: Module, basis: np.ndarray, rho: np.ndarray):
+        object.__setattr__(self, "algebra", parent.algebra)
+        object.__setattr__(self, "dim", basis.shape[1])
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "basis", basis)
+        # derived from rho as a stored module derives them; a cached
+        # property reads its instance entry first
+        stored = Module(algebra=parent.algebra, dim=self.dim, rho=rho)
+        object.__setattr__(self, "generator_actions", stored.generator_actions)
+        object.__setattr__(self, "scale", stored.scale)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        small = np.empty((self.algebra.dim, self.dim, self.dim),
+                         dtype=np.complex128)
+        for lo, hi, _, block in _compressed_blocks(self.parent, self.basis):
+            small[lo:hi] = block
+        return small
+
+    def images(self, basis, lo=0, hi=None) -> np.ndarray:
+        return self.basis.conj().T @ self.parent.images(self.basis @ basis, lo, hi)
+
+
 @dataclass(frozen=True, eq=False)
 class Piece:
     basis: np.ndarray         # (dim M, d) orthonormal columns inside M
     iso_class: int
-    module: Module            # compressed action on the piece
+    module: CompressedModule  # the action restricted to the piece
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,12 +233,13 @@ def make_module(algebra: Algebra, rho) -> Module:
 def validate_module(m: Module) -> None:
     """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I.
 
-    Only a module with a stored action can be validated.  Up to
-    EXHAUSTIVE_DIM_LIMIT every basis pair is checked, in blocks of
-    ceil(dim A / d) first indices i, so no temporary holds more than about
-    (dim A)^2 d entries; a failure names the largest entry and the pair
-    (i, j) of largest summed error, the first such pair in row-major order.
-    Larger algebras are checked on seeded random pairs.
+    Only a module with an action stack, stored or (for a compressed module)
+    rebuilt, can be validated.  Up to EXHAUSTIVE_DIM_LIMIT every basis pair
+    is checked, in blocks of ceil(dim A / d) first indices i, so no
+    temporary holds more than about (dim A)^2 d entries; a failure names the
+    largest entry and the pair (i, j) of largest summed error, the first
+    such pair in row-major order.  Larger algebras are checked on seeded
+    random pairs.
     """
     if not hasattr(m, "rho"):
         raise InvalidInput(f"validate_module needs a module with a stored "
@@ -237,13 +271,13 @@ def _product_errors(m: Module):
     """|rho(b_i) rho(b_j) - rho(b_i b_j)| entrywise, as (rows, d*d) blocks
     with row (i, j) at i n + j, over consecutive blocks of first indices i."""
     i, j, k, v = m.algebra.nonzeros
-    n, d = m.algebra.dim, m.dim
+    n, d, rho = m.algebra.dim, m.dim, m.rho
     step = -(-n // d)
-    flat = m.rho.reshape(n, d * d)
+    flat = rho.reshape(n, d * d)
     firsts = range(0, n, step)
     bounds = i.searchsorted([*firsts, n])    # nonzeros of each block
     for r, lo, hi in zip(firsts, bounds, bounds[1:]):
-        err = (m.rho[r:r + step, None] @ m.rho[None]).reshape(-1, d * d)
+        err = (rho[r:r + step, None] @ rho[None]).reshape(-1, d * d)
         # rho(b_i b_j) = sum_k c[i, j, k] rho(b_k), scattered from the nonzeros
         err -= numeric.scatter((i[lo:hi] - r) * n + j[lo:hi],
                                v[lo:hi, None] * flat[k[lo:hi]], len(err))
@@ -287,13 +321,12 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
     commutant_dim = len(hom_space(m, m))
     by_commutant = commutant_dim == 1
     rng = np.random.default_rng(seed)
-    by_cyclic = True
-    for _ in range(3):
-        v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-        orbit = m.images(v[:, None])[:, :, 0].T
-        if numeric.rank(orbit, tol) != m.dim:
-            by_cyclic = False
-            break
+    # three seeded vectors, drawn as one stack so one images call serves them
+    vs = np.column_stack([rng.standard_normal(m.dim)
+                          + 1j * rng.standard_normal(m.dim) for _ in range(3)])
+    orbits = m.images(vs)
+    by_cyclic = all(numeric.rank(orbits[:, :, t].T, tol) == m.dim
+                    for t in range(3))
     if by_commutant and not by_cyclic:
         raise NumericalInconsistency(
             f"simplicity criteria disagree: commutant dim {commutant_dim} "
@@ -315,24 +348,23 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
                   rho=m.actions(embedding.inclusion.T))
 
 
-def compress(m: Module, basis: np.ndarray) -> Module:
+def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     """Restrict the action to an invariant subspace with orthonormal basis.
 
-    The (dim A, k, k) result is filled in blocks of ceil(dim A / k) basis
-    elements, k = basis.shape[1], so no other temporary holds more than about
-    dim A * dim M entries.  Every basis element's invariance residual is
+    The (dim A, k, k) action, k = basis.shape[1], is filled in blocks of
+    ceil(dim A / k) basis elements, so no other temporary holds more than
+    about dim A * dim M entries; the result keeps its generator actions and
+    scale and drops it.  Every basis element's invariance residual is
     checked, and a failure names the first one above tolerance.
     """
     a = m.algebra
     n, k = a.dim, basis.shape[1]
-    step = -(-n // k)
-    adjoint = basis.conj().T
+    if k == 0:
+        raise InvalidInput("cannot compress to a zero-dimensional subspace")
     small = np.empty((n, k, k), dtype=np.complex128)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rb = m.images(basis, lo, hi)
-        small[lo:hi] = adjoint @ rb
-        rb -= basis @ small[lo:hi]
+    for lo, hi, rb, block in _compressed_blocks(m, basis):
+        small[lo:hi] = block
+        rb -= basis @ block
         re, im = rb.real, rb.imag
         res = np.sqrt(np.einsum("iab,iab->i", re, re)
                       + np.einsum("iab,iab->i", im, im)) / m.scale
@@ -340,7 +372,19 @@ def compress(m: Module, basis: np.ndarray) -> Module:
         if bad.size:
             raise NotARepresentation(
                 f"subspace is not invariant: residual {res[bad[0]]:.3e}")
-    return Module(algebra=a, dim=k, rho=small)
+    return CompressedModule(m, basis, small)
+
+
+def _compressed_blocks(m: Module, basis: np.ndarray):
+    """(lo, hi, images, basis^H images) over consecutive blocks of
+    ceil(dim A / k) basis elements lo <= i < hi, images = rho(b_i) basis."""
+    n = m.algebra.dim
+    step = -(-n // basis.shape[1])
+    adjoint = basis.conj().T
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rb = m.images(basis, lo, hi)
+        yield lo, hi, rb, adjoint @ rb
 
 
 def _commutant(m: Module) -> tuple:

@@ -138,6 +138,20 @@ def test_twisted_group_algebra_pauli(inst):
     assert dec.multiplicity(cls) == 2
 
 
+def test_twisted_group_algebras_are_built_once_per_cocycle(inst):
+    i = inst("pauli")
+    system = inertia(i.module, i.action, seed=1)
+    w = module_over_twisted(system)
+    assert w.algebra is twisted_group_algebra(system.cocycle, 1, TOL)
+    dual = contragredient(w, system.cocycle)
+    assert dual.algebra is twisted_group_algebra(system.cocycle, -1, TOL)
+    assert dual.algebra is not w.algebra
+    other = twisted_group_algebra(system.cocycle, 1, 1e-7)
+    assert other is not w.algebra and other.tol == 1e-7
+    fresh = Cocycle(group=system.cocycle.group, table=system.cocycle.table)
+    assert twisted_group_algebra(fresh, 1, TOL) is not w.algebra
+
+
 def test_twisted_group_algebra_rejects_bad_exponent():
     g = cyclic_group(2)
     with pytest.raises(InvalidInput):

@@ -22,7 +22,9 @@ from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
 from skewgroup import numeric, repmod
 from skewgroup.numeric import orthonormal_column_basis
+from skewgroup.projective import module_over_twisted
 from skewgroup.repmod import (
+    CompressedModule,
     DirectSum,
     Module,
     compress,
@@ -37,6 +39,7 @@ from skewgroup.repmod import (
     validate_module,
 )
 from skewgroup.skew import skew_group_algebra
+from skewgroup.theorems import build_context, simple_classes
 
 TOL = 1e-9
 
@@ -471,6 +474,86 @@ def test_compress_of_the_regular_module_holds_no_full_image_stack():
     assert (n, k) == (72, 6)
     compress(reg, piece.basis)
     assert peak_bytes(lambda: compress(reg, piece.basis)) < 4 * (n * d + n * k * k) * 16
+
+
+def test_compress_rejects_an_empty_basis(inst):
+    i = inst("pauli")
+    for m in (i.module, regular_module(i.algebra)):
+        with pytest.raises(InvalidInput, match="zero-dimensional subspace"):
+            compress(m, np.zeros((m.dim, 0)))
+
+
+def _stored_compress(m, basis):
+    """compress as it was when it stored its action: the (dim A, k, k) stack
+    filled in blocks of ceil(dim A / k) basis elements."""
+    n, k = m.algebra.dim, basis.shape[1]
+    step = -(-n // k)
+    adjoint = basis.conj().T
+    small = np.empty((n, k, k), dtype=np.complex128)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        small[lo:hi] = adjoint @ m.images(basis, lo, hi)
+    return Module(algebra=m.algebra, dim=k, rho=small)
+
+
+def _assert_matches_stored_compress(parent, basis):
+    got, want = compress(parent, basis), _stored_compress(parent, basis)
+    assert isinstance(got, CompressedModule)
+    assert got.generator_actions.tobytes() == want.generator_actions.tobytes()
+    assert got.scale == want.scale
+    rng = np.random.default_rng(got.dim)
+    v = rng.standard_normal((got.dim, 3)) + 1j * rng.standard_normal((got.dim, 3))
+    n = parent.algebra.dim
+    for lo, hi in [(0, n), (n // 3, n - 1)]:
+        assert np.allclose(got.images(v, lo, hi), want.images(v, lo, hi),
+                           rtol=0.0, atol=1e-12)
+    assert "rho" not in vars(got)        # images never rebuild the stack
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xs = rng.standard_normal((4, n))
+    assert got.act(x).tobytes() == want.act(x).tobytes()
+    assert got.actions(xs).tobytes() == want.actions(xs).tobytes()
+    assert got.rho.tobytes() == want.rho.tobytes()
+
+
+def _skew_instance(inst, name):
+    i = random_instance(int(name[6:])) if name.startswith("random") else inst(name)
+    return i, skew_group_algebra(i.action, seed=1)
+
+
+REFERENCE_CASES = ["trivial", "swap", "pauli", "perm", "cyclic"] + [
+    f"random{s}" for s in range(20)]
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_compressed_pieces_match_the_stored_compress(inst, name):
+    i, s = _skew_instance(inst, name)
+    for a in (i.algebra, s.alg):
+        reg = regular_module(a)
+        for p in decompose(reg, seed=1).pieces:
+            _assert_matches_stored_compress(reg, p.basis)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_compressed_pieces_of_stored_modules_match_the_stored_compress(inst, name):
+    i, _ = _skew_instance(inst, name)
+    ctx = build_context(i.action, i.module, seed=1)
+    for parent in (ctx.restricted, module_over_twisted(ctx.system)):
+        for p in decompose(parent, seed=1).pieces:
+            _assert_matches_stored_compress(parent, p.basis)
+
+
+def test_only_read_pieces_rebuild_their_action_stack():
+    """Classifying a piece reads its generator actions and images only; a
+    representative whose action is read keeps the rebuilt stack."""
+    s = skew_group_algebra(random_instance(2).action)
+    dec = simple_classes(s, 1)
+    assert not any("rho" in vars(p.module) for p in dec.pieces)
+    reps = set(map(id, dec.representatives.values()))
+    for p in dec.representatives.values():
+        validate_module(p.module)
+    assert len(dec.pieces) > len(reps)
+    for p in dec.pieces:
+        assert ("rho" in vars(p.module)) == (id(p) in reps)
 
 
 def test_validate_module_names_the_worst_basis_pair():
