@@ -220,10 +220,12 @@ def _check_associativity(a: Algebra, seed) -> None:
             raise AssociativityViolation(
                 f"associativity fails at basis triple {at}: residual {worst:.3e}")
         return
-    rng = np.random.default_rng(seed)
-    for t in range(_PROBE_COUNT):
-        x, y, z = (rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-                   for _ in range(3))
+    # one draw of every probe's x, y, z, each its real then its imaginary
+    # part: the stream of drawing each part in turn
+    draws = np.random.default_rng(seed).standard_normal(
+        (_PROBE_COUNT, 3, 2, a.dim))
+    for t, probe in enumerate(draws):
+        x, y, z = probe[:, 0] + 1j * probe[:, 1]
         delta = a.product(a.product(x, y), z) - a.product(x, a.product(y, z))
         res = numeric.rel_residual(delta, scale)
         if res > a.tol:

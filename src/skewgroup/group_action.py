@@ -7,6 +7,7 @@ metadata only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,14 @@ class FiniteGroup:
     table: np.ndarray         # (order, order) int indices, table[i, j] = i*j
     identity: int
     inverses: tuple
+
+    @cached_property
+    def trivial_cocycle(self):
+        """The cocycle alpha = 1 of this group, made on first use and kept,
+        so the plain group algebra that it keeps is built once per group."""
+        from .projective import Cocycle     # projective builds on this module
+        return Cocycle(group=self, table=np.ones((self.order, self.order),
+                                                 dtype=np.complex128))
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -127,14 +136,18 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     eye = np.eye(d)
     if numeric.rel_residual(ms[group.identity] - eye, 1.0) > tol:
         raise NotHomomorphism("identity element does not act as identity")
+    # mats[g] @ mats[h] against mats[g*h] for a whole row g at once; the first
+    # failing h of the first failing row is reported
+    stack = np.array(ms)
     for g in group.elements():
-        for h in group.elements():
-            prod = ms[g] @ ms[h]
-            res = numeric.rel_residual(prod - ms[group.mul(g, h)],
-                                       float(np.linalg.norm(prod)))
-            if res > tol:
-                raise NotHomomorphism(f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
-                                      f"residual {res:.3e}")
+        prods = ms[g] @ stack
+        norms = np.linalg.norm(prods - stack[group.table[g]], axis=(1, 2))
+        res = norms / np.maximum(np.linalg.norm(prods, axis=(1, 2)), 1.0)
+        bad = (res > tol).nonzero()[0]
+        if bad.size:
+            h = int(bad[0])
+            raise NotHomomorphism(f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
+                                  f"residual {res[h]:.3e}")
     scale = target.scale
     i, j, k, v = target.nonzeros
     for g in group.elements():

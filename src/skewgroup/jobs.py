@@ -61,6 +61,18 @@ def _list(obj, where) -> list:
 def _matrix(obj, rows, cols, where) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
+    try:
+        pairs = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        pairs = None    # ragged or not numbers: the loop below says where
+    # a well-formed matrix of [re, im] pairs, converted at once
+    if (pairs is not None and pairs.dtype.kind in "biuf"
+            and pairs.shape == (rows, cols, 2)
+            and all(isinstance(row, list) for row in obj)):
+        out = np.empty((rows, cols), dtype=np.complex128)
+        out.real = pairs[..., 0]
+        out.imag = pairs[..., 1]
+        return out
     out = np.zeros((rows, cols), dtype=np.complex128)
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:

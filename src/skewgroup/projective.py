@@ -161,8 +161,8 @@ def extract_cocycle(phi, group: FiniteGroup, tol) -> Cocycle:
 
 
 def trivial_cocycle(group: FiniteGroup) -> Cocycle:
-    return Cocycle(group=group, table=np.ones((group.order, group.order),
-                                              dtype=np.complex128))
+    """The cocycle alpha = 1, the same object for every call on one group."""
+    return group.trivial_cocycle
 
 
 def twisted_group_algebra(cocycle: Cocycle, exponent: int, tol) -> Algebra:

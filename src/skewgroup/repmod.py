@@ -258,10 +258,12 @@ def validate_module(m: Module) -> None:
             raise NotARepresentation(
                 f"rho(b_{i}) rho(b_{j}) != rho(b_{i} b_{j}): residual {worst:.3e}")
         return
-    rng = np.random.default_rng(numeric.DEFAULT_SEED)
-    for t in range(_PROBE_COUNT):
-        x = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-        y = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+    # one draw of every probe's x and y, each its real then its imaginary
+    # part: the stream of drawing each part in turn
+    draws = np.random.default_rng(numeric.DEFAULT_SEED).standard_normal(
+        (_PROBE_COUNT, 2, 2, a.dim))
+    for t, probe in enumerate(draws):
+        x, y = probe[:, 0] + 1j * probe[:, 1]
         delta = m.act(x) @ m.act(y) - m.act(a.product(x, y))
         if numeric.rel_residual(delta, scale * a.dim) > tol:
             raise NotARepresentation(f"random probe {t} violates multiplicativity")

@@ -1,13 +1,15 @@
 """Task dispatch: turns a parsed job into verification reports.
 
 Expensive shared artifacts (the skew algebra, inertia systems, isotypic
-decompositions) are computed once per job and reused across tasks.
+decompositions) are computed on first use and reused by the later tasks of
+the job, so a call that runs one task derives only what that task reads.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,12 +115,14 @@ def _task_skew(ctx: JobContext, rec) -> VerificationReport:
     rep.add("skew_algebra_valid", True,
             dims={"dim": s.alg.dim, "dim_base": s.base.dim,
                   "group_order": s.group.order})
-    rng = np.random.default_rng([job.seed, 77])
+    # one draw of every triple's x, y, z, each its real then its imaginary
+    # part: the stream of drawing each part in turn
+    draws = np.random.default_rng([job.seed, 77]).standard_normal(
+        (100, 3, 2, s.alg.dim))
     worst = 0.0
     scale = s.alg.scale ** 2
-    for _ in range(100):
-        x, y, z = (rng.standard_normal(s.alg.dim) + 1j * rng.standard_normal(s.alg.dim)
-                   for _ in range(3))
+    for triple in draws:
+        x, y, z = triple[:, 0] + 1j * triple[:, 1]
         delta = s.alg.product(s.alg.product(x, y), z) - s.alg.product(x, s.alg.product(y, z))
         worst = max(worst, numeric.rel_residual(delta, scale * s.alg.dim ** 1.5))
     rep.add("random_triple_associativity", worst <= 1e-8, residual=worst)
@@ -162,9 +166,11 @@ def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
 def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("induced_simplicity", job.seed, job.tol)
-    # The job's skew algebra, not the context's equal copy: earlier tasks
-    # cached its trace form, which `is_simple` of each induced module reads.
-    mctx = replace(ctx.context(rec["module"]), skew=ctx.skew)
+    # The job's skew algebra, not the context's equal copy, which is not
+    # derived: earlier tasks cached its trace form, which `is_simple` of each
+    # induced module reads.
+    mctx = copy(ctx.context(rec["module"]))
+    mctx.skew = ctx.skew
     for gamma in mctx.iso.class_ids():
         sub = induced_simplicity(mctx, gamma)
         rep.include(f"gamma{gamma}_", sub)

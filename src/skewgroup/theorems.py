@@ -7,6 +7,7 @@ pass/fail, dimensions, and the worst residual, suitable for JSON reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -262,30 +263,41 @@ def hom_inv_check(m: Module, n: Module, cocycle: Cocycle,
 
 @dataclass
 class MainTheoremContext:
-    """Everything the main-theorem pipeline computes once per instance, and
-    the seed it was computed with."""
+    """The main-theorem pipeline of one simple module M, and the seed it runs
+    with.
+
+    The inertia system and the projective isotypics are computed up front;
+    A^G (`fixed`), the context's own A x| G (`skew`) and Res_{A^G} M
+    (`restricted`) are derived on first read and kept, so a check pays only
+    for the artifacts it reads.
+    """
+    action: AlgebraAction
     system: ProjectiveSystem
     iso: object
-    fixed: SubalgebraEmbedding
-    skew: SkewAlgebra
-    restricted: Module
     seed: int
+
+    @cached_property
+    def fixed(self) -> SubalgebraEmbedding:
+        return fixed_subalgebra(self.action.target, self.action)
+
+    @cached_property
+    def skew(self) -> SkewAlgebra:
+        return skew_group_algebra(self.action, seed=self.seed)
+
+    @cached_property
+    def restricted(self) -> Module:
+        return restrict(self.system.module, self.fixed)
 
 
 def build_context(action: AlgebraAction, m: Module,
                   seed=numeric.DEFAULT_SEED) -> MainTheoremContext:
     """The main-theorem context of a simple module m over the algebra the
     action acts on."""
-    base = action.target
-    if not is_semisimple(base):
+    if not is_semisimple(action.target):
         raise NotSemisimple("main theorem requires a semisimple base algebra")
     system = inertia(m, action, seed=seed)
-    iso = projective_isotypics(system, seed)
-    fixed = fixed_subalgebra(base, action)
-    s = skew_group_algebra(action, seed=seed)
-    restricted = restrict(m, fixed)
-    return MainTheoremContext(system=system, iso=iso, fixed=fixed, skew=s,
-                              restricted=restricted, seed=seed)
+    return MainTheoremContext(action=action, system=system,
+                              iso=projective_isotypics(system, seed), seed=seed)
 
 
 def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
@@ -356,7 +368,7 @@ def complete_reducibility(ctx: MainTheoremContext) -> VerificationReport:
     multiplicities equal to the simple twisted-module dimensions."""
     iso, m, seed = ctx.iso, ctx.system.module, ctx.seed
     rep = VerificationReport(name="complete_reducibility", seed=seed,
-                             tol=ctx.skew.base.tol)
+                             tol=m.algebra.tol)
     dec = decompose(ctx.restricted, seed=seed)
     total = sum(p.module.dim for p in dec.pieces)
     rep.add("pieces_exhaust_M", total == m.dim,

@@ -33,3 +33,40 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def record_products(monkeypatch):
+    """The (x, y) of every Algebra.product call made from now on, in order."""
+    seen = []
+    product = Algebra.product
+
+    def recording(self, x, y):
+        seen.append((np.array(x), np.array(y)))
+        return product(self, x, y)
+
+    monkeypatch.setattr(Algebra, "product", recording)
+    return seen
+
+
+def probes_one_draw_at_a_time(rng, count, per_probe, dim):
+    """Random probe vectors as a loop draws them one part at a time: for each
+    of `count` probes, `per_probe` vectors, each its real part and then its
+    imaginary part."""
+    return [[rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+             for _ in range(per_probe)] for _ in range(count)]
+
+
+def same_bits(a, b):
+    """Two arrays of one dtype and shape hold the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def saw_triples(seen, triples):
+    """Whether the recorded product calls are those of associator probes,
+    four per triple (x, y, z): (x y) z and then x (y z), so x y is the
+    first call of each four and y z the third."""
+    return len(seen) >= 4 * len(triples) and all(
+        same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        for t, (x, y, z) in enumerate(triples)
+        for got, want in zip(seen[4 * t:4 * t + 4:2], [(x, y), (y, z)]))

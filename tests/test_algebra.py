@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import dense, peak_bytes, unvalidated_algebra
+from helpers import (
+    dense,
+    peak_bytes,
+    probes_one_draw_at_a_time,
+    record_products,
+    saw_triples,
+    unvalidated_algebra,
+)
 
 from skewgroup import algebra
 from skewgroup.algebra import (
@@ -183,6 +190,17 @@ def test_make_algebra_rejects_nonassociative_by_random_probes():
     c[0, 0, 1] = 0.5
     with pytest.raises(AssociativityViolation, match="random probe"):
         make_algebra(a.dim, c, a.unit, tol=TOL)
+
+
+def test_associativity_probes_are_the_vectors_of_one_draw_at_a_time(monkeypatch):
+    a = matrix_algebra(6)
+    assert a.dim > EXHAUSTIVE_DIM_LIMIT
+    seen = record_products(monkeypatch)
+    algebra._check_associativity(a, 5)
+    expected = probes_one_draw_at_a_time(np.random.default_rng(5),
+                                         algebra._PROBE_COUNT, 3, a.dim)
+    assert len(seen) == 4 * len(expected)
+    assert saw_triples(seen, expected)
 
 
 def test_make_algebra_owns_its_structure_constants():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from skewgroup.cli import main
+from skewgroup.cli import _dump, main
 from skewgroup.jobs import parse_job
 
 
@@ -297,3 +297,19 @@ def test_module_free_tasks_run_in_a_job_without_modules(tmp_path, capsys):
     data["tasks"] = [{"task": t} for t in ("semisimple", "skew", "phi_psi")]
     assert main(["run", _write(tmp_path, data), "--quiet"]) == 0
     assert capsys.readouterr().out.count("[PASS]") == 3
+
+
+@pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic"])
+def test_each_task_alone_prints_its_record_of_the_full_run(tmp_path, capsys,
+                                                           name):
+    data = _fixture_job(capsys, name)
+    path = _write(tmp_path, data)
+    main(["run", path, "--json"])
+    full = json.loads(capsys.readouterr().out)["tasks"]
+    tasks = [t["task"] for t in data["tasks"]]
+    assert len(full) == len(tasks) == 11
+    for task, record in zip(tasks, full):
+        code = main(["run", path, "--json", "--task", task])
+        alone = json.loads(capsys.readouterr().out)["tasks"]
+        assert [_dump(r) for r in alone] == [_dump(record)]
+        assert (code == 0) == record["passed"]

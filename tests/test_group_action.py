@@ -1,9 +1,13 @@
 """Finite groups, automorphism actions, and coset decompositions."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from helpers import dense
 
+from skewgroup import numeric
 from skewgroup.algebra import fixed_subalgebra, matrix_algebra
 from skewgroup.errors import (
     NoIdentity,
@@ -18,6 +22,7 @@ from skewgroup.group_action import (
     make_action,
     make_group,
 )
+from skewgroup.fixtures import fixture, random_instance
 from skewgroup.projective import subgroup_as_group
 
 TOL = 1e-9
@@ -185,3 +190,42 @@ def test_fixed_subalgebra_monotone_in_subgroup(inst):
         action = make_action(sub, i.algebra,
                              [i.action.mats[h] for h in ordered])
         assert fixed_subalgebra(i.algebra, action).sub.dim >= full_dim
+
+
+def _first_failing_pair(group, mats, tol):
+    """The homomorphism check one pair (g, h) at a time, in row-major order:
+    its message for the first failing pair, or None."""
+    for g in group.elements():
+        for h in group.elements():
+            prod = mats[g] @ mats[h]
+            res = numeric.rel_residual(prod - mats[group.mul(g, h)],
+                                       float(np.linalg.norm(prod)))
+            if res > tol:
+                return (f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
+                        f"residual {res:.3e}")
+    return None
+
+
+@pytest.mark.parametrize("source", ["swap", "pauli", "perm", "cyclic", 2, 6])
+def test_homomorphism_check_names_the_first_failing_pair(source):
+    inst = fixture(source) if isinstance(source, str) else random_instance(source)
+    group, target = inst.group, inst.algebra
+    mats = inst.action.mats
+    others = [g for g in group.elements() if g != group.identity]
+    corrupted = []
+    for g, h in itertools.combinations(others, 2):       # two swapped
+        corrupted.append(list(mats))
+        corrupted[-1][g], corrupted[-1][h] = mats[h], mats[g]
+    for g in others:                                     # one doubled
+        corrupted.append(list(mats))
+        corrupted[-1][g] = 2.0 * mats[g]
+    failing = 0
+    for candidate in corrupted:
+        expected = _first_failing_pair(group, candidate, target.tol)
+        if expected is None:
+            make_action(group, target, candidate)
+            continue
+        failing += 1
+        with pytest.raises(NotHomomorphism, match=re.escape(expected)):
+            make_action(group, target, candidate)
+    assert failing

@@ -1,5 +1,8 @@
 """Inertia subgroups, intertwiners, cocycles, and twisted group algebras."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,19 @@ def test_twisted_group_algebras_are_built_once_per_cocycle(inst):
     assert other is not w.algebra and other.tol == 1e-7
     fresh = Cocycle(group=system.cocycle.group, table=system.cocycle.table)
     assert twisted_group_algebra(fresh, 1, TOL) is not w.algebra
+
+
+def test_plain_group_algebra_is_built_once_per_group():
+    g = cyclic_group(3)
+    plain = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
+    assert trivial_cocycle(g) is trivial_cocycle(g)
+    assert twisted_group_algebra(trivial_cocycle(g), 1, TOL) is plain
+    assert trivial_cocycle(cyclic_group(3)) is not trivial_cocycle(g)
+    # kept with the group, and freed with it
+    cocycle = weakref.ref(trivial_cocycle(g))
+    del g, plain
+    gc.collect()
+    assert cocycle() is None
 
 
 def test_twisted_group_algebra_rejects_bad_exponent():

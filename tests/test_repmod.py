@@ -4,9 +4,16 @@ import re
 
 import numpy as np
 import pytest
-from helpers import dense, peak_bytes
+from helpers import (
+    dense,
+    peak_bytes,
+    probes_one_draw_at_a_time,
+    record_products,
+    same_bits,
+)
 
 from skewgroup.algebra import (
+    EXHAUSTIVE_DIM_LIMIT,
     SubalgebraEmbedding,
     fixed_subalgebra,
     make_algebra,
@@ -604,6 +611,22 @@ def test_validate_module_reports_the_global_worst_pair():
     message = f"rho(b_{i}) rho(b_{j}) != rho(b_{i} b_{j}): residual {worst:.3e}"
     with pytest.raises(NotARepresentation, match=re.escape(message)):
         make_module(s, rho)
+
+
+def test_validate_module_probes_are_the_vectors_of_one_draw_at_a_time(
+        monkeypatch):
+    a = matrix_algebra(6)
+    assert a.dim > EXHAUSTIVE_DIM_LIMIT
+    # the natural module: E_pq acts as the matrix unit E_pq
+    rho = np.eye(a.dim).reshape(a.dim, 6, 6)
+    seen = record_products(monkeypatch)
+    make_module(a, rho)
+    expected = probes_one_draw_at_a_time(
+        np.random.default_rng(numeric.DEFAULT_SEED), repmod._PROBE_COUNT, 2,
+        a.dim)
+    assert len(seen) == len(expected)
+    for (got_x, got_y), (x, y) in zip(seen, expected):
+        assert same_bits(got_x, x) and same_bits(got_y, y)
 
 
 def test_validate_module_rejects_modules_without_a_stored_action(inst):
