@@ -93,7 +93,10 @@ class Algebra:
     def product(self, x, y) -> np.ndarray:
         """Coordinates of x*y."""
         i, j, k, v = self.nonzeros
-        return numeric.scatter(k, np.asarray(x)[i] * np.asarray(y)[j] * v, self.dim)
+        # numeric.scatter, inlined: out[k[t]] += x[i[t]] y[j[t]] v[t]
+        out = np.zeros(self.dim, dtype=np.complex128)
+        np.add.at(out, k, np.asarray(x)[i] * np.asarray(y)[j] * v)
+        return out
 
     def left_mult(self, x) -> np.ndarray:
         """Matrix of left multiplication by x on coordinates."""
@@ -350,16 +353,18 @@ def canonical_span(vectors, tol) -> np.ndarray:
     if k == 0:
         return raw
     residual = raw @ raw.conj().T
-    out = []
-    for _ in range(k):
-        norms = np.linalg.norm(residual, axis=0)
-        i = int(np.argmax(norms))  # ties break at the smallest index
+    out = np.empty((raw.shape[0], k), dtype=np.complex128)
+    for t in range(k):
+        # the column norms and the rank-one update as np.linalg.norm(axis=0)
+        # and np.outer form them
+        norms = np.sqrt(np.add.reduce((residual.conj() * residual).real, axis=0))
+        i = int(norms.argmax())  # ties break at the smallest index
         v = residual[:, i] / norms[i]
-        lead = int(np.argmax(np.abs(v) > 1e-8))
+        lead = int((np.abs(v) > 1e-8).argmax())
         v = v / (v[lead] / abs(v[lead]))
-        out.append(v)
-        residual -= np.outer(v, v.conj() @ residual)
-    return np.column_stack(out)
+        out[:, t] = v
+        residual -= v[:, None] * (v.conj() @ residual)[None, :]
+    return out
 
 
 def subalgebra_from_span(parent: Algebra, span,

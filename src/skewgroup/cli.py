@@ -7,6 +7,7 @@ error, 3 internal numerical inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,7 +17,10 @@ from .jobs import instance_to_job, load_job
 from .runner import EXIT_VALIDATION, run_job
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="skewgroup",
         description="Construct skew group algebras and machine-verify their "

@@ -24,6 +24,12 @@ from .errors import (
 )
 
 
+# Group elements are validated in blocks of about this many matrix entries
+# per temporary, so a small action is checked in one step and a large one
+# holds no temporary much larger than one element's.
+_BLOCK_ENTRIES = 2048
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
@@ -64,24 +70,26 @@ def make_group(table) -> FiniteGroup:
     n = t.shape[0]
     if n < 1 or t.min() < 0 or t.max() >= n:
         raise InvalidInput("table entries must be indices in [0, order)")
-    identity = None
-    for e in range(n):
-        if all(t[e, j] == j and t[j, e] == j for j in range(n)):
-            identity = e
-            break
-    if identity is None:
+    idx = np.arange(n)
+    # e is the identity when row e and column e both read 0, 1, ..., n - 1
+    two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NoIdentity("no two-sided identity element")
+    identity = int(two_sided.argmax())
+    # (ij)k against i(jk) for every (j, k), one first index i at a time; the
+    # first failing triple in (i, j, k) order is reported
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if t[t[i, j], k] != t[i, t[j, k]]:
-                    raise NotAssociative(f"associativity fails at triple ({i},{j},{k})")
-    inverses = []
-    for i in range(n):
-        inv = [j for j in range(n) if t[i, j] == identity and t[j, i] == identity]
-        if not inv:
-            raise NoInverse(f"element {i} has no inverse")
-        inverses.append(inv[0])
+        bad = t[t[i]] != t[i, t]
+        if bad.any():
+            j, k = divmod(int(bad.argmax()), n)
+            raise NotAssociative(f"associativity fails at triple ({i},{j},{k})")
+    # j is an inverse of i when t[i, j] and t[j, i] are both the identity;
+    # the first such j is kept
+    both = (t == identity) & (t.T == identity)
+    missing = ~both.any(axis=1)
+    if missing.any():
+        raise NoInverse(f"element {int(missing.argmax())} has no inverse")
+    inverses = both.argmax(axis=1).tolist()
     return FiniteGroup(order=n, table=t, identity=identity, inverses=tuple(inverses))
 
 
@@ -124,7 +132,12 @@ def group_from_permutations(perms) -> tuple:
 
 
 def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
-    """Validate automorphism matrices, one per group element."""
+    """Validate automorphism matrices, one per group element.
+
+    The product law and the automorphism law are each checked for blocks of
+    group elements at once, all of them when the action is small; a
+    failure names the first element, in index order, that breaks the law.
+    """
     tol = target.tol
     if len(mats) != group.order:
         raise InvalidInput("need exactly one matrix per group element")
@@ -133,41 +146,69 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     for g, m in enumerate(ms):
         if m.shape != (d, d):
             raise InvalidInput(f"action matrix {g} has wrong shape")
-    eye = np.eye(d)
-    if numeric.rel_residual(ms[group.identity] - eye, 1.0) > tol:
+    if numeric.rel_residual(ms[group.identity] - np.eye(d), 1.0) > tol:
         raise NotHomomorphism("identity element does not act as identity")
-    # mats[g] @ mats[h] against mats[g*h] for a whole row g at once; the first
-    # failing h of the first failing row is reported
     stack = np.array(ms)
-    for g in group.elements():
-        prods = ms[g] @ stack
-        norms = np.linalg.norm(prods - stack[group.table[g]], axis=(1, 2))
-        res = norms / np.maximum(np.linalg.norm(prods, axis=(1, 2)), 1.0)
-        bad = (res > tol).nonzero()[0]
+    n = len(ms)
+    # mats[g] @ mats[h] against mats[g*h] for blocks of first elements g;
+    # the first failing h of the first failing g is reported
+    step = max(1, _BLOCK_ENTRIES // (n * d * d))
+    for lo in range(0, n, step):
+        res = _product_residuals(stack, group.table, lo, lo + step)
+        bad = np.argwhere(res > tol)
         if bad.size:
-            h = int(bad[0])
+            g, h = int(bad[0, 0]) + lo, int(bad[0, 1])
             raise NotHomomorphism(f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
-                                  f"residual {res[h]:.3e}")
+                                  f"residual {res[g - lo, h]:.3e}")
+    unit_errors = stack @ target.unit - target.unit
     scale = target.scale
-    i, j, k, v = target.nonzeros
-    for g in group.elements():
-        m = ms[g]
-        # g(b_i b_j) = g(b_i) g(b_j) for all basis pairs, scattered from the
-        # nonzeros: lhs[i, j] = m c[i, j], rhs[i, j] = sum_ab m[a, i] m[b, j]
-        # c[a, b], the latter through w[a, l] = sum_b c[a, b, l] m[b]
-        lhs = numeric.scatter(i * d + j, v[:, None] * m[:, k].T,
-                              d * d).reshape(d, d, d)
-        w = numeric.scatter(i * d + k, v[:, None] * m[j], d * d)
-        rhs = (m.T @ w.reshape(d, d * d)).reshape(d, d, d).transpose(0, 2, 1)
-        res = numeric.rel_residual(lhs - rhs, scale * max(np.linalg.norm(m) ** 2, 1.0))
-        if res > tol:
-            pair = tuple(int(t) for t in np.unravel_index(
-                int(np.abs(lhs - rhs).sum(axis=2).argmax()), (d, d)))
-            raise NotAutomorphism(f"element {g} is not multiplicative at basis "
-                                  f"pair {pair}: residual {res:.3e}")
-        if numeric.rel_residual(m @ target.unit - target.unit, 1.0) > tol:
-            raise NotAutomorphism(f"element {g} does not fix the unit")
+    step = max(1, _BLOCK_ENTRIES // d ** 3)
+    for lo in range(0, n, step):
+        errors = _multiplicativity_errors(stack[lo:lo + step], target)
+        for g, err in enumerate(errors, lo):
+            res = numeric.rel_residual(
+                err, scale * max(numeric.frobenius(ms[g]) ** 2, 1.0))
+            if res > tol:
+                pair = tuple(int(t) for t in np.unravel_index(
+                    int(np.abs(err).sum(axis=2).argmax()), (d, d)))
+                raise NotAutomorphism(f"element {g} is not multiplicative at "
+                                      f"basis pair {pair}: residual {res:.3e}")
+            if numeric.rel_residual(unit_errors[g], 1.0) > tol:
+                raise NotAutomorphism(f"element {g} does not fix the unit")
     return AlgebraAction(group=group, target=target, mats=ms)
+
+
+def _product_residuals(stack: np.ndarray, table: np.ndarray,
+                       lo: int, hi: int) -> np.ndarray:
+    """res[g - lo, h] = |m_g m_h - m_gh| / max(|m_g m_h|, 1) for lo <= g <
+    hi and every h, in Frobenius norms by the formula np.linalg.norm applies
+    over two axes."""
+    prods = stack[lo:hi, None] @ stack
+    diff = prods - stack[table[lo:hi]]
+    norms = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(2, 3)))
+    scale = np.sqrt(np.add.reduce((prods.conj() * prods).real, axis=(2, 3)))
+    return norms / np.maximum(scale, 1.0)
+
+
+def _multiplicativity_errors(stack: np.ndarray, target: Algebra) -> np.ndarray:
+    """(order, d, d, d) C-contiguous stack of m_g(b_i b_j) - m_g(b_i) m_g(b_j)
+    for every element g and basis pair (i, j).
+
+    Both sides are scattered from the nonzeros for all g at once: lhs[g, i,
+    j] = m_g c[i, j], and rhs[g, i, j] = sum_ab m_g[a, i] m_g[b, j] c[a, b]
+    through w[g, a, l] = sum_b c[a, b, l] m_g[b].
+    """
+    n, d = stack.shape[:2]
+    i, j, k, v = target.nonzeros
+    lhs = numeric.scatter(i * d + j, v[:, None, None]
+                          * stack[:, :, k].transpose(2, 0, 1), d * d)
+    lhs = lhs.reshape(d, d, n, d).transpose(2, 0, 1, 3)
+    w = numeric.scatter(i * d + k, v[:, None, None]
+                        * stack[:, j].transpose(1, 0, 2), d * d)
+    w = w.reshape(d, d, n, d).transpose(2, 0, 1, 3).reshape(n, d, d * d)
+    rhs = (stack.transpose(0, 2, 1) @ w).reshape(n, d, d, d).transpose(0, 1, 3, 2)
+    # C order: each element's block is summed in the order its norm reads
+    return np.subtract(lhs, rhs, order="C")
 
 
 def subgroup_closure_check(group: FiniteGroup, members) -> tuple:

@@ -34,17 +34,24 @@ class JobSpec:
     raw: dict = field(repr=False, default=None)
 
 
-def _scalar(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
-        return complex(obj[0], obj[1])
-    raise ParseError(f"scalar must be a number or [re, im] pair, got {obj!r}")
+def _scalar(obj, where) -> complex:
+    """The scalar of the field `where`: a number or an [re, im] pair."""
+    try:
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if (isinstance(obj, (list, tuple)) and len(obj) == 2
+                and all(isinstance(x, (int, float)) for x in obj)):
+            return complex(obj[0], obj[1])
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large to convert to float")
+    raise ParseError(f"{where}: scalar must be a number or [re, im] pair, "
+                     f"got {obj!r}")
 
 
 def _int(obj, where) -> int:
     """An integer field; a whole float such as 2.0 counts, a bool does not."""
+    if type(obj) is int:        # what JSON gives; skips the ABC check below
+        return obj
     if isinstance(obj, numbers.Integral) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, float) and obj.is_integer():
@@ -78,7 +85,7 @@ def _matrix(obj, rows, cols, where) -> np.ndarray:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}: row {r} must have {cols} entries")
         for c, entry in enumerate(row):
-            out[r, c] = _scalar(entry)
+            out[r, c] = _scalar(entry, f"{where}[{r}][{c}]")
     return out
 
 
@@ -109,21 +116,22 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     try:
         aspec = data["algebra"]
         dim = _int(aspec["dim"], "algebra.dim")
-        unit = [_scalar(z) for z in aspec["unit"]]
+        unit = [_scalar(z, f"algebra.unit[{t}]")
+                for t, z in enumerate(aspec["unit"])]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"algebra section malformed: {exc}")
     if len(unit) != dim:
         raise ParseError("algebra unit length does not match dim")
     entries = _list(aspec.get("mult", []), "algebra.mult")
     slots = {}
-    for entry in entries:
+    for t, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"mult entry must be [i, j, k, scalar], got {entry!r}")
         i, j, k = (_int(x, "mult index") for x in entry[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ParseError(f"mult entry index out of range: {entry[:3]}")
         # a slot given more than once keeps its last value
-        slots[i, j, k] = _scalar(entry[3])
+        slots[i, j, k] = _scalar(entry[3], f"algebra.mult[{t}]")
     keys = sorted(slots)
     i, j, k = np.array(keys, dtype=np.intp).reshape(-1, 3).T
     values = np.array([slots[t] for t in keys], dtype=np.complex128)

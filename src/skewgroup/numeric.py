@@ -24,7 +24,7 @@ def as_complex(m) -> np.ndarray:
     copy it themselves.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise InvalidInput("non-finite matrix entries")
     return a
 
@@ -41,13 +41,19 @@ def _scale(s, scale_floor: float = 0.0) -> float:
     return max(s[0] if s.size and s[0] > 0 else 1.0, scale_floor)
 
 
-def rank(m, tol: float) -> int:
-    """Number of singular values above tol relative to the largest one."""
+def rank(m, tol: float) -> int | list[int]:
+    """Number of singular values above tol relative to the largest one.
+
+    A (count, rows, cols) stack gives the list of the count ranks, from one
+    SVD call; each is decided as the rank of that matrix alone.
+    """
     check_tol(tol)
     a = as_complex(m)
     if a.size == 0:
-        return 0
+        return [0] * len(a) if a.ndim == 3 else 0
     s = np.linalg.svd(a, compute_uv=False)
+    if a.ndim == 3:
+        return [int(np.sum(r > tol * _scale(r))) for r in s]
     return int(np.sum(s > tol * _scale(s)))
 
 
@@ -237,6 +243,15 @@ def solve_sandwich(pairs, tol: float) -> list[np.ndarray]:
     return out
 
 
+def kron_stack(x, y) -> np.ndarray:
+    """np.kron of the matching matrices of two stacks, (..., p, p') and
+    (..., q, q') with broadcastable leading axes, as one broadcast product:
+    out[..., a q + c, b q' + e] = x[..., a, b] y[..., c, e]."""
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (x.shape[-2] * y.shape[-2],
+                                         x.shape[-1] * y.shape[-1]))
+
+
 def scatter(idx, w, n) -> np.ndarray:
     """out[idx[t]] += w[t] over n complex entries, or n rows when w has rows,
     summed in the order of t."""
@@ -245,6 +260,18 @@ def scatter(idx, w, n) -> np.ndarray:
     return out
 
 
+def frobenius(x) -> float:
+    """Frobenius norm of an array: sqrt(re.re + im.im) over its entries in
+    memory order, the formula np.linalg.norm applies, without its argument
+    handling."""
+    x = np.asarray(x).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    x = x.astype(float, copy=False)
+    return math.sqrt(x.dot(x))
+
+
 def rel_residual(delta, scale: float) -> float:
     """Frobenius norm of delta relative to max(scale, 1)."""
-    return float(np.linalg.norm(delta) / max(scale, 1.0))
+    return frobenius(delta) / max(scale, 1.0)

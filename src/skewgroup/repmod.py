@@ -49,7 +49,11 @@ class Module:
 
     def actions(self, xs) -> np.ndarray:
         """(len(xs), dim, dim) action matrices of the elements xs[t]."""
-        return np.tensordot(xs, self.rho, axes=1)
+        # the reshape and dot that np.tensordot(xs, rho, axes=1) does
+        xs = np.asarray(xs)
+        n = self.rho.shape[0]
+        return np.dot(xs.reshape(-1, n), self.rho.reshape(n, -1)).reshape(
+            xs.shape[:-1] + self.rho.shape[1:])
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         """(hi - lo, dim, k) stack of rho(b_i) @ basis for the basis elements
@@ -326,9 +330,9 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
     # three seeded vectors, drawn as one stack so one images call serves them
     vs = np.column_stack([rng.standard_normal(m.dim)
                           + 1j * rng.standard_normal(m.dim) for _ in range(3)])
-    orbits = m.images(vs)
-    by_cyclic = all(numeric.rank(orbits[:, :, t].T, tol) == m.dim
-                    for t in range(3))
+    # the three (dim, dim A) orbit matrices, ranked by one stacked SVD
+    orbits = m.images(vs).transpose(2, 1, 0)
+    by_cyclic = all(r == m.dim for r in numeric.rank(orbits, tol))
     if by_commutant and not by_cyclic:
         raise NumericalInconsistency(
             f"simplicity criteria disagree: commutant dim {commutant_dim} "

@@ -271,8 +271,7 @@ def extend_to_skew(system: ProjectiveSystem, v: Module,
         raise InvalidInput("skew algebra group does not match the inertia subgroup")
     nh = len(s_inertia.members)
     vs = v.actions(np.eye(nh))
-    rho = []
-    for bj in m.actions(np.eye(m.algebra.dim)):
-        for h in range(nh):
-            rho.append(np.kron(bj @ system.phi[h], vs[h]))
-    return make_module(s_inertia.alg, rho)
+    # kron(b_j phi(h), V(h)) for every (j, h), basis element major
+    left = m.actions(np.eye(m.algebra.dim))[:, None] @ np.array(system.phi)
+    return make_module(s_inertia.alg, numeric.kron_stack(left, vs).reshape(
+        -1, m.dim * v.dim, m.dim * v.dim))

@@ -241,8 +241,8 @@ def _tensor_invariants(plain: Algebra, m: Module, n: Module) -> np.ndarray:
     """Fixed space of M (x) N under the plain group algebra, where c_g acts
     by the Kronecker product of the actions of c_g on M and on N."""
     eye = np.eye(plain.dim)
-    rho = [np.kron(x, y) for x, y in zip(m.actions(eye), n.actions(eye))]
-    return invariant_subspace(make_module(plain, rho))
+    return invariant_subspace(make_module(
+        plain, numeric.kron_stack(m.actions(eye), n.actions(eye))))
 
 
 def hom_inv_check(m: Module, n: Module, cocycle: Cocycle,

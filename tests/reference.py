@@ -1,0 +1,166 @@
+"""Reference versions of rewritten kernels: the plain numpy formulations,
+written with the library wrappers (np.linalg.norm, np.kron, np.outer,
+np.tensordot, np.eye) and Python loops.  Tests require the library's
+kernels to return the same bits, or to raise the same message."""
+
+import numpy as np
+
+from skewgroup import numeric
+from skewgroup.errors import (
+    InvalidInput,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    NotAutomorphism,
+    NotHomomorphism,
+)
+
+
+def rel_residual(delta, scale):
+    return float(np.linalg.norm(delta) / max(scale, 1.0))
+
+
+def product(a, x, y):
+    i, j, k, v = a.nonzeros
+    return numeric.scatter(k, np.asarray(x)[i] * np.asarray(y)[j] * v, a.dim)
+
+
+def canonical_span(vectors, tol):
+    numeric.check_tol(tol)
+    m = (np.column_stack(vectors) if isinstance(vectors, (list, tuple))
+         else np.asarray(vectors))
+    raw = numeric.orthonormal_column_basis(m, tol)
+    k = raw.shape[1]
+    if k == 0:
+        return raw
+    residual = raw @ raw.conj().T
+    out = []
+    for _ in range(k):
+        norms = np.linalg.norm(residual, axis=0)
+        i = int(np.argmax(norms))
+        v = residual[:, i] / norms[i]
+        lead = int(np.argmax(np.abs(v) > 1e-8))
+        v = v / (v[lead] / abs(v[lead]))
+        out.append(v)
+        residual -= np.outer(v, v.conj() @ residual)
+    return np.column_stack(out)
+
+
+def module_actions(rho, xs):
+    return np.tensordot(xs, rho, axes=1)
+
+
+def kron_pairs(xs, ys):
+    """np.kron of each pair, stacked."""
+    return np.array([np.kron(x, y) for x, y in zip(xs, ys)])
+
+
+def extend_to_skew_stack(base_actions, phi, vs):
+    """The action stack of extend_to_skew: kron(b_j phi(h), V(h)), basis
+    element major, group element minor."""
+    return np.array([np.kron(bj @ phi[h], vs[h])
+                     for bj in base_actions for h in range(len(vs))])
+
+
+def cyclic_ranks(orbits, tol):
+    """The rank of each of the three cyclic-vector orbits, one at a time."""
+    return [numeric.rank(orbits[:, :, t].T, tol) for t in range(3)]
+
+
+def make_group(table):
+    """(order, identity, inverses) of a validated table."""
+    t = np.asarray(table, dtype=np.int64)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise InvalidInput("multiplication table must be square")
+    n = t.shape[0]
+    if n < 1 or t.min() < 0 or t.max() >= n:
+        raise InvalidInput("table entries must be indices in [0, order)")
+    identity = None
+    for e in range(n):
+        if all(t[e, j] == j and t[j, e] == j for j in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("no two-sided identity element")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if t[t[i, j], k] != t[i, t[j, k]]:
+                    raise NotAssociative(
+                        f"associativity fails at triple ({i},{j},{k})")
+    inverses = []
+    for i in range(n):
+        inv = [j for j in range(n)
+               if t[i, j] == identity and t[j, i] == identity]
+        if not inv:
+            raise NoInverse(f"element {i} has no inverse")
+        inverses.append(inv[0])
+    return n, identity, tuple(inverses)
+
+
+def product_residuals(ms, table):
+    """res[g, h] of make_action's product law, one row g at a time."""
+    stack = np.array(ms)
+    out = []
+    for g, m in enumerate(ms):
+        prods = m @ stack
+        norms = np.linalg.norm(prods - stack[table[g]], axis=(1, 2))
+        out.append(norms / np.maximum(np.linalg.norm(prods, axis=(1, 2)), 1.0))
+    return np.array(out)
+
+
+def multiplicativity_norms(ms, target):
+    """|m_g(b_i b_j) - m_g(b_i) m_g(b_j)| over all basis pairs, one element
+    g at a time."""
+    d = target.dim
+    i, j, k, v = target.nonzeros
+    out = []
+    for m in ms:
+        lhs = numeric.scatter(i * d + j, v[:, None] * m[:, k].T,
+                              d * d).reshape(d, d, d)
+        w = numeric.scatter(i * d + k, v[:, None] * m[j], d * d)
+        rhs = (m.T @ w.reshape(d, d * d)).reshape(d, d, d).transpose(0, 2, 1)
+        out.append(rel_residual(lhs - rhs, 1.0))
+    return out
+
+
+def make_action(group, target, mats):
+    """The validated matrices, one element at a time."""
+    tol = target.tol
+    if len(mats) != group.order:
+        raise InvalidInput("need exactly one matrix per group element")
+    ms = tuple(numeric.as_complex(m) for m in mats)
+    d = target.dim
+    for g, m in enumerate(ms):
+        if m.shape != (d, d):
+            raise InvalidInput(f"action matrix {g} has wrong shape")
+    eye = np.eye(d)
+    if rel_residual(ms[group.identity] - eye, 1.0) > tol:
+        raise NotHomomorphism("identity element does not act as identity")
+    stack = np.array(ms)
+    for g in group.elements():
+        prods = ms[g] @ stack
+        norms = np.linalg.norm(prods - stack[group.table[g]], axis=(1, 2))
+        res = norms / np.maximum(np.linalg.norm(prods, axis=(1, 2)), 1.0)
+        bad = (res > tol).nonzero()[0]
+        if bad.size:
+            h = int(bad[0])
+            raise NotHomomorphism(f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
+                                  f"residual {res[h]:.3e}")
+    scale = target.scale
+    i, j, k, v = target.nonzeros
+    for g in group.elements():
+        m = ms[g]
+        lhs = numeric.scatter(i * d + j, v[:, None] * m[:, k].T,
+                              d * d).reshape(d, d, d)
+        w = numeric.scatter(i * d + k, v[:, None] * m[j], d * d)
+        rhs = (m.T @ w.reshape(d, d * d)).reshape(d, d, d).transpose(0, 2, 1)
+        res = rel_residual(lhs - rhs, scale * max(np.linalg.norm(m) ** 2, 1.0))
+        if res > tol:
+            pair = tuple(int(t) for t in np.unravel_index(
+                int(np.abs(lhs - rhs).sum(axis=2).argmax()), (d, d)))
+            raise NotAutomorphism(f"element {g} is not multiplicative at "
+                                  f"basis pair {pair}: residual {res:.3e}")
+        if rel_residual(m @ target.unit - target.unit, 1.0) > tol:
+            raise NotAutomorphism(f"element {g} does not fix the unit")
+    return ms

@@ -152,6 +152,18 @@ def test_run_tol_and_seed_overrides(tmp_path, capsys):
     assert payload["seed"] == 5
 
 
+def test_overrides_do_not_carry_over_to_the_next_call(tmp_path, capsys):
+    """The parser is built once per process; no call's flags reach the next."""
+    path = _write(tmp_path, _fixture_job(capsys, "cyclic"))
+    assert main(["run", path, "--json", "--tol", "1e-8", "--seed", "5",
+                 "--task", "skew"]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["tol"], payload["seed"]) == (1e-9, 1)
+    assert len(payload["tasks"]) == 11
+
+
 def test_run_quiet_suppresses_check_lines(tmp_path, capsys):
     data = _fixture_job(capsys, "trivial")
     path = _write(tmp_path, data)
@@ -211,6 +223,24 @@ def test_malformed_numbers_are_parse_errors(tmp_path, capsys, where, value):
     target[last] = value
     assert main(["validate", _write(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("where, value, field", [
+    ("action.mats.0.0.0", [10 ** 400, 0], "action.mats[0][0][0]"),
+    ("algebra.mult.0.3", 10 ** 400, "algebra.mult[0]"),
+    ("algebra.unit.0", [0, -10 ** 400], "algebra.unit[0]"),
+], ids=["action_entry", "structure_constant", "unit_entry"])
+def test_integer_beyond_the_float_range_is_a_parse_error_naming_its_field(
+        tmp_path, capsys, where, value, field):
+    data = _fixture_job(capsys, "trivial")
+    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: {field}: integer too large to convert to float\n")
 
 
 @pytest.mark.parametrize("where, value", [

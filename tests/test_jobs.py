@@ -22,7 +22,7 @@ def _per_entry(obj, rows, cols, where):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}: row {r} must have {cols} entries")
         for c, entry in enumerate(row):
-            out[r, c] = jobs._scalar(entry)
+            out[r, c] = jobs._scalar(entry, f"{where}[{r}][{c}]")
     return out
 
 

@@ -1,0 +1,311 @@
+"""The rewritten kernels against their reference formulations in
+`reference.py`: the same bits, or the same error and message, on the
+built-in fixtures, on random_instance seeds 0-19 and on seeded inputs that
+include empty, 1x1 and rank-deficient cases."""
+
+import functools
+
+import numpy as np
+import pytest
+import reference
+from helpers import same_bits
+
+from skewgroup import numeric
+from skewgroup.algebra import canonical_span
+from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
+from skewgroup import group_action
+from skewgroup.group_action import (
+    cyclic_group,
+    group_from_permutations,
+    make_action,
+    make_group,
+)
+from skewgroup.projective import contragredient, inertia, projective_isotypics
+from skewgroup.repmod import Module, regular_module
+from skewgroup.skew import extend_to_skew, skew_group_algebra, sub_skew
+
+TOL = 1e-9
+SOURCES = [*FIXTURE_NAMES, *range(20)]
+
+
+@functools.cache
+def instance(source):
+    return fixture(source) if isinstance(source, str) else random_instance(source)
+
+
+@functools.cache
+def skew(source):
+    return skew_group_algebra(instance(source).action)
+
+
+def _rng(source):
+    return np.random.default_rng([7, SOURCES.index(source)])
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _outcome(fn, *args):
+    """("ok", result) or the type and message of the error fn raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rank_deficient(rng, rows, cols, rank):
+    return _complex(rng, rows, rank) @ _complex(rng, rank, cols)
+
+
+# Seeded inputs beside the instances: empty, 1x1, zero and rank-deficient
+# matrices, real ones, views that are not C-contiguous, and signed zeros.
+def _seeded_matrices():
+    rng = np.random.default_rng(11)
+    return [np.zeros((0, 3), dtype=np.complex128),
+            np.zeros((4, 0), dtype=np.complex128),
+            np.ones((1, 1), dtype=np.complex128),
+            np.zeros((3, 3), dtype=np.complex128),
+            np.array([[-0.0 + 0.0j, 0.0 - 0.0j], [-1.0 + 0.0j, -0.0j]]),
+            _rank_deficient(rng, 5, 4, 2),
+            _rank_deficient(rng, 6, 6, 1),
+            _rank_deficient(rng, 4, 7, 3).T,
+            rng.standard_normal((3, 5)),
+            _complex(rng, 6, 4)[::2]]
+
+
+SEEDED = _seeded_matrices()
+
+
+def _instance_matrices(source):
+    i = instance(source)
+    eye = np.eye(i.algebra.dim)
+    mats = np.array(i.action.mats)
+    m = i.module.rho
+    return [m, m[0], m.transpose(0, 2, 1), mats, mats[-1] - eye,
+            mats[:, 0], i.algebra.unit, i.algebra.nonzeros[3],
+            np.abs(m)]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_rel_residual_is_the_reference(source):
+    for x in _instance_matrices(source) + SEEDED:
+        for scale in (0.5, 3.0):
+            got = numeric.rel_residual(x, scale)
+            want = reference.rel_residual(x, scale)
+            assert type(got) is float and same_bits(got, want)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_product_is_the_reference(source):
+    rng = _rng(source)
+    # the skew algebra's constants carry the action's roots of unity
+    for a in (instance(source).algebra, skew(source).alg):
+        eye = np.eye(a.dim)
+        pairs = [(_complex(rng, a.dim), _complex(rng, a.dim)),
+                 (rng.standard_normal(a.dim), rng.standard_normal(a.dim)),
+                 (eye[0], eye[-1]), (a.unit, a.unit), (eye[0], np.zeros(a.dim))]
+        for x, y in pairs:
+            assert same_bits(a.product(x, y), reference.product(a, x, y))
+
+
+def _span_inputs(source):
+    i = instance(source)
+    rng = _rng(source)
+    n = i.algebra.dim
+    mats = np.array(i.action.mats)
+    return [mats.sum(axis=0),                   # the fixed space, scaled
+            mats[-1] - np.eye(n),               # rank-deficient
+            i.module.rho.reshape(n, -1).T,      # tall and rank-deficient
+            _rank_deficient(rng, n, n + 2, max(1, n // 2)),
+            list(_complex(rng, 2, n)),          # a list of vectors
+            np.zeros((n, 2))]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_canonical_span_is_the_reference(source):
+    for vectors in _span_inputs(source) + SEEDED:
+        assert same_bits(canonical_span(vectors, TOL),
+                         reference.canonical_span(vectors, TOL))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_module_actions_are_the_reference(source):
+    i = instance(source)
+    rng = _rng(source)
+    # the module's own stack, and the action matrices as a stack of k
+    for rho in (i.module.rho, np.array(i.action.mats)):
+        m = Module(algebra=i.algebra, dim=rho.shape[1], rho=rho)
+        k = len(rho)
+        for xs in (np.eye(k), np.eye(k)[::-1].T, _complex(rng, 3, k),
+                   rng.standard_normal((1, k)), np.zeros((0, k)),
+                   _complex(rng, k)):
+            assert same_bits(m.actions(xs), reference.module_actions(rho, xs))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_kron_stack_is_kron_of_each_pair(source):
+    i = instance(source)
+    rng = _rng(source)
+    m, mats = i.module.rho, np.array(i.action.mats)
+    k = len(m)
+    for xs, ys in ((m, m), (m, m.conj()), (mats[:1], mats[-1:]),
+                   (m, _complex(rng, k, 3, 2)),
+                   (np.ones((2, 1, 1)), _complex(rng, 2, 1, 1)),
+                   (_rank_deficient(rng, 2, 3, 1)[None], m[:1])):
+        assert same_bits(numeric.kron_stack(xs, ys), reference.kron_pairs(xs, ys))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_extend_to_skew_is_the_kron_loop(source):
+    i = instance(source)
+    m = i.module
+    system = inertia(m, i.action)
+    ssub = sub_skew(skew(source), system.inertia_members)
+    nh = len(system.inertia_members)
+    for rep in projective_isotypics(system).representatives.values():
+        v = contragredient(rep.module, system.cocycle)
+        want = reference.extend_to_skew_stack(
+            m.actions(np.eye(m.algebra.dim)), system.phi, v.actions(np.eye(nh)))
+        assert same_bits(extend_to_skew(system, v, ssub).rho, want)
+
+
+def _orbit_stacks(source):
+    """(dim A, dim, 3) orbit stacks, as is_simple forms them: of the module,
+    of the regular module and of rank-deficient seeded stacks."""
+    i = instance(source)
+    rng = _rng(source)
+    out = []
+    for m in (i.module, regular_module(i.algebra)):
+        out.append(m.images(_complex(rng, m.dim, 3)))
+    n = i.algebra.dim
+    out.append(np.stack([_rank_deficient(rng, n, 3, r).T
+                         for r in (1, 2, 3)], axis=2).transpose(1, 0, 2))
+    return out
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_stacked_rank_is_each_rank(source):
+    rng = np.random.default_rng(5)
+    seeded = [np.zeros((2, 0, 3)), np.zeros((1, 1, 3)),
+              _complex(rng, 1, 1, 3), np.zeros((4, 3, 3)),
+              _rank_deficient(rng, 12, 3, 2).reshape(4, 3, 3)]
+    for orbits in _orbit_stacks(source) + seeded:
+        assert numeric.rank(orbits.transpose(2, 1, 0), TOL) == \
+            reference.cyclic_ranks(orbits, TOL)
+
+
+def _tables():
+    s4, _ = group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    tables = [cyclic_group(n).table for n in range(1, 7)]
+    tables += [instance(f).group.table for f in FIXTURE_NAMES]
+    tables.append(s4.table)
+    # the identity moved to the last index of S3
+    s3 = instance("perm").group.table
+    perm = np.roll(np.arange(len(s3)), 1)
+    inv = np.argsort(perm)
+    tables.append(inv[s3[perm][:, perm]])
+    # monoids (Z_n, *): associative with an identity, several elements
+    # without an inverse
+    for n in (4, 6):
+        tables.append(np.multiply.outer(np.arange(n), np.arange(n)) % n)
+    return tables
+
+
+def _group_outcome(fn, table):
+    kind, out = _outcome(fn, table)
+    if kind != "ok":
+        return kind, out
+    if fn is make_group:
+        out = (out.order, out.identity, out.inverses)
+    return kind, out
+
+
+@pytest.mark.parametrize("index", range(len(_tables())))
+def test_make_group_is_the_reference_on_every_one_entry_corruption(index):
+    table = _tables()[index]
+    n = len(table)
+    variants = [table]
+    if n <= 6:
+        for a in range(n):
+            for b in range(n):
+                for value in range(n):
+                    if value != table[a, b]:
+                        bad = table.copy()
+                        bad[a, b] = value
+                        variants.append(bad)
+    variants += [table[:, ::-1], table.T, np.zeros((n, n), dtype=np.int64),
+                 table[:-1], table + 1, table - 1]
+    for t in variants:
+        got = _group_outcome(make_group, t)
+        want = _group_outcome(reference.make_group, t)
+        assert got == want, t
+
+
+def _action_variants(source):
+    """(group, algebra, mats): the instance's own action and corruptions
+    that break each law in turn."""
+    i = instance(source)
+    g, a = i.group, i.algebra
+    mats = [np.asarray(m) for m in i.action.mats]
+    n = a.dim
+    rng = _rng(source)
+    out = [mats]
+    out.append([m + 1e-3 * (h == g.identity) for h, m in enumerate(mats)])
+    if g.order > 1:
+        out.append(mats[1:] + mats[:1])                      # relabelled
+        out.append([m if h == g.identity else 2 * m for h, m in enumerate(mats)])
+    # conjugated by a basis change: still a homomorphism, but in general no
+    # longer multiplicative
+    d = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    dinv = np.linalg.inv(d)
+    out.append([d @ m @ dinv for m in mats])
+    # a small perturbation off the identity
+    out.append([m if h == g.identity else m + 1e-6 * _complex(rng, n, n)
+                for h, m in enumerate(mats)])
+    out.append([m.T.copy() for m in mats])
+    out.append([m.T.copy().T for m in mats])          # not C-contiguous
+    return [(g, a, ms) for ms in out]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_make_action_is_the_reference(source):
+    for group, algebra, mats in _action_variants(source):
+        got = _outcome(make_action, group, algebra, mats)
+        want = _outcome(reference.make_action, group, algebra, mats)
+        if got[0] == "ok":
+            assert want[0] == "ok"
+            assert all(same_bits(x, y) for x, y in zip(got[1].mats, want[1]))
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_action_residuals_are_the_reference(source):
+    for group, algebra, mats in _action_variants(source):
+        ms = [numeric.as_complex(m) for m in mats]
+        stack = np.array(ms)
+        n = len(ms)
+        assert same_bits(
+            group_action._product_residuals(stack, group.table, 0, n),
+            reference.product_residuals(ms, group.table))
+        assert same_bits(
+            group_action._product_residuals(stack, group.table, n - 1, n),
+            reference.product_residuals(ms, group.table)[n - 1:])
+        errors = group_action._multiplicativity_errors(stack, algebra)
+        assert same_bits([numeric.rel_residual(e, 1.0) for e in errors],
+                         reference.multiplicativity_norms(ms, algebra))
+
+
+def test_the_action_variants_reach_each_failure():
+    """Between them the variants pass and fail the identity, the product
+    law and multiplicativity.  (The unit law fails only after those pass
+    within tolerance: an invertible multiplicative map fixes the unit.)"""
+    seen = set()
+    for source in SOURCES:
+        for group, algebra, mats in _action_variants(source):
+            kind, msg = _outcome(reference.make_action, group, algebra, mats)
+            seen.add("ok" if kind == "ok" else next(
+                word for word in ("identity", "mats", "multiplicative", "unit")
+                if word in msg))
+    assert {"ok", "identity", "mats", "multiplicative"} <= seen

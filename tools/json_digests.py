@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Exit code and sha256 of the ``--json`` report of a fixed set of calls.
+
+    python3 tools/json_digests.py > digests.txt
+    python3 tools/json_digests.py --compare digests.txt
+
+Run from the root of a source checkout: the package is imported from
+``src/``.  The calls are ``skewgroup run JOB --json`` on the five built-in
+fixtures and on ``random_instance`` seeds 0-19, and ``skewgroup run JOB
+--json --task T`` for each of the 11 tasks on ``random_instance(6)``.  Each
+runs in this process through ``skewgroup.cli.main``.  One line per call is
+printed: the call's label, its exit code and the sha256 of its standard
+output.  ``--compare FILE`` checks the lines against a saved run instead,
+prints every call that differs, and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from skewgroup.cli import main as cli_main  # noqa: E402
+from skewgroup.fixtures import (  # noqa: E402
+    ALL_TASKS,
+    FIXTURE_NAMES,
+    fixture,
+    random_instance,
+)
+from skewgroup.jobs import instance_to_job  # noqa: E402
+
+RANDOM_SEEDS = range(20)
+TASK_SEED = 6
+
+
+def calls():
+    """(label, instance builder, argv tail) of every call, in order."""
+    out = [(name, lambda name=name: fixture(name), []) for name in FIXTURE_NAMES]
+    out += [(f"random{s}", lambda s=s: random_instance(s), [])
+            for s in RANDOM_SEEDS]
+    out += [(f"random{TASK_SEED}:{t}", lambda: random_instance(TASK_SEED),
+             ["--task", t]) for t in ALL_TASKS]
+    return out
+
+
+def digest_lines(workdir) -> list[str]:
+    lines, paths = [], {}
+    for label, build, tail in calls():
+        job = label.split(":")[0]
+        if job not in paths:
+            paths[job] = Path(workdir) / f"{job}.json"
+            paths[job].write_text(json.dumps(instance_to_job(build())))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["run", str(paths[job]), "--json", *tail])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        lines.append(f"{label} {code} {digest}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="check against the lines of a saved run")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        lines = digest_lines(workdir)
+    if args.compare is None:
+        print("\n".join(lines))
+        return 0
+    saved = Path(args.compare).read_text().splitlines()
+    for old, new in zip(saved, lines):
+        if old != new:
+            print(f"differs: {old!r} -> {new!r}")
+    if len(saved) != len(lines):
+        print(f"{len(saved)} saved lines, {len(lines)} calls")
+    equal = sum(old == new for old, new in zip(saved, lines))
+    print(f"{equal} of {len(lines)} calls equal")
+    return 0 if equal == len(lines) == len(saved) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
