@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .errors import ParseError, SkewGroupError, UnknownFixture
 from .fixtures import ALL_TASKS, FIXTURE_NAMES, fixture
-from .jobs import instance_to_job, load_job
+from .jobs import canonical_json as _dump, instance_to_job, load_job
 from .runner import EXIT_VALIDATION, run_job
 
 
@@ -43,10 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fixture = sub.add_parser("fixture", help="emit a built-in instance as a job file")
     p_fixture.add_argument("name", choices=FIXTURE_NAMES)
     return parser
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _load(path, **overrides):
@@ -91,15 +86,15 @@ def cmd_run(args) -> int:
     results, exit_code = run_job(job, task_filter=args.task)
     if args.as_json:
         # Timing is intentionally excluded so reports are byte-identical for
-        # identical (job, seed, tol).
-        payload = {
-            "job": job.raw,
+        # identical (job, seed, tol).  The job's canonical text is the value
+        # of "job", the first of the sorted keys.
+        rest = _dump({
             "tol": job.tol,
             "seed": job.seed,
             "passed": exit_code == 0,
             "tasks": [rep.to_dict() for _, rep, _ in results],
-        }
-        print(_dump(payload))
+        })
+        print('{"job":' + job.raw + "," + rest[1:])
         return exit_code
 
     for rec, rep, elapsed in results:

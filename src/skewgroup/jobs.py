@@ -31,16 +31,29 @@ class JobSpec:
     tasks: list                 # of {"task": name, "module": name, ...}
     tol: float
     seed: int
-    raw: dict = field(repr=False, default=None)
+    # the job as the canonical JSON text the --json report echoes: all a
+    # call keeps of the file it loaded
+    raw: str = field(repr=False, default=None)
+
+
+def canonical_json(obj) -> str:
+    """obj as JSON text with sorted keys and no spaces: the form of every
+    document the command line prints."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _number(x) -> bool:
+    """Whether x is a JSON number; a bool is an int but not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _scalar(obj, where) -> complex:
     """The scalar of the field `where`: a number or an [re, im] pair."""
     try:
-        if isinstance(obj, (int, float)):
+        if _number(obj):
             return complex(obj)
         if (isinstance(obj, (list, tuple)) and len(obj) == 2
-                and all(isinstance(x, (int, float)) for x in obj)):
+                and all(_number(x) for x in obj)):
             return complex(obj[0], obj[1])
     except OverflowError:
         raise ParseError(f"{where}: integer too large to convert to float")
@@ -72,10 +85,13 @@ def _matrix(obj, rows, cols, where) -> np.ndarray:
         pairs = np.array(obj)
     except (ValueError, TypeError, OverflowError):
         pairs = None    # ragged or not numbers: the loop below says where
-    # a well-formed matrix of [re, im] pairs, converted at once
-    if (pairs is not None and pairs.dtype.kind in "biuf"
+    # a well-formed matrix of [re, im] pairs, converted at once; numpy
+    # reads a bool as a number, so one sends the matrix to the loop below
+    if (pairs is not None and pairs.dtype.kind in "iuf"
             and pairs.shape == (rows, cols, 2)
-            and all(isinstance(row, list) for row in obj)):
+            and all(isinstance(row, list) for row in obj)
+            and not any(type(x) is bool
+                        for row in obj for z in row for x in z)):
         out = np.empty((rows, cols), dtype=np.complex128)
         out.real = pairs[..., 0]
         out.imag = pairs[..., 1]
@@ -101,6 +117,10 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     """Build and validate all objects referenced by a job dictionary."""
     if not isinstance(data, dict):
         raise ParseError("job file must contain a JSON object")
+    try:
+        text = canonical_json(data)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"job is not JSON: {exc}")
     # --tol and --seed override the job's own values
     if tol is None:
         tol = data.get("tol", numeric.DEFAULT_TOL)
@@ -195,7 +215,7 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         tasks.append(rec)
 
     return JobSpec(algebra=algebra, group=group, action=action, modules=modules,
-                   tasks=tasks, tol=job_tol, seed=job_seed, raw=data)
+                   tasks=tasks, tol=job_tol, seed=job_seed, raw=text)
 
 
 def load_job(path, tol=None, seed=None) -> JobSpec:

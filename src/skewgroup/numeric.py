@@ -185,6 +185,11 @@ class Side:
         """Largest entry modulus over all matrices."""
         return max(float(np.abs(stack).max()) for _, stack in self.blocks)
 
+    @cached_property
+    def widest(self) -> int:
+        """Size of the largest block."""
+        return max(s.stop - s.start for s, _ in self.blocks)
+
 
 class Pairs:
     """The pairs (P_i, Q_i) of an intertwiner system, held as its two sides.
@@ -230,11 +235,24 @@ def solve_sandwich(pairs, tol: float) -> list[np.ndarray]:
     # share the cutoff one eigh of the whole Gram matrix would apply; its
     # scale is floored by the input magnitudes because the blocks are
     # differences of comparable products and may be pure rounding noise.
-    solved = [(r, c, *np.linalg.eigh(_gram(pb, qb)))
-              for r, qb in q.blocks for c, pb in p.blocks]
+    # That scale is known only once every block is solved, so each block
+    # keeps just the eigenvectors below the cutoff at a bound of the scale:
+    # a block's Gram matrix is a sum over the k pairs of A_i^H A_i, and
+    # ||A_i||_2 is at most the sum of the Frobenius norms of its P and Q
+    # blocks, each at most its size times the largest entry.  The factor 2
+    # covers rounding.  eigh sorts the eigenvalues ascending, so those below
+    # a cutoff lead.
+    reach = p.widest * p.largest + q.widest * q.largest
+    bound = 2 * max(floor * floor, len(p) * reach * reach)
+    solved = []
+    for r, qb in q.blocks:
+        for c, pb in p.blocks:
+            w, v = np.linalg.eigh(_gram(pb, qb))
+            n = w.searchsorted(tol * bound, "right")
+            solved.append((r, c, w, v[:, :n].copy()))
     scale = max(max(float(w[-1]) for _, _, w, _ in solved), floor * floor)
     kept = [(w[j], r, c, v[:, j]) for r, c, w, v in solved
-            for j in (w <= tol * scale).nonzero()[0]]
+            for j in range(w.searchsorted(tol * scale, "right"))]
     out = []
     for _, r, c, vec in sorted(kept, key=lambda t: t[0]):
         x = np.zeros((dp, d), dtype=np.complex128)

@@ -1,11 +1,16 @@
 """Reference versions of rewritten kernels: the plain numpy formulations,
 written with the library wrappers (np.linalg.norm, np.kron, np.outer,
-np.tensordot, np.eye) and Python loops.  Tests require the library's
-kernels to return the same bits, or to raise the same message."""
+np.tensordot, np.eye) and Python loops, or the earlier formulation a
+kernel replaced.  Tests require the library's kernels to return the same
+bits, or to raise the same message."""
+
+import json
 
 import numpy as np
 
 from skewgroup import numeric
+from skewgroup.jobs import parse_job
+from skewgroup.runner import run_job
 from skewgroup.errors import (
     InvalidInput,
     NoIdentity,
@@ -164,3 +169,44 @@ def make_action(group, target, mats):
         if rel_residual(m @ target.unit - target.unit, 1.0) > tol:
             raise NotAutomorphism(f"element {g} does not fix the unit")
     return ms
+
+
+def solve_sandwich(pairs, tol):
+    """solve_sandwich as it kept the whole eigenvector matrix of every block
+    until the last block was solved and the shared cutoff was known."""
+    if not pairs:
+        raise InvalidInput("need at least one (P, Q) pair")
+    if not isinstance(pairs, numeric.Pairs):
+        pairs = numeric.Pairs(numeric.Side.split([p for p, _ in pairs]),
+                              numeric.Side.split([q for _, q in pairs]))
+    p, q = pairs.p, pairs.q
+    d, dp = p.dim, q.dim
+    floor = max(1.0, p.largest, q.largest)
+    solved = [(r, c, *np.linalg.eigh(numeric._gram(pb, qb)))
+              for r, qb in q.blocks for c, pb in p.blocks]
+    scale = max(max(float(w[-1]) for _, _, w, _ in solved), floor * floor)
+    kept = [(w[j], r, c, v[:, j]) for r, c, w, v in solved
+            for j in (w <= tol * scale).nonzero()[0]]
+    out = []
+    for _, r, c, vec in sorted(kept, key=lambda t: t[0]):
+        x = np.zeros((dp, d), dtype=np.complex128)
+        x[r, c] = vec.reshape(r.stop - r.start, c.stop - c.start)
+        out.append(x)
+    return out
+
+
+def run_report(path, tol=None, seed=None, task=None):
+    """The standard output of `skewgroup run PATH --json`, built as one
+    dictionary that holds the job's decoded JSON tree."""
+    with open(path) as fh:
+        data = json.load(fh)
+    job = parse_job(data, tol=tol, seed=seed)
+    results, exit_code = run_job(job, task_filter=task)
+    payload = {
+        "job": data,
+        "tol": job.tol,
+        "seed": job.seed,
+        "passed": exit_code == 0,
+        "tasks": [rep.to_dict() for _, rep, _ in results],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+import reference
 
 from skewgroup.cli import _dump, main
-from skewgroup.jobs import parse_job
+from skewgroup.errors import ParseError
+from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
+from skewgroup.jobs import instance_to_job, load_job, parse_job
 
 
 def _write(tmp_path, obj, name="job.json"):
@@ -343,3 +348,103 @@ def test_each_task_alone_prints_its_record_of_the_full_run(tmp_path, capsys,
         alone = json.loads(capsys.readouterr().out)["tasks"]
         assert [_dump(r) for r in alone] == [_dump(record)]
         assert (code == 0) == record["passed"]
+
+
+def _booleans(matrix):
+    """The matrix with each part of each entry turned into a boolean."""
+    return [[[bool(x) for x in z] for z in row] for row in matrix]
+
+
+@pytest.mark.parametrize("where, field", [
+    ("algebra.unit", "algebra.unit[0]"),
+    ("algebra.mult", "algebra.mult[0]"),
+    ("action.mats", "action.mats[0][0][0]"),
+    ("modules.M.rho", "modules.M.rho[0][0][0]"),
+], ids=["unit_entry", "structure_constant", "action_matrix", "module_matrix"])
+def test_a_boolean_is_not_a_scalar(tmp_path, capsys, where, field):
+    data = _fixture_job(capsys, "swap")
+    target = data
+    for key in where.split("."):
+        target = target[key]
+    if where == "algebra.unit":
+        target[0] = [True, False]
+    elif where == "algebra.mult":
+        target[0][3] = True
+    else:
+        target[0] = _booleans(target[0])
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {field}: ")
+
+
+def _echo_cases():
+    """(job dictionary, run flags, reference overrides) of jobs whose
+    report must echo them as the old payload builder did."""
+    pauli = json.loads(_capture(["fixture", "pauli"]))
+    # keys in reverse order, and keys the parser never reads
+    unsorted = {key: pauli[key] for key in reversed(list(pauli))}
+    unsorted["zz_comment"] = {"b": [True, None, 1.5e-300], "a": "note"}
+    unsorted["algebra"] = dict(reversed(list(pauli["algebra"].items())),
+                               extra=[{"y": 1, "x": 2}])
+    unsorted["tasks"] = [dict(t, note="kept") for t in pauli["tasks"]]
+    # a slot given twice, the first value stale, and a non-ASCII name
+    repeated = json.loads(_capture(["fixture", "perm"]))
+    mult = repeated["algebra"]["mult"]
+    repeated["algebra"]["mult"] = [[*mult[0][:3], [5.0, 0.0]]] + mult
+    repeated["name"] = "Перестановки — S₃ ✓"
+    cyclic = json.loads(_capture(["fixture", "cyclic"]))
+    return [
+        (unsorted, [], {}),
+        (repeated, [], {}),
+        (cyclic, ["--tol", "1e-8"], {"tol": 1e-8}),
+        (cyclic, ["--seed", "5"], {"seed": 5}),
+        (cyclic, ["--task", "induced_simplicity"], {"task": "induced_simplicity"}),
+        (cyclic, ["--tol", "1e-7", "--seed", "0", "--task", "skew"],
+         {"tol": 1e-7, "seed": 0, "task": "skew"}),
+    ]
+
+
+def _capture(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _assert_echoes_reference(path, flags, overrides):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["run", str(path), "--json", *flags])
+    assert out.getvalue() == reference.run_report(path, **overrides)
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_NAMES, *range(20)])
+def test_json_report_is_the_payload_of_the_decoded_job(tmp_path, source):
+    inst = fixture(source) if isinstance(source, str) else random_instance(source)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(instance_to_job(inst)))
+    _assert_echoes_reference(path, [], {})
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "unsorted_and_unknown_keys", "repeated_slot_and_non_ascii_name",
+    "tol_override", "seed_override", "task_filter", "all_overrides"])
+def test_json_report_echoes_unusual_jobs_and_overrides(tmp_path, case):
+    data, flags, overrides = _echo_cases()[case]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    _assert_echoes_reference(path, flags, overrides)
+
+
+def test_a_loaded_job_keeps_its_canonical_text(tmp_path, capsys):
+    data = _fixture_job(capsys, "swap")
+    data["zz"] = {"b": 1, "a": [2, 3]}
+    job = load_job(_write(tmp_path, data))
+    assert isinstance(job.raw, str)
+    assert job.raw == json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def test_a_job_json_cannot_serialize_is_a_parse_error(capsys):
+    data = _fixture_job(capsys, "swap")
+    data["note"] = {1j}
+    with pytest.raises(ParseError, match="job is not JSON"):
+        parse_job(data)

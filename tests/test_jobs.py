@@ -55,7 +55,7 @@ def test_array_conversion_is_bitwise_the_per_entry_one(source):
 def test_array_conversion_keeps_negative_zero_and_exact_numbers():
     big = [2 ** 53 + 1, 2 ** 63, 2 ** 64 - 1, -(2 ** 63)]
     obj = [[[-0.0, 0.0], [1, -0.0]],
-           [[True, False], [big[0], 0.5]],
+           [[1, 0], [big[0], 0.5]],
            [[big[1], -1], [big[2], big[3]]]]
     out = jobs._matrix(obj, 3, 2, "where")
     assert out.tobytes() == _per_entry(obj, 3, 2, "where").tobytes()
@@ -77,6 +77,9 @@ def test_array_conversion_keeps_negative_zero_and_exact_numbers():
     ([[1, 2.5]], 1, 2),                            # plain numbers
     ([[[1, 0], 2]], 1, 2),                         # pairs and numbers mixed
     ([([1, 0], [1, 0])], 1, 2),                    # a row that is no list
+    ([[[True, False], [False, True]]], 1, 2),      # booleans only
+    ([[[1, 0], [True, 0.5]]], 1, 2),               # a boolean among numbers
+    ([[[1, 0], [1, False]]], 1, 2),                # a boolean among integers
     ("rows", 1, 1),
 ])
 def test_malformed_and_unusual_matrices_fare_as_per_entry(obj, rows, cols):

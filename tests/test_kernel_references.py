@@ -10,7 +10,7 @@ import pytest
 import reference
 from helpers import same_bits
 
-from skewgroup import numeric
+from skewgroup import numeric, repmod
 from skewgroup.algebra import canonical_span
 from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
 from skewgroup import group_action
@@ -21,8 +21,9 @@ from skewgroup.group_action import (
     make_group,
 )
 from skewgroup.projective import contragredient, inertia, projective_isotypics
-from skewgroup.repmod import Module, regular_module
+from skewgroup.repmod import DirectSum, Module, regular_module
 from skewgroup.skew import extend_to_skew, skew_group_algebra, sub_skew
+from skewgroup.theorems import simple_classes
 
 TOL = 1e-9
 SOURCES = [*FIXTURE_NAMES, *range(20)]
@@ -309,3 +310,74 @@ def test_the_action_variants_reach_each_failure():
                 word for word in ("identity", "mats", "multiplicative", "unit")
                 if word in msg))
     assert {"ok", "identity", "mats", "multiplicative"} <= seen
+
+
+@functools.cache
+def _classes(source):
+    """simple_classes of the skew algebra, and (pairs, tol) of every system
+    it solves, the direct sums of _multiplicity_spaces included."""
+    seen = []
+    solve = numeric.solve_sandwich
+
+    def recording(pairs, tol):
+        seen.append((pairs, tol))
+        return solve(pairs, tol)
+
+    numeric.solve_sandwich = recording
+    try:
+        dec = simple_classes(skew(source), 1)
+    finally:
+        numeric.solve_sandwich = solve
+    return dec, seen
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_solve_sandwich_is_the_reference(source):
+    dec, systems = _classes(source)
+    # the direct sum of the pieces is a target, one block per piece at least
+    pieces = len(dec.pieces)
+    assert pieces == 1 or any(len(pairs.q.blocks) >= pieces
+                              for pairs, _ in systems)
+    for pairs, tol in systems:
+        got, want = numeric.solve_sandwich(pairs, tol), \
+            reference.solve_sandwich(pairs, tol)
+        assert len(got) == len(want)
+        assert all(same_bits(x, y) for x, y in zip(got, want))
+
+
+def test_solve_sandwich_keeps_what_a_later_block_lets_through():
+    """Block 0's Gram eigenvalue 2 delta^2 = 4e-3 is above tol * floor^2 =
+    1e-3, and is kept because block 1's eigenvalue 8 raises the scale."""
+    delta = np.sqrt(2e-3)
+    pairs = [(np.diag([1 - delta, -1]), np.array([[1.0]])),
+             (np.diag([-1 + delta, 1]), np.array([[-1.0]]))]
+    got = numeric.solve_sandwich(pairs, 1e-3)
+    want = reference.solve_sandwich(pairs, 1e-3)
+    assert len(got) == len(want) == 1
+    assert same_bits(got[0], want[0])
+    assert same_bits(abs(got[0]), np.array([[1.0, 0.0]]))
+
+
+def test_solve_sandwich_when_the_floor_exceeds_the_entry_bound():
+    """With entries far below 1 the scale is the floor 1, not the bound
+    (0.01 + 0.02)^2 from the entries: the eigenvalue 1e-4 is kept at tol
+    1e-3."""
+    pairs = [(np.array([[0.01]]), np.array([[0.02]]))]
+    got = numeric.solve_sandwich(pairs, 1e-3)
+    want = reference.solve_sandwich(pairs, 1e-3)
+    assert len(got) == len(want) == 1
+    assert same_bits(got[0], want[0])
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_blocked_orbits_are_the_whole_image_stack(source):
+    i = instance(source)
+    rng = _rng(source)
+    dec, _ = _classes(source)
+    modules = [i.module, regular_module(i.algebra),
+               DirectSum(i.algebra, [i.module, i.module]),
+               *(p.module for p in dec.pieces)]
+    for m in modules:
+        vs = _complex(rng, m.dim, 3)
+        assert same_bits(repmod._orbits(m, vs),
+                         m.images(vs).transpose(2, 1, 0))

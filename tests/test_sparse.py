@@ -21,6 +21,7 @@ from skewgroup.errors import InvalidInput
 from skewgroup.fixtures import FIXTURE_NAMES, random_instance
 from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup.projective import inertia, twisted_group_algebra
+from skewgroup.repmod import DirectSum, hom_space, is_simple
 from skewgroup.skew import skew_group_algebra, symmetrizer
 from skewgroup.theorems import simple_classes
 
@@ -219,3 +220,40 @@ def test_skew72_allocations_stay_sparse():
     assert s.alg.dim == 72
     assert peak_bytes(build) <= 1.0e6
     assert peak_bytes(lambda: simple_classes(s, 1)) <= 1.1e6
+
+
+def _skew72_decomposition():
+    s = skew_group_algebra(random_instance(2).action)
+    return s, simple_classes(s, 1)
+
+
+def test_skew72_hom_space_keeps_only_kernel_candidates():
+    """The hom space from a class representative into the direct sum of the
+    12 pieces solves 12 blocks of 36 unknowns.  It peaked at 384 KB while
+    it kept each block's (36, 36) eigenvector matrix, 20.7 KB each, until the
+    last block was solved; keeping only the columns below the cutoff at the
+    scale bound, it peaks near 184 KB.  The bound excludes the pieces'
+    generator sides, solved before the measured call."""
+    s, dec = _skew72_decomposition()
+    rep = dec.representatives[0].module
+    pieces = [p.module for p in dec.pieces]
+    assert len(pieces) == 12 and all(p.dim == 6 for p in pieces)
+
+    def solve():
+        return hom_space(rep, DirectSum(s.alg, pieces))
+
+    solve()
+    assert peak_bytes(solve) <= 270e3
+
+
+def test_skew72_simplicity_test_builds_its_orbits_in_blocks():
+    """A piece of dimension 6 reaches its images through the regular module
+    of dimension 72: one (72, 72, 3) image stack takes 249 KB, and
+    is_simple peaked at 315 KB while it built one.  Filled in blocks of 24
+    basis elements it peaks near 149 KB.  The bound excludes the piece's
+    generator side and the algebra's semisimplicity verdict, both kept from
+    the first call."""
+    _, dec = _skew72_decomposition()
+    piece = dec.pieces[0].module
+    is_simple(piece)
+    assert peak_bytes(lambda: is_simple(piece)) <= 220e3

@@ -1,0 +1,31 @@
+"""The tools under tools/, each run as a script on a small job."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from skewgroup.fixtures import fixture
+from skewgroup.jobs import instance_to_job
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_peak_where_names_the_sites_of_a_call(tmp_path):
+    path = tmp_path / "pauli.json"
+    path.write_text(json.dumps(instance_to_job(fixture("pauli"))))
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "peak_where.py"), str(path),
+         "--task", "main_theorem"],
+        capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    peak = re.fullmatch(r"exit code 0; peak (\S+) MB above the start of the "
+                        r"call", lines[0])
+    held = re.match(r"fullest traced moment: (\S+) MB, event \d+", lines[1])
+    assert peak and held and 0 < float(held[1]) <= float(peak[1])
+    sites = [line for line in lines[2:] if " KB " in line]
+    assert 1 <= len(sites) <= 10
+    # each chain ends at the task runner, the outermost skewgroup frame
+    # below the command line
+    assert "run_job" in lines[-1]
