@@ -12,7 +12,7 @@ import sys
 
 from .errors import ParseError, SkewGroupError, UnknownFixture
 from .fixtures import ALL_TASKS, FIXTURE_NAMES, fixture
-from .jobs import canonical_json as _dump, instance_to_job, load_job
+from .jobs import canonical_json as _dump, echo_json, instance_to_job, load_job
 from .runner import EXIT_VALIDATION, run_job
 
 
@@ -86,15 +86,13 @@ def cmd_run(args) -> int:
     results, exit_code = run_job(job, task_filter=args.task)
     if args.as_json:
         # Timing is intentionally excluded so reports are byte-identical for
-        # identical (job, seed, tol).  The job's canonical text is the value
-        # of "job", the first of the sorted keys.
-        rest = _dump({
+        # identical (job, seed, tol).
+        print(echo_json(job.raw, {
             "tol": job.tol,
             "seed": job.seed,
             "passed": exit_code == 0,
             "tasks": [rep.to_dict() for _, rep, _ in results],
-        })
-        print('{"job":' + job.raw + "," + rest[1:])
+        }))
         return exit_code
 
     for rec, rep, elapsed in results:

@@ -42,6 +42,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def echo_json(job_text: str, payload: dict) -> str:
+    """canonical_json of payload with the key "job" added, whose value has
+    the canonical text job_text: spliced in as text, so it is first of the
+    sorted keys only while every payload key sorts after "job"."""
+    if not payload or min(payload) <= "job":
+        raise ValueError(f"payload keys must sort after 'job': {sorted(payload)}")
+    return '{"job":' + job_text + "," + canonical_json(payload)[1:]
+
+
 def _number(x) -> bool:
     """Whether x is a JSON number; a bool is an int but not a number here."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)

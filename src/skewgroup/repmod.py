@@ -327,30 +327,17 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
     commutant_dim = len(hom_space(m, m))
     by_commutant = commutant_dim == 1
     rng = np.random.default_rng(seed)
-    # three seeded vectors, drawn as one stack so one images call per block
-    # serves them
+    # three seeded vectors, drawn as one stack so one images call serves them
     vs = np.column_stack([rng.standard_normal(m.dim)
                           + 1j * rng.standard_normal(m.dim) for _ in range(3)])
-    # the three orbit matrices, ranked by one stacked SVD
-    by_cyclic = all(r == m.dim for r in numeric.rank(_orbits(m, vs), tol))
+    # the three (dim, dim A) orbit matrices, ranked by one stacked SVD
+    orbits = m.images(vs).transpose(2, 1, 0)
+    by_cyclic = all(r == m.dim for r in numeric.rank(orbits, tol))
     if by_commutant and not by_cyclic:
         raise NumericalInconsistency(
             f"simplicity criteria disagree: commutant dim {commutant_dim} "
             f"but a random vector fails to generate")
     return by_commutant
-
-
-def _orbits(m: Module, vs: np.ndarray) -> np.ndarray:
-    """The (3, dim, dim A) orbits of the three columns of vs: orbit t holds
-    rho(b_i) vs[:, t] in column i.  They are filled in blocks of
-    ceil(dim A / 3) basis elements, so the images one block asks for (of a
-    compressed module's parent, say) hold a third of the whole stack."""
-    n = m.algebra.dim
-    step = -(-n // 3)
-    out = np.empty((3, m.dim, n), dtype=np.complex128)
-    for lo in range(0, n, step):
-        out[:, :, lo:lo + step] = m.images(vs, lo, min(lo + step, n)).T
-    return out
 
 
 def twist(m: Module, g: int, action) -> Module:
@@ -469,16 +456,13 @@ def _try_split(m: Module, comm, rng, *, seed) -> list:
     if n == 1:
         basis = np.eye(m.dim, dtype=np.complex128)
         return [(basis, compress(m, basis))]
-    # the sample and each eigenvector block are dropped once used
-    blocks = _eig_clusters(
-        combine(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    blocks.reverse()
+    x = combine(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    blocks = _eig_clusters(x)
     out = []
     total = 0
-    while blocks:
-        k = blocks[-1].shape[1]
-        basis = numeric.orthonormal_column_basis(blocks.pop(), tol)
-        if basis.shape[1] != k:
+    for cols in blocks:
+        basis = numeric.orthonormal_column_basis(cols, tol)
+        if basis.shape[1] != cols.shape[1]:
             raise DegenerateSample("eigenvector block is rank-deficient")
         basis = canonical_span(basis, tol)
         try:

@@ -11,7 +11,9 @@ import reference
 from skewgroup.cli import _dump, main
 from skewgroup.errors import ParseError
 from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
-from skewgroup.jobs import instance_to_job, load_job, parse_job
+from skewgroup.jobs import (
+    canonical_json, echo_json, instance_to_job, load_job, parse_job,
+)
 
 
 def _write(tmp_path, obj, name="job.json"):
@@ -448,3 +450,13 @@ def test_a_job_json_cannot_serialize_is_a_parse_error(capsys):
     data["note"] = {1j}
     with pytest.raises(ParseError, match="job is not JSON"):
         parse_job(data)
+
+
+def test_the_echoed_job_is_spliced_only_before_later_keys():
+    text = canonical_json({"b": [1, 2], "a": "ü"})
+    payload = {"tol": 1e-9, "tasks": [], "passed": True}
+    assert echo_json(text, payload) == canonical_json(
+        {"job": json.loads(text), **payload})
+    for key in ("elapsed", "errors", "job"):
+        with pytest.raises(ValueError, match="sort after 'job'"):
+            echo_json(text, {**payload, key: 0})

@@ -10,7 +10,7 @@ import pytest
 import reference
 from helpers import same_bits
 
-from skewgroup import numeric, repmod
+from skewgroup import numeric
 from skewgroup.algebra import canonical_span
 from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
 from skewgroup import group_action
@@ -21,7 +21,7 @@ from skewgroup.group_action import (
     make_group,
 )
 from skewgroup.projective import contragredient, inertia, projective_isotypics
-from skewgroup.repmod import DirectSum, Module, regular_module
+from skewgroup.repmod import Module, regular_module
 from skewgroup.skew import extend_to_skew, skew_group_algebra, sub_skew
 from skewgroup.theorems import simple_classes
 
@@ -367,17 +367,3 @@ def test_solve_sandwich_when_the_floor_exceeds_the_entry_bound():
     want = reference.solve_sandwich(pairs, 1e-3)
     assert len(got) == len(want) == 1
     assert same_bits(got[0], want[0])
-
-
-@pytest.mark.parametrize("source", SOURCES)
-def test_blocked_orbits_are_the_whole_image_stack(source):
-    i = instance(source)
-    rng = _rng(source)
-    dec, _ = _classes(source)
-    modules = [i.module, regular_module(i.algebra),
-               DirectSum(i.algebra, [i.module, i.module]),
-               *(p.module for p in dec.pieces)]
-    for m in modules:
-        vs = _complex(rng, m.dim, 3)
-        assert same_bits(repmod._orbits(m, vs),
-                         m.images(vs).transpose(2, 1, 0))

@@ -21,7 +21,7 @@ from skewgroup.errors import InvalidInput
 from skewgroup.fixtures import FIXTURE_NAMES, random_instance
 from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup.projective import inertia, twisted_group_algebra
-from skewgroup.repmod import DirectSum, hom_space, is_simple
+from skewgroup.repmod import DirectSum, hom_space
 from skewgroup.skew import skew_group_algebra, symmetrizer
 from skewgroup.theorems import simple_classes
 
@@ -244,16 +244,3 @@ def test_skew72_hom_space_keeps_only_kernel_candidates():
 
     solve()
     assert peak_bytes(solve) <= 270e3
-
-
-def test_skew72_simplicity_test_builds_its_orbits_in_blocks():
-    """A piece of dimension 6 reaches its images through the regular module
-    of dimension 72: one (72, 72, 3) image stack takes 249 KB, and
-    is_simple peaked at 315 KB while it built one.  Filled in blocks of 24
-    basis elements it peaks near 149 KB.  The bound excludes the piece's
-    generator side and the algebra's semisimplicity verdict, both kept from
-    the first call."""
-    _, dec = _skew72_decomposition()
-    piece = dec.pieces[0].module
-    is_simple(piece)
-    assert peak_bytes(lambda: is_simple(piece)) <= 220e3
