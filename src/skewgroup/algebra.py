@@ -165,6 +165,10 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
     u = numeric.as_complex(np.array(unit, dtype=np.complex128)).reshape(-1)
     if u.shape != (dim,):
         raise InvalidInput("structure tensor / unit shape mismatch")
+    i, j, k, v = nonzeros
+    numeric.check_entry_bound(
+        v, lambda at: f"structure constant c[{i[at]}, {j[at]}, {k[at]}]")
+    numeric.check_entry_bound(u, lambda at: f"unit[{at[0]}]")
     a = Algebra(dim=dim, nonzeros=nonzeros, unit=u, tol=tol,
                 generators=tuple(generators))
     _check_associativity(a, seed)

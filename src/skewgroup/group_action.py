@@ -146,9 +146,11 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     for g, m in enumerate(ms):
         if m.shape != (d, d):
             raise InvalidInput(f"action matrix {g} has wrong shape")
+    stack = np.array(ms)
+    numeric.check_entry_bound(
+        stack, lambda at: f"mats[{at[0]}][{at[1]}, {at[2]}]")
     if numeric.rel_residual(ms[group.identity] - np.eye(d), 1.0) > tol:
         raise NotHomomorphism("identity element does not act as identity")
-    stack = np.array(ms)
     n = len(ms)
     # mats[g] @ mats[h] against mats[g*h] for blocks of first elements g;
     # the first failing h of the first failing g is reported

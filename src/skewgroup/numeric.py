@@ -15,6 +15,9 @@ from .errors import InvalidInput
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 1
+# Largest entry modulus an input may hold: the validators' residual scales
+# are at most cubic in the entries, so below it they stay finite.
+ENTRY_BOUND = 1e100
 
 
 def as_complex(m) -> np.ndarray:
@@ -27,6 +30,16 @@ def as_complex(m) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise InvalidInput("non-finite matrix entries")
     return a
+
+
+def check_entry_bound(a: np.ndarray, label) -> None:
+    """Reject an array with an entry of modulus above ENTRY_BOUND; label(at)
+    names the first such entry, at its index tuple at."""
+    modulus = np.abs(a)
+    if modulus.size and modulus.max() > ENTRY_BOUND:
+        at = tuple(np.argwhere(modulus > ENTRY_BOUND)[0].tolist())
+        raise InvalidInput(f"{label(at)} = {a[at]:.3g} exceeds {ENTRY_BOUND:g} "
+                           f"in modulus")
 
 
 def check_tol(tol) -> None:

@@ -210,7 +210,7 @@ def contragredient(w: Module, cocycle: Cocycle) -> Module:
     if w.algebra.dim != n:
         raise InvalidInput("module algebra does not match the group order")
     alg = twisted_group_algebra(cocycle, -1, w.algebra.tol)
-    rho = np.linalg.inv(w.actions(np.eye(n))).transpose(0, 2, 1)
+    rho = np.linalg.inv(w.rho).transpose(0, 2, 1)
     return make_module(alg, rho)
 
 

@@ -39,6 +39,12 @@ _PROBE_COUNT = 20
 
 @dataclass(frozen=True, eq=False)
 class Module:
+    """A module over an algebra, given by its one action stack rho.
+
+    The stack is stored, or built on first read by a kind that gives its
+    images and scale without it (the regular module, a compressed piece);
+    the actions and the generator side derive from it.
+    """
     algebra: Algebra
     dim: int
     rho: np.ndarray           # (algebra dim, dim, dim): rho[i] is the action of b_i
@@ -81,26 +87,19 @@ class Module:
 
 
 class RegularModule(Module):
-    """The left regular module of an algebra, with no stored action.
+    """The left regular module of an algebra.
 
-    Its actions are the left multiplications, scattered from the nonzero
-    structure constants when asked for; no method forms the full (dim, dim,
-    dim) stack.
+    Its images are scattered from the nonzero structure constants; its
+    stack, the left multiplications, is built only when read.
     """
 
     def __init__(self, algebra: Algebra):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dim", algebra.dim)
 
-    def act(self, x) -> np.ndarray:
-        return self.algebra.left_mult(x)
-
-    def actions(self, xs) -> np.ndarray:
-        i, j, k, v = self.algebra.nonzeros
-        xs = np.asarray(xs)
-        n = self.dim
-        flat = numeric.scatter(k * n + j, (xs[:, i] * v).T, n * n)
-        return flat.T.reshape(len(xs), n, n)
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.images(np.eye(self.dim))
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         # row k of L_{b_i} @ basis collects c[i, j, k] basis[j]; the
@@ -118,43 +117,15 @@ class RegularModule(Module):
         return max(float(np.abs(self.algebra.nonzeros[3]).max()), 1.0)
 
 
-class DirectSum(Module):
-    """A direct sum of modules over one algebra, with no stored action.
-
-    Its actions are block-diagonal, spread from the summands' actions of the
-    same elements when asked for.  Its generator side is the summands' sides
-    side by side, so a hom space into it never spreads them.
-    """
+class DirectSum:
+    """A direct sum of modules over one algebra, as a side of intertwiner
+    systems only: its generator side is the summands' sides side by side,
+    so a hom space into it solves one small system per summand."""
 
     def __init__(self, algebra: Algebra, summands):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "summands", tuple(summands))
-        object.__setattr__(self, "dim", sum(n.dim for n in self.summands))
-
-    def _spread(self, stacks) -> np.ndarray:
-        """The block-diagonal stack with the summands' stacks as blocks."""
-        out = np.zeros((len(stacks[0]), self.dim, self.dim), dtype=np.complex128)
-        lo = 0
-        for stack in stacks:
-            hi = lo + stack.shape[1]
-            out[:, lo:hi, lo:hi] = stack
-            lo = hi
-        return out
-
-    def act(self, x) -> np.ndarray:
-        return self.actions(np.asarray(x)[None])[0]
-
-    def actions(self, xs) -> np.ndarray:
-        return self._spread([n.actions(xs) for n in self.summands])
-
-    def images(self, basis, lo=0, hi=None) -> np.ndarray:
-        rows = np.cumsum([0] + [n.dim for n in self.summands])
-        return np.concatenate([n.images(basis[r:s], lo, hi) for n, r, s
-                               in zip(self.summands, rows, rows[1:])], axis=1)
-
-    @cached_property
-    def scale(self) -> float:
-        return max(n.scale for n in self.summands)
+        self.algebra = algebra
+        self.summands = tuple(summands)
+        self.dim = sum(n.dim for n in self.summands)
 
     @cached_property
     def generator_side(self) -> numeric.Side:
@@ -229,6 +200,8 @@ def make_module(algebra: Algebra, rho) -> Module:
     d = stack.shape[1]
     if d == 0:
         raise InvalidInput("zero-dimensional module")
+    numeric.check_entry_bound(
+        stack, lambda at: f"rho[{at[0]}][{at[1]}, {at[2]}]")
     m = Module(algebra=algebra, dim=d, rho=stack)
     validate_module(m)
     return m
@@ -237,17 +210,12 @@ def make_module(algebra: Algebra, rho) -> Module:
 def validate_module(m: Module) -> None:
     """Check rho(b_i) rho(b_j) = rho(b_i b_j) and rho(1) = I.
 
-    Only a module with an action stack, stored or (for a compressed module)
-    rebuilt, can be validated.  Up to EXHAUSTIVE_DIM_LIMIT every basis pair
-    is checked, in blocks of ceil(dim A / d) first indices i, so no
-    temporary holds more than about (dim A)^2 d entries; a failure names the
-    largest entry and the pair (i, j) of largest summed error, the first
-    such pair in row-major order.  Larger algebras are checked on seeded
-    random pairs.
+    Up to EXHAUSTIVE_DIM_LIMIT every basis pair is checked, in blocks of
+    ceil(dim A / d) first indices i, so no temporary holds more than about
+    (dim A)^2 d entries; a failure names the largest entry and the pair
+    (i, j) of largest summed error, the first such pair in row-major order.
+    Larger algebras are checked on seeded random pairs.
     """
-    if not hasattr(m, "rho"):
-        raise InvalidInput(f"validate_module needs a module with a stored "
-                           f"action; a {type(m).__name__} has none")
     a = m.algebra
     tol = a.tol
     unit_res = numeric.rel_residual(m.act(a.unit) - np.eye(m.dim), 1.0)
@@ -550,7 +518,7 @@ def invariant_subspace(m: Module) -> np.ndarray:
     raises NumericalInconsistency.  Returns the joint-fixed-space basis.
     """
     tol = m.algebra.tol
-    stack = m.actions(np.eye(m.algebra.dim))
+    stack = m.rho
     symmetrizer = stack.mean(axis=0)
     # the symmetrizer is idempotent (nonzero singular values >= 1) and the
     # stacked blocks rho(g) - I are O(1); floor the rank scales so an
@@ -570,6 +538,6 @@ def invariant_subspace(m: Module) -> np.ndarray:
 
 
 def regular_module(a: Algebra) -> Module:
-    """Left regular representation of an algebra on itself, with no stored
-    action."""
+    """Left regular representation of an algebra on itself, its action
+    stack built only when read."""
     return RegularModule(a)

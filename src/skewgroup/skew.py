@@ -242,7 +242,7 @@ def induce(m: Module, s: SkewAlgebra, sub: SkewAlgebra) -> Module:
     coset, local = np.empty((2, group.order), dtype=np.int64)
     coset[cosets] = np.arange(k)[:, None]
     local[cosets] = np.arange(members.size)
-    stack = m.actions(np.eye(m.algebra.dim)).reshape(da, members.size, d, d)
+    stack = m.rho.reshape(da, members.size, d, d)
     rho = np.zeros((da, group.order, k * d, k * d), dtype=np.complex128)
     for g in group.elements():
         for i, w in enumerate(group.table[g, reps]):
@@ -269,9 +269,7 @@ def extend_to_skew(system: ProjectiveSystem, v: Module,
             "V is not a module over the inverse-cocycle twisted group algebra")
     if s_inertia.members != system.inertia_members:
         raise InvalidInput("skew algebra group does not match the inertia subgroup")
-    nh = len(s_inertia.members)
-    vs = v.actions(np.eye(nh))
     # kron(b_j phi(h), V(h)) for every (j, h), basis element major
-    left = m.actions(np.eye(m.algebra.dim))[:, None] @ np.array(system.phi)
-    return make_module(s_inertia.alg, numeric.kron_stack(left, vs).reshape(
+    left = m.rho[:, None] @ np.array(system.phi)
+    return make_module(s_inertia.alg, numeric.kron_stack(left, v.rho).reshape(
         -1, m.dim * v.dim, m.dim * v.dim))

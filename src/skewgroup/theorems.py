@@ -240,9 +240,8 @@ def induced_simplicity(ctx: MainTheoremContext,
 def _tensor_invariants(plain: Algebra, m: Module, n: Module) -> np.ndarray:
     """Fixed space of M (x) N under the plain group algebra, where c_g acts
     by the Kronecker product of the actions of c_g on M and on N."""
-    eye = np.eye(plain.dim)
-    return invariant_subspace(make_module(
-        plain, numeric.kron_stack(m.actions(eye), n.actions(eye))))
+    return invariant_subspace(
+        make_module(plain, numeric.kron_stack(m.rho, n.rho)))
 
 
 def hom_inv_check(m: Module, n: Module, cocycle: Cocycle,

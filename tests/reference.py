@@ -55,6 +55,19 @@ def module_actions(rho, xs):
     return np.tensordot(xs, rho, axes=1)
 
 
+def block_diagonal(stacks):
+    """The block-diagonal stack with the given (k, d_t, d_t) stacks as its
+    blocks, in order."""
+    dim = sum(stack.shape[1] for stack in stacks)
+    out = np.zeros((len(stacks[0]), dim, dim), dtype=np.complex128)
+    lo = 0
+    for stack in stacks:
+        hi = lo + stack.shape[1]
+        out[:, lo:hi, lo:hi] = stack
+        lo = hi
+    return out
+
+
 def kron_pairs(xs, ys):
     """np.kron of each pair, stacked."""
     return np.array([np.kron(x, y) for x, y in zip(xs, ys)])

@@ -4,16 +4,21 @@ import contextlib
 import io
 import itertools
 import json
+import re
 
+import numpy as np
 import pytest
 import reference
 
 from skewgroup.cli import _dump, main
-from skewgroup.errors import ParseError
-from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
+from skewgroup.algebra import make_algebra, matrix_algebra
+from skewgroup.errors import InvalidInput, ParseError
+from skewgroup.fixtures import ALL_TASKS, FIXTURE_NAMES, fixture, random_instance
+from skewgroup.group_action import cyclic_group, make_action
 from skewgroup.jobs import (
     canonical_json, echo_json, instance_to_job, load_job, parse_job,
 )
+from skewgroup.repmod import make_module
 
 
 def _write(tmp_path, obj, name="job.json"):
@@ -307,6 +312,74 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, via):
     assert captured.out == ""
     assert captured.err == ("parse error: seed must be a non-negative "
                             f"integer, got {seed}\n")
+
+
+def _large_entry_job(case, x):
+    """A job of every task whose largest entry is x: the 1-dim algebra
+    b b = x b with unit b / x and rho(b) = x ("field"), or C^2 with the
+    module rho(e_1) = [[1, x], [0, 0]], rho(e_2) = I - rho(e_1) ("pair")."""
+    def c(z):
+        return [float(z), 0.0]
+    if case == "field":
+        algebra = {"dim": 1, "mult": [[0, 0, 0, c(x)]], "unit": [c(1 / x)]}
+        rho = [[[c(x)]]]
+    else:
+        algebra = {"dim": 2, "mult": [[0, 0, 0, c(1)], [1, 1, 1, c(1)]],
+                   "unit": [c(1), c(1)]}
+        rho = [[[c(1), c(x)], [c(0), c(0)]], [[c(0), c(-x)], [c(0), c(1)]]]
+    d = algebra["dim"]
+    return {"algebra": algebra, "group": {"order": 1, "table": [[0]]},
+            "action": {"mats": [[[c(r == s) for s in range(d)]
+                                 for r in range(d)]]},
+            "modules": {"M": {"dim": len(rho[0]), "rho": rho}},
+            "tasks": [{"task": t} for t in ALL_TASKS]}
+
+
+@pytest.mark.parametrize("case, x, entry", [
+    ("field", 1e160, "structure constant c[0, 0, 0] = 1e+160+0j"),
+    ("pair", 2e154, "rho[0][0, 1] = 2e+154+0j"),
+    ("pair", 1e154, "rho[0][0, 1] = 1e+154+0j"),
+], ids=["associativity_overflow", "module_scale_overflow", "eig_diverges"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_entry_beyond_the_bound_exits_2_naming_it(tmp_path, capsys,
+                                                     command, case, x, entry):
+    """Each job used to print a traceback and exit 1: an OverflowError in
+    the associativity check or in validate_module's residual scale, or a
+    LinAlgError from a task's eigensolver."""
+    assert main([command, _write(tmp_path, _large_entry_job(case, x))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"validation error: InvalidInput: {entry} exceeds "
+                            f"1e+100 in modulus\n")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param("field", marks=pytest.mark.xfail(
+        strict=True, raises=RuntimeWarning,
+        reason="the skew task's associator residual holds entries near "
+               "1e300, and numeric.frobenius squares them to inf")),
+    "pair",
+])
+def test_entries_at_the_bound_still_run(tmp_path, capsys, case):
+    path = _write(tmp_path, _large_entry_job(case, 1e100))
+    assert main(["validate", path]) == 0
+    code = main(["run", path, "--json"])
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code in (0, 1)
+    assert len(report["tasks"]) == len(ALL_TASKS)
+
+
+def test_each_constructor_rejects_an_entry_beyond_the_bound():
+    a = matrix_algebra(1)
+    with pytest.raises(InvalidInput, match=re.escape(
+            "structure constant c[0, 0, 0] = -2e+100+0j exceeds")):
+        make_algebra(1, np.array([[[-2e100]]]), [-0.5e-100])
+    with pytest.raises(InvalidInput, match=re.escape("unit[0] = 0+2e+100j")):
+        make_algebra(1, np.ones((1, 1, 1)), [2e100j])
+    with pytest.raises(InvalidInput, match=re.escape("mats[1][0, 0] = 1e+101")):
+        make_action(cyclic_group(2), a, [np.eye(1), [[1e101]]])
+    with pytest.raises(InvalidInput, match=re.escape("rho[0][0, 0] = 1e+101")):
+        make_module(a, [[[1e101]]])
 
 
 @pytest.mark.parametrize("task", ["inertia", "cocycle", "induced_simplicity",

@@ -163,11 +163,9 @@ def test_extend_to_skew_is_the_kron_loop(source):
     m = i.module
     system = inertia(m, i.action)
     ssub = sub_skew(skew(source), system.inertia_members)
-    nh = len(system.inertia_members)
     for rep in projective_isotypics(system).representatives.values():
         v = contragredient(rep.module, system.cocycle)
-        want = reference.extend_to_skew_stack(
-            m.actions(np.eye(m.algebra.dim)), system.phi, v.actions(np.eye(nh)))
+        want = reference.extend_to_skew_stack(m.rho, system.phi, v.rho)
         assert same_bits(extend_to_skew(system, v, ssub).rho, want)
 
 

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import reference
 from helpers import (
     dense,
     peak_bytes,
@@ -25,8 +26,9 @@ from skewgroup.errors import (
     NotARepresentation,
     NotSemisimple,
 )
-from skewgroup.fixtures import random_instance
+from skewgroup.fixtures import ALL_TASKS, random_instance
 from skewgroup.group_action import cyclic_group
+from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup import numeric, repmod
 from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.projective import module_over_twisted
@@ -34,6 +36,7 @@ from skewgroup.repmod import (
     CompressedModule,
     DirectSum,
     Module,
+    RegularModule,
     compress,
     decompose,
     hom_space,
@@ -45,6 +48,7 @@ from skewgroup.repmod import (
     twist,
     validate_module,
 )
+from skewgroup.runner import run_job
 from skewgroup.skew import skew_group_algebra
 from skewgroup.theorems import build_context, simple_classes
 
@@ -356,10 +360,12 @@ def test_regular_module_and_direct_sum_store_no_action_stack(inst):
     i = inst("pauli")
     reg = regular_module(i.algebra)
     dec = decompose(reg, seed=1)
+    assert "rho" not in vars(reg)       # decompose reads images and scale
     x = np.arange(1.0, i.algebra.dim + 1)
-    for mod in (reg, DirectSum(i.algebra, [p.module for p in dec.pieces])):
-        assert not hasattr(mod, "rho")
-        assert np.allclose(mod.act(x), mod.actions(x[None])[0])
+    assert np.allclose(reg.act(x), i.algebra.left_mult(x), rtol=0, atol=1e-12)
+    assert "rho" in vars(reg)
+    assert not hasattr(DirectSum(i.algebra, [p.module for p in dec.pieces]),
+                       "rho")
 
 
 @pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic"])
@@ -373,16 +379,6 @@ def test_twist_and_restrict_of_regular_module_match_its_dense_copy(inst, name):
     for g in i.group.elements():
         assert np.array_equal(twist(reg, g, i.action).rho,
                               twist(dense, g, i.action).rho), g
-
-
-def test_direct_sum_is_block_diagonal():
-    nat = natural_module_m2()
-    s = DirectSum(nat.algebra, [nat, nat])
-    assert s.dim == 4
-    rho = s.actions(np.eye(nat.algebra.dim))
-    assert np.array_equal(rho[:, :2, :2], nat.rho)
-    assert np.array_equal(rho[:, 2:, 2:], nat.rho)
-    assert not rho[:, :2, 2:].any() and not rho[:, 2:, :2].any()
 
 
 @pytest.mark.parametrize("name", ["pauli", "perm", "random2"])
@@ -451,16 +447,14 @@ def test_compress_names_a_first_failure_in_a_later_block():
         compress(m, basis)
 
 
-@pytest.mark.parametrize("kind", ["stored", "regular", "direct_sum"])
+@pytest.mark.parametrize("kind", ["stored", "regular"])
 def test_images_of_a_row_range_are_bitwise_the_full_stack_rows(kind):
     s = skew_group_algebra(random_instance(2).action, seed=1).alg
     reg = regular_module(s)
     if kind == "stored":
         m = Module(algebra=s, dim=s.dim, rho=reg.actions(np.eye(s.dim)))
-    elif kind == "regular":
-        m = reg
     else:
-        m = DirectSum(s, [p.module for p in decompose(reg, seed=1).pieces])
+        m = reg
     rng = np.random.default_rng(3)
     basis = rng.standard_normal((m.dim, 5)) + 1j * rng.standard_normal((m.dim, 5))
     full = m.images(basis)
@@ -629,15 +623,6 @@ def test_validate_module_probes_are_the_vectors_of_one_draw_at_a_time(
         assert same_bits(got_x, x) and same_bits(got_y, y)
 
 
-def test_validate_module_rejects_modules_without_a_stored_action(inst):
-    a = inst("pauli").algebra
-    m = inst("pauli").module
-    for module, kind in ((regular_module(a), "RegularModule"),
-                         (DirectSum(a, [m, m]), "DirectSum")):
-        with pytest.raises(InvalidInput, match=f"a {kind} has none"):
-            validate_module(module)
-
-
 # Intertwiner systems built from each module's cached generator side.
 
 def _regular_decomposition(inst, name):
@@ -662,7 +647,8 @@ SKEW_CASES = ["trivial", "swap", "pauli", "perm", "cyclic", "random2"]
 def test_sides_solve_bitwise_like_dense_pairs(inst, name):
     s, dec, direct = _regular_decomposition(inst, name)
     gens = s.generator_stack
-    dense_direct = direct.actions(gens)
+    dense_direct = reference.block_diagonal([n.actions(gens)
+                                             for n in direct.summands])
     systems = [(rep.module, direct, dense_direct)
                for rep in dec.representatives.values()]
     systems += [(p.module, q.module, q.module.generator_actions)
@@ -680,19 +666,27 @@ def test_sides_solve_bitwise_like_dense_pairs(inst, name):
 @pytest.mark.parametrize("name", SKEW_CASES)
 def test_direct_sum_side_is_the_finest_dense_split(inst, name):
     s, _, direct = _regular_decomposition(inst, name)
-    _same_side(direct.generator_side,
-               numeric.Side.split(direct.actions(s.generator_stack)))
+    dense_direct = reference.block_diagonal(
+        [n.actions(s.generator_stack) for n in direct.summands])
+    _same_side(direct.generator_side, numeric.Side.split(dense_direct))
 
 
-def test_hom_space_into_a_direct_sum_never_spreads_it(inst, monkeypatch):
-    s, dec, direct = _regular_decomposition(inst, "pauli")
-
-    def spread(*args):
-        raise AssertionError("direct sum spread")
-
-    monkeypatch.setattr(DirectSum, "_spread", spread)
+def test_a_direct_sum_is_only_a_side(inst):
+    _, dec, direct = _regular_decomposition(inst, "pauli")
+    assert not isinstance(direct, Module)
     for cls, rep in dec.representatives.items():
         assert len(hom_space(rep.module, direct)) == dec.multiplicity(cls)
+
+
+def test_no_task_builds_the_regular_module_stack(monkeypatch):
+    def built(self):
+        raise AssertionError("regular module stack built")
+
+    monkeypatch.setattr(RegularModule, "rho", property(built))
+    job = parse_job(instance_to_job(random_instance(2)))
+    assert len(job.tasks) == len(ALL_TASKS)
+    results, code = run_job(job)
+    assert code == 0, [rep.to_dict() for _, rep, _ in results]
 
 
 def test_generator_side_is_derived_once_and_shares_the_cached_stack(monkeypatch):
@@ -713,20 +707,6 @@ def test_generator_side_is_derived_once_and_shares_the_cached_stack(monkeypatch)
     assert len(m.generator_side.blocks) == 2
     for _, block in m.generator_side.blocks:
         assert np.shares_memory(block, stack)
-
-
-def test_implicit_modules_are_simple_without_their_action_stack(monkeypatch):
-    a = group_algebra(2)
-    reg = regular_module(a)
-    chars = DirectSum(a, [make_module(a, [np.eye(1), x * np.eye(1)])
-                          for x in (1.0, -1.0)])
-
-    def stack(*args):
-        raise AssertionError("action stack assembled")
-
-    monkeypatch.setattr(DirectSum, "_spread", stack)
-    assert not is_simple(reg)
-    assert not is_simple(chars)
 
 
 def test_sides_with_unequal_matrix_counts_are_rejected():

@@ -25,7 +25,7 @@ from skewgroup.projective import (
     twisted_group_algebra,
 )
 from skewgroup.repmod import (
-    DirectSum,
+    compress,
     decompose,
     invariant_subspace,
     is_simple,
@@ -362,11 +362,6 @@ def test_embed_maps_multiplicative(inst):
             assert np.allclose(lhs, rhs)
 
 
-def _implicit(a):
-    """The two modules over `a` that store no action stack."""
-    return regular_module(a), DirectSum(a, [regular_module(a)] * 2)
-
-
 def _dense_copy(m):
     return make_module(m.algebra, m.actions(np.eye(m.algebra.dim)))
 
@@ -378,30 +373,30 @@ def _assert_same_actions(x, y):
 
 
 def test_functions_taking_a_module_accept_implicit_ones(inst):
-    # each reads its module through `actions`, and gives what it gives for a
+    # each reads the action stack that a regular module (or, for M, a
+    # compressed one) builds on first read, and gives what it gives for a
     # dense copy of the same module
     pauli = inst("pauli")
     system = inertia(pauli.module, pauli.action, seed=1)
-    twisted = twisted_group_algebra(system.cocycle, 1, TOL)
-    for m in _implicit(twisted):
-        _assert_same_actions(contragredient(m, system.cocycle),
-                             contragredient(_dense_copy(m), system.cocycle))
-        reports = [hom_inv_check(x, x, system.cocycle, 1)
-                   for x in (m, _dense_copy(m))]
-        assert reports[0].passed
-        assert reports[0].to_dict() == reports[1].to_dict()
+    m = regular_module(twisted_group_algebra(system.cocycle, 1, TOL))
+    _assert_same_actions(contragredient(m, system.cocycle),
+                         contragredient(_dense_copy(m), system.cocycle))
+    reports = [hom_inv_check(x, x, system.cocycle, 1)
+               for x in (m, _dense_copy(m))]
+    assert reports[0].passed
+    assert reports[0].to_dict() == reports[1].to_dict()
     plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, TOL)
-    for m in _implicit(plain):
-        fixed = invariant_subspace(m)
-        assert fixed.shape[1] == m.dim // plain.dim
-        assert np.allclose(fixed, invariant_subspace(_dense_copy(m)))
+    m = regular_module(plain)
+    fixed = invariant_subspace(m)
+    assert fixed.shape[1] == m.dim // plain.dim
+    assert np.allclose(fixed, invariant_subspace(_dense_copy(m)))
 
     s = _skew(pauli)
-    inverse = twisted_group_algebra(system.cocycle, -1, TOL)
-    implicit_m = replace(system, module=DirectSum(pauli.algebra, [pauli.module]))
-    for v in _implicit(inverse):
-        _assert_same_actions(extend_to_skew(implicit_m, v, s),
-                             extend_to_skew(system, _dense_copy(v), s))
+    v = regular_module(twisted_group_algebra(system.cocycle, -1, TOL))
+    whole = np.eye(pauli.module.dim, dtype=np.complex128)
+    implicit_m = replace(system, module=compress(pauli.module, whole))
+    _assert_same_actions(extend_to_skew(implicit_m, v, s),
+                         extend_to_skew(system, _dense_copy(v), s))
     ctxs = [build_context(pauli.action, m, 1)
             for m in (implicit_m.module, pauli.module)]
     assert main_theorem(ctxs[0]).to_dict() == main_theorem(ctxs[1]).to_dict()
@@ -409,13 +404,12 @@ def test_functions_taking_a_module_accept_implicit_ones(inst):
     swap = inst("swap")
     s = _skew(swap)
     ssub = sub_skew(s, [swap.group.identity])
-    for m in _implicit(ssub.alg):
-        _assert_same_actions(induce(m, s, ssub),
-                             induce(_dense_copy(m), s, ssub))
+    m = regular_module(ssub.alg)
+    _assert_same_actions(induce(m, s, ssub), induce(_dense_copy(m), s, ssub))
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
-    for m in _implicit(s.alg):
-        en, basis = corner_module(m, corner, e)
-        dense_en, dense_basis = corner_module(_dense_copy(m), corner, e)
-        assert np.allclose(basis, dense_basis)
-        _assert_same_actions(en, dense_en)
+    m = regular_module(s.alg)
+    en, basis = corner_module(m, corner, e)
+    dense_en, dense_basis = corner_module(_dense_copy(m), corner, e)
+    assert np.allclose(basis, dense_basis)
+    _assert_same_actions(en, dense_en)

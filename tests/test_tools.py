@@ -1,5 +1,7 @@
-"""The tools under tools/, each run as a script on a small job."""
+"""The tools under tools/: each run as a script on a small job, or its
+call list checked without running it."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -29,3 +31,29 @@ def test_peak_where_names_the_sites_of_a_call(tmp_path):
     # each chain ends at the task runner, the outermost skewgroup frame
     # below the command line
     assert "run_job" in lines[-1]
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_json_digests_lists_each_workload_call_once():
+    digests = _tool("json_digests")
+    listed = digests.calls()
+    labels = [label for label, _, _ in listed]
+    assert len(set(labels)) == len(labels)
+    by_label = {label: (build, tail) for label, build, tail in listed}
+    wanted = 0
+    for name in digests.workloads.WORKLOADS:
+        for job, tails in digests.workloads.make_workload(name, 0):
+            for tail in tails:
+                wanted += 1
+                label = ":".join([f"{name}.{job['name']}", *tail[2:]])
+                build, listed_tail = by_label[label]
+                assert listed_tail == tail and build() == job
+    workload_labels = [label for label in labels
+                       if label.split(".")[0] in digests.workloads.WORKLOADS]
+    assert len(workload_labels) == wanted == 34

@@ -5,12 +5,14 @@
     python3 tools/json_digests.py --compare digests.txt
 
 Run from the root of a source checkout: the package is imported from
-``src/``.  The calls are ``skewgroup run JOB --json`` on the five built-in
-fixtures and on ``random_instance`` seeds 0-19, and ``skewgroup run JOB
---json --task T`` for each of the 11 tasks on ``random_instance(6)``.  Each
-runs in this process through ``skewgroup.cli.main``.  One line per call is
-printed: the call's label, its exit code and the sha256 of its standard
-output.  ``--compare FILE`` checks the lines against a saved run instead,
+``src/`` and the benchmark workloads from ``perfbench/workloads.py``.  The
+calls are ``skewgroup run JOB --json`` on the five built-in fixtures and on
+``random_instance`` seeds 0-19, ``skewgroup run JOB --json --task T`` for
+each of the 11 tasks on ``random_instance(6)``, and every call of each
+benchmark workload at seed 0, labelled ``WORKLOAD.JOB`` (``:TASK`` for a
+one-task call).  Each runs in this process through ``skewgroup.cli.main``.
+One line per call is printed: the call's label, its exit code and the
+sha256 of its standard output.  ``--compare FILE`` checks the lines against a saved run instead,
 prints every call that differs, and exits 1 if any does.
 """
 
@@ -27,6 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 from skewgroup.cli import main as cli_main  # noqa: E402
 from skewgroup.fixtures import (  # noqa: E402
@@ -42,12 +47,20 @@ TASK_SEED = 6
 
 
 def calls():
-    """(label, instance builder, argv tail) of every call, in order."""
-    out = [(name, lambda name=name: fixture(name), []) for name in FIXTURE_NAMES]
-    out += [(f"random{s}", lambda s=s: random_instance(s), [])
-            for s in RANDOM_SEEDS]
-    out += [(f"random{TASK_SEED}:{t}", lambda: random_instance(TASK_SEED),
-             ["--task", t]) for t in ALL_TASKS]
+    """(label, job builder, argv tail after the job path) of every call, in
+    order."""
+    out = [(name, lambda name=name: instance_to_job(fixture(name)), ["--json"])
+           for name in FIXTURE_NAMES]
+    out += [(f"random{s}", lambda s=s: instance_to_job(random_instance(s)),
+             ["--json"]) for s in RANDOM_SEEDS]
+    out += [(f"random{TASK_SEED}:{t}",
+             lambda: instance_to_job(random_instance(TASK_SEED)),
+             ["--json", "--task", t]) for t in ALL_TASKS]
+    for name in workloads.WORKLOADS:
+        for job, tails in workloads.make_workload(name, 0):
+            # a tail is --json, then --task T for a one-task call
+            out += [(":".join([f"{name}.{job['name']}", *tail[2:]]),
+                     lambda job=job: job, tail) for tail in tails]
     return out
 
 
@@ -57,10 +70,10 @@ def digest_lines(workdir) -> list[str]:
         job = label.split(":")[0]
         if job not in paths:
             paths[job] = Path(workdir) / f"{job}.json"
-            paths[job].write_text(json.dumps(instance_to_job(build())))
+            paths[job].write_text(json.dumps(build()))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli_main(["run", str(paths[job]), "--json", *tail])
+            code = cli_main(["run", str(paths[job]), *tail])
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         lines.append(f"{label} {code} {digest}")
     return lines
