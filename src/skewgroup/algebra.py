@@ -42,9 +42,11 @@ class Algebra:
     # sorted by (i, j, k) without repeats, and their complex128 values.
     nonzeros: tuple
     unit: np.ndarray          # (dim,) coordinates of 1
-    # The one tolerance of every rank and residual decision on this algebra,
-    # its modules and everything derived from it.
+    # The one tolerance of every rank and residual decision and the one seed
+    # of every random draw on this algebra, its modules and everything derived
+    # from it.
     tol: float = numeric.DEFAULT_TOL
+    seed: int = numeric.DEFAULT_SEED
     # Coordinate vectors that generate the algebra as a unital algebra; used
     # to shrink intertwiner systems.  Empty means "use the whole basis".
     generators: tuple = field(default=(), compare=False)
@@ -155,8 +157,8 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
 
     `mult` is the dense (dim, dim, dim) tensor, or the COO tuple (i, j, k,
     values) that `Algebra.nonzeros` holds, in any order and with each slot at
-    most once.  Exact zeros are dropped.  `tol` is the algebra's tolerance,
-    which everything derived from it inherits.
+    most once.  Exact zeros are dropped.  `tol` and `seed` are the algebra's
+    tolerance and seed, which everything derived from it inherits.
     """
     numeric.check_tol(tol)
     if dim < 1:
@@ -169,9 +171,9 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
     numeric.check_entry_bound(
         v, lambda at: f"structure constant c[{i[at]}, {j[at]}, {k[at]}]")
     numeric.check_entry_bound(u, lambda at: f"unit[{at[0]}]")
-    a = Algebra(dim=dim, nonzeros=nonzeros, unit=u, tol=tol,
+    a = Algebra(dim=dim, nonzeros=nonzeros, unit=u, tol=tol, seed=seed,
                 generators=tuple(generators))
-    _check_associativity(a, seed)
+    _check_associativity(a)
     _check_unit(a)
     return a
 
@@ -219,7 +221,7 @@ def join(lo, hi):
     return t, np.arange(t.size) + (lo - cnt.cumsum() + cnt).repeat(cnt)
 
 
-def _check_associativity(a: Algebra, seed) -> None:
+def _check_associativity(a: Algebra) -> None:
     scale = a.scale ** 2
     if a.dim <= EXHAUSTIVE_DIM_LIMIT:
         worst, at = _worst_associator(a)
@@ -229,7 +231,7 @@ def _check_associativity(a: Algebra, seed) -> None:
         return
     # one draw of every probe's x, y, z, each its real then its imaginary
     # part: the stream of drawing each part in turn
-    draws = np.random.default_rng(seed).standard_normal(
+    draws = np.random.default_rng(a.seed).standard_normal(
         (_PROBE_COUNT, 3, 2, a.dim))
     for t, probe in enumerate(draws):
         x, y, z = probe[:, 0] + 1j * probe[:, 1]
@@ -325,11 +327,15 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     if a.tol != b.tol:
         raise InvalidInput(f"direct summands have different tolerances "
                            f"{a.tol!r} and {b.tol!r}")
+    if a.seed != b.seed:
+        raise InvalidInput(f"direct summands have different seeds "
+                           f"{a.seed!r} and {b.seed!r}")
     nonzeros = tuple(np.concatenate([x, y + a.dim])
                      for x, y in zip(a.nonzeros[:3], b.nonzeros[:3]))
     values = np.concatenate([a.nonzeros[3], b.nonzeros[3]])
     unit = np.concatenate([a.unit, b.unit])
-    return make_algebra(a.dim + b.dim, nonzeros + (values,), unit, tol=a.tol)
+    return make_algebra(a.dim + b.dim, nonzeros + (values,), unit, tol=a.tol,
+                        seed=a.seed)
 
 
 def trace_form(a: Algebra) -> np.ndarray:
@@ -399,7 +405,7 @@ def subalgebra_from_span(parent: Algebra, span,
     u = basis.conj().T @ numeric.as_complex(unit_coords)
     if numeric.rel_residual(numeric.as_complex(unit_coords) - basis @ u, 1.0) > tol:
         raise ClosureViolation("designated unit does not lie in the span")
-    sub = make_algebra(k, c, u, tol=tol)
+    sub = make_algebra(k, c, u, tol=tol, seed=parent.seed)
     return SubalgebraEmbedding(parent=parent, sub=sub, inclusion=basis)
 
 

@@ -160,7 +160,8 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
     """A sum of equal matrix blocks with a cyclic block-permuting, inner-twisted
     automorphism, plus the natural module of the first block.
 
-    dim A <= 12 and |G| <= 8 always.
+    dim A <= 12 and |G| <= 8 always.  `seed` picks the instance; the seed of
+    a run on it is its algebra's, the default one.
     """
     rng = np.random.default_rng([87251, seed])
     n = int(rng.choice([1, 1, 2, 2, 3]))

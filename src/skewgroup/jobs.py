@@ -164,7 +164,8 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     keys = sorted(slots)
     i, j, k = np.array(keys, dtype=np.intp).reshape(-1, 3).T
     values = np.array([slots[t] for t in keys], dtype=np.complex128)
-    algebra = make_algebra(dim, (i, j, k, values), unit, tol=job_tol)
+    algebra = make_algebra(dim, (i, j, k, values), unit, tol=job_tol,
+                           seed=job_seed)
 
     try:
         gspec = data["group"]
@@ -258,6 +259,6 @@ def instance_to_job(inst: Instance) -> dict:
             for name, mod in inst.modules.items()
         },
         "tasks": [{"task": t, "module": "M"} for t in inst.tasks],
-        "tol": numeric.DEFAULT_TOL,
-        "seed": numeric.DEFAULT_SEED,
+        "tol": a.tol,
+        "seed": a.seed,
     }

@@ -36,7 +36,7 @@ from .repmod import (
 class Cocycle:
     group: FiniteGroup        # the inertia subgroup, reindexed 0..|G_M|-1
     table: np.ndarray         # (|G_M|, |G_M|) values alpha(h, k)
-    # (exponent, tol) -> its twisted group algebra, built once
+    # (exponent, tol, seed) -> its twisted group algebra, built once
     twisted: dict = field(default_factory=dict, init=False, repr=False)
 
     def validate(self, tol) -> float:
@@ -88,10 +88,9 @@ def _normalize_intertwiner(f: np.ndarray, dim: int) -> np.ndarray:
     return f * (np.sqrt(dim) / np.linalg.norm(f))
 
 
-def inertia(m: Module, action: AlgebraAction, *,
-            seed=numeric.DEFAULT_SEED) -> ProjectiveSystem:
+def inertia(m: Module, action: AlgebraAction) -> ProjectiveSystem:
     """Inertia subgroup of a simple module with normalized intertwiners."""
-    if not is_simple(m, seed=seed):
+    if not is_simple(m):
         raise NotSimple("inertia is defined for simple modules only")
     group = action.group
     members = []
@@ -165,19 +164,19 @@ def trivial_cocycle(group: FiniteGroup) -> Cocycle:
     return group.trivial_cocycle
 
 
-def twisted_group_algebra(cocycle: Cocycle, exponent: int, tol) -> Algebra:
+def twisted_group_algebra(cocycle: Cocycle, exponent: int, algebra) -> Algebra:
     """Algebra with basis c_h and product c_h c_k = alpha(h,k)^exponent c_{hk},
-    h and k in the cocycle's group.
+    h and k in the cocycle's group, with the tolerance and seed of `algebra`.
 
-    Each (exponent, tol) is built once and kept on the cocycle, so every
-    caller with the same cocycle gets the same algebra object.
+    Each (exponent, tol, seed) is built once and kept on the cocycle, so
+    every caller with the same cocycle gets the same algebra object.
     """
     if exponent not in (1, -1):
         raise InvalidInput("exponent must be +1 or -1")
-    key = (exponent, tol)
+    key = (exponent, algebra.tol, algebra.seed)
     if key in cocycle.twisted:
         return cocycle.twisted[key]
-    cocycle.validate(tol)
+    cocycle.validate(algebra.tol)
     group = cocycle.group
     n = group.order
     h, k = np.divmod(np.arange(n * n), n)
@@ -185,14 +184,15 @@ def twisted_group_algebra(cocycle: Cocycle, exponent: int, tol) -> Algebra:
                       dtype=np.complex128)
     unit = np.zeros(n, dtype=np.complex128)
     unit[group.identity] = 1.0
-    alg = make_algebra(n, (h, k, group.table.ravel(), values), unit, tol=tol)
+    alg = make_algebra(n, (h, k, group.table.ravel(), values), unit,
+                       tol=algebra.tol, seed=algebra.seed)
     cocycle.twisted[key] = alg
     return alg
 
 
 def module_over_twisted(system: ProjectiveSystem) -> Module:
     """M as a module over the exponent +1 twisted group algebra, c_h -> phi(h)."""
-    alg = twisted_group_algebra(system.cocycle, 1, system.module.algebra.tol)
+    alg = twisted_group_algebra(system.cocycle, 1, system.module.algebra)
     try:
         return make_module(alg, system.phi)
     except NotARepresentation as exc:
@@ -209,13 +209,12 @@ def contragredient(w: Module, cocycle: Cocycle) -> Module:
     n = cocycle.group.order
     if w.algebra.dim != n:
         raise InvalidInput("module algebra does not match the group order")
-    alg = twisted_group_algebra(cocycle, -1, w.algebra.tol)
+    alg = twisted_group_algebra(cocycle, -1, w.algebra)
     rho = np.linalg.inv(w.rho).transpose(0, 2, 1)
     return make_module(alg, rho)
 
 
-def projective_isotypics(system: ProjectiveSystem,
-                         seed=numeric.DEFAULT_SEED) -> Decomposition:
+def projective_isotypics(system: ProjectiveSystem) -> Decomposition:
     """Isotypic decomposition of M over the twisted group algebra.
 
     Verifies the identification of each isotypic component with
@@ -224,7 +223,7 @@ def projective_isotypics(system: ProjectiveSystem,
     """
     m = module_over_twisted(system)
     tol = m.algebra.tol
-    dec = decompose(m, seed=seed)
+    dec = decompose(m)
     for cls in dec.class_ids():
         rep = dec.representatives[cls]
         homs = hom_space(rep.module, m)

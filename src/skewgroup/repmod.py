@@ -89,8 +89,9 @@ class Module:
 class RegularModule(Module):
     """The left regular module of an algebra.
 
-    Its images are scattered from the nonzero structure constants; its
-    stack, the left multiplications, is built only when read.
+    Its images and its generator actions are scattered from the nonzero
+    structure constants; its stack, the left multiplications, is built only
+    when read.
     """
 
     def __init__(self, algebra: Algebra):
@@ -115,6 +116,16 @@ class RegularModule(Module):
     @cached_property
     def scale(self) -> float:
         return max(float(np.abs(self.algebra.nonzeros[3]).max()), 1.0)
+
+    @cached_property
+    def generator_actions(self) -> np.ndarray:
+        gens = self.algebra.generator_stack
+        out = np.empty((len(gens), self.dim, self.dim), dtype=np.complex128)
+        for t, x in enumerate(gens):
+            out[t] = self.algebra.left_mult(x)
+        out = numeric.as_complex(out)
+        out.flags.writeable = False
+        return out
 
 
 class DirectSum:
@@ -214,7 +225,7 @@ def validate_module(m: Module) -> None:
     ceil(dim A / d) first indices i, so no temporary holds more than about
     (dim A)^2 d entries; a failure names the largest entry and the pair
     (i, j) of largest summed error, the first such pair in row-major order.
-    Larger algebras are checked on seeded random pairs.
+    Larger algebras are checked on random pairs from the algebra's seed.
     """
     a = m.algebra
     tol = a.tol
@@ -232,7 +243,7 @@ def validate_module(m: Module) -> None:
         return
     # one draw of every probe's x and y, each its real then its imaginary
     # part: the stream of drawing each part in turn
-    draws = np.random.default_rng(numeric.DEFAULT_SEED).standard_normal(
+    draws = np.random.default_rng(a.seed).standard_normal(
         (_PROBE_COUNT, 2, 2, a.dim))
     for t, probe in enumerate(draws):
         x, y = probe[:, 0] + 1j * probe[:, 1]
@@ -278,11 +289,11 @@ def same_algebra(a: Algebra, b: Algebra) -> bool:
             and np.array_equal(a.unit, b.unit))
 
 
-def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
+def is_simple(m: Module) -> bool:
     """Dual-criterion simplicity test over a semisimple algebra.
 
-    Criterion 1: the commutant is one-dimensional.  Criterion 2: three seeded
-    random vectors all generate the whole space under the algebra action.
+    Criterion 1: the commutant is one-dimensional.  Criterion 2: three random
+    vectors from the algebra's seed all generate the whole module.
     A one-dimensional commutant forces every nonzero vector to be cyclic, so
     a generating failure then is a numerical contradiction and raises
     NumericalInconsistency.  (The converse direction carries no information:
@@ -294,8 +305,8 @@ def is_simple(m: Module, seed=numeric.DEFAULT_SEED) -> bool:
         raise NotSemisimple("is_simple requires a semisimple algebra")
     commutant_dim = len(hom_space(m, m))
     by_commutant = commutant_dim == 1
-    rng = np.random.default_rng(seed)
-    # three seeded vectors, drawn as one stack so one images call serves them
+    rng = np.random.default_rng(a.seed)
+    # three vectors, drawn as one stack so one images call serves them
     vs = np.column_stack([rng.standard_normal(m.dim)
                           + 1j * rng.standard_normal(m.dim) for _ in range(3)])
     # the three (dim, dim A) orbit matrices, ranked by one stacked SVD
@@ -393,12 +404,12 @@ def _eig_clusters(x: np.ndarray):
     return [vecs[:, g] for g in groups]
 
 
-def decompose(m: Module, seed=numeric.DEFAULT_SEED) -> Decomposition:
+def decompose(m: Module) -> Decomposition:
     """Split m into simple pieces grouped by isomorphism class.
 
-    A random element of the commutant End(m) is sampled (seeded): for a
-    regular module one right multiplication, for any other module a
-    combination of the basis that `hom_space(m, m)` solves once.  Its
+    A random element of the commutant End(m) is sampled from the algebra's
+    seed: for a regular module one right multiplication, for any other
+    module a combination of the basis that `hom_space(m, m)` solves once.  Its
     eigenvalue clusters give invariant subspaces, which are validated as
     simple submodules.  A degenerate sample is retried with the next derived
     seed, up to MAX_DECOMPOSE_RETRIES times.
@@ -408,9 +419,9 @@ def decompose(m: Module, seed=numeric.DEFAULT_SEED) -> Decomposition:
     comm = _commutant(m)
     last = None
     for attempt in range(MAX_DECOMPOSE_RETRIES):
-        rng = np.random.default_rng([seed, attempt, m.dim])
+        rng = np.random.default_rng([m.algebra.seed, attempt, m.dim])
         try:
-            pieces = _try_split(m, comm, rng, seed=seed)
+            pieces = _try_split(m, comm, rng)
             return _classify(m, pieces)
         except DegenerateSample as exc:
             last = exc
@@ -418,7 +429,7 @@ def decompose(m: Module, seed=numeric.DEFAULT_SEED) -> Decomposition:
                            f"{MAX_DECOMPOSE_RETRIES} attempts: {last}")
 
 
-def _try_split(m: Module, comm, rng, *, seed) -> list:
+def _try_split(m: Module, comm, rng) -> list:
     tol = m.algebra.tol
     n, combine = comm
     if n == 1:
@@ -438,7 +449,7 @@ def _try_split(m: Module, comm, rng, *, seed) -> list:
         except NotARepresentation as exc:
             raise DegenerateSample(f"cluster subspace not invariant: {exc}")
         try:
-            if not is_simple(sub, seed=seed):
+            if not is_simple(sub):
                 raise DegenerateSample("eigenvalue cluster is not a simple piece")
         except NumericalInconsistency as exc:
             raise DegenerateSample(str(exc))

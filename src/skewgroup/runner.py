@@ -55,20 +55,19 @@ class JobContext:
     @property
     def skew(self):
         if self._skew is None:
-            self._skew = skew_group_algebra(self.job.action, seed=self.job.seed)
+            self._skew = skew_group_algebra(self.job.action)
         return self._skew
 
     def system(self, name):
         if name not in self._systems:
             self._systems[name] = inertia(self.job.modules[name],
-                                          self.job.action, seed=self.job.seed)
+                                          self.job.action)
         return self._systems[name]
 
     def context(self, name):
         if name not in self._contexts:
             self._contexts[name] = build_context(self.job.action,
-                                                 self.job.modules[name],
-                                                 self.job.seed)
+                                                 self.job.modules[name])
         return self._contexts[name]
 
 
@@ -148,17 +147,16 @@ def _task_phi_psi(ctx: JobContext, rec) -> VerificationReport:
 
 
 def _task_invariant_theory(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    return check_invariant_theory(ctx.skew, job.seed)
+    return check_invariant_theory(ctx.skew)
 
 
 def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("clifford", job.seed, job.tol)
-    dec = simple_classes(ctx.skew, job.seed)
+    dec = simple_classes(ctx.skew)
     for cls in dec.class_ids():
         sub = clifford_correspondence(dec.representatives[cls].module,
-                                      ctx.skew, job.seed)
+                                      ctx.skew)
         rep.include(f"N{cls}_", sub)
     return rep
 
@@ -183,7 +181,7 @@ def _task_hom_inv(ctx: JobContext, rec) -> VerificationReport:
     mctx = ctx.context(rec["module"])
     for gamma in mctx.iso.class_ids():
         w = mctx.iso.representatives[gamma].module
-        sub = hom_inv_check(w, w, mctx.system.cocycle, job.seed)
+        sub = hom_inv_check(w, w, mctx.system.cocycle)
         rep.include(f"gamma{gamma}_", sub)
     return rep
 

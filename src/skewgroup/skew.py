@@ -67,8 +67,7 @@ class SkewAlgebra:
                                    inclusion=inclusion)
 
 
-def skew_group_algebra(action: AlgebraAction, *,
-                       seed=numeric.DEFAULT_SEED) -> SkewAlgebra:
+def skew_group_algebra(action: AlgebraAction) -> SkewAlgebra:
     """Build and validate A x| G from a validated action of G on A."""
     base, group = action.target, action.group
     da, ng = base.dim, group.order
@@ -107,7 +106,7 @@ def skew_group_algebra(action: AlgebraAction, *,
         v[g::ng] = base.unit
         gens.append(v)
     alg = make_algebra(dim, nonzeros, unit, tol=base.tol, generators=gens,
-                       seed=seed)
+                       seed=base.seed)
     return SkewAlgebra(base=base, group=group, action=action, alg=alg,
                        members=tuple(group.elements()))
 
@@ -263,7 +262,7 @@ def extend_to_skew(system: ProjectiveSystem, v: Module,
     representation property of the result is re-validated.
     """
     m = system.module
-    expected = twisted_group_algebra(system.cocycle, -1, m.algebra.tol)
+    expected = twisted_group_algebra(system.cocycle, -1, m.algebra)
     if not same_algebra(v.algebra, expected):
         raise CocycleMismatch(
             "V is not a module over the inverse-cocycle twisted group algebra")

@@ -102,35 +102,34 @@ class VerificationReport:
         }
 
 
-def _module_iso(m: Module, n: Module, *, seed=numeric.DEFAULT_SEED):
+def _module_iso(m: Module, n: Module):
     """Isomorphism certificate: dim equality, nonzero hom, invertible sample."""
     if m.dim != n.dim:
         return False, 0.0
     homs = hom_space(m, n)
     if not homs:
         return False, 0.0
-    rng = np.random.default_rng([seed, m.dim])
+    rng = np.random.default_rng([m.algebra.seed, m.dim])
     coeffs = rng.standard_normal(len(homs)) + 1j * rng.standard_normal(len(homs))
     sample = sum(c * f for c, f in zip(coeffs, homs))
     return numeric.rank(sample, m.algebra.tol) == m.dim, float(len(homs))
 
 
-def simple_classes(s: SkewAlgebra, seed):
+def simple_classes(s: SkewAlgebra):
     """Representative simple modules of A x| G via its regular module."""
-    return decompose(regular_module(s.alg), seed=seed)
+    return decompose(regular_module(s.alg))
 
 
-def check_invariant_theory(s: SkewAlgebra,
-                           seed=numeric.DEFAULT_SEED) -> VerificationReport:
+def check_invariant_theory(s: SkewAlgebra) -> VerificationReport:
     """eN simple over e(A x| G)e for every simple N with eN != 0, and every
     simple corner class is hit."""
-    rep = VerificationReport(name="invariant_theory", seed=seed, tol=s.alg.tol)
+    rep = VerificationReport("invariant_theory", s.alg.seed, s.alg.tol)
     if not is_semisimple(s.base):
         raise NotSemisimple("base algebra is not semisimple")
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
-    dec = simple_classes(s, seed)
-    corner_dec = decompose(regular_module(corner.sub), seed=seed)
+    dec = simple_classes(s)
+    corner_dec = decompose(regular_module(corner.sub))
     corner_reps = {cls: corner_dec.representatives[cls].module
                    for cls in corner_dec.class_ids()}
     hit = set()
@@ -143,7 +142,7 @@ def check_invariant_theory(s: SkewAlgebra,
                     dims={"dim_N": n.dim, "dim_eN": 0})
             continue
         nonzero += 1
-        simple = is_simple(en, seed=seed)
+        simple = is_simple(en)
         rep.add(f"class{cls}_eN_simple", simple,
                 dims={"dim_N": n.dim, "dim_eN": en.dim})
         matches = [cc for cc, cm in corner_reps.items()
@@ -161,18 +160,17 @@ def check_invariant_theory(s: SkewAlgebra,
     return rep
 
 
-def clifford_correspondence(n: Module, s: SkewAlgebra,
-                            seed=numeric.DEFAULT_SEED) -> VerificationReport:
+def clifford_correspondence(n: Module, s: SkewAlgebra) -> VerificationReport:
     """Reconstruct a simple A x| G-module as Ind(A^lambda (x) H^nu)."""
     tol = s.alg.tol
-    rep = VerificationReport(name="clifford", seed=seed, tol=tol)
-    if not is_simple(n, seed=seed):
+    rep = VerificationReport(name="clifford", seed=s.alg.seed, tol=tol)
+    if not is_simple(n):
         raise NotSimple("clifford correspondence starts from a simple module")
     rest = restrict(n, s.base_embedding())
-    dec = decompose(rest, seed=seed)
+    dec = decompose(rest)
     piece = dec.pieces[0]
     lam = piece.module                 # simple A-module A^lambda
-    system = inertia(lam, s.action, seed=seed)
+    system = inertia(lam, s.action)
     members = system.inertia_members
 
     # P = sum_h h . A^lambda inside N
@@ -199,14 +197,13 @@ def clifford_correspondence(n: Module, s: SkewAlgebra,
             mats[:, j] = coords
         nu_rho.append(mats)
     rep.add("twisted_action_closes_on_Hnu", worst <= tol * 100, residual=worst)
-    nu_alg = twisted_group_algebra(system.cocycle, -1, tol)
+    nu_alg = twisted_group_algebra(system.cocycle, -1, s.alg)
     nu_mod = make_module(nu_alg, nu_rho)
-    rep.add("Hnu_simple", is_simple(nu_mod, seed=seed),
-            dims={"dim_Hnu": nu_mod.dim})
+    rep.add("Hnu_simple", is_simple(nu_mod), dims={"dim_Hnu": nu_mod.dim})
 
     ssub = sub_skew(s, members)
     ind = induce(extend_to_skew(system, nu_mod, ssub), s, ssub)
-    iso, hom_dim = _module_iso(ind, n, seed=seed)
+    iso, hom_dim = _module_iso(ind, n)
     rep.add("induced_isomorphic_to_N", iso,
             dims={"dim_N": n.dim, "dim_Ind": ind.dim,
                   "index_G_H": s.group.order // len(members),
@@ -221,8 +218,8 @@ def induced_simplicity(ctx: MainTheoremContext,
     W_gamma is the representative of class gamma of the context's projective
     isotypic decomposition.
     """
-    system, s, seed = ctx.system, ctx.skew, ctx.seed
-    rep = VerificationReport(name="induced_simplicity", seed=seed, tol=s.alg.tol)
+    system, s = ctx.system, ctx.skew
+    rep = VerificationReport("induced_simplicity", s.alg.seed, s.alg.tol)
     w = ctx.iso.representatives[gamma].module
     wdual = contragredient(w, system.cocycle)
     ssub = sub_skew(s, system.inertia_members)
@@ -232,8 +229,7 @@ def induced_simplicity(ctx: MainTheoremContext,
     rep.add("dimension_law", ind.dim == expected,
             dims={"dim_induced": ind.dim, "index": index,
                   "dim_M": system.module.dim, "dim_W": w.dim})
-    rep.add("induced_simple", is_simple(ind, seed=seed),
-            dims={"dim_induced": ind.dim})
+    rep.add("induced_simple", is_simple(ind), dims={"dim_induced": ind.dim})
     return rep
 
 
@@ -244,15 +240,13 @@ def _tensor_invariants(plain: Algebra, m: Module, n: Module) -> np.ndarray:
         make_module(plain, numeric.kron_stack(m.rho, n.rho)))
 
 
-def hom_inv_check(m: Module, n: Module, cocycle: Cocycle,
-                  seed=numeric.DEFAULT_SEED) -> VerificationReport:
+def hom_inv_check(m: Module, n: Module, cocycle: Cocycle) -> VerificationReport:
     """dim Hom(M, N) over the cocycle's twisted algebra equals the dimension
     of the invariant subspace of M^* (x) N under the plain group action."""
-    tol = m.algebra.tol
-    rep = VerificationReport(name="hom_inv", seed=seed, tol=tol)
+    rep = VerificationReport("hom_inv", m.algebra.seed, m.algebra.tol)
     hom_dim = len(hom_space(m, n))
     mdual = contragredient(m, cocycle)
-    plain = twisted_group_algebra(trivial_cocycle(cocycle.group), 1, tol)
+    plain = twisted_group_algebra(trivial_cocycle(cocycle.group), 1, m.algebra)
     inv = _tensor_invariants(plain, mdual, n)
     rep.add("hom_dim_equals_invariant_dim", hom_dim == inv.shape[1],
             dims={"hom": hom_dim, "invariants": inv.shape[1],
@@ -262,8 +256,7 @@ def hom_inv_check(m: Module, n: Module, cocycle: Cocycle,
 
 @dataclass
 class MainTheoremContext:
-    """The main-theorem pipeline of one simple module M, and the seed it runs
-    with.
+    """The main-theorem pipeline of one simple module M.
 
     The inertia system and the projective isotypics are computed up front;
     A^G (`fixed`), the context's own A x| G (`skew`) and Res_{A^G} M
@@ -273,7 +266,6 @@ class MainTheoremContext:
     action: AlgebraAction
     system: ProjectiveSystem
     iso: object
-    seed: int
 
     @cached_property
     def fixed(self) -> SubalgebraEmbedding:
@@ -281,22 +273,21 @@ class MainTheoremContext:
 
     @cached_property
     def skew(self) -> SkewAlgebra:
-        return skew_group_algebra(self.action, seed=self.seed)
+        return skew_group_algebra(self.action)
 
     @cached_property
     def restricted(self) -> Module:
         return restrict(self.system.module, self.fixed)
 
 
-def build_context(action: AlgebraAction, m: Module,
-                  seed=numeric.DEFAULT_SEED) -> MainTheoremContext:
+def build_context(action: AlgebraAction, m: Module) -> MainTheoremContext:
     """The main-theorem context of a simple module m over the algebra the
     action acts on."""
     if not is_semisimple(action.target):
         raise NotSemisimple("main theorem requires a semisimple base algebra")
-    system = inertia(m, action, seed=seed)
+    system = inertia(m, action)
     return MainTheoremContext(action=action, system=system,
-                              iso=projective_isotypics(system, seed), seed=seed)
+                              iso=projective_isotypics(system))
 
 
 def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
@@ -319,22 +310,21 @@ def _transport_corner_to_invariants(en: Module, corner: SubalgebraEmbedding,
 
 def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
     """Each multiplicity space is simple over A^G, by two agreeing routes."""
-    system, iso, fixed, s, seed = (ctx.system, ctx.iso, ctx.fixed, ctx.skew,
-                                   ctx.seed)
+    system, iso, fixed, s = ctx.system, ctx.iso, ctx.fixed, ctx.skew
     m, tol = system.module, s.base.tol
-    rep = VerificationReport(name="main_theorem", seed=seed, tol=tol)
-    if not is_simple(m, seed=seed):
+    rep = VerificationReport(name="main_theorem", seed=s.base.seed, tol=tol)
+    if not is_simple(m):
         raise NotSimple("main theorem starts from a simple module")
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
     ssub = sub_skew(s, system.inertia_members)
     index = s.group.order // system.cocycle.group.order
-    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, tol)
+    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, s.base)
     for gamma in iso.class_ids():
         w = iso.representatives[gamma].module
         mult_basis = iso.multiplicity_spaces[gamma]
         direct = compress(ctx.restricted, mult_basis)
-        simple_direct = is_simple(direct, seed=seed)
+        simple_direct = is_simple(direct)
         rep.add(f"gamma{gamma}_direct_route_simple", simple_direct,
                 dims={"dim_M_gamma": direct.dim, "dim_AG": fixed.sub.dim})
 
@@ -349,7 +339,7 @@ def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
                 en_dim == direct.dim * inv_dim,
                 dims={"dim_eM": en_dim, "dim_M_gamma": direct.dim,
                       "dim_inv": inv_dim})
-        simple_corner = (en is not None and is_simple(en, seed=seed))
+        simple_corner = (en is not None and is_simple(en))
         rep.add(f"gamma{gamma}_corner_route_simple", simple_corner,
                 dims={"dim_eM": en_dim})
         rep.add(f"gamma{gamma}_routes_agree", simple_direct == simple_corner)
@@ -365,10 +355,10 @@ def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
 def complete_reducibility(ctx: MainTheoremContext) -> VerificationReport:
     """Restriction of M to A^G splits into the multiplicity-space classes with
     multiplicities equal to the simple twisted-module dimensions."""
-    iso, m, seed = ctx.iso, ctx.system.module, ctx.seed
-    rep = VerificationReport(name="complete_reducibility", seed=seed,
-                             tol=m.algebra.tol)
-    dec = decompose(ctx.restricted, seed=seed)
+    iso, m = ctx.iso, ctx.system.module
+    rep = VerificationReport("complete_reducibility", m.algebra.seed,
+                             m.algebra.tol)
+    dec = decompose(ctx.restricted)
     total = sum(p.module.dim for p in dec.pieces)
     rep.add("pieces_exhaust_M", total == m.dim,
             dims={"sum_piece_dims": total, "dim_M": m.dim,

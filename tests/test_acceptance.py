@@ -26,12 +26,11 @@ from skewgroup.theorems import (
     induced_simplicity,
     main_theorem,
 )
-from skewgroup.algebra import fixed_subalgebra
+from skewgroup.algebra import fixed_subalgebra, matrix_algebra
 from skewgroup.jobs import parse_job
 from skewgroup.projective import inertia
 
 TOL = 1e-9
-SEED = 1
 
 _CACHE = {}
 
@@ -53,14 +52,14 @@ def _ctx(name):
     key = ("ctx", name)
     if key not in _CACHE:
         i = _inst(name)
-        _CACHE[key] = build_context(i.action, i.module, SEED)
+        _CACHE[key] = build_context(i.action, i.module)
     return _CACHE[key]
 
 
 def _skew(i):
     key = ("skew", i.name)
     if key not in _CACHE:
-        _CACHE[key] = skew_group_algebra(i.action, seed=SEED)
+        _CACHE[key] = skew_group_algebra(i.action)
     return _CACHE[key]
 
 
@@ -116,13 +115,13 @@ def test_criterion_2_phi_psi():
 def test_criterion_3_invariant_theory():
     with _criterion(3, "invariant theory correspondence", 60.0):
         for name in FIXTURE_NAMES:
-            rep = check_invariant_theory(_skew(_inst(name)), SEED)
+            rep = check_invariant_theory(_skew(_inst(name)))
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            s = skew_group_algebra(i.action, seed=SEED)
+            s = skew_group_algebra(i.action)
             _CACHE[("rskew", seed)] = s
-            rep = check_invariant_theory(s, SEED)
+            rep = check_invariant_theory(s)
             assert rep.passed, ("random", seed)
 
 
@@ -130,7 +129,7 @@ def test_criterion_4_cocycle_validity():
     with _criterion(4, "cocycle validity", 1.0):
         for name in FIXTURE_NAMES:
             i = _inst(name)
-            system = inertia(i.module, i.action, seed=SEED)
+            system = inertia(i.module, i.action)
             _CACHE[("system", name)] = system
             coc = system.cocycle
             assert np.all(coc.table[0, :] == 1.0), name
@@ -160,7 +159,7 @@ def test_criterion_6_hom_equals_invariants():
             n = int(rng.integers(2, 9))
             g = cyclic_group(n)
             coc = trivial_cocycle(g)
-            alg = twisted_group_algebra(coc, 1, TOL)
+            alg = twisted_group_algebra(coc, 1, matrix_algebra(1, TOL))
             omega = np.exp(2j * np.pi / n)
             mods = []
             for _ in range(2):
@@ -171,7 +170,7 @@ def test_criterion_6_hom_equals_invariants():
                 sinv = np.linalg.inv(s)
                 rho = [s @ np.diag(omega ** (ks * t)) @ sinv for t in range(n)]
                 mods.append(make_module(alg, rho))
-            rep = hom_inv_check(mods[0], mods[1], coc, SEED)
+            rep = hom_inv_check(mods[0], mods[1], coc)
             assert rep.passed, (n, done)
             done += 1
 
@@ -204,7 +203,7 @@ def test_criterion_8_complete_reducibility():
             assert rep.passed, name
         for seed in range(20):
             i = _rand(seed)
-            rep = complete_reducibility(build_context(i.action, i.module, SEED))
+            rep = complete_reducibility(build_context(i.action, i.module))
             assert rep.passed, ("random", seed)
 
 

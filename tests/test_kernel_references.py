@@ -323,7 +323,7 @@ def _classes(source):
 
     numeric.solve_sandwich = recording
     try:
-        dec = simple_classes(skew(source), 1)
+        dec = simple_classes(skew(source))
     finally:
         numeric.solve_sandwich = solve
     return dec, seen

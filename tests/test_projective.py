@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from skewgroup.algebra import matrix_algebra
 from skewgroup.errors import InvalidInput, NotProjective, NotSimple
 from skewgroup.group_action import cyclic_group, make_group
 from skewgroup.projective import (
@@ -25,14 +26,14 @@ TOL = 1e-9
 
 def test_inertia_trivial_group(inst):
     i = inst("trivial")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     assert system.inertia_members == (0,)
     assert np.allclose(system.cocycle.table, 1.0)
 
 
 def test_inertia_pauli_full(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     assert system.inertia_members == (0, 1, 2, 3)
     # phi(1) is exactly the identity
     assert np.array_equal(system.phi[0], np.eye(2, dtype=np.complex128))
@@ -40,7 +41,7 @@ def test_inertia_pauli_full(inst):
 
 def test_inertia_swap_trivial(inst):
     i = inst("swap")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     assert system.inertia_members == (0,)
 
 
@@ -54,13 +55,13 @@ def test_inertia_rejects_non_simple():
     g = make_group([[0, 1], [1, 0]])
     action = make_action(g, a, [np.eye(2), np.eye(2)])
     with pytest.raises(NotSimple):
-        inertia(regular_module(a), action, seed=1)
+        inertia(regular_module(a), action)
 
 
 def test_intertwiner_relation(inst):
     for name in ("pauli", "perm", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, seed=1)
+        system = inertia(i.module, i.action)
         m = i.module
         a = m.algebra
         for local, h in enumerate(system.inertia_members):
@@ -115,13 +116,13 @@ def test_extract_cocycle_rejects_an_identity_intertwiner_that_is_not_exact(entry
 def test_cocycle_identity_all_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, seed=1)
+        system = inertia(i.module, i.action)
         assert system.cocycle.validate(1e-8) <= 1e-8
 
 
 def test_twisted_group_algebra_trivial_cocycle():
     g = cyclic_group(3)
-    a = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
+    a = twisted_group_algebra(trivial_cocycle(g), 1, matrix_algebra(1, TOL))
     assert a.dim == 3
     # plain group algebra: c_1 c_1 = c_2
     assert np.allclose(a.product(np.eye(3)[:, 1], np.eye(3)[:, 1]),
@@ -130,10 +131,10 @@ def test_twisted_group_algebra_trivial_cocycle():
 
 def test_twisted_group_algebra_pauli(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
-    tw = twisted_group_algebra(system.cocycle, 1, TOL)
+    system = inertia(i.module, i.action)
+    tw = twisted_group_algebra(system.cocycle, 1, i.algebra)
     assert tw.dim == 4
-    dec = decompose(regular_module(tw), seed=1)
+    dec = decompose(regular_module(tw))
     # a single 2-dim simple class of multiplicity 2: the algebra is M_2
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
@@ -143,23 +144,25 @@ def test_twisted_group_algebra_pauli(inst):
 
 def test_twisted_group_algebras_are_built_once_per_cocycle(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     w = module_over_twisted(system)
-    assert w.algebra is twisted_group_algebra(system.cocycle, 1, TOL)
+    assert w.algebra is twisted_group_algebra(system.cocycle, 1, i.algebra)
     dual = contragredient(w, system.cocycle)
-    assert dual.algebra is twisted_group_algebra(system.cocycle, -1, TOL)
+    assert dual.algebra is twisted_group_algebra(system.cocycle, -1, i.algebra)
     assert dual.algebra is not w.algebra
-    other = twisted_group_algebra(system.cocycle, 1, 1e-7)
+    other = twisted_group_algebra(system.cocycle, 1, matrix_algebra(1, 1e-7))
     assert other is not w.algebra and other.tol == 1e-7
     fresh = Cocycle(group=system.cocycle.group, table=system.cocycle.table)
-    assert twisted_group_algebra(fresh, 1, TOL) is not w.algebra
+    assert twisted_group_algebra(fresh, 1, i.algebra) is not w.algebra
 
 
 def test_plain_group_algebra_is_built_once_per_group():
     g = cyclic_group(3)
-    plain = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
+    plain = twisted_group_algebra(trivial_cocycle(g), 1,
+                                  matrix_algebra(1, TOL))
     assert trivial_cocycle(g) is trivial_cocycle(g)
-    assert twisted_group_algebra(trivial_cocycle(g), 1, TOL) is plain
+    assert twisted_group_algebra(trivial_cocycle(g), 1,
+                                 matrix_algebra(1, TOL)) is plain
     assert trivial_cocycle(cyclic_group(3)) is not trivial_cocycle(g)
     # kept with the group, and freed with it
     cocycle = weakref.ref(trivial_cocycle(g))
@@ -171,16 +174,16 @@ def test_plain_group_algebra_is_built_once_per_group():
 def test_twisted_group_algebra_rejects_bad_exponent():
     g = cyclic_group(2)
     with pytest.raises(InvalidInput):
-        twisted_group_algebra(trivial_cocycle(g), 2, TOL)
+        twisted_group_algebra(trivial_cocycle(g), 2, matrix_algebra(1, TOL))
 
 
 def test_module_over_twisted_pauli(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     m = module_over_twisted(system)
     assert m.dim == 2
     from skewgroup.repmod import is_simple
-    assert is_simple(m, seed=1)
+    assert is_simple(m)
 
 
 def test_module_over_twisted_coboundary_equivalence(inst):
@@ -188,11 +191,11 @@ def test_module_over_twisted_coboundary_equivalence(inst):
     # a coboundary; undoing the scale recovers a module over the original
     # algebra isomorphic to the original one.
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     beta = np.array([1.0, -1.0, 1.0, -1.0])
     phi2 = tuple(beta[h] * system.phi[h] for h in range(4))
     coc2 = extract_cocycle(phi2, system.cocycle.group, TOL)
-    alg2 = twisted_group_algebra(coc2, 1, TOL)
+    alg2 = twisted_group_algebra(coc2, 1, i.algebra)
     make_module(alg2, phi2)                       # validates
     undone = tuple(phi2[h] / beta[h] for h in range(4))
     original = module_over_twisted(system)
@@ -202,7 +205,7 @@ def test_module_over_twisted_coboundary_equivalence(inst):
 
 def test_contragredient_dual_line():
     g = make_group([[0]])
-    alg = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
+    alg = twisted_group_algebra(trivial_cocycle(g), 1, matrix_algebra(1, TOL))
     w = make_module(alg, [np.eye(1)])
     wd = contragredient(w, trivial_cocycle(g))
     assert wd.dim == 1
@@ -210,7 +213,7 @@ def test_contragredient_dual_line():
 
 def test_contragredient_dimensions_and_double_dual(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     w = module_over_twisted(system)
     wd = contragredient(w, system.cocycle)
     assert wd.dim == w.dim
@@ -224,8 +227,8 @@ def test_contragredient_dimensions_and_double_dual(inst):
 
 def test_projective_isotypics_trivial(inst):
     i = inst("trivial")
-    system = inertia(i.module, i.action, seed=1)
-    dec = projective_isotypics(system, 1)
+    system = inertia(i.module, i.action)
+    dec = projective_isotypics(system)
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
     assert dec.multiplicity_spaces[cls].shape[1] == 1
@@ -233,8 +236,8 @@ def test_projective_isotypics_trivial(inst):
 
 def test_projective_isotypics_pauli(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
-    dec = projective_isotypics(system, 1)
+    system = inertia(i.module, i.action)
+    dec = projective_isotypics(system)
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
     assert dec.representatives[cls].module.dim == 2
@@ -244,8 +247,8 @@ def test_projective_isotypics_pauli(inst):
 def test_projective_isotypics_dimension_sum(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, seed=1)
-        dec = projective_isotypics(system, 1)
+        system = inertia(i.module, i.action)
+        dec = projective_isotypics(system)
         total = sum(dec.representatives[c].module.dim
                     * dec.multiplicity_spaces[c].shape[1]
                     for c in dec.class_ids())
@@ -258,8 +261,8 @@ def test_multiplicity_spaces_invariant_under_fixed_subalgebra(inst):
     from skewgroup.algebra import fixed_subalgebra
     for name in ("pauli", "swap", "cyclic"):
         i = inst(name)
-        system = inertia(i.module, i.action, seed=1)
-        dec = projective_isotypics(system, 1)
+        system = inertia(i.module, i.action)
+        dec = projective_isotypics(system)
         fixed = fixed_subalgebra(i.algebra, i.action)
         for cls in dec.class_ids():
             basis = dec.multiplicity_spaces[cls]

@@ -135,13 +135,13 @@ def test_hom_space_rejects_algebra_mismatch():
 
 
 def test_is_simple_natural_m2():
-    assert is_simple(natural_module_m2(), seed=1)
+    assert is_simple(natural_module_m2())
 
 
 def test_is_simple_regular_z2_false():
     a = group_algebra(2)
     m = regular_module(a)
-    assert not is_simple(m, seed=1)
+    assert not is_simple(m)
     # oracle: the idempotents (1 +- g)/2 split the module into two lines
     for sign in (1.0, -1.0):
         v = np.array([1.0, sign]) / 2.0
@@ -155,7 +155,7 @@ def test_is_simple_rejects_non_semisimple():
     dual = make_algebra(2, c, [1.0, 0.0], tol=TOL)
     m = regular_module(dual)
     with pytest.raises(NotSemisimple):
-        is_simple(m, seed=1)
+        is_simple(m)
 
 
 def test_twist_identity(inst):
@@ -189,14 +189,14 @@ def test_twist_composition(inst):
 
 def test_decompose_simple_single_piece():
     m = natural_module_m2()
-    dec = decompose(m, seed=1)
+    dec = decompose(m)
     assert len(dec.pieces) == 1
     assert dec.pieces[0].module.dim == 2
 
 
 def test_decompose_regular_z3_dft():
     a = group_algebra(3)
-    dec = decompose(regular_module(a), seed=1)
+    dec = decompose(regular_module(a))
     assert len(dec.pieces) == 3
     assert len(dec.class_ids()) == 3
     # oracle: the discrete Fourier vectors are the simple lines
@@ -214,7 +214,7 @@ def test_decompose_multiplicity_two():
     nat = natural_module_m2()
     rho = [np.kron(np.eye(2), np.asarray(r)) for r in nat.rho]
     m = make_module(a, rho)        # C^2 + C^2
-    dec = decompose(m, seed=1)
+    dec = decompose(m)
     assert len(dec.pieces) == 2
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
@@ -228,7 +228,7 @@ def test_decompose_dimension_bookkeeping(inst):
     for name in ("swap", "pauli", "cyclic", "perm"):
         i = inst(name)
         reg = regular_module(i.algebra)
-        dec = decompose(reg, seed=1)
+        dec = decompose(reg)
         total = sum(dec.representatives[c].module.dim * dec.multiplicity(c)
                     for c in dec.class_ids())
         assert total == i.algebra.dim
@@ -238,16 +238,16 @@ def test_decompose_dimension_bookkeeping(inst):
             for r in reg.actions(np.eye(i.algebra.dim)):
                 img = np.asarray(r) @ p.basis
                 assert np.linalg.norm(img - proj @ img) <= 1e-7
-            assert is_simple(p.module, seed=1)
+            assert is_simple(p.module)
 
 
 @pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic",
                                   "random2"])
 def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    s = skew_group_algebra(i.action, seed=1).alg
+    s = skew_group_algebra(i.action).alg
     reg = regular_module(s)
-    dec = decompose(reg, seed=1)
+    dec = decompose(reg)
     for cls in dec.class_ids():
         # oracle: homs into the module itself, not into the sum of its pieces
         homs = hom_space(dec.representatives[cls].module, reg)
@@ -261,7 +261,7 @@ def test_multiplicity_spaces_match_homs_into_whole_module(inst, name):
 @pytest.mark.parametrize("name", ["trivial", "swap", "pauli", "perm", "cyclic"])
 def test_regular_decomposition_never_solves_its_commutant(inst, monkeypatch, name):
     i = inst(name)
-    s = skew_group_algebra(i.action, seed=1).alg
+    s = skew_group_algebra(i.action).alg
     reg = regular_module(s)
     # what decompose relies on: End(reg) is the dim A right multiplications
     assert len(hom_space(reg, reg)) == s.dim
@@ -272,7 +272,7 @@ def test_regular_decomposition_never_solves_its_commutant(inst, monkeypatch, nam
         return hom_space(m, n)
 
     monkeypatch.setattr(repmod, "hom_space", spy)
-    decompose(reg, seed=1)
+    decompose(reg)
     assert seen and all(reg is not m and reg is not n for m, n in seen)
 
 
@@ -298,7 +298,7 @@ def test_restrict_to_diagonal(inst):
     emb = fixed_subalgebra(i.algebra, i.action)
     reg = regular_module(i.algebra)
     r = restrict(reg, emb)
-    dec = decompose(r, seed=1)
+    dec = decompose(r)
     # C^8 over the diagonal M_2 splits as 4 copies of C^2
     assert len(dec.class_ids()) == 1
     assert dec.multiplicity(dec.class_ids()[0]) == 4
@@ -347,7 +347,7 @@ def test_every_constructor_stores_one_action_stack(inst):
     i = inst("pauli")
     m = i.module
     reg = regular_module(i.algebra)
-    dec = decompose(reg, seed=1)
+    dec = decompose(reg)
     emb = fixed_subalgebra(i.algebra, i.action)
     built = [natural_module_m2(), m, twist(m, 1, i.action), restrict(m, emb),
              compress(reg, dec.pieces[0].basis), twist(reg, 1, i.action),
@@ -359,7 +359,7 @@ def test_every_constructor_stores_one_action_stack(inst):
 def test_regular_module_and_direct_sum_store_no_action_stack(inst):
     i = inst("pauli")
     reg = regular_module(i.algebra)
-    dec = decompose(reg, seed=1)
+    dec = decompose(reg)
     assert "rho" not in vars(reg)       # decompose reads images and scale
     x = np.arange(1.0, i.algebra.dim + 1)
     assert np.allclose(reg.act(x), i.algebra.left_mult(x), rtol=0, atol=1e-12)
@@ -384,9 +384,9 @@ def test_twist_and_restrict_of_regular_module_match_its_dense_copy(inst, name):
 @pytest.mark.parametrize("name", ["pauli", "perm", "random2"])
 def test_regular_module_compresses_to_the_left_multiplications(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    a = skew_group_algebra(i.action, seed=1).alg
+    a = skew_group_algebra(i.action).alg
     reg = regular_module(a)
-    dec = decompose(reg, seed=1)
+    dec = decompose(reg)
     eye = np.eye(a.dim)
     for p in dec.pieces:
         sub = compress(reg, p.basis)
@@ -449,7 +449,7 @@ def test_compress_names_a_first_failure_in_a_later_block():
 
 @pytest.mark.parametrize("kind", ["stored", "regular"])
 def test_images_of_a_row_range_are_bitwise_the_full_stack_rows(kind):
-    s = skew_group_algebra(random_instance(2).action, seed=1).alg
+    s = skew_group_algebra(random_instance(2).action).alg
     reg = regular_module(s)
     if kind == "stored":
         m = Module(algebra=s, dim=s.dim, rho=reg.actions(np.eye(s.dim)))
@@ -468,9 +468,9 @@ def test_compress_of_the_regular_module_holds_no_full_image_stack():
     temporary its size, 1.04 MB for a 6-dim piece of random_instance(2)'s
     skew algebra; in blocks of ceil(dim A / k) basis elements it holds about
     dim A * d entries besides its (dim A, k, k) result."""
-    s = skew_group_algebra(random_instance(2).action, seed=1).alg
+    s = skew_group_algebra(random_instance(2).action).alg
     reg = regular_module(s)
-    piece = decompose(reg, seed=1).pieces[0]
+    piece = decompose(reg).pieces[0]
     n, d, k = s.dim, reg.dim, piece.basis.shape[1]
     assert (n, k) == (72, 6)
     compress(reg, piece.basis)
@@ -518,7 +518,7 @@ def _assert_matches_stored_compress(parent, basis):
 
 def _skew_instance(inst, name):
     i = random_instance(int(name[6:])) if name.startswith("random") else inst(name)
-    return i, skew_group_algebra(i.action, seed=1)
+    return i, skew_group_algebra(i.action)
 
 
 REFERENCE_CASES = ["trivial", "swap", "pauli", "perm", "cyclic"] + [
@@ -530,16 +530,16 @@ def test_compressed_pieces_match_the_stored_compress(inst, name):
     i, s = _skew_instance(inst, name)
     for a in (i.algebra, s.alg):
         reg = regular_module(a)
-        for p in decompose(reg, seed=1).pieces:
+        for p in decompose(reg).pieces:
             _assert_matches_stored_compress(reg, p.basis)
 
 
 @pytest.mark.parametrize("name", REFERENCE_CASES)
 def test_compressed_pieces_of_stored_modules_match_the_stored_compress(inst, name):
     i, _ = _skew_instance(inst, name)
-    ctx = build_context(i.action, i.module, seed=1)
+    ctx = build_context(i.action, i.module)
     for parent in (ctx.restricted, module_over_twisted(ctx.system)):
-        for p in decompose(parent, seed=1).pieces:
+        for p in decompose(parent).pieces:
             _assert_matches_stored_compress(parent, p.basis)
 
 
@@ -547,7 +547,7 @@ def test_only_read_pieces_rebuild_their_action_stack():
     """Classifying a piece reads its generator actions and images only; a
     representative whose action is read keeps the rebuilt stack."""
     s = skew_group_algebra(random_instance(2).action)
-    dec = simple_classes(s, 1)
+    dec = simple_classes(s)
     assert not any("rho" in vars(p.module) for p in dec.pieces)
     reps = set(map(id, dec.representatives.values()))
     for p in dec.representatives.values():
@@ -627,9 +627,9 @@ def test_validate_module_probes_are_the_vectors_of_one_draw_at_a_time(
 
 def _regular_decomposition(inst, name):
     i = random_instance(2) if name == "random2" else inst(name)
-    s = skew_group_algebra(i.action, seed=1).alg
+    s = skew_group_algebra(i.action).alg
     reg = regular_module(s)
-    dec = decompose(reg, seed=1)
+    dec = decompose(reg)
     return s, dec, DirectSum(s, [p.module for p in dec.pieces])
 
 

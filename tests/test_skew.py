@@ -53,7 +53,7 @@ TOL = 1e-9
 
 
 def _skew(i):
-    return skew_group_algebra(i.action, seed=1)
+    return skew_group_algebra(i.action)
 
 
 def test_skew_trivial_group_exact_relabel(inst):
@@ -66,7 +66,7 @@ def test_skew_of_field_is_group_algebra():
     f = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=TOL)
     g = cyclic_group(3)
     action = make_action(g, f, [np.eye(1)] * 3)
-    s = skew_group_algebra(action, seed=1)
+    s = skew_group_algebra(action)
     assert s.alg.dim == 3
     # the skew product degenerates to the group product: g1 * g1 = g2
     assert np.allclose(s.alg.product(s.embed_group(1), s.embed_group(1)),
@@ -77,7 +77,7 @@ def test_skew_swap_single_simple_class(inst):
     i = inst("swap")
     s = _skew(i)
     assert s.alg.dim == 16
-    dec = simple_classes(s, 1)
+    dec = simple_classes(s)
     # oracle: decompose the regular module and count classes
     assert len(dec.class_ids()) == 1
     cls = dec.class_ids()[0]
@@ -88,7 +88,7 @@ def test_skew_swap_single_simple_class(inst):
 def test_restriction_to_base_matches_acting_by_embedded_basis(inst, name):
     s = _skew(inst(name))
     eye = np.eye(s.base.dim)
-    for cls, piece in simple_classes(s, 1).representatives.items():
+    for cls, piece in simple_classes(s).representatives.items():
         n = piece.module
         rest = restrict(n, s.base_embedding())
         assert rest.algebra is s.base
@@ -172,11 +172,11 @@ def test_corner_module_swap(inst):
     s = _skew(i)
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
-    dec = simple_classes(s, 1)
+    dec = simple_classes(s)
     n = dec.representatives[dec.class_ids()[0]].module
     en, _ = corner_module(n, corner, e)
     assert en.dim == 2
-    assert is_simple(en, seed=1)
+    assert is_simple(en)
 
 
 def test_corner_module_rejects_a_module_over_another_algebra(inst):
@@ -206,15 +206,15 @@ def test_induce_swap_from_trivial_subgroup(inst):
     m = make_module(ssub.alg, i.module.rho)
     ind = induce(m, s, ssub)
     assert ind.dim == 4                                  # [G:H] * dim M
-    assert is_simple(ind, seed=1)
+    assert is_simple(ind)
 
 
 def test_induce_dimension_law(inst):
     i = inst("perm")
     s = _skew(i)
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     ssub = sub_skew(s, system.inertia_members)
-    dec = projective_isotypics(system, 1)
+    dec = projective_isotypics(system)
     cls = dec.class_ids()[0]
     w = dec.representatives[cls].module
     wdual = contragredient(w, system.cocycle)
@@ -277,8 +277,8 @@ def test_induce_matches_the_loop_reference(inst, name):
     _assert_induce_matches_loops(make_module(trivial.alg, i.module.rho), s,
                                  trivial)
     # the inertia subgroup, on M (x) W*, and the whole group, on its induction
-    system = inertia(i.module, i.action, seed=1)
-    dec = projective_isotypics(system, 1)
+    system = inertia(i.module, i.action)
+    dec = projective_isotypics(system)
     w = dec.representatives[dec.class_ids()[0]].module
     ssub = sub_skew(s, system.inertia_members)
     ext = extend_to_skew(system, contragredient(w, system.cocycle), ssub)
@@ -300,7 +300,7 @@ def test_extend_to_skew_rejects_a_sub_skew_algebra_of_another_subgroup(inst):
     # the same multiplication table
     i = inst("perm")
     s = _skew(i)
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     assert system.inertia_members == (0, 2)
     other = sub_skew(s, (0, 1))
     assert np.array_equal(other.group.table, system.cocycle.group.table)
@@ -312,7 +312,7 @@ def test_extend_to_skew_rejects_a_sub_skew_algebra_of_another_subgroup(inst):
 def test_extend_to_skew_trivial(inst):
     i = inst("trivial")
     s = _skew(i)
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     w = module_over_twisted(system)
     wdual = contragredient(w, system.cocycle)
     ext = extend_to_skew(system, wdual, s)
@@ -322,8 +322,8 @@ def test_extend_to_skew_trivial(inst):
 def test_extend_to_skew_pauli(inst):
     i = inst("pauli")
     s = _skew(i)
-    system = inertia(i.module, i.action, seed=1)
-    dec = projective_isotypics(system, 1)
+    system = inertia(i.module, i.action)
+    dec = projective_isotypics(system)
     w = dec.representatives[dec.class_ids()[0]].module
     wdual = contragredient(w, system.cocycle)
     ext = extend_to_skew(system, wdual, s)
@@ -333,12 +333,12 @@ def test_extend_to_skew_pauli(inst):
 def test_extend_to_skew_rejects_wrong_cocycle(inst):
     i = inst("pauli")
     s = _skew(i)
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     # a plain group-algebra module is the wrong input: its algebra carries
     # the trivial cocycle, not the inverse of the extracted one (which has
     # genuine -1 entries for this instance)
     plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), -1,
-                                  TOL)
+                                  i.algebra)
     v = make_module(plain, [np.eye(1)] * 4)
     with pytest.raises(CocycleMismatch):
         extend_to_skew(system, v, s)
@@ -377,27 +377,28 @@ def test_functions_taking_a_module_accept_implicit_ones(inst):
     # compressed one) builds on first read, and gives what it gives for a
     # dense copy of the same module
     pauli = inst("pauli")
-    system = inertia(pauli.module, pauli.action, seed=1)
-    m = regular_module(twisted_group_algebra(system.cocycle, 1, TOL))
+    system = inertia(pauli.module, pauli.action)
+    m = regular_module(twisted_group_algebra(system.cocycle, 1, pauli.algebra))
     _assert_same_actions(contragredient(m, system.cocycle),
                          contragredient(_dense_copy(m), system.cocycle))
-    reports = [hom_inv_check(x, x, system.cocycle, 1)
+    reports = [hom_inv_check(x, x, system.cocycle)
                for x in (m, _dense_copy(m))]
     assert reports[0].passed
     assert reports[0].to_dict() == reports[1].to_dict()
-    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, TOL)
+    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1,
+                                  pauli.algebra)
     m = regular_module(plain)
     fixed = invariant_subspace(m)
     assert fixed.shape[1] == m.dim // plain.dim
     assert np.allclose(fixed, invariant_subspace(_dense_copy(m)))
 
     s = _skew(pauli)
-    v = regular_module(twisted_group_algebra(system.cocycle, -1, TOL))
+    v = regular_module(twisted_group_algebra(system.cocycle, -1, pauli.algebra))
     whole = np.eye(pauli.module.dim, dtype=np.complex128)
     implicit_m = replace(system, module=compress(pauli.module, whole))
     _assert_same_actions(extend_to_skew(implicit_m, v, s),
                          extend_to_skew(system, _dense_copy(v), s))
-    ctxs = [build_context(pauli.action, m, 1)
+    ctxs = [build_context(pauli.action, m)
             for m in (implicit_m.module, pauli.module)]
     assert main_theorem(ctxs[0]).to_dict() == main_theorem(ctxs[1]).to_dict()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewgroup.algebra import make_algebra
+from skewgroup.algebra import make_algebra, matrix_algebra
 from skewgroup.errors import NotSemisimple
 from skewgroup.group_action import make_action, make_group
 from skewgroup.projective import inertia, module_over_twisted, trivial_cocycle
@@ -24,7 +24,7 @@ TOL = 1e-9
 
 
 def _skew(i):
-    return skew_group_algebra(i.action, seed=1)
+    return skew_group_algebra(i.action)
 
 
 def _checks(report):
@@ -32,12 +32,12 @@ def _checks(report):
 
 
 def test_invariant_theory_trivial(inst):
-    rep = check_invariant_theory(_skew(inst("trivial")), 1)
+    rep = check_invariant_theory(_skew(inst("trivial")))
     assert rep.passed
 
 
 def test_invariant_theory_swap(inst):
-    rep = check_invariant_theory(_skew(inst("swap")), 1)
+    rep = check_invariant_theory(_skew(inst("swap")))
     assert rep.passed
     checks = _checks(rep)
     assert checks["class0_eN_simple"].dims == {"dim_N": 4, "dim_eN": 2}
@@ -46,7 +46,7 @@ def test_invariant_theory_swap(inst):
 
 
 def test_invariant_theory_pauli(inst):
-    rep = check_invariant_theory(_skew(inst("pauli")), 1)
+    rep = check_invariant_theory(_skew(inst("pauli")))
     assert rep.passed
     checks = _checks(rep)
     assert checks["corner_dim_equals_invariants_dim"].dims["corner"] == 1
@@ -63,25 +63,25 @@ def test_invariant_theory_rejects_non_semisimple():
     dual = make_algebra(2, c, [1.0, 0.0], tol=TOL)
     g = make_group([[0]])
     action = make_action(g, dual, [np.eye(2)])
-    s = skew_group_algebra(action, seed=1)
+    s = skew_group_algebra(action)
     with pytest.raises(NotSemisimple):
-        check_invariant_theory(s, 1)
+        check_invariant_theory(s)
 
 
 def test_clifford_trivial(inst):
     i = inst("trivial")
     s = _skew(i)
     n = regular_module(s.alg)
-    rep = clifford_correspondence(n, s, 1)
+    rep = clifford_correspondence(n, s)
     assert rep.passed
 
 
 def test_clifford_swap(inst):
     i = inst("swap")
     s = _skew(i)
-    dec = simple_classes(s, 1)
+    dec = simple_classes(s)
     n = dec.representatives[dec.class_ids()[0]].module
-    rep = clifford_correspondence(n, s, 1)
+    rep = clifford_correspondence(n, s)
     assert rep.passed
     checks = _checks(rep)
     d = checks["induced_isomorphic_to_N"].dims
@@ -93,10 +93,10 @@ def test_clifford_swap(inst):
 def test_clifford_pauli(inst):
     i = inst("pauli")
     s = _skew(i)
-    dec = simple_classes(s, 1)
+    dec = simple_classes(s)
     for cls in dec.class_ids():
         n = dec.representatives[cls].module
-        rep = clifford_correspondence(n, s, 1)
+        rep = clifford_correspondence(n, s)
         assert rep.passed
         d = _checks(rep)["induced_isomorphic_to_N"].dims
         # dim N = dim lambda * dim Hnu * [G:H]
@@ -107,7 +107,7 @@ def test_clifford_pauli(inst):
 def test_induced_simplicity_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        ctx = build_context(i.action, i.module, 1)
+        ctx = build_context(i.action, i.module)
         for gamma in ctx.iso.class_ids():
             rep = induced_simplicity(ctx, gamma)
             assert rep.passed, (name, gamma)
@@ -118,14 +118,15 @@ def test_induced_simplicity_fixtures(inst):
 def test_hom_inv_trivial_characters():
     g = make_group([[0, 1], [1, 0]])
     from skewgroup.projective import twisted_group_algebra
-    plain = twisted_group_algebra(trivial_cocycle(g), 1, TOL)
+    plain = twisted_group_algebra(trivial_cocycle(g), 1,
+                                  matrix_algebra(1, TOL))
     triv = make_module(plain, [np.eye(1), np.eye(1)])
     sign = make_module(plain, [np.eye(1), -np.eye(1)])
-    rep = hom_inv_check(triv, triv, trivial_cocycle(g), 1)
+    rep = hom_inv_check(triv, triv, trivial_cocycle(g))
     assert rep.passed
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims == \
         {"hom": 1, "invariants": 1, "dim_M": 1, "dim_N": 1}
-    rep = hom_inv_check(triv, sign, trivial_cocycle(g), 1)
+    rep = hom_inv_check(triv, sign, trivial_cocycle(g))
     assert rep.passed
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims["hom"] == 0
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims["invariants"] == 0
@@ -133,9 +134,9 @@ def test_hom_inv_trivial_characters():
 
 def test_hom_inv_pauli_w(inst):
     i = inst("pauli")
-    system = inertia(i.module, i.action, seed=1)
+    system = inertia(i.module, i.action)
     w = module_over_twisted(system)
-    rep = hom_inv_check(w, w, system.cocycle, 1)
+    rep = hom_inv_check(w, w, system.cocycle)
     assert rep.passed
     d = _checks(rep)["hom_dim_equals_invariant_dim"].dims
     assert d["hom"] == 1 and d["invariants"] == 1
@@ -143,13 +144,13 @@ def test_hom_inv_pauli_w(inst):
 
 def test_main_theorem_trivial(inst):
     i = inst("trivial")
-    rep = main_theorem(build_context(i.action, i.module, 1))
+    rep = main_theorem(build_context(i.action, i.module))
     assert rep.passed
 
 
 def test_main_theorem_pauli(inst):
     i = inst("pauli")
-    rep = main_theorem(build_context(i.action, i.module, 1))
+    rep = main_theorem(build_context(i.action, i.module))
     assert rep.passed
     checks = _checks(rep)
     assert checks["gamma0_direct_route_simple"].dims == \
@@ -160,7 +161,7 @@ def test_main_theorem_pauli(inst):
 
 def test_main_theorem_swap(inst):
     i = inst("swap")
-    rep = main_theorem(build_context(i.action, i.module, 1))
+    rep = main_theorem(build_context(i.action, i.module))
     assert rep.passed
     checks = _checks(rep)
     # M_gamma = C^2, simple over the diagonal M_2 (dim 4)
@@ -171,7 +172,7 @@ def test_main_theorem_swap(inst):
 def test_main_theorem_routes_agree_all_fixtures(inst):
     for name in ("trivial", "swap", "pauli", "perm", "cyclic"):
         i = inst(name)
-        rep = main_theorem(build_context(i.action, i.module, 1))
+        rep = main_theorem(build_context(i.action, i.module))
         assert rep.passed, name
         for c in rep.checks:
             if c.name.endswith("routes_agree"):
@@ -182,7 +183,7 @@ def test_main_theorem_inv_dim_one_for_simple_w(inst):
     # Inv(W (x) W*) is one-dimensional whenever W is simple
     for name in ("trivial", "pauli", "perm", "cyclic"):
         i = inst(name)
-        rep = main_theorem(build_context(i.action, i.module, 1))
+        rep = main_theorem(build_context(i.action, i.module))
         for c in rep.checks:
             if c.name.endswith("corner_dim_identity"):
                 assert c.dims["dim_inv"] == 1, name
@@ -190,13 +191,13 @@ def test_main_theorem_inv_dim_one_for_simple_w(inst):
 
 def test_complete_reducibility_trivial(inst):
     i = inst("trivial")
-    rep = complete_reducibility(build_context(i.action, i.module, 1))
+    rep = complete_reducibility(build_context(i.action, i.module))
     assert rep.passed
 
 
 def test_complete_reducibility_pauli(inst):
     i = inst("pauli")
-    rep = complete_reducibility(build_context(i.action, i.module, 1))
+    rep = complete_reducibility(build_context(i.action, i.module))
     assert rep.passed
     checks = _checks(rep)
     assert checks["pieces_exhaust_M"].dims == \
@@ -208,7 +209,7 @@ def test_complete_reducibility_pauli(inst):
 
 def test_complete_reducibility_swap(inst):
     i = inst("swap")
-    rep = complete_reducibility(build_context(i.action, i.module, 1))
+    rep = complete_reducibility(build_context(i.action, i.module))
     assert rep.passed
     checks = _checks(rep)
     assert checks["pieces_exhaust_M"].dims["pieces"] == 1
@@ -218,7 +219,7 @@ def test_complete_reducibility_swap(inst):
 
 def test_report_serialization_shape(inst):
     i = inst("pauli")
-    rep = main_theorem(build_context(i.action, i.module, 1))
+    rep = main_theorem(build_context(i.action, i.module))
     d = rep.to_dict()
     assert d["name"] == "main_theorem"
     assert d["passed"] is True

@@ -1,5 +1,5 @@
-"""One tolerance per algebra: set where an algebra is built, inherited by
-everything derived from it."""
+"""One tolerance and one seed per algebra: set where an algebra is built,
+inherited by everything derived from it."""
 
 import importlib
 import inspect
@@ -15,10 +15,11 @@ from skewgroup.algebra import (
     corner_algebra,
     direct_sum,
     fixed_subalgebra,
+    make_algebra,
     matrix_algebra,
 )
 from skewgroup.errors import InvalidInput
-from skewgroup.fixtures import fixture
+from skewgroup.fixtures import Instance, fixture
 from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup.projective import (
     Cocycle,
@@ -26,19 +27,26 @@ from skewgroup.projective import (
     extract_cocycle,
     inertia,
     module_over_twisted,
+    trivial_cocycle,
     twisted_group_algebra,
 )
-from skewgroup.repmod import decompose, make_module, regular_module
+from skewgroup.repmod import decompose, is_simple, make_module, regular_module
 from skewgroup.runner import run_job
-from skewgroup.skew import skew_group_algebra, sub_skew, symmetrizer
+from skewgroup.skew import (
+    extend_to_skew,
+    induce,
+    skew_group_algebra,
+    sub_skew,
+    symmetrizer,
+)
+from skewgroup.theorems import build_context
 
 # The callables through which a tolerance enters: algebra constructors, the
 # fixture and job front ends, matrix-level primitives that see no algebra, and
 # the one check that all of them apply to it.
 ENTRY_POINTS = {
     "algebra.make_algebra", "algebra.matrix_algebra", "algebra.canonical_span",
-    "projective.twisted_group_algebra", "projective.extract_cocycle",
-    "projective.Cocycle.validate",
+    "projective.extract_cocycle", "projective.Cocycle.validate",
     "fixtures.fixture", "fixtures.fixture_trivial", "fixtures.fixture_swap",
     "fixtures.fixture_pauli", "fixtures.fixture_perm", "fixtures.fixture_cyclic",
     "fixtures.random_instance",
@@ -46,12 +54,16 @@ ENTRY_POINTS = {
     "numeric.rank", "numeric.nullspace", "numeric.orthonormal_column_basis",
     "numeric.solve_sandwich", "numeric.check_tol",
 }
+# The callables through which a seed enters: the algebra constructor and the
+# job front ends.  random_instance's seed picks the instance, not the run.
+SEED_ENTRY_POINTS = {"algebra.make_algebra", "jobs.parse_job", "jobs.load_job",
+                     "fixtures.random_instance"}
 # Records that store the value as a field: the algebra that owns it, and the
 # job and report that print it.
 RECORDS = {"algebra.Algebra", "jobs.JobSpec", "theorems.VerificationReport"}
 
 
-def _callables_taking_tol():
+def _callables_taking(param):
     found = set()
     for info in pkgutil.iter_modules(skewgroup.__path__):
         mod = importlib.import_module(f"skewgroup.{info.name}")
@@ -62,44 +74,66 @@ def _callables_taking_tol():
                 continue
             if inspect.isclass(obj) and issubclass(obj, Exception):
                 continue
-            if "tol" in inspect.signature(obj).parameters:
+            if param in inspect.signature(obj).parameters:
                 found.add(f"{info.name}.{name}")
             if inspect.isclass(obj):
                 found |= {f"{info.name}.{name}.{meth}"
                           for meth, fn in vars(obj).items()
                           if inspect.isfunction(fn) and not meth.startswith("__")
-                          and "tol" in inspect.signature(fn).parameters}
+                          and param in inspect.signature(fn).parameters}
     return found
 
 
 def test_only_entry_points_take_a_tolerance():
-    assert _callables_taking_tol() == ENTRY_POINTS | RECORDS
+    assert _callables_taking("tol") == ENTRY_POINTS | RECORDS
+
+
+def test_only_entry_points_take_a_seed():
+    assert _callables_taking("seed") == SEED_ENTRY_POINTS | RECORDS
 
 
 def test_derived_algebras_inherit_the_job_tolerance():
-    job = parse_job(instance_to_job(fixture("pauli")), tol=1e-7)
+    job = parse_job(instance_to_job(fixture("pauli")), tol=1e-7, seed=7)
     s = skew_group_algebra(job.action)
     system = inertia(job.modules["M"], job.action)
     w = module_over_twisted(system)
+    ssub = sub_skew(s, system.inertia_members)
+    wdual = contragredient(w, system.cocycle)
     derived = {
         "base": job.algebra,
         "skew": s.alg,
-        "sub_skew": sub_skew(s, system.inertia_members).alg,
+        "sub_skew": ssub.alg,
         "corner": corner_algebra(s.alg, symmetrizer(s)).sub,
         "fixed": fixed_subalgebra(job.algebra, job.action).sub,
         "direct_sum": direct_sum(job.algebra, job.algebra),
         "twisted": w.algebra,
-        "contragredient": contragredient(w, system.cocycle).algebra,
+        "contragredient": wdual.algebra,
+        "plain": twisted_group_algebra(trivial_cocycle(system.cocycle.group),
+                                       1, job.algebra),
+        "induced": induce(extend_to_skew(system, wdual, ssub), s, ssub).algebra,
     }
     assert {k: a.tol for k, a in derived.items()} == dict.fromkeys(derived, 1e-7)
+    assert {k: a.seed for k, a in derived.items()} == dict.fromkeys(derived, 7)
     results, code = run_job(job)
     assert code == 0
     assert {rep.tol for _, rep, _ in results} == {1e-7}
+    assert {rep.seed for _, rep, _ in results} == {7}
+
+
+def test_instance_to_job_keeps_the_tolerance_and_seed():
+    job = parse_job(instance_to_job(fixture("pauli", tol=1e-7)), seed=7)
+    i = Instance("pauli", job.algebra, job.group, job.action, job.modules)
+    again = parse_job(instance_to_job(i))
+    assert (again.algebra.tol, again.algebra.seed) == (1e-7, 7)
+    assert (again.tol, again.seed) == (1e-7, 7)
 
 
 def test_direct_sum_rejects_summands_with_different_tolerances():
     with pytest.raises(InvalidInput, match="different tolerances"):
         direct_sum(matrix_algebra(1, 1e-7), matrix_algebra(1, 1e-9))
+    with pytest.raises(InvalidInput, match="different seeds 1 and 7"):
+        direct_sum(matrix_algebra(1), make_algebra(1, np.ones((1, 1, 1)), [1],
+                                                   seed=7))
 
 
 def test_stale_positional_tolerance_is_a_type_error():
@@ -114,14 +148,30 @@ def test_stale_positional_tolerance_is_a_type_error():
         decompose(regular_module(i.algebra), 1, 1e-9)
 
 
+def test_stale_positional_seed_is_a_type_error():
+    i = fixture("pauli")
+    with pytest.raises(TypeError):
+        is_simple(i.module, 1)
+    with pytest.raises(TypeError):
+        decompose(regular_module(i.algebra), 1)
+    with pytest.raises(TypeError):
+        build_context(i.action, i.module, 1)
+
+
 @pytest.mark.parametrize("fn", [numeric.rank, numeric.nullspace,
                                 numeric.orthonormal_column_basis,
                                 numeric.solve_sandwich, canonical_span,
-                                Cocycle.validate, extract_cocycle,
-                                twisted_group_algebra])
+                                Cocycle.validate, extract_cocycle])
 def test_a_tolerance_not_set_by_an_algebra_has_no_default(fn):
     # a caller that forgets it gets a TypeError, not a silent 1e-9
     assert inspect.signature(fn).parameters["tol"].default is inspect.Parameter.empty
+
+
+def test_twisted_group_algebra_has_no_default_algebra():
+    # it takes its tolerance and seed from this algebra, so a caller that
+    # forgets it gets a TypeError, not a silent 1e-9 and 1
+    param = inspect.signature(twisted_group_algebra).parameters["algebra"]
+    assert param.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -57,3 +57,13 @@ def test_json_digests_lists_each_workload_call_once():
     workload_labels = [label for label in labels
                        if label.split(".")[0] in digests.workloads.WORKLOADS]
     assert len(workload_labels) == wanted == 34
+
+
+def test_json_digests_runs_every_fixture_and_random_job_at_seed_7_once():
+    digests = _tool("json_digests")
+    jobs = [*digests.FIXTURE_NAMES, *(f"random{s}" for s in range(20))]
+    listed = [(label, tail) for label, _, tail in digests.calls()
+              if "@" in label]
+    assert listed == [(f"{job}@seed7", ["--json", "--seed", "7"])
+                      for job in jobs]
+    assert len(digests.calls()) == 95

@@ -7,13 +7,15 @@
 Run from the root of a source checkout: the package is imported from
 ``src/`` and the benchmark workloads from ``perfbench/workloads.py``.  The
 calls are ``skewgroup run JOB --json`` on the five built-in fixtures and on
-``random_instance`` seeds 0-19, ``skewgroup run JOB --json --task T`` for
-each of the 11 tasks on ``random_instance(6)``, and every call of each
-benchmark workload at seed 0, labelled ``WORKLOAD.JOB`` (``:TASK`` for a
-one-task call).  Each runs in this process through ``skewgroup.cli.main``.
-One line per call is printed: the call's label, its exit code and the
-sha256 of its standard output.  ``--compare FILE`` checks the lines against a saved run instead,
-prints every call that differs, and exits 1 if any does.
+``random_instance`` seeds 0-19, the same 25 jobs again with ``--seed 7``
+(labelled ``JOB@seed7``: the default seed 1 cannot show a seed that never
+reaches a draw), ``skewgroup run JOB --json --task T`` for each of the 11
+tasks on ``random_instance(6)``, and every call of each benchmark workload
+at seed 0, labelled ``WORKLOAD.JOB`` (``:TASK`` for a one-task call).
+Each runs in this process through ``skewgroup.cli.main``.  One line per
+call is printed: the call's label, its exit code and the sha256 of its
+standard output.  ``--compare FILE`` checks the lines against a saved run
+instead, prints every call that differs, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -44,15 +46,19 @@ from skewgroup.jobs import instance_to_job  # noqa: E402
 
 RANDOM_SEEDS = range(20)
 TASK_SEED = 6
+RUN_SEED = 7
 
 
 def calls():
     """(label, job builder, argv tail after the job path) of every call, in
     order."""
-    out = [(name, lambda name=name: instance_to_job(fixture(name)), ["--json"])
-           for name in FIXTURE_NAMES]
-    out += [(f"random{s}", lambda s=s: instance_to_job(random_instance(s)),
-             ["--json"]) for s in RANDOM_SEEDS]
+    jobs = [(name, lambda name=name: instance_to_job(fixture(name)))
+            for name in FIXTURE_NAMES]
+    jobs += [(f"random{s}", lambda s=s: instance_to_job(random_instance(s)))
+             for s in RANDOM_SEEDS]
+    out = [(name, build, ["--json"]) for name, build in jobs]
+    out += [(f"{name}@seed{RUN_SEED}", build, ["--json", "--seed", str(RUN_SEED)])
+            for name, build in jobs]
     out += [(f"random{TASK_SEED}:{t}",
              lambda: instance_to_job(random_instance(TASK_SEED)),
              ["--json", "--task", t]) for t in ALL_TASKS]
