@@ -295,14 +295,15 @@ def _joined_associator(a: Algebra, rows, by_k, thirds) -> tuple:
 
 
 def _check_unit(a: Algebra) -> None:
-    lu = a.left_mult(a.unit)
-    ru = a.right_mult(a.unit)
-    eye = np.eye(a.dim)
     scale = a.scale * max(float(np.linalg.norm(a.unit)), 1.0)
-    for name, m in (("left", lu), ("right", ru)):
-        res = numeric.rel_residual(m - eye, scale)
+    # one side at a time; m - I in place: subtracting the exact zeros off
+    # the diagonal leaves every bit of m, as m - eye does
+    for name, mult in (("left", a.left_mult), ("right", a.right_mult)):
+        m = mult(a.unit)
+        m.flat[::a.dim + 1] -= 1
+        res = numeric.rel_residual(m, scale)
         if res > a.tol:
-            j = int(np.abs(m - eye).max(axis=0).argmax())
+            j = int(np.abs(m).max(axis=0).argmax())
             raise UnitViolation(f"{name} unit law fails at basis index {j}: residual {res:.3e}")
 
 
@@ -363,17 +364,36 @@ def canonical_span(vectors, tol) -> np.ndarray:
     if k == 0:
         return raw
     residual = raw @ raw.conj().T
-    out = np.empty((raw.shape[0], k), dtype=np.complex128)
+    n = len(residual)
+    out = np.empty((n, k), dtype=np.complex128)
+    # The column norms and the rank-one update, as np.linalg.norm(axis=0)
+    # and np.outer form them, in row blocks through one scratch buffer.
+    # np.add.reduce sums each column over the rows in order, so a later
+    # block goes on from the sums so far, put in the scratch row before it.
+    spans = numeric.block_ranges(n, n)
+    scratch = np.empty((1 + max(hi - lo for lo, hi in spans), n),
+                       dtype=np.complex128)
+    parts = [(residual[lo:hi], scratch[1:1 + hi - lo],
+              scratch[lo == 0:1 + hi - lo].real, slice(lo, hi))
+             for lo, hi in spans]
+    norms = np.empty(n)
     for t in range(k):
-        # the column norms and the rank-one update as np.linalg.norm(axis=0)
-        # and np.outer form them
-        norms = np.sqrt(np.add.reduce((residual.conj() * residual).real, axis=0))
+        for block, rows, summed, at in parts:
+            np.conjugate(block, out=rows)
+            np.multiply(rows, block, out=rows)
+            if at.start:
+                scratch[0] = norms
+            np.add.reduce(summed, axis=0, out=norms)
+        np.sqrt(norms, out=norms)
         i = int(norms.argmax())  # ties break at the smallest index
         v = residual[:, i] / norms[i]
         lead = int((np.abs(v) > 1e-8).argmax())
         v = v / (v[lead] / abs(v[lead]))
         out[:, t] = v
-        residual -= v[:, None] * (v.conj() @ residual)[None, :]
+        row = v.conj() @ residual
+        for block, rows, _, at in parts:
+            np.multiply(v[at, None], row, out=rows)
+            block -= rows
     return out
 
 

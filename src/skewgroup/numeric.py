@@ -18,6 +18,13 @@ DEFAULT_SEED = 1
 # Largest entry modulus an input may hold: the validators' residual scales
 # are at most cubic in the entries, so below it they stay finite.
 ENTRY_BOUND = 1e100
+# Largest temporary, in complex entries, that a kernel on the decomposition
+# path (canonical_span, is_simple's orbits, compress, _gram) builds at once:
+# the n x n matrix at skew dimension 48.  Up to that size canonical_span and
+# the orbits run in one block and compress splits a k-dimensional piece into
+# at most k; _gram splits only Gram matrices of more than 48 rows.  Larger
+# work is split and keeps its temporaries near this size.
+BLOCK_ENTRIES = 48 * 48
 
 
 def as_complex(m) -> np.ndarray:
@@ -46,6 +53,18 @@ def check_tol(tol) -> None:
     """Reject a tolerance that is not a finite positive number."""
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
+
+
+def block_ranges(count: int, size: int) -> list[tuple[int, int]]:
+    """Consecutive (lo, hi) ranges that cover `count` items of `size`
+    entries each: as few as keep a range within about BLOCK_ENTRIES entries
+    (one item at least), their lengths within one of each other."""
+    parts = min(-(-count * size // BLOCK_ENTRIES), count)
+    if parts <= 1:
+        return [(0, count)]
+    step, extra = divmod(count, parts)
+    bounds = [t * step + min(t, extra) for t in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _scale(s, scale_floor: float = 0.0) -> float:
@@ -133,16 +152,27 @@ def _gram(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """
     k, d, dp = ps.shape[0], ps.shape[1], qs.shape[1]
     n = dp * d
+    # s[p, q, x, y] is S[p d + x, q d + y]
     s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
-    s = s.transpose(0, 2, 1, 3).reshape(n, n)
     a = (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0)
     b = (qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0)
-    # I (x) a and b (x) I as the broadcast products np.kron forms, without
-    # its per-call overhead
-    left = (np.eye(dp)[:, None, :, None] * a[:, None, :]).reshape(n, n)
-    right = (b[:, None, :, None] * np.eye(d)[:, None, :]).reshape(n, n)
-    gram = left + right - s - s.conj().T
-    return (gram + gram.conj().T) / 2
+    eye_p, eye_d = np.eye(dp), np.eye(d)
+    # ((I (x) a + b (x) I) - S) - S^H, each term the broadcast product or
+    # view the whole matrices would give, filled in blocks of rows p d + x
+    gram = np.empty((dp, d, dp, d), dtype=np.complex128)
+    for lo, hi in block_ranges(dp, d * n):
+        g = gram[lo:hi]
+        np.multiply(eye_p[lo:hi, None, :, None], a[:, None, :], out=g)
+        g += b[lo:hi, None, :, None] * eye_d[:, None, :]
+        g -= s[lo:hi].transpose(0, 2, 1, 3)
+        g -= s[:, lo:hi].conj().transpose(1, 3, 0, 2)
+    # (G + G^H) / 2 into the buffer of s, which is no longer read
+    gram, out = gram.reshape(n, n), s.reshape(n, n)
+    for lo, hi in block_ranges(n, n):
+        h = out[lo:hi]
+        np.add(gram[lo:hi], gram[:, lo:hi].conj().T, out=h)
+        h /= 2
+    return out
 
 
 class Side:
@@ -291,16 +321,31 @@ def scatter(idx, w, n) -> np.ndarray:
     return out
 
 
+# np.vdot runs the dot np.dot runs on 1-D arrays, without its overflow
+# warning; its implementation skips the __array_function__ dispatch that
+# ndarray.dot skips too.
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
+
+
 def frobenius(x) -> float:
     """Frobenius norm of an array: sqrt(re.re + im.im) over its entries in
     memory order, the formula np.linalg.norm applies, without its argument
-    handling."""
+    handling.  When that sum of squares overflows, the norm of x scaled by
+    its largest modulus, scaled back.
+    """
     x = np.asarray(x).ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    x = x.astype(float, copy=False)
-    return math.sqrt(x.dot(x))
+        total = _vdot(re, re) + _vdot(im, im)
+    else:
+        x = x.astype(float, copy=False)
+        total = _vdot(x, x)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    largest = float(np.abs(x).max())
+    if not largest < math.inf:            # an inf or nan entry
+        return math.sqrt(total)
+    return largest * frobenius(x / largest)
 
 
 def rel_residual(delta, scale: float) -> float:

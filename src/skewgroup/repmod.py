@@ -292,7 +292,8 @@ def same_algebra(a: Algebra, b: Algebra) -> bool:
 def is_simple(m: Module) -> bool:
     """Dual-criterion simplicity test over a semisimple algebra.
 
-    Criterion 1: the commutant is one-dimensional.  Criterion 2: three random
+    Criterion 1: the commutant is one-dimensional (a regular module's is
+    known, any other module's is solved).  Criterion 2: three random
     vectors from the algebra's seed all generate the whole module.
     A one-dimensional commutant forces every nonzero vector to be cyclic, so
     a generating failure then is a numerical contradiction and raises
@@ -303,20 +304,34 @@ def is_simple(m: Module) -> bool:
     tol = a.tol
     if not is_semisimple(a):
         raise NotSemisimple("is_simple requires a semisimple algebra")
-    commutant_dim = len(hom_space(m, m))
+    commutant_dim = _commutant(m)[0]
     by_commutant = commutant_dim == 1
-    rng = np.random.default_rng(a.seed)
-    # three vectors, drawn as one stack so one images call serves them
-    vs = np.column_stack([rng.standard_normal(m.dim)
-                          + 1j * rng.standard_normal(m.dim) for _ in range(3)])
-    # the three (dim, dim A) orbit matrices, ranked by one stacked SVD
-    orbits = m.images(vs).transpose(2, 1, 0)
-    by_cyclic = all(r == m.dim for r in numeric.rank(orbits, tol))
+    # the three orbit matrices, ranked by one stacked SVD
+    by_cyclic = all(r == m.dim for r in numeric.rank(_cyclic_orbits(m), tol))
     if by_commutant and not by_cyclic:
         raise NumericalInconsistency(
             f"simplicity criteria disagree: commutant dim {commutant_dim} "
             f"but a random vector fails to generate")
     return by_commutant
+
+
+def _cyclic_orbits(m: Module) -> np.ndarray:
+    """(3, dim, dim A) stack of the orbit matrices [b_i v] of three random
+    vectors v from the algebra's seed.
+
+    The vectors are drawn as one stack, so one images call per block of
+    basis elements serves them; a block holds about BLOCK_ENTRIES entries
+    per vector through a module of dim A, as a regular module's pieces pass
+    through their parent.
+    """
+    n = m.algebra.dim
+    rng = np.random.default_rng(m.algebra.seed)
+    vs = np.column_stack([rng.standard_normal(m.dim)
+                          + 1j * rng.standard_normal(m.dim) for _ in range(3)])
+    orbits = np.empty((3, m.dim, n), dtype=np.complex128)
+    for lo, hi in numeric.block_ranges(n, n):
+        orbits[:, :, lo:hi] = m.images(vs, lo, hi).transpose(2, 1, 0)
+    return orbits
 
 
 def twist(m: Module, g: int, action) -> Module:
@@ -337,10 +352,11 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     """Restrict the action to an invariant subspace with orthonormal basis.
 
     The (dim A, k, k) action, k = basis.shape[1], is filled in blocks of
-    ceil(dim A / k) basis elements, so no other temporary holds more than
-    about dim A * dim M entries; the result keeps its generator actions and
-    scale and drops it.  Every basis element's invariance residual is
-    checked, and a failure names the first one above tolerance.
+    basis elements whose (dim M, k) images hold about BLOCK_ENTRIES entries
+    together, so no other temporary is larger; the result keeps its
+    generator actions and scale and drops it.  Every basis element's
+    invariance residual is checked, and a failure names the first one above
+    tolerance.
     """
     a = m.algebra
     n, k = a.dim, basis.shape[1]
@@ -361,13 +377,11 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
 
 
 def _compressed_blocks(m: Module, basis: np.ndarray):
-    """(lo, hi, images, basis^H images) over consecutive blocks of
-    ceil(dim A / k) basis elements lo <= i < hi, images = rho(b_i) basis."""
-    n = m.algebra.dim
-    step = -(-n // basis.shape[1])
+    """(lo, hi, images, basis^H images) over consecutive blocks of basis
+    elements lo <= i < hi, images = rho(b_i) basis, in compress's blocks."""
     adjoint = basis.conj().T
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    k = basis.shape[1]
+    for lo, hi in numeric.block_ranges(m.algebra.dim, m.dim * k):
         rb = m.images(basis, lo, hi)
         yield lo, hi, rb, adjoint @ rb
 
@@ -435,14 +449,18 @@ def _try_split(m: Module, comm, rng) -> list:
     if n == 1:
         basis = np.eye(m.dim, dtype=np.complex128)
         return [(basis, compress(m, basis))]
-    x = combine(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    blocks = _eig_clusters(x)
+    # the sample, and each eigenvector cluster once it is used, are dropped
+    clusters = _eig_clusters(
+        combine(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    clusters.reverse()
     out = []
     total = 0
-    for cols in blocks:
+    while clusters:
+        cols = clusters.pop()
         basis = numeric.orthonormal_column_basis(cols, tol)
         if basis.shape[1] != cols.shape[1]:
             raise DegenerateSample("eigenvector block is rank-deficient")
+        del cols
         basis = canonical_span(basis, tol)
         try:
             sub = compress(m, basis)

@@ -340,3 +340,37 @@ def test_solve_sandwich_single_block_is_bitwise_unsplit():
     assert len(basis) == len(reference) == 2
     for x, y in zip(basis, reference):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("count, size", [
+    (1, 1), (48, 48), (49, 48), (72, 72), (72, 432), (97, 97), (5000, 5000),
+    (7, 10 ** 6)])
+def test_block_ranges_cover_the_items_in_balanced_ranges(count, size):
+    got = numeric.block_ranges(count, size)
+    lengths = [hi - lo for lo, hi in got]
+    assert got[0][0] == 0 and got[-1][1] == count
+    assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+    assert max(lengths) - min(lengths) <= 1
+    # as few as keep each range within about BLOCK_ENTRIES entries
+    parts = -(-count * size // numeric.BLOCK_ENTRIES)
+    assert len(got) == max(1, min(parts, count))
+    assert max(lengths) * size < numeric.BLOCK_ENTRIES + size or min(lengths) == 1
+
+
+def test_block_ranges_keep_one_block_up_to_skew_dimension_48():
+    assert numeric.block_ranges(48, 48) == [(0, 48)]
+    assert numeric.block_ranges(72, 72) == [(0, 24), (24, 48), (48, 72)]
+
+
+def test_frobenius_scales_a_sum_of_squares_that_overflows():
+    """Entries near 1e300 square to inf; the norm of x / max |x|, scaled
+    back, is finite.  A finite sum keeps the plain formula's bits."""
+    x = np.array([3e300, 4e300j, 0.0])
+    assert numeric.frobenius(x) == pytest.approx(5e300, rel=1e-15)
+    assert numeric.frobenius(np.array([3e300, -4e300])) == \
+        pytest.approx(5e300, rel=1e-15)
+    assert numeric.frobenius(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(numeric.frobenius(np.array([np.nan, 1e300])))
+    y = np.array([[1e150, 2.0 - 1e150j], [3.0, 1e-300]])
+    re, im = y.real.ravel(), y.imag.ravel()
+    assert numeric.frobenius(y) == np.sqrt(re.dot(re) + im.dot(im))

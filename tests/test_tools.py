@@ -24,9 +24,23 @@ def test_peak_where_names_the_sites_of_a_call(tmp_path):
     lines = done.stdout.splitlines()
     peak = re.fullmatch(r"exit code 0; peak (\S+) MB above the start of the "
                         r"call", lines[0])
-    held = re.match(r"fullest traced moment: (\S+) MB, event \d+", lines[1])
-    assert peak and held and 0 < float(held[1]) <= float(peak[1])
-    sites = [line for line in lines[2:] if " KB " in line]
+    # the true peak's interval, between two profile events, and the
+    # skewgroup frames it ran under, innermost first
+    true = re.fullmatch(r"true peak: (\S+) MB, between event (\d+) \((.+)\) "
+                        r"and event (\d+) \((.+)\), under:", lines[1])
+    at = next(t for t, line in enumerate(lines)
+              if line.startswith("fullest traced moment"))
+    stack = [line.strip() for line in lines[2:at]]
+    held = re.match(r"fullest traced moment: (\S+) MB, event \d+", lines[at])
+    assert peak and true and held
+    assert int(true[4]) == int(true[2]) + 1
+    assert stack and all(re.fullmatch(r"\w+\.py:\d+ [\w.]+", f) for f in stack)
+    assert re.search(r" at \S+:\d+", true[5])
+    # one run finds both: no traced moment holds more than the peak of the
+    # interval it closes; that run is not the one that measures the peak,
+    # and its hook allocates a little
+    assert 0 < float(held[1]) <= float(true[1]) <= 1.1 * float(peak[1])
+    sites = [line for line in lines[at + 1:] if " KB " in line]
     assert 1 <= len(sites) <= 10
     # each chain ends at the task runner, the outermost skewgroup frame
     # below the command line

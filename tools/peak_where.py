@@ -9,16 +9,19 @@ its report discarded, four times: once to warm the caches and the profile
 hook, once under ``tracemalloc`` for its peak (what ``perfbench`` reports
 as ``peak_mem_mb``), and twice more with a profile hook that reads the
 traced memory at every Python and builtin call and return.  The first of
-those finds the fullest such moment, the second takes a snapshot there.
-Printed:
-the peak, the memory live at that moment, and the ten largest allocation
-sites live at that moment that the call made, each with the chain of
-``skewgroup`` functions it was made under, innermost first, up to the task
-runner.
+those finds the fullest such moment, and, resetting the ``tracemalloc``
+peak at every event, the interval between two events that holds the true
+peak; the second takes a snapshot at the fullest moment.  Printed: the
+peak; the true peak's interval, named by the events that open and close
+it, with the chain of ``skewgroup`` functions it ran under, innermost
+first; the memory live at the fullest moment; and the ten largest
+allocation sites live at that moment that the call made, each with its
+chain of ``skewgroup`` functions up to the task runner.
 
 A temporary that lives only inside one C call (a LAPACK workspace, the
 intermediate of an arithmetic expression) counts in the peak but is never
-live at a traced moment, so the sites can add up to less than the peak.
+live at a traced moment, so the sites can add up to less than the peak;
+the interval line names where such a temporary was made.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import contextlib
 import functools
 import gc
 import io
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -40,6 +44,7 @@ import skewgroup  # noqa: E402
 from skewgroup.cli import main as cli_main  # noqa: E402
 
 PACKAGE = Path(skewgroup.__file__).resolve().parent
+PREFIX = str(PACKAGE) + os.sep          # of the package's file names
 TOP = 10
 FRAMES = 64
 
@@ -64,33 +69,62 @@ def _functions(filename: str) -> list:
     return out
 
 
-def _where(frame) -> str:
+def _where(filename: str, lineno: int) -> str:
     """file:line of a frame, with the function of a skewgroup frame."""
-    path = Path(frame.filename)
+    path = Path(filename)
     if path.parent != PACKAGE:
-        return f"{'/'.join(path.parts[-2:])}:{frame.lineno}"
-    inner = [f for f in _functions(frame.filename)
-             if f[0] <= frame.lineno <= f[1]]
+        return f"{'/'.join(path.parts[-2:])}:{lineno}"
+    inner = [f for f in _functions(filename) if f[0] <= lineno <= f[1]]
     name = max(inner)[2] if inner else "<module>"
-    return f"{path.name}:{frame.lineno} {name}"
+    return f"{path.name}:{lineno} {name}"
+
+
+def _is_chain(filename: str) -> bool:
+    """Whether a frame of this file belongs in a printed call chain."""
+    path = Path(filename)
+    return path.parent == PACKAGE and path.name != "cli.py"
+
+
+def _stack(frame) -> list[tuple]:
+    """(file name, line) of each frame in the package from a live frame
+    outwards, innermost first: nothing is formatted while the call runs, so
+    the hook keeps as little as it can."""
+    out = []
+    while frame is not None:
+        if frame.f_code.co_filename.startswith(PREFIX):
+            out.append((frame.f_code.co_filename, frame.f_lineno))
+        frame = frame.f_back
+    return out
 
 
 def _events(argv, stop=None):
     """Run the call with a hook at every call and return event; its exit
-    code, the number of events and (index, traced bytes above the start) of
-    the fullest one.  At event number `stop`, if given, a snapshot is
-    taken."""
-    state = {"n": 0, "best": (0, -1), "snapshot": None, "code": None}
+    code, the number of events, (index, traced bytes above the start) of
+    the fullest one, and (index, peak bytes above the start, opening event,
+    closing event, stack) of the interval between two events that holds
+    the true peak.  At event number `stop`, if given, a snapshot is taken."""
+    state = {"n": 0, "best": (0, -1), "top": (0, -1, None, None, []),
+             "last": ("start", "", "", 0), "snapshot": None, "code": None}
     base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
 
     def hook(frame, event, arg):
         n = state["n"]
         state["n"] = n + 1
         if n == stop:
             state["snapshot"] = tracemalloc.take_snapshot()
-        current = tracemalloc.get_traced_memory()[0] - base
-        if current > state["best"][1]:
-            state["best"] = (n, current)
+        current, peak = tracemalloc.get_traced_memory()
+        if current - base > state["best"][1]:
+            state["best"] = (n, current - base)
+        # a builtin's name only: a bound method or a returned value kept
+        # here would keep its array alive
+        name = getattr(arg, "__qualname__", "") if event[0] == "c" else ""
+        here = (event, name, frame.f_code.co_filename, frame.f_lineno)
+        if peak - base > state["top"][1]:
+            state["top"] = (n, peak - base, state["last"], here, _stack(frame))
+        state["last"] = here
+        # the next event reads the peak of the interval up to it alone
+        tracemalloc.reset_peak()
 
     sys.setprofile(hook)
     try:
@@ -98,6 +132,12 @@ def _events(argv, stop=None):
     finally:
         sys.setprofile(None)
     return state
+
+
+def _event(event: str, name: str, filename: str, lineno: int) -> str:
+    """A profile event, the builtin it calls or returns from, and where."""
+    text = f"{event} {name}" if name else event
+    return f"{text} at {_where(filename, lineno)}" if filename else text
 
 
 def _call(argv) -> int:
@@ -115,7 +155,8 @@ def report(argv) -> list[str]:
         base = tracemalloc.get_traced_memory()[0]
         _call(argv)
         peak = tracemalloc.get_traced_memory()[1] - base
-        index, held = _events(argv)["best"]
+        found = _events(argv)
+        index, held = found["best"]
         before = tracemalloc.take_snapshot()
         snapshot = _events(argv, stop=index)["snapshot"]
     finally:
@@ -126,17 +167,21 @@ def report(argv) -> list[str]:
         before.filter_traces(ignore), "traceback")
     sites = sorted((d for d in diffs if d.size_diff > 0),
                    key=lambda d: d.size_diff, reverse=True)[:TOP]
+    top, top_peak, opened, closed, stack = found["top"]
     lines = [f"exit code {code}; peak {peak / 1e6:.3f} MB above the start "
              f"of the call",
-             f"fullest traced moment: {held / 1e6:.3f} MB, event {index}; "
-             f"its {len(sites)} largest allocation sites made by the call:"]
+             f"true peak: {top_peak / 1e6:.3f} MB, between event {top - 1} "
+             f"({_event(*opened)}) and event {top} ({_event(*closed)}), "
+             f"under:"]
+    lines += [f"{'':27}{_where(*f)}" for f in stack if _is_chain(f[0])]
+    lines.append(f"fullest traced moment: {held / 1e6:.3f} MB, event {index}; "
+                 f"its {len(sites)} largest allocation sites made by the call:")
     for d in sites:
         frames = list(reversed(d.traceback))    # innermost first
-        chain = [_where(f) for f in frames[1:]
-                 if Path(f.filename).parent == PACKAGE
-                 and Path(f.filename).name != "cli.py"]
+        chain = [_where(f.filename, f.lineno) for f in frames[1:]
+                 if _is_chain(f.filename)]
         lines.append(f"{d.size_diff / 1e3:9.1f} KB {d.count_diff:5d} blocks  "
-                     f"{_where(frames[0])}")
+                     f"{_where(frames[0].filename, frames[0].lineno)}")
         lines += [f"{'':27}<- {link}" for link in chain]
     return lines
 
