@@ -295,15 +295,14 @@ def _joined_associator(a: Algebra, rows, by_k, thirds) -> tuple:
 
 
 def _check_unit(a: Algebra) -> None:
+    lu = a.left_mult(a.unit)
+    ru = a.right_mult(a.unit)
+    eye = np.eye(a.dim)
     scale = a.scale * max(float(np.linalg.norm(a.unit)), 1.0)
-    # one side at a time; m - I in place: subtracting the exact zeros off
-    # the diagonal leaves every bit of m, as m - eye does
-    for name, mult in (("left", a.left_mult), ("right", a.right_mult)):
-        m = mult(a.unit)
-        m.flat[::a.dim + 1] -= 1
-        res = numeric.rel_residual(m, scale)
+    for name, m in (("left", lu), ("right", ru)):
+        res = numeric.rel_residual(m - eye, scale)
         if res > a.tol:
-            j = int(np.abs(m).max(axis=0).argmax())
+            j = int(np.abs(m - eye).max(axis=0).argmax())
             raise UnitViolation(f"{name} unit law fails at basis index {j}: residual {res:.3e}")
 
 

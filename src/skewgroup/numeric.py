@@ -18,12 +18,10 @@ DEFAULT_SEED = 1
 # Largest entry modulus an input may hold: the validators' residual scales
 # are at most cubic in the entries, so below it they stay finite.
 ENTRY_BOUND = 1e100
-# Largest temporary, in complex entries, that a kernel on the decomposition
-# path (canonical_span, is_simple's orbits, compress, _gram) builds at once:
-# the n x n matrix at skew dimension 48.  Up to that size canonical_span and
-# the orbits run in one block and compress splits a k-dimensional piece into
-# at most k; _gram splits only Gram matrices of more than 48 rows.  Larger
-# work is split and keeps its temporaries near this size.
+# Largest temporary, in complex entries, that canonical_span and is_simple's
+# cyclic orbits build at once: the n x n matrix at skew dimension 48.  Up to
+# that size they run in one block; larger work is split into blocks near
+# this size.
 BLOCK_ENTRIES = 48 * 48
 
 
@@ -156,22 +154,16 @@ def _gram(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
     a = (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0)
     b = (qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0)
-    eye_p, eye_d = np.eye(dp), np.eye(d)
     # ((I (x) a + b (x) I) - S) - S^H, each term the broadcast product or
-    # view the whole matrices would give, filled in blocks of rows p d + x
-    gram = np.empty((dp, d, dp, d), dtype=np.complex128)
-    for lo, hi in block_ranges(dp, d * n):
-        g = gram[lo:hi]
-        np.multiply(eye_p[lo:hi, None, :, None], a[:, None, :], out=g)
-        g += b[lo:hi, None, :, None] * eye_d[:, None, :]
-        g -= s[lo:hi].transpose(0, 2, 1, 3)
-        g -= s[:, lo:hi].conj().transpose(1, 3, 0, 2)
+    # view the whole matrices would give, assembled in one buffer
+    gram = np.multiply(np.eye(dp)[:, None, :, None], a[:, None, :])
+    gram += b[:, None, :, None] * np.eye(d)[:, None, :]
+    gram -= s.transpose(0, 2, 1, 3)
+    gram -= s.conj().transpose(1, 3, 0, 2)
     # (G + G^H) / 2 into the buffer of s, which is no longer read
     gram, out = gram.reshape(n, n), s.reshape(n, n)
-    for lo, hi in block_ranges(n, n):
-        h = out[lo:hi]
-        np.add(gram[lo:hi], gram[:, lo:hi].conj().T, out=h)
-        h /= 2
+    np.add(gram, gram.conj().T, out=out)
+    out /= 2
     return out
 
 
@@ -321,12 +313,9 @@ def scatter(idx, w, n) -> np.ndarray:
     return out
 
 
-# np.vdot runs the dot np.dot runs on 1-D arrays, without its overflow
-# warning; its implementation skips the __array_function__ dispatch that
-# ndarray.dot skips too.
-_vdot = getattr(np.vdot, "_implementation", np.vdot)
-
-
+# a sum of squares that overflows is inf here, not a warning: it is handled
+# below (as a decorator, errstate costs half what a with block costs per call)
+@np.errstate(over="ignore")
 def frobenius(x) -> float:
     """Frobenius norm of an array: sqrt(re.re + im.im) over its entries in
     memory order, the formula np.linalg.norm applies, without its argument
@@ -336,10 +325,10 @@ def frobenius(x) -> float:
     x = np.asarray(x).ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        total = _vdot(re, re) + _vdot(im, im)
+        total = re.dot(re) + im.dot(im)
     else:
         x = x.astype(float, copy=False)
-        total = _vdot(x, x)
+        total = x.dot(x)
     if math.isfinite(total):
         return math.sqrt(total)
     largest = float(np.abs(x).max())

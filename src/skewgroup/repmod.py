@@ -352,11 +352,10 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     """Restrict the action to an invariant subspace with orthonormal basis.
 
     The (dim A, k, k) action, k = basis.shape[1], is filled in blocks of
-    basis elements whose (dim M, k) images hold about BLOCK_ENTRIES entries
-    together, so no other temporary is larger; the result keeps its
-    generator actions and scale and drops it.  Every basis element's
-    invariance residual is checked, and a failure names the first one above
-    tolerance.
+    ceil(dim A / k) basis elements, so no other temporary holds more than
+    about dim A * dim M entries; the result keeps its generator actions and
+    scale and drops it.  Every basis element's invariance residual is
+    checked, and a failure names the first one above tolerance.
     """
     a = m.algebra
     n, k = a.dim, basis.shape[1]
@@ -377,11 +376,13 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
 
 
 def _compressed_blocks(m: Module, basis: np.ndarray):
-    """(lo, hi, images, basis^H images) over consecutive blocks of basis
-    elements lo <= i < hi, images = rho(b_i) basis, in compress's blocks."""
+    """(lo, hi, images, basis^H images) over consecutive blocks of
+    ceil(dim A / k) basis elements lo <= i < hi, images = rho(b_i) basis."""
+    n = m.algebra.dim
+    step = -(-n // basis.shape[1])
     adjoint = basis.conj().T
-    k = basis.shape[1]
-    for lo, hi in numeric.block_ranges(m.algebra.dim, m.dim * k):
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         rb = m.images(basis, lo, hi)
         yield lo, hi, rb, adjoint @ rb
 
@@ -449,7 +450,8 @@ def _try_split(m: Module, comm, rng) -> list:
     if n == 1:
         basis = np.eye(m.dim, dtype=np.complex128)
         return [(basis, compress(m, basis))]
-    # the sample, and each eigenvector cluster once it is used, are dropped
+    # the sample, and each eigenvector cluster once it is used, are dropped,
+    # so neither is live through the later pieces' compress calls
     clusters = _eig_clusters(
         combine(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     clusters.reverse()

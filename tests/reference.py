@@ -10,17 +10,14 @@ import numpy as np
 
 from skewgroup import numeric
 from skewgroup.jobs import parse_job
-from skewgroup.repmod import Module
 from skewgroup.runner import run_job
 from skewgroup.errors import (
     InvalidInput,
     NoIdentity,
     NoInverse,
-    NotARepresentation,
     NotAssociative,
     NotAutomorphism,
     NotHomomorphism,
-    UnitViolation,
 )
 
 
@@ -92,30 +89,6 @@ def cyclic_orbits(m):
     return m.images(vs).transpose(2, 1, 0)
 
 
-def compress(m, basis):
-    """compress as it filled the (dim A, k, k) action in blocks of
-    ceil(dim A / k) basis elements, checking each block's invariance: the
-    piece as a module with that stack stored, or the error."""
-    n, k = m.algebra.dim, basis.shape[1]
-    step = -(-n // k)
-    adjoint = basis.conj().T
-    small = np.empty((n, k, k), dtype=np.complex128)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rb = m.images(basis, lo, hi)
-        block = adjoint @ rb
-        small[lo:hi] = block
-        rb -= basis @ block
-        re, im = rb.real, rb.imag
-        res = np.sqrt(np.einsum("iab,iab->i", re, re)
-                      + np.einsum("iab,iab->i", im, im)) / m.scale
-        bad = (res > m.algebra.tol).nonzero()[0]
-        if bad.size:
-            raise NotARepresentation(
-                f"subspace is not invariant: residual {res[bad[0]]:.3e}")
-    return Module(algebra=m.algebra, dim=k, rho=small)
-
-
 def gram(ps, qs):
     """numeric._gram as it formed the whole (n, n) terms and summed them."""
     k, d, dp = ps.shape[0], ps.shape[1], qs.shape[1]
@@ -128,20 +101,6 @@ def gram(ps, qs):
     right = (b[:, None, :, None] * np.eye(d)[:, None, :]).reshape(n, n)
     g = left + right - s - s.conj().T
     return (g + g.conj().T) / 2
-
-
-def check_unit(a):
-    """algebra._check_unit as it held both sides and the identity at once."""
-    lu = a.left_mult(a.unit)
-    ru = a.right_mult(a.unit)
-    eye = np.eye(a.dim)
-    scale = a.scale * max(float(np.linalg.norm(a.unit)), 1.0)
-    for name, m in (("left", lu), ("right", ru)):
-        res = numeric.rel_residual(m - eye, scale)
-        if res > a.tol:
-            j = int(np.abs(m - eye).max(axis=0).argmax())
-            raise UnitViolation(f"{name} unit law fails at basis index {j}: "
-                                f"residual {res:.3e}")
 
 
 def cyclic_ranks(orbits, tol):

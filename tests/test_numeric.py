@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import peak_bytes
+from helpers import peak_bytes, same_bits
 
 from skewgroup import numeric
 from skewgroup.errors import InvalidInput
@@ -374,3 +374,10 @@ def test_frobenius_scales_a_sum_of_squares_that_overflows():
     y = np.array([[1e150, 2.0 - 1e150j], [3.0, 1e-300]])
     re, im = y.real.ravel(), y.imag.ravel()
     assert numeric.frobenius(y) == np.sqrt(re.dot(re) + im.dot(im))
+    rng = np.random.default_rng(4)
+    for n in (64, 257, 4099):
+        z = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) \
+            + 1j * rng.standard_normal(n)
+        assert same_bits(np.float64(numeric.frobenius(z)), np.linalg.norm(z))
+        assert same_bits(np.float64(numeric.frobenius(z.real)),
+                         np.linalg.norm(z.real))

@@ -449,21 +449,19 @@ def test_compress_names_the_first_failing_action():
 
 
 def test_compress_names_a_first_failure_in_a_later_block():
-    """With k = 2 columns of a 49-dim module over dim A = 49, compress works
-    in the blocks [0, 17), [17, 33) and [33, 49); the first two pass, and
-    two actions of the third fail, the first one less."""
-    a = matrix_algebra(7)
-    rho = np.zeros((49, 49, 49), dtype=np.complex128)
-    rho[:] = np.eye(49)
-    rho[40, 2, 0] = 0.5       # leaks e_0 out of span(e_0, e_1)
-    rho[45, 3, 1] = 2.0
-    m = Module(algebra=a, dim=49, rho=rho)
-    assert numeric.block_ranges(49, 49 * 2) == [(0, 17), (17, 33), (33, 49)]
-    basis = np.eye(49)[:, :2]
+    """With k = 2 columns over dim A = 4, compress works in blocks {0, 1} and
+    {2, 3}; the first block passes, and both actions of the second fail, the
+    first one less."""
+    a = matrix_algebra(2)
+    rho = np.zeros((4, 4, 4), dtype=np.complex128)
+    rho[:] = np.eye(4)
+    rho[2, 2, 0] = 0.5        # leaks e_0 out of span(e_0, e_1)
+    rho[3, 3, 1] = 2.0
+    m = Module(algebra=a, dim=4, rho=rho)
+    basis = np.eye(4)[:, :2]
     residuals = [np.linalg.norm(r @ basis - basis @ (basis.T @ r @ basis)) / 2.0
                  for r in rho]
-    assert [t for t, res in enumerate(residuals) if res] == [40, 45]
-    assert residuals[40] == 0.25 and residuals[45] == 1.0
+    assert residuals == [0.0, 0.0, 0.25, 1.0]
     with pytest.raises(NotARepresentation,
                        match=re.escape("subspace is not invariant: residual "
                                        "2.500e-01")):
@@ -489,17 +487,15 @@ def test_images_of_a_row_range_are_bitwise_the_full_stack_rows(kind):
 def test_compress_of_the_regular_module_holds_no_full_image_stack():
     """The one-shot compress held the (dim A, d, k) image stack and a second
     temporary its size, 1.04 MB for a 6-dim piece of random_instance(2)'s
-    skew algebra, and in blocks of ceil(dim A / k) basis elements 0.31 MB;
-    in blocks of about BLOCK_ENTRIES image entries it holds a few such
-    blocks besides its (dim A, k, k) result."""
+    skew algebra; in blocks of ceil(dim A / k) basis elements it holds about
+    dim A * d entries besides its (dim A, k, k) result."""
     s = skew_group_algebra(random_instance(2).action).alg
     reg = regular_module(s)
     piece = decompose(reg).pieces[0]
-    n, k = s.dim, piece.basis.shape[1]
+    n, d, k = s.dim, reg.dim, piece.basis.shape[1]
     assert (n, k) == (72, 6)
     compress(reg, piece.basis)
-    assert peak_bytes(lambda: compress(reg, piece.basis)) < \
-        3 * (numeric.BLOCK_ENTRIES + n * k * k) * 16
+    assert peak_bytes(lambda: compress(reg, piece.basis)) < 4 * (n * d + n * k * k) * 16
 
 
 def test_compress_rejects_an_empty_basis(inst):
@@ -509,8 +505,21 @@ def test_compress_rejects_an_empty_basis(inst):
             compress(m, np.zeros((m.dim, 0)))
 
 
+def _stored_compress(m, basis):
+    """compress as it was when it stored its action: the (dim A, k, k) stack
+    filled in blocks of ceil(dim A / k) basis elements."""
+    n, k = m.algebra.dim, basis.shape[1]
+    step = -(-n // k)
+    adjoint = basis.conj().T
+    small = np.empty((n, k, k), dtype=np.complex128)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        small[lo:hi] = adjoint @ m.images(basis, lo, hi)
+    return Module(algebra=m.algebra, dim=k, rho=small)
+
+
 def _assert_matches_stored_compress(parent, basis):
-    got, want = compress(parent, basis), reference.compress(parent, basis)
+    got, want = compress(parent, basis), _stored_compress(parent, basis)
     assert isinstance(got, CompressedModule)
     assert got.generator_actions.tobytes() == want.generator_actions.tobytes()
     assert got.scale == want.scale

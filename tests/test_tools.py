@@ -36,10 +36,9 @@ def test_peak_where_names_the_sites_of_a_call(tmp_path):
     assert int(true[4]) == int(true[2]) + 1
     assert stack and all(re.fullmatch(r"\w+\.py:\d+ [\w.]+", f) for f in stack)
     assert re.search(r" at \S+:\d+", true[5])
-    # one run finds both: no traced moment holds more than the peak of the
-    # interval it closes; that run is not the one that measures the peak,
-    # and its hook allocates a little
-    assert 0 < float(held[1]) <= float(true[1]) <= 1.1 * float(peak[1])
+    assert 0 < float(held[1]) <= float(peak[1])
+    # the true peak is found in a run of its own, whose hook keeps a little
+    assert float(held[1]) <= float(true[1]) <= 1.1 * float(peak[1])
     sites = [line for line in lines[at + 1:] if " KB " in line]
     assert 1 <= len(sites) <= 10
     # each chain ends at the task runner, the outermost skewgroup frame

@@ -5,18 +5,18 @@
 
 Run from the root of a source checkout: the package is imported from
 ``src/``.  The call runs in this process through ``skewgroup.cli.main``,
-its report discarded, four times: once to warm the caches and the profile
+its report discarded, five times: once to warm the caches and the profile
 hook, once under ``tracemalloc`` for its peak (what ``perfbench`` reports
-as ``peak_mem_mb``), and twice more with a profile hook that reads the
-traced memory at every Python and builtin call and return.  The first of
-those finds the fullest such moment, and, resetting the ``tracemalloc``
-peak at every event, the interval between two events that holds the true
-peak; the second takes a snapshot at the fullest moment.  Printed: the
-peak; the true peak's interval, named by the events that open and close
-it, with the chain of ``skewgroup`` functions it ran under, innermost
-first; the memory live at the fullest moment; and the ten largest
-allocation sites live at that moment that the call made, each with its
-chain of ``skewgroup`` functions up to the task runner.
+as ``peak_mem_mb``), and three times more with a profile hook at every
+Python and builtin call and return.  The first of those reads the traced
+memory at every event and finds the fullest such moment; the second resets
+the ``tracemalloc`` peak at every event and finds the interval between two
+events that holds the true peak; the third takes a snapshot at the fullest
+moment.  Printed: the peak; the true peak's interval, named by the events
+that open and close it, with the chain of ``skewgroup`` functions it ran
+under, innermost first; the memory live at the fullest moment; and the ten
+largest allocation sites live at that moment that the call made, each with
+its chain of ``skewgroup`` functions up to the task runner.
 
 A temporary that lives only inside one C call (a LAPACK workspace, the
 intermediate of an arithmetic expression) counts in the peak but is never
@@ -99,23 +99,44 @@ def _stack(frame) -> list[tuple]:
 
 def _events(argv, stop=None):
     """Run the call with a hook at every call and return event; its exit
-    code, the number of events, (index, traced bytes above the start) of
-    the fullest one, and (index, peak bytes above the start, opening event,
-    closing event, stack) of the interval between two events that holds
-    the true peak.  At event number `stop`, if given, a snapshot is taken."""
-    state = {"n": 0, "best": (0, -1), "top": (0, -1, None, None, []),
-             "last": ("start", "", "", 0), "snapshot": None, "code": None}
+    code, the number of events and (index, traced bytes above the start) of
+    the fullest one.  At event number `stop`, if given, a snapshot is
+    taken."""
+    state = {"n": 0, "best": (0, -1), "snapshot": None, "code": None}
     base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
 
     def hook(frame, event, arg):
         n = state["n"]
         state["n"] = n + 1
         if n == stop:
             state["snapshot"] = tracemalloc.take_snapshot()
-        current, peak = tracemalloc.get_traced_memory()
-        if current - base > state["best"][1]:
-            state["best"] = (n, current - base)
+        current = tracemalloc.get_traced_memory()[0] - base
+        if current > state["best"][1]:
+            state["best"] = (n, current)
+
+    sys.setprofile(hook)
+    try:
+        state["code"] = _call(argv)
+    finally:
+        sys.setprofile(None)
+    return state
+
+
+def _peak_interval(argv):
+    """Run the call with a hook at every call and return event that resets
+    the tracemalloc peak; (index, peak bytes above the start, opening event,
+    closing event, stack) of the interval between two events that holds the
+    true peak.  Its own run, so that what this hook keeps is not counted in
+    the fullest moment."""
+    state = {"n": 0, "top": (0, -1, None, None, []),
+             "last": ("start", "", "", 0)}
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+
+    def hook(frame, event, arg):
+        n = state["n"]
+        state["n"] = n + 1
+        peak = tracemalloc.get_traced_memory()[1]
         # a builtin's name only: a bound method or a returned value kept
         # here would keep its array alive
         name = getattr(arg, "__qualname__", "") if event[0] == "c" else ""
@@ -128,10 +149,10 @@ def _events(argv, stop=None):
 
     sys.setprofile(hook)
     try:
-        state["code"] = _call(argv)
+        _call(argv)
     finally:
         sys.setprofile(None)
-    return state
+    return state["top"]
 
 
 def _event(event: str, name: str, filename: str, lineno: int) -> str:
@@ -155,8 +176,8 @@ def report(argv) -> list[str]:
         base = tracemalloc.get_traced_memory()[0]
         _call(argv)
         peak = tracemalloc.get_traced_memory()[1] - base
-        found = _events(argv)
-        index, held = found["best"]
+        index, held = _events(argv)["best"]
+        top, top_peak, opened, closed, stack = _peak_interval(argv)
         before = tracemalloc.take_snapshot()
         snapshot = _events(argv, stop=index)["snapshot"]
     finally:
@@ -167,7 +188,6 @@ def report(argv) -> list[str]:
         before.filter_traces(ignore), "traceback")
     sites = sorted((d for d in diffs if d.size_diff > 0),
                    key=lambda d: d.size_diff, reverse=True)[:TOP]
-    top, top_peak, opened, closed, stack = found["top"]
     lines = [f"exit code {code}; peak {peak / 1e6:.3f} MB above the start "
              f"of the call",
              f"true peak: {top_peak / 1e6:.3f} MB, between event {top - 1} "
