@@ -185,14 +185,27 @@ class Piece:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
+    """The simple pieces of a module, grouped by isomorphism class.
+
+    The isotypic components are derived on first read, from the pieces:
+    the readers of most decompositions need only one representative per
+    class, so no decomposition holds them unasked.
+    """
     module: Module
     pieces: tuple             # of Piece
-    isotypics: dict           # iso class -> orthonormal basis in M
     multiplicity_spaces: dict  # iso class -> orthonormal basis in M
-    representatives: dict     # iso class -> Piece
+    representatives: dict     # iso class -> Piece, in class order
+
+    @cached_property
+    def isotypics(self) -> dict:
+        """iso class -> orthonormal basis in M of the sum of its pieces"""
+        return {cls: canonical_span(
+                    np.hstack([p.basis for p in self.pieces if p.iso_class == cls]),
+                    self.module.algebra.tol)
+                for cls in self.class_ids()}
 
     def class_ids(self) -> list:
-        return sorted(self.isotypics)
+        return sorted(self.representatives)
 
     def multiplicity(self, cls: int) -> int:
         return sum(1 for p in self.pieces if p.iso_class == cls)
@@ -501,15 +514,10 @@ def _classify(m: Module, raw_pieces) -> Decomposition:
     remap = {old: new for new, old in enumerate(order)}
     pieces = tuple(Piece(basis=basis, iso_class=remap[lbl], module=sub)
                    for (basis, sub), lbl in zip(raw_pieces, labels))
-    isotypics = {}
-    representatives = {}
-    for cls in sorted(remap.values()):
-        members = [p for p in pieces if p.iso_class == cls]
-        isotypics[cls] = canonical_span(np.hstack([p.basis for p in members]),
-                                        m.algebra.tol)
-        representatives[cls] = members[0]
+    representatives = {cls: next(p for p in pieces if p.iso_class == cls)
+                       for cls in sorted(remap.values())}
     mult_spaces = _multiplicity_spaces(m, pieces, representatives)
-    return Decomposition(module=m, pieces=pieces, isotypics=isotypics,
+    return Decomposition(module=m, pieces=pieces,
                          multiplicity_spaces=mult_spaces,
                          representatives=representatives)
 
@@ -522,8 +530,9 @@ def _multiplicity_spaces(m: Module, pieces, representatives) -> dict:
     exactly block-diagonal, so the intertwiner system splits into one small
     system per piece; T = [piece bases], an isomorphism from that direct sum
     onto m (the pieces are invariant and independent), carries them back.
+    T is built per class, and it and the homs are dropped before the
+    class's span is formed, so neither is live through a canonical_span.
     """
-    t = np.hstack([p.basis for p in pieces])
     direct = DirectSum(m.algebra, [p.module for p in pieces])
     out = {}
     for cls, rep in representatives.items():
@@ -532,7 +541,9 @@ def _multiplicity_spaces(m: Module, pieces, representatives) -> dict:
         if len(homs) != mult:
             raise NumericalInconsistency(
                 f"hom dimension {len(homs)} != multiplicity {mult} for class {cls}")
+        t = np.hstack([p.basis for p in pieces])
         vectors = [t @ f[:, 0] for f in homs]
+        del t, homs
         span = canonical_span(vectors, m.algebra.tol)
         if span.shape[1] != mult:
             raise NumericalInconsistency(

@@ -153,11 +153,10 @@ def _task_invariant_theory(ctx: JobContext, rec) -> VerificationReport:
 def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("clifford", job.seed, job.tol)
-    dec = simple_classes(ctx.skew)
-    for cls in dec.class_ids():
-        sub = clifford_correspondence(dec.representatives[cls].module,
-                                      ctx.skew)
-        rep.include(f"N{cls}_", sub)
+    simples = {cls: p.module
+               for cls, p in simple_classes(ctx.skew).representatives.items()}
+    for cls, n in simples.items():
+        rep.include(f"N{cls}_", clifford_correspondence(n, ctx.skew))
     return rep
 
 

@@ -116,7 +116,12 @@ def _module_iso(m: Module, n: Module):
 
 
 def simple_classes(s: SkewAlgebra):
-    """Representative simple modules of A x| G via its regular module."""
+    """Representative simple modules of A x| G via its regular module.
+
+    Callers keep only what they read: one that needs only the
+    representatives takes their modules and drops the decomposition, whose
+    pieces would otherwise stay live through everything built after it.
+    """
     return decompose(regular_module(s.alg))
 
 
@@ -126,16 +131,15 @@ def check_invariant_theory(s: SkewAlgebra) -> VerificationReport:
     rep = VerificationReport("invariant_theory", s.alg.seed, s.alg.tol)
     if not is_semisimple(s.base):
         raise NotSemisimple("base algebra is not semisimple")
+    simples = {cls: p.module
+               for cls, p in simple_classes(s).representatives.items()}
     e = symmetrizer(s)
     corner = corner_algebra(s.alg, e)
-    dec = simple_classes(s)
-    corner_dec = decompose(regular_module(corner.sub))
-    corner_reps = {cls: corner_dec.representatives[cls].module
-                   for cls in corner_dec.class_ids()}
+    corner_reps = {cls: p.module for cls, p in
+                   decompose(regular_module(corner.sub)).representatives.items()}
     hit = set()
     nonzero = 0
-    for cls in dec.class_ids():
-        n = dec.representatives[cls].module
+    for cls, n in simples.items():
         en, basis = corner_module(n, corner, e)
         if en is None:
             rep.add(f"class{cls}_corner_zero", True,

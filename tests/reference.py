@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from skewgroup import numeric
+from skewgroup import numeric, repmod
 from skewgroup.jobs import parse_job
 from skewgroup.runner import run_job
 from skewgroup.errors import (
@@ -18,6 +18,7 @@ from skewgroup.errors import (
     NotAssociative,
     NotAutomorphism,
     NotHomomorphism,
+    NumericalInconsistency,
 )
 
 
@@ -228,6 +229,38 @@ def solve_sandwich(pairs, tol):
         x = np.zeros((dp, d), dtype=np.complex128)
         x[r, c] = vec.reshape(r.stop - r.start, c.stop - c.start)
         out.append(x)
+    return out
+
+
+def isotypics(dec):
+    """A decomposition's isotypic components as it formed them while it was
+    built: each class's piece bases side by side, canonically spanned."""
+    tol = dec.module.algebra.tol
+    out = {}
+    for cls in sorted({p.iso_class for p in dec.pieces}):
+        members = [p for p in dec.pieces if p.iso_class == cls]
+        out[cls] = canonical_span(np.hstack([p.basis for p in members]), tol)
+    return out
+
+
+def multiplicity_spaces(m, pieces, representatives):
+    """repmod._multiplicity_spaces as it held T = [piece bases] through its
+    whole class loop."""
+    t = np.hstack([p.basis for p in pieces])
+    direct = repmod.DirectSum(m.algebra, [p.module for p in pieces])
+    out = {}
+    for cls, rep in representatives.items():
+        homs = repmod.hom_space(rep.module, direct)
+        mult = sum(1 for p in pieces if p.iso_class == cls)
+        if len(homs) != mult:
+            raise NumericalInconsistency(
+                f"hom dimension {len(homs)} != multiplicity {mult} for class {cls}")
+        vectors = [t @ f[:, 0] for f in homs]
+        span = canonical_span(vectors, m.algebra.tol)
+        if span.shape[1] != mult:
+            raise NumericalInconsistency(
+                f"evaluation at the fixed vector dropped rank for class {cls}")
+        out[cls] = span
     return out
 
 

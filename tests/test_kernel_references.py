@@ -429,3 +429,45 @@ def test_solve_sandwich_when_the_floor_exceeds_the_entry_bound():
     want = reference.solve_sandwich(pairs, 1e-3)
     assert len(got) == len(want) == 1
     assert same_bits(got[0], want[0])
+
+
+# random_instance(2) is the instance of the skew72 benchmark job.
+SKEW72 = 2
+
+
+def test_the_skew72_decomposition_is_among_the_sources():
+    dec, _ = _classes(SKEW72)
+    assert dec.module.dim == 72 and len(dec.pieces) == 12
+
+
+def _decompositions(source):
+    """Fresh decompositions: of the instance's module, of its algebra's
+    regular module and, as simple_classes gives it, of its skew algebra's."""
+    i = instance(source)
+    return [repmod.decompose(i.module),
+            repmod.decompose(regular_module(i.algebra)),
+            simple_classes(skew(source))]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_isotypics_are_derived_on_first_read(source):
+    """No decomposition holds its isotypic components until they are read;
+    read, they are those it formed while it was built, bit for bit."""
+    for dec in _decompositions(source):
+        assert "isotypics" not in vars(dec)
+        want = reference.isotypics(dec)
+        assert dec.class_ids() == sorted(dec.isotypics) == list(want)
+        assert list(dec.isotypics) == list(want)
+        assert all(same_bits(dec.isotypics[cls], want[cls]) for cls in want)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_multiplicity_spaces_are_the_reference(source):
+    """With T = [piece bases] built per class, the multiplicity spaces are
+    those formed while T was held through the whole class loop."""
+    for dec in _decompositions(source):
+        args = dec.module, dec.pieces, dec.representatives
+        want = reference.multiplicity_spaces(*args)
+        for got in (dec.multiplicity_spaces, repmod._multiplicity_spaces(*args)):
+            assert list(got) == list(want)
+            assert all(same_bits(got[cls], want[cls]) for cls in want)

@@ -21,9 +21,15 @@ from skewgroup.errors import InvalidInput
 from skewgroup.fixtures import FIXTURE_NAMES, random_instance
 from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup.projective import inertia, twisted_group_algebra
-from skewgroup.repmod import DirectSum, hom_space, is_simple, regular_module
+from skewgroup.repmod import (
+    DirectSum,
+    _multiplicity_spaces,
+    hom_space,
+    is_simple,
+    regular_module,
+)
 from skewgroup.skew import skew_group_algebra, symmetrizer
-from skewgroup.theorems import simple_classes
+from skewgroup.theorems import check_invariant_theory, simple_classes
 
 INSTANCES = list(FIXTURE_NAMES) + [f"random{s}" for s in range(20)]
 
@@ -202,13 +208,15 @@ def test_skew72_allocations_stay_sparse():
 
     Building the skew algebra peaked at 12.4 MB and the regular-module
     decomposition at 16.6 MB while they held such arrays; now they peak
-    near 0.5 and 0.94 MB, so one such array brought back fails either bound.
+    near 0.5 and 0.62 MB, so one such array brought back fails either bound.
     So does a (18, 72, 72) stack of the direct sum's generator actions
     (1.5 MB), which the decomposition peaked at 5.1 MB with when it spread
     and restacked them for its multiplicity spaces, compress's whole
     (72, 72, k) image stack, with which the decomposition peaked at 1.98 MB,
     and a kept (72, 6, 6) action stack per piece, 12 of them, with which it
-    peaked at 1.44 MB.
+    peaked at 1.44 MB.  It peaked at 0.75 MB while it formed its isotypic
+    components unasked and held the (72, 72) stack of its piece bases
+    through its whole multiplicity-space loop.
     """
     i = random_instance(2)
 
@@ -219,7 +227,19 @@ def test_skew72_allocations_stay_sparse():
     s = build()
     assert s.alg.dim == 72
     assert peak_bytes(build) <= 1.0e6
-    assert peak_bytes(lambda: simple_classes(s)) <= 1.1e6
+    assert peak_bytes(lambda: simple_classes(s)) <= 0.7e6
+
+
+def test_invariant_theory_keeps_only_the_representatives():
+    """check_invariant_theory reads one representative module per simple
+    class of A x| G.  At skew dimension 48 it peaked at 0.36 MB while it
+    held the whole decomposition (every piece, its generator actions and
+    the isotypic components) through the corner algebra's build; holding
+    only the representatives, it peaks near 0.27 MB."""
+    s = skew_group_algebra(random_instance(6).action)
+    assert s.alg.dim == 48
+    check_invariant_theory(s)        # first call: imports and caches
+    assert peak_bytes(lambda: check_invariant_theory(s)) <= 0.32e6
 
 
 def _skew72_decomposition():
@@ -244,6 +264,22 @@ def test_skew72_hom_space_keeps_only_kernel_candidates():
 
     solve()
     assert peak_bytes(solve) <= 270e3
+
+
+def test_skew72_multiplicity_spaces_stack_the_pieces_per_class():
+    """The multiplicity spaces map each hom back through T, the (72, 72)
+    stack of the 12 piece bases, 83 KB.  Held through the whole class
+    loop, T was live through every class's canonical_span and the loop
+    peaked at 294 KB; built per class and dropped before the span, it
+    peaks near 211 KB."""
+    s, dec = _skew72_decomposition()
+    args = dec.module, dec.pieces, dec.representatives
+
+    def spaces():
+        return _multiplicity_spaces(*args)
+
+    spaces()
+    assert peak_bytes(spaces) <= 250e3
 
 
 def test_regular_module_builds_no_action_stack(inst):
