@@ -28,6 +28,9 @@ from .errors import (
 # per triple and quickly dominates wall time).
 EXHAUSTIVE_DIM_LIMIT = 32
 _PROBE_COUNT = 50
+# canonical_span's n x n work runs in row blocks of about this many complex
+# entries: in one block up to n = 48, the skew dimension of most jobs.
+_SPAN_BLOCK = 48 * 48
 # Cost model of the exhaustive associativity check, measured on 2 cores: one
 # term of the join over the nonzeros costs about as much as 32 dense
 # multiply-adds, and a join has the fixed cost of about 1000 terms.
@@ -124,26 +127,6 @@ class Algebra:
         return out
 
 
-def aligned_constants(a: Algebra, b: Algebra) -> tuple:
-    """The structure constants of two algebras of one dimension, as two value
-    vectors over the union of their nonzero slots.
-
-    Every slot outside the union is zero in both, so an entrywise comparison
-    of the two vectors is one of the whole tensors.
-    """
-    n = a.dim
-    keys = [(i * n + j) * n + k for i, j, k, _ in (a.nonzeros, b.nonzeros)]
-    if keys[0].shape == keys[1].shape and (keys[0] == keys[1]).all():
-        return a.nonzeros[3], b.nonzeros[3]
-    union = np.union1d(*keys)
-    out = []
-    for key, alg in zip(keys, (a, b)):
-        vals = np.zeros(union.size, dtype=np.complex128)
-        vals[np.searchsorted(union, key)] = alg.nonzeros[3]
-        out.append(vals)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class SubalgebraEmbedding:
     parent: Algebra
@@ -229,12 +212,9 @@ def _check_associativity(a: Algebra) -> None:
             raise AssociativityViolation(
                 f"associativity fails at basis triple {at}: residual {worst:.3e}")
         return
-    # one draw of every probe's x, y, z, each its real then its imaginary
-    # part: the stream of drawing each part in turn
-    draws = np.random.default_rng(a.seed).standard_normal(
-        (_PROBE_COUNT, 3, 2, a.dim))
-    for t, probe in enumerate(draws):
-        x, y, z = probe[:, 0] + 1j * probe[:, 1]
+    probes = numeric.complex_probes(np.random.default_rng(a.seed),
+                                    _PROBE_COUNT, 3, a.dim)
+    for t, (x, y, z) in enumerate(probes):
         delta = a.product(a.product(x, y), z) - a.product(x, a.product(y, z))
         res = numeric.rel_residual(delta, scale)
         if res > a.tol:
@@ -366,15 +346,17 @@ def canonical_span(vectors, tol) -> np.ndarray:
     n = len(residual)
     out = np.empty((n, k), dtype=np.complex128)
     # The column norms and the rank-one update, as np.linalg.norm(axis=0)
-    # and np.outer form them, in row blocks through one scratch buffer.
-    # np.add.reduce sums each column over the rows in order, so a later
-    # block goes on from the sums so far, put in the scratch row before it.
-    spans = numeric.block_ranges(n, n)
-    scratch = np.empty((1 + max(hi - lo for lo, hi in spans), n),
-                       dtype=np.complex128)
-    parts = [(residual[lo:hi], scratch[1:1 + hi - lo],
-              scratch[lo == 0:1 + hi - lo].real, slice(lo, hi))
-             for lo, hi in spans]
+    # and np.outer form them, in row blocks of about _SPAN_BLOCK entries
+    # through one scratch buffer.  np.add.reduce sums each column over the
+    # rows in order, so a later block goes on from the sums so far, put in
+    # the scratch row before it.
+    blocks = -(-n * n // _SPAN_BLOCK)
+    step = -(-n // blocks)
+    scratch = np.empty((1 + step, n), dtype=np.complex128)
+    spans = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    parts = [(residual[at], scratch[1:1 + at.stop - at.start],
+              scratch[at.start == 0:1 + at.stop - at.start].real, at)
+             for at in spans]
     norms = np.empty(n)
     for t in range(k):
         for block, rows, summed, at in parts:

@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ParseError, SkewGroupError, UnknownFixture
+from .errors import ParseError, SkewGroupError
 from .fixtures import ALL_TASKS, FIXTURE_NAMES, fixture
 from .jobs import canonical_json as _dump, echo_json, instance_to_job, load_job
 from .runner import EXIT_VALIDATION, run_job
@@ -114,12 +114,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    try:
-        inst = fixture(args.name)
-    except UnknownFixture as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    print(_dump(instance_to_job(inst)))
+    # argparse's choices have already rejected an unknown name with exit 2
+    print(_dump(instance_to_job(fixture(args.name))))
     return 0
 
 

@@ -18,11 +18,6 @@ DEFAULT_SEED = 1
 # Largest entry modulus an input may hold: the validators' residual scales
 # are at most cubic in the entries, so below it they stay finite.
 ENTRY_BOUND = 1e100
-# Largest temporary, in complex entries, that canonical_span and is_simple's
-# cyclic orbits build at once: the n x n matrix at skew dimension 48.  Up to
-# that size they run in one block; larger work is split into blocks near
-# this size.
-BLOCK_ENTRIES = 48 * 48
 
 
 def as_complex(m) -> np.ndarray:
@@ -53,16 +48,13 @@ def check_tol(tol) -> None:
         raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
 
 
-def block_ranges(count: int, size: int) -> list[tuple[int, int]]:
-    """Consecutive (lo, hi) ranges that cover `count` items of `size`
-    entries each: as few as keep a range within about BLOCK_ENTRIES entries
-    (one item at least), their lengths within one of each other."""
-    parts = min(-(-count * size // BLOCK_ENTRIES), count)
-    if parts <= 1:
-        return [(0, count)]
-    step, extra = divmod(count, parts)
-    bounds = [t * step + min(t, extra) for t in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
+def complex_probes(rng, count: int, arity: int, dim: int):
+    """The count probes of one draw from the generator rng, each an (arity,
+    dim) stack of complex vectors: every vector's real part, then its
+    imaginary part, the stream of drawing each part in turn.  A probe's
+    vectors are formed when it is reached, so only the real draws are held."""
+    draws = rng.standard_normal((count, arity, 2, dim))
+    return (probe[:, 0] + 1j * probe[:, 1] for probe in draws)
 
 
 def _scale(s, scale_floor: float = 0.0) -> float:
@@ -146,25 +138,18 @@ def _gram(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     vec(X @ P) = kron(I, P.T) vec(X) and vec(Q @ X) = kron(Q, I) vec(X);
     summed over the pairs the Gram matrix of these blocks is
     I (x) sum conj(P) P.T + (sum Q^H Q) (x) I - S - S^H, S = sum kron(Q, conj(P)),
-    assembled from the factors without forming any (dp*d)^2 block.
+    assembled from the factors without forming the kron product of any pair.
     """
     k, d, dp = ps.shape[0], ps.shape[1], qs.shape[1]
     n = dp * d
-    # s[p, q, x, y] is S[p d + x, q d + y]
     s = (qs.reshape(k, -1).T @ ps.conj().reshape(k, -1)).reshape(dp, dp, d, d)
+    s = s.transpose(0, 2, 1, 3).reshape(n, n)
     a = (ps.conj() @ ps.transpose(0, 2, 1)).sum(axis=0)
     b = (qs.conj().transpose(0, 2, 1) @ qs).sum(axis=0)
-    # ((I (x) a + b (x) I) - S) - S^H, each term the broadcast product or
-    # view the whole matrices would give, assembled in one buffer
-    gram = np.multiply(np.eye(dp)[:, None, :, None], a[:, None, :])
-    gram += b[:, None, :, None] * np.eye(d)[:, None, :]
-    gram -= s.transpose(0, 2, 1, 3)
-    gram -= s.conj().transpose(1, 3, 0, 2)
-    # (G + G^H) / 2 into the buffer of s, which is no longer read
-    gram, out = gram.reshape(n, n), s.reshape(n, n)
-    np.add(gram, gram.conj().T, out=out)
-    out /= 2
-    return out
+    left = np.eye(dp)[:, None, :, None] * a[:, None, :]
+    right = b[:, None, :, None] * np.eye(d)[:, None, :]
+    g = (left + right).reshape(n, n) - s - s.conj().T
+    return (g + g.conj().T) / 2
 
 
 class Side:

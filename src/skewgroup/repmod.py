@@ -16,7 +16,6 @@ from . import numeric
 from .algebra import (
     Algebra,
     SubalgebraEmbedding,
-    aligned_constants,
     canonical_span,
     is_semisimple,
     EXHAUSTIVE_DIM_LIMIT,
@@ -254,12 +253,9 @@ def validate_module(m: Module) -> None:
             raise NotARepresentation(
                 f"rho(b_{i}) rho(b_{j}) != rho(b_{i} b_{j}): residual {worst:.3e}")
         return
-    # one draw of every probe's x and y, each its real then its imaginary
-    # part: the stream of drawing each part in turn
-    draws = np.random.default_rng(a.seed).standard_normal(
-        (_PROBE_COUNT, 2, 2, a.dim))
-    for t, probe in enumerate(draws):
-        x, y = probe[:, 0] + 1j * probe[:, 1]
+    probes = numeric.complex_probes(np.random.default_rng(a.seed),
+                                    _PROBE_COUNT, 2, a.dim)
+    for t, (x, y) in enumerate(probes):
         delta = m.act(x) @ m.act(y) - m.act(a.product(x, y))
         if numeric.rel_residual(delta, scale * a.dim) > tol:
             raise NotARepresentation(f"random probe {t} violates multiplicativity")
@@ -295,10 +291,13 @@ def hom_space(m: Module, n: Module) -> list:
 
 
 def same_algebra(a: Algebra, b: Algebra) -> bool:
-    """Exact equality: dimension, structure constants and unit."""
+    """Exact equality: dimension, structure constants and unit.  Every
+    algebra holds its nonzero constants sorted by (i, j, k) without exact
+    zeros, so equal constants are equal nonzero arrays."""
     if a is b:
         return True
-    return (a.dim == b.dim and np.array_equal(*aligned_constants(a, b))
+    return (a.dim == b.dim
+            and all(map(np.array_equal, a.nonzeros, b.nonzeros))
             and np.array_equal(a.unit, b.unit))
 
 
@@ -330,21 +329,12 @@ def is_simple(m: Module) -> bool:
 
 def _cyclic_orbits(m: Module) -> np.ndarray:
     """(3, dim, dim A) stack of the orbit matrices [b_i v] of three random
-    vectors v from the algebra's seed.
-
-    The vectors are drawn as one stack, so one images call per block of
-    basis elements serves them; a block holds about BLOCK_ENTRIES entries
-    per vector through a module of dim A, as a regular module's pieces pass
-    through their parent.
-    """
-    n = m.algebra.dim
+    vectors v from the algebra's seed, drawn as one stack so that one images
+    call serves them."""
     rng = np.random.default_rng(m.algebra.seed)
     vs = np.column_stack([rng.standard_normal(m.dim)
                           + 1j * rng.standard_normal(m.dim) for _ in range(3)])
-    orbits = np.empty((3, m.dim, n), dtype=np.complex128)
-    for lo, hi in numeric.block_ranges(n, n):
-        orbits[:, :, lo:hi] = m.images(vs, lo, hi).transpose(2, 1, 0)
-    return orbits
+    return m.images(vs).transpose(2, 1, 0)
 
 
 def twist(m: Module, g: int, action) -> Module:

@@ -8,7 +8,6 @@ the job, so a call that runs one task derives only what that task reads.
 from __future__ import annotations
 
 import time
-from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,14 +113,11 @@ def _task_skew(ctx: JobContext, rec) -> VerificationReport:
     rep.add("skew_algebra_valid", True,
             dims={"dim": s.alg.dim, "dim_base": s.base.dim,
                   "group_order": s.group.order})
-    # one draw of every triple's x, y, z, each its real then its imaginary
-    # part: the stream of drawing each part in turn
-    draws = np.random.default_rng([job.seed, 77]).standard_normal(
-        (100, 3, 2, s.alg.dim))
     worst = 0.0
     scale = s.alg.scale ** 2
-    for triple in draws:
-        x, y, z = triple[:, 0] + 1j * triple[:, 1]
+    probes = numeric.complex_probes(np.random.default_rng([job.seed, 77]),
+                                    100, 3, s.alg.dim)
+    for x, y, z in probes:
         delta = s.alg.product(s.alg.product(x, y), z) - s.alg.product(x, s.alg.product(y, z))
         worst = max(worst, numeric.rel_residual(delta, scale * s.alg.dim ** 1.5))
     rep.add("random_triple_associativity", worst <= 1e-8, residual=worst)
@@ -163,13 +159,12 @@ def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
 def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
     rep = VerificationReport("induced_simplicity", job.seed, job.tol)
+    mctx = ctx.context(rec["module"])
     # The job's skew algebra, not the context's equal copy, which is not
     # derived: earlier tasks cached its trace form, which `is_simple` of each
     # induced module reads.
-    mctx = copy(ctx.context(rec["module"]))
-    mctx.skew = ctx.skew
     for gamma in mctx.iso.class_ids():
-        sub = induced_simplicity(mctx, gamma)
+        sub = induced_simplicity(mctx.system, mctx.iso, ctx.skew, gamma)
         rep.include(f"gamma{gamma}_", sub)
     return rep
 

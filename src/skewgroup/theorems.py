@@ -215,16 +215,16 @@ def clifford_correspondence(n: Module, s: SkewAlgebra) -> VerificationReport:
     return rep
 
 
-def induced_simplicity(ctx: MainTheoremContext,
+def induced_simplicity(system: ProjectiveSystem, iso, s: SkewAlgebra,
                        gamma: int) -> VerificationReport:
-    """Ind(M (x) W_gamma^*) is a simple A x| G-module, with the dimension law.
+    """Ind(M (x) W_gamma^*) is a simple module over s = A x| G, with the
+    dimension law.
 
-    W_gamma is the representative of class gamma of the context's projective
-    isotypic decomposition.
+    W_gamma is the representative of class gamma of iso, the projective
+    isotypic decomposition of the inertia system of M.
     """
-    system, s = ctx.system, ctx.skew
     rep = VerificationReport("induced_simplicity", s.alg.seed, s.alg.tol)
-    w = ctx.iso.representatives[gamma].module
+    w = iso.representatives[gamma].module
     wdual = contragredient(w, system.cocycle)
     ssub = sub_skew(s, system.inertia_members)
     ind = induce(extend_to_skew(system, wdual, ssub), s, ssub)

@@ -145,7 +145,7 @@ def test_criterion_5_induced_simplicity():
         for name in FIXTURE_NAMES:
             ctx = _ctx(name)
             for gamma in ctx.iso.class_ids():
-                rep = induced_simplicity(ctx, gamma)
+                rep = induced_simplicity(ctx.system, ctx.iso, ctx.skew, gamma)
                 assert rep.passed, (name, gamma)
                 d = {c.name: c.dims for c in rep.checks}["dimension_law"]
                 assert d["dim_induced"] == d["index"] * d["dim_M"] * d["dim_W"]

@@ -386,7 +386,7 @@ def test_canonical_span_is_spanning_set_independent():
 def test_canonical_span_holds_one_n_by_n_matrix():
     """Its (n, n) residual projector is the one matrix of that size it keeps:
     the column norms and the rank-one update run in row blocks of about
-    BLOCK_ENTRIES entries.  Formed whole they held two more, and a 256 x 4
+    48 x 48 entries.  Formed whole they held two more, and a 256 x 4
     input peaked at 2.40 MB."""
     n = 256
     rng = np.random.default_rng(6)

@@ -43,8 +43,9 @@ def test_fixture_subcommand_round_trips(capsys):
 
 
 def test_fixture_unknown_name_rejected(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["fixture", "nope"])
+    assert exc.value.code == 2
 
 
 def test_validate_fixture_job_ok(tmp_path, capsys):
@@ -214,6 +215,19 @@ def test_unusable_tolerance_exits_2(tmp_path, capsys, command, tol, via):
                             f"finite positive number, got {tol!r}\n")
 
 
+def _replaced(data, where, value):
+    """The job with its entry at the dotted path `where` set to value; the
+    empty path replaces the whole job."""
+    if not where:
+        return value
+    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    return data
+
+
 @pytest.mark.parametrize("where, value", [
     ("algebra.dim", "one"),
     ("algebra.dim", 1.5),
@@ -227,12 +241,7 @@ def test_unusable_tolerance_exits_2(tmp_path, capsys, command, tol, via):
     ("tol", "small"),
 ])
 def test_malformed_numbers_are_parse_errors(tmp_path, capsys, where, value):
-    data = _fixture_job(capsys, "trivial")
-    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
-    target = data
-    for key in path:
-        target = target[key]
-    target[last] = value
+    data = _replaced(_fixture_job(capsys, "trivial"), where, value)
     assert main(["validate", _write(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
 
@@ -244,35 +253,77 @@ def test_malformed_numbers_are_parse_errors(tmp_path, capsys, where, value):
 ], ids=["action_entry", "structure_constant", "unit_entry"])
 def test_integer_beyond_the_float_range_is_a_parse_error_naming_its_field(
         tmp_path, capsys, where, value, field):
-    data = _fixture_job(capsys, "trivial")
-    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
-    target = data
-    for key in path:
-        target = target[key]
-    target[last] = value
+    data = _replaced(_fixture_job(capsys, "trivial"), where, value)
     assert main(["validate", _write(tmp_path, data)]) == 2
     assert capsys.readouterr().err == (
         f"parse error: {field}: integer too large to convert to float\n")
 
 
-@pytest.mark.parametrize("where, value", [
-    ("modules", []),
-    ("action.mats", 5),
-    ("modules.M.rho", 3),
-    ("algebra.mult", 7),
-    ("tasks", 4),
-    ("tasks.0.module", ["M"]),
+@pytest.mark.parametrize("where, value, message", [
+    pytest.param("modules", [], "modules must be an object of named "
+                 "modules, got []", id="modules-value0"),
+    pytest.param("action.mats", 5, "action.mats must be a list, got 5",
+                 id="action.mats-5"),
+    pytest.param("modules.M.rho", 3, "modules.M.rho must be a list, got 3",
+                 id="modules.M.rho-3"),
+    pytest.param("algebra.mult", 7, "algebra.mult must be a list, got 7",
+                 id="algebra.mult-7"),
+    pytest.param("tasks", 4, "tasks must be a list, got 4", id="tasks-4"),
+    pytest.param("tasks.0.module", ["M"],
+                 "task references unknown module ['M']",
+                 id="tasks.0.module-value5"),
+    pytest.param("", [], "job file must contain a JSON object",
+                 id="not_an_object"),
+    pytest.param("algebra.dim", 2,
+                 "algebra unit length does not match dim", id="unit_length"),
+    pytest.param("algebra.mult.0", [0, 0, 0],
+                 "mult entry must be [i, j, k, scalar], got [0, 0, 0]",
+                 id="mult_entry_length"),
+    pytest.param("algebra.mult.0.2", 1,
+                 "mult entry index out of range: [0, 0, 1]",
+                 id="mult_index_range"),
+    pytest.param("group", 3, "group section malformed: 'int' object is not "
+                 "subscriptable", id="group_section"),
+    pytest.param("group.table", [[0, 0]], "group table must be order x order",
+                 id="group_table_shape"),
+    pytest.param("action", 3, "action section malformed: 'int' object is "
+                 "not subscriptable", id="action_section"),
+    pytest.param("action.mats", [],
+                 "action needs one matrix per group element",
+                 id="action_count"),
+    pytest.param("modules.M", 3, "module 'M' malformed: 'int' object is not "
+                 "subscriptable", id="module_section"),
+    pytest.param("modules.M.rho", [],
+                 "module 'M' needs one matrix per basis element",
+                 id="module_count"),
+    pytest.param("tasks.0", 3, "task record malformed: 3", id="task_record"),
 ])
-def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value):
-    data = _fixture_job(capsys, "trivial")
-    *path, last = (int(k) if k.isdigit() else k for k in where.split("."))
-    target = data
-    for key in path:
-        target = target[key]
-    target[last] = value
+def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value,
+                                            message):
+    data = _replaced(_fixture_job(capsys, "trivial"), where, value)
     assert main(["validate", _write(tmp_path, data)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda a: make_module(a, []),
+     "need one action matrix per algebra basis element"),
+    (lambda a: make_module(a, [[[1, 0], [1]]]),
+     "inconsistent action matrix shapes"),
+    (lambda a: make_module(a, [[[1, 0]]]), "action matrices must be square"),
+    (lambda a: make_action(cyclic_group(2), a, [np.eye(1)]),
+     "need exactly one matrix per group element"),
+    (lambda a: make_action(cyclic_group(2), a, [np.eye(1), np.eye(2)]),
+     "action matrix 1 has wrong shape"),
+], ids=["module_count", "module_ragged", "module_not_square", "action_count",
+        "action_shape"])
+def test_constructors_reject_malformed_matrices(build, message):
+    """A job file cannot reach these: parse_job checks every count and shape
+    first.  A library caller gets InvalidInput, which `skewgroup` reports as
+    a validation error with exit 2."""
+    with pytest.raises(InvalidInput) as exc:
+        build(matrix_algebra(1))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])

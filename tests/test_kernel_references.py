@@ -130,14 +130,14 @@ def test_canonical_span_is_the_reference(source):
                          reference.canonical_span(vectors, TOL))
 
 
-# The blocked kernels at the library's block size, and in the narrowest
-# blocks: one row at a time.
+# canonical_span's row blocks at the library's block size, and in the
+# narrowest blocks: one row at a time.
 BLOCKINGS = [None, 1]
 
 
 def _blocking(monkeypatch, entries):
     if entries is not None:
-        monkeypatch.setattr(numeric, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr("skewgroup.algebra._SPAN_BLOCK", entries)
 
 
 @pytest.mark.parametrize("entries", BLOCKINGS)
@@ -146,7 +146,7 @@ def test_canonical_span_of_skew_pieces_is_the_reference(source, entries,
                                                        monkeypatch):
     """The pieces of the skew algebra's regular module and their union: at
     skew dimension 72 the row blocks split.  Seeded inputs beside them split
-    into blocks of 19 and 20 rows, and into 29 blocks."""
+    into blocks of 20 and 17 rows, and into 29 blocks."""
     dec, _ = _classes(source)
     _blocking(monkeypatch, entries)
     rng = _rng(source)
@@ -215,13 +215,15 @@ def _orbit_stacks(source):
 @pytest.mark.parametrize("source", SOURCES)
 def test_cyclic_orbits_are_the_reference(source, entries, monkeypatch):
     """The module, the regular modules of the algebra and of its skew
-    algebra, and the pieces of the latter, which pass through it: at skew
-    dimension 72 the row blocks split."""
+    algebra, and the pieces of the latter, which pass through it: each piece
+    as decompose forms it, compressed onto canonical_span of its basis, with
+    the span's rows in the library's blocks and one row per block."""
     i = instance(source)
-    _blocking(monkeypatch, entries)
     dec, _ = _classes(source)
-    modules = [i.module, regular_module(i.algebra), dec.module]
-    for m in modules + [p.module for p in dec.pieces]:
+    _blocking(monkeypatch, entries)
+    pieces = [repmod.compress(dec.module, canonical_span(p.basis, TOL))
+              for p in dec.pieces]
+    for m in [i.module, regular_module(i.algebra), dec.module, *pieces]:
         assert same_bits(repmod._cyclic_orbits(m), reference.cyclic_orbits(m))
 
 

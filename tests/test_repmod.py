@@ -11,6 +11,7 @@ from helpers import (
     probes_one_draw_at_a_time,
     record_products,
     same_bits,
+    unvalidated_algebra,
 )
 
 from skewgroup.algebra import (
@@ -45,6 +46,7 @@ from skewgroup.repmod import (
     make_module,
     regular_module,
     restrict,
+    same_algebra,
     twist,
     validate_module,
 )
@@ -132,6 +134,23 @@ def test_hom_space_regular_z2():
 def test_hom_space_rejects_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
         hom_space(natural_module_m2(), regular_module(group_algebra(2)))
+
+
+def test_same_algebra_compares_the_constants_however_given():
+    """Constants given densely and as shuffled COO are the same algebra; a
+    changed value, or one set to zero, makes another."""
+    a = random_instance(3).algebra
+    c = dense(a)
+    order = np.random.default_rng(0).permutation(len(a.nonzeros[3]))
+    shuffled = tuple(x[order] for x in a.nonzeros)
+    b = make_algebra(a.dim, c, a.unit, tol=a.tol)
+    assert same_algebra(a, b) and same_algebra(b, a)
+    assert same_algebra(a, make_algebra(a.dim, shuffled, a.unit, tol=a.tol))
+    i, j, k = (int(x[0]) for x in a.nonzeros[:3])
+    for value in (c[i, j, k] * (1 + 1e-15), 0):
+        changed = c.copy()
+        changed[i, j, k] = value
+        assert not same_algebra(a, unvalidated_algebra(a.dim, changed, a.unit))
 
 
 def test_is_simple_natural_m2():

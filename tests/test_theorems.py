@@ -109,7 +109,7 @@ def test_induced_simplicity_fixtures(inst):
         i = inst(name)
         ctx = build_context(i.action, i.module)
         for gamma in ctx.iso.class_ids():
-            rep = induced_simplicity(ctx, gamma)
+            rep = induced_simplicity(ctx.system, ctx.iso, ctx.skew, gamma)
             assert rep.passed, (name, gamma)
             d = _checks(rep)["dimension_law"].dims
             assert d["dim_induced"] == d["index"] * d["dim_M"] * d["dim_W"]

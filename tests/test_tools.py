@@ -70,6 +70,11 @@ def test_json_digests_lists_each_workload_call_once():
     workload_labels = [label for label in labels
                        if label.split(".")[0] in digests.workloads.WORKLOADS]
     assert len(workload_labels) == wanted == 34
+    # then the skew-128 job, where canonical_span runs 8 row blocks
+    label, build, tail = listed[-1]
+    job = build()
+    assert (label, tail) == ("rot128", ["--json"])
+    assert job["algebra"]["dim"] * job["group"]["order"] == 128
 
 
 def test_json_digests_runs_every_fixture_and_random_job_at_seed_7_once():
@@ -79,4 +84,4 @@ def test_json_digests_runs_every_fixture_and_random_job_at_seed_7_once():
               if "@" in label]
     assert listed == [(f"{job}@seed7", ["--json", "--seed", "7"])
                       for job in jobs]
-    assert len(digests.calls()) == 95
+    assert len(digests.calls()) == 96

@@ -11,7 +11,9 @@ calls are ``skewgroup run JOB --json`` on the five built-in fixtures and on
 (labelled ``JOB@seed7``: the default seed 1 cannot show a seed that never
 reaches a draw), ``skewgroup run JOB --json --task T`` for each of the 11
 tasks on ``random_instance(6)``, and every call of each benchmark workload
-at seed 0, labelled ``WORKLOAD.JOB`` (``:TASK`` for a one-task call).
+at seed 0, labelled ``WORKLOAD.JOB`` (``:TASK`` for a one-task call), then
+the skew-128 block-rotation job ``rot128`` (four copies of M_2 with a twist
+of order 2 on the first), where ``canonical_span`` splits into 8 row blocks.
 Each runs in this process through ``skewgroup.cli.main``.  One line per
 call is printed: the call's label, its exit code and the sha256 of its
 standard output.  ``--compare FILE`` checks the lines against a saved run
@@ -47,6 +49,8 @@ from skewgroup.jobs import instance_to_job  # noqa: E402
 RANDOM_SEEDS = range(20)
 TASK_SEED = 6
 RUN_SEED = 7
+# the exponents of rot128's diagonal twist on each of its four blocks
+ROT128_EXPS = [(0, 1), (0, 0), (0, 0), (0, 0)]
 
 
 def calls():
@@ -67,6 +71,8 @@ def calls():
             # a tail is --json, then --task T for a one-task call
             out += [(":".join([f"{name}.{job['name']}", *tail[2:]]),
                      lambda job=job: job, tail) for tail in tails]
+    out.append(("rot128", lambda: workloads.block_rotation_job(
+        "rot128", 2, 4, 2, ROT128_EXPS), ["--json"]))
     return out
 
 
