@@ -149,7 +149,7 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
     nonzeros = _sorted_coo(dim, mult)
     u = numeric.as_complex(np.array(unit, dtype=np.complex128)).reshape(-1)
     if u.shape != (dim,):
-        raise InvalidInput("structure tensor / unit shape mismatch")
+        raise InvalidInput(f"unit length {u.size} does not match dim {dim}")
     i, j, k, v = nonzeros
     numeric.check_entry_bound(
         v, lambda at: f"structure constant c[{i[at]}, {j[at]}, {k[at]}]")
@@ -414,7 +414,8 @@ def fixed_subalgebra(parent: Algebra, action) -> SubalgebraEmbedding:
     """Joint fixed space {a : g(a) = a for all g}, as a subalgebra of parent."""
     eye = np.eye(parent.dim)
     stacked = np.vstack([m - eye for m in action.mats])
-    fixed = numeric.nullspace(stacked, parent.tol)
+    # floored at the scale of I, so a stack of rounding noise reads as zero
+    fixed = numeric.nullspace(stacked, parent.tol, scale_floor=1.0)
     return subalgebra_from_span(parent, fixed, unit_coords=parent.unit)
 
 

@@ -11,8 +11,8 @@ import functools
 import sys
 
 from .errors import ParseError, SkewGroupError
-from .fixtures import ALL_TASKS, FIXTURE_NAMES, fixture
-from .jobs import canonical_json as _dump, echo_json, instance_to_job, load_job
+from .fixtures import FIXTURE_NAMES, fixture
+from .jobs import ALL_TASKS, canonical_json as _dump, echo_json, instance_to_job, load_job
 from .runner import EXIT_VALIDATION, run_job
 
 
@@ -88,8 +88,8 @@ def cmd_run(args) -> int:
         # Timing is intentionally excluded so reports are byte-identical for
         # identical (job, seed, tol).
         print(echo_json(job.raw, {
-            "tol": job.tol,
-            "seed": job.seed,
+            "tol": job.algebra.tol,
+            "seed": job.algebra.seed,
             "passed": exit_code == 0,
             "tasks": [rep.to_dict() for _, rep, _ in results],
         }))

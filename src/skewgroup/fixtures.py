@@ -1,50 +1,34 @@
 """Built-in instances and the randomized instance generator.
 
-Each instance bundles (algebra, group, action, named modules) plus the task
-list its job file runs by default.
+Each builds the JobSpec a job file parses into: the algebra, group and
+action, the module "M", and every task on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import numeric
-from .algebra import Algebra, direct_sum, make_algebra, matrix_algebra
+from .algebra import direct_sum, make_algebra, matrix_algebra
 from .errors import UnknownFixture
 from .group_action import (
-    AlgebraAction,
-    FiniteGroup,
     cyclic_group,
     group_from_permutations,
     make_action,
     make_group,
 )
-from .repmod import Module, make_module
+from .jobs import ALL_TASKS, JobSpec
+from .repmod import make_module
 
 FIXTURE_NAMES = ("trivial", "swap", "pauli", "perm", "cyclic")
 
-ALL_TASKS = ("semisimple", "inertia", "cocycle", "skew", "phi_psi",
-             "invariant_theory", "clifford", "induced_simplicity", "hom_inv",
-             "main_theorem", "complete_reducibility")
-# the tasks that read a job module
-MODULE_TASKS = ("inertia", "cocycle", "induced_simplicity", "hom_inv",
-                "main_theorem", "complete_reducibility")
 
-
-@dataclass
-class Instance:
-    name: str
-    algebra: Algebra
-    group: FiniteGroup
-    action: AlgebraAction
-    modules: dict                   # name -> Module
-    tasks: list = field(default_factory=lambda: list(ALL_TASKS))
-
-    @property
-    def module(self) -> Module:
-        return self.modules["M"]
+def _job(name, action, m) -> JobSpec:
+    """The job of every task on the module m, named "M"."""
+    return JobSpec(algebra=action.target, group=action.group, action=action,
+                   modules={"M": m},
+                   tasks=[{"task": t, "module": "M"} for t in ALL_TASKS],
+                   name=name)
 
 
 def _conjugation_action_mats(n: int, units: list) -> list:
@@ -62,15 +46,15 @@ def _conjugation_action_mats(n: int, units: list) -> list:
     return mats
 
 
-def fixture_trivial(tol=numeric.DEFAULT_TOL) -> Instance:
+def fixture_trivial(tol=numeric.DEFAULT_TOL) -> JobSpec:
     a = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=tol)
     g = make_group([[0]])
     action = make_action(g, a, [np.eye(1)])
     m = make_module(a, [np.eye(1)])
-    return Instance("trivial", a, g, action, {"M": m})
+    return _job("trivial", action, m)
 
 
-def fixture_swap(tol=numeric.DEFAULT_TOL) -> Instance:
+def fixture_swap(tol=numeric.DEFAULT_TOL) -> JobSpec:
     a = direct_sum(matrix_algebra(2, tol), matrix_algebra(2, tol))
     g = cyclic_group(2)
     swap = np.zeros((8, 8))
@@ -84,10 +68,10 @@ def fixture_swap(tol=numeric.DEFAULT_TOL) -> Instance:
             eb[p, q] = 1.0
             units[p * 2 + q] = eb          # first block acts naturally
     m = make_module(a, units)
-    return Instance("swap", a, g, action, {"M": m})
+    return _job("swap", action, m)
 
 
-def fixture_pauli(tol=numeric.DEFAULT_TOL) -> Instance:
+def fixture_pauli(tol=numeric.DEFAULT_TOL) -> JobSpec:
     a = matrix_algebra(2, tol)
     table = np.bitwise_xor.outer(np.arange(4), np.arange(4))
     g = make_group(table)
@@ -102,10 +86,10 @@ def fixture_pauli(tol=numeric.DEFAULT_TOL) -> Instance:
             eb[p, q] = 1.0
             rho.append(eb)
     m = make_module(a, rho)
-    return Instance("pauli", a, g, action, {"M": m})
+    return _job("pauli", action, m)
 
 
-def fixture_perm(tol=numeric.DEFAULT_TOL) -> Instance:
+def fixture_perm(tol=numeric.DEFAULT_TOL) -> JobSpec:
     c = np.zeros((3, 3, 3))
     for i in range(3):
         c[i, i, i] = 1.0
@@ -119,10 +103,10 @@ def fixture_perm(tol=numeric.DEFAULT_TOL) -> Instance:
         mats.append(pm)
     action = make_action(g, a, mats)
     m = make_module(a, [np.array([[1.0 if i == 0 else 0.0]]) for i in range(3)])
-    return Instance("perm", a, g, action, {"M": m})
+    return _job("perm", action, m)
 
 
-def fixture_cyclic(tol=numeric.DEFAULT_TOL) -> Instance:
+def fixture_cyclic(tol=numeric.DEFAULT_TOL) -> JobSpec:
     c = np.zeros((3, 3, 3))
     for i in range(3):
         for j in range(3):
@@ -137,7 +121,7 @@ def fixture_cyclic(tol=numeric.DEFAULT_TOL) -> Instance:
     action = make_action(g, a, [np.eye(3), invmat])
     omega = np.exp(2j * np.pi / 3)
     m = make_module(a, [np.array([[omega ** k]]) for k in range(3)])
-    return Instance("cyclic", a, g, action, {"M": m})
+    return _job("cyclic", action, m)
 
 
 _BUILDERS = {
@@ -149,14 +133,14 @@ _BUILDERS = {
 }
 
 
-def fixture(name: str, tol=numeric.DEFAULT_TOL) -> Instance:
+def fixture(name: str, tol=numeric.DEFAULT_TOL) -> JobSpec:
     if name not in _BUILDERS:
         raise UnknownFixture(f"unknown fixture {name!r}; "
                              f"choose from {', '.join(FIXTURE_NAMES)}")
     return _BUILDERS[name](tol)
 
 
-def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
+def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> JobSpec:
     """A sum of equal matrix blocks with a cyclic block-permuting, inner-twisted
     automorphism, plus the natural module of the first block.
 
@@ -212,4 +196,4 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> Instance:
                     eb[p, q2] = 1.0
                 rho.append(eb)
     m = make_module(a, rho)
-    return Instance(f"random{seed}", a, g, action, {"M": m})
+    return _job(f"random{seed}", action, m)

@@ -64,12 +64,8 @@ class AlgebraAction:
 
 def make_group(table) -> FiniteGroup:
     """Validate a multiplication table and compute identity/inverses."""
-    t = np.asarray(table, dtype=np.int64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise InvalidInput("multiplication table must be square")
+    t = _index_table(table)
     n = t.shape[0]
-    if n < 1 or t.min() < 0 or t.max() >= n:
-        raise InvalidInput("table entries must be indices in [0, order)")
     idx = np.arange(n)
     # e is the identity when row e and column e both read 0, 1, ..., n - 1
     two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
@@ -91,6 +87,27 @@ def make_group(table) -> FiniteGroup:
         raise NoInverse(f"element {int(missing.argmax())} has no inverse")
     inverses = both.argmax(axis=1).tolist()
     return FiniteGroup(order=n, table=t, identity=identity, inverses=tuple(inverses))
+
+
+def _index_table(table) -> np.ndarray:
+    """table, nested lists or an array, as a square int64 array of element
+    indices: integers in [0, order), or whole floats, never bools.  The
+    first entry that is not one, row by row, is named."""
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    try:
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise InvalidInput("multiplication table must be square")
+    n = len(rows)
+    for r, row in enumerate(rows):
+        if len(row) != n:
+            raise InvalidInput(f"multiplication table must be square: row {r} "
+                               f"has {len(row)} entries for {n} rows")
+        for c, x in enumerate(row):
+            if isinstance(x, (bool, np.bool_)) or x not in range(n):
+                raise InvalidInput(f"table entry [{r}][{c}] must be an index in "
+                                   f"[0, {n}), got {x!r}")
+    return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -140,7 +157,8 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     """
     tol = target.tol
     if len(mats) != group.order:
-        raise InvalidInput("need exactly one matrix per group element")
+        raise InvalidInput(f"need exactly one matrix per group element: got "
+                           f"{len(mats)} for order {group.order}")
     ms = tuple(numeric.as_complex(m) for m in mats)
     d = target.dim
     for g, m in enumerate(ms):
@@ -149,8 +167,13 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     stack = np.array(ms)
     numeric.check_entry_bound(
         stack, lambda at: f"mats[{at[0]}][{at[1]}, {at[2]}]")
-    if numeric.rel_residual(ms[group.identity] - np.eye(d), 1.0) > tol:
+    e = group.identity
+    if numeric.rel_residual(ms[e] - np.eye(d), 1.0) > tol:
         raise NotHomomorphism("identity element does not act as identity")
+    if (ms[e] != np.eye(d)).any():
+        # the identity acts exactly, as extract_cocycle's phi(e) = I requires
+        ms = ms[:e] + (np.eye(d, dtype=np.complex128),) + ms[e + 1:]
+        stack[e] = ms[e]
     n = len(ms)
     # mats[g] @ mats[h] against mats[g*h] for blocks of first elements g;
     # the first failing h of the first failing g is reported

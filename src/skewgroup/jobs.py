@@ -17,23 +17,35 @@ import numpy as np
 from . import numeric
 from .algebra import Algebra, make_algebra
 from .errors import ParseError
-from .fixtures import ALL_TASKS, MODULE_TASKS, Instance
 from .group_action import AlgebraAction, FiniteGroup, make_action, make_group
-from .repmod import make_module
+from .repmod import Module, make_module
+
+ALL_TASKS = ("semisimple", "inertia", "cocycle", "skew", "phi_psi",
+             "invariant_theory", "clifford", "induced_simplicity", "hom_inv",
+             "main_theorem", "complete_reducibility")
+# the tasks that read a job module
+MODULE_TASKS = ("inertia", "cocycle", "induced_simplicity", "hom_inv",
+                "main_theorem", "complete_reducibility")
 
 
 @dataclass
 class JobSpec:
+    """A validated instance and its tasks, from a job file or a fixture;
+    its tolerance and seed are its algebra's."""
     algebra: Algebra
     group: FiniteGroup
     action: AlgebraAction
     modules: dict               # name -> Module
     tasks: list                 # of {"task": name, "module": name, ...}
-    tol: float
-    seed: int
+    name: object = None         # the job file's "name", not validated
     # the job as the canonical JSON text the --json report echoes: all a
-    # call keeps of the file it loaded
+    # call keeps of the file it loaded; None for a job built in process
     raw: str = field(repr=False, default=None)
+
+    @property
+    def module(self) -> Module:
+        """The first module, the one a task record without "module" reads."""
+        return next(iter(self.modules.values()), None)
 
 
 def canonical_json(obj) -> str:
@@ -74,9 +86,8 @@ def _int(obj, where) -> int:
     """An integer field; a whole float such as 2.0 counts, a bool does not."""
     if type(obj) is int:        # what JSON gives; skips the ABC check below
         return obj
-    if isinstance(obj, numbers.Integral) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, float) and obj.is_integer():
+    if (isinstance(obj, numbers.Integral) and not isinstance(obj, bool)
+            or isinstance(obj, float) and obj.is_integer()):
         return int(obj)
     raise ParseError(f"{where} must be an integer, got {obj!r}")
 
@@ -137,7 +148,6 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         seed = data.get("seed", numeric.DEFAULT_SEED)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise ParseError(f"tol must be a number, got {tol!r}")
-    job_tol = float(tol)
     job_seed = _int(seed, "seed")
     if job_seed < 0:
         raise ParseError(f"seed must be a non-negative integer, got {seed!r}")
@@ -149,8 +159,6 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
                 for t, z in enumerate(aspec["unit"])]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"algebra section malformed: {exc}")
-    if len(unit) != dim:
-        raise ParseError("algebra unit length does not match dim")
     entries = _list(aspec.get("mult", []), "algebra.mult")
     slots = {}
     for t, entry in enumerate(entries):
@@ -164,7 +172,7 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     keys = sorted(slots)
     i, j, k = np.array(keys, dtype=np.intp).reshape(-1, 3).T
     values = np.array([slots[t] for t in keys], dtype=np.complex128)
-    algebra = make_algebra(dim, (i, j, k, values), unit, tol=job_tol,
+    algebra = make_algebra(dim, (i, j, k, values), unit, tol=tol,
                            seed=job_seed)
 
     try:
@@ -177,18 +185,15 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
             or any(not isinstance(row, list) or len(row) != order
                    for row in table)):
         raise ParseError("group table must be order x order")
-    group = make_group([[_int(x, "group.table entry") for x in row]
-                        for row in table])
+    group = make_group(table)
 
     try:
         mats = data["action"]["mats"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"action section malformed: {exc}")
-    if len(_list(mats, "action.mats")) != order:
-        raise ParseError("action needs one matrix per group element")
     action = make_action(group, algebra,
                          [_matrix(m, dim, dim, f"action.mats[{g}]")
-                          for g, m in enumerate(mats)])
+                          for g, m in enumerate(_list(mats, "action.mats"))])
 
     modules = {}
     mspecs = data.get("modules", {})
@@ -200,12 +205,10 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
             rho = mspec["rho"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"module {name!r} malformed: {exc}")
-        if len(_list(rho, f"modules.{name}.rho")) != dim:
-            raise ParseError(f"module {name!r} needs one matrix per basis element")
         modules[name] = make_module(
             algebra,
             [_matrix(m, mdim, mdim, f"modules.{name}.rho[{i}]")
-             for i, m in enumerate(rho)])
+             for i, m in enumerate(_list(rho, f"modules.{name}.rho"))])
 
     default_module = next(iter(modules), None)
     tasks = []
@@ -225,7 +228,7 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         tasks.append(rec)
 
     return JobSpec(algebra=algebra, group=group, action=action, modules=modules,
-                   tasks=tasks, tol=job_tol, seed=job_seed, raw=text)
+                   tasks=tasks, name=data.get("name"), raw=text)
 
 
 def load_job(path, tol=None, seed=None) -> JobSpec:
@@ -237,28 +240,28 @@ def load_job(path, tol=None, seed=None) -> JobSpec:
     return parse_job(data, tol=tol, seed=seed)
 
 
-def instance_to_job(inst: Instance) -> dict:
-    """Serialize an Instance as a job dictionary."""
-    a = inst.algebra
+def instance_to_job(job: JobSpec) -> dict:
+    """Serialize a JobSpec as a job dictionary."""
+    a = job.algebra
     mult = [[int(i), int(j), int(k), _scalar_out(z)]
             for i, j, k, z in zip(*a.nonzeros)]
     return {
-        "name": inst.name,
+        "name": job.name,
         "algebra": {
             "dim": a.dim,
             "unit": [_scalar_out(z) for z in a.unit],
             "mult": mult,
         },
         "group": {
-            "order": inst.group.order,
-            "table": inst.group.table.tolist(),
+            "order": job.group.order,
+            "table": job.group.table.tolist(),
         },
-        "action": {"mats": [_matrix_out(m) for m in inst.action.mats]},
+        "action": {"mats": [_matrix_out(m) for m in job.action.mats]},
         "modules": {
             name: {"dim": mod.dim, "rho": [_matrix_out(r) for r in mod.rho]}
-            for name, mod in inst.modules.items()
+            for name, mod in job.modules.items()
         },
-        "tasks": [{"task": t, "module": "M"} for t in inst.tasks],
+        "tasks": [dict(rec) for rec in job.tasks],
         "tol": a.tol,
         "seed": a.seed,
     }

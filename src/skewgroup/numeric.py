@@ -43,9 +43,9 @@ def check_entry_bound(a: np.ndarray, label) -> None:
 
 
 def check_tol(tol) -> None:
-    """Reject a tolerance that is not a finite positive number."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tol must be a finite positive number, got {tol!r}")
+    """Reject a tolerance outside (0, 1), where every rank would read 0."""
+    if not 0 < tol < 1:
+        raise InvalidInput(f"tol must be a number in (0, 1), got {tol!r}")
 
 
 def complex_probes(rng, count: int, arity: int, dim: int):

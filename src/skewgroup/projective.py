@@ -159,11 +159,6 @@ def extract_cocycle(phi, group: FiniteGroup, tol) -> Cocycle:
     return cocycle
 
 
-def trivial_cocycle(group: FiniteGroup) -> Cocycle:
-    """The cocycle alpha = 1, the same object for every call on one group."""
-    return group.trivial_cocycle
-
-
 def twisted_group_algebra(cocycle: Cocycle, exponent: int, algebra) -> Algebra:
     """Algebra with basis c_h and product c_h c_k = alpha(h,k)^exponent c_{hk},
     h and k in the cocycle's group, with the tolerance and seed of `algebra`.

@@ -213,7 +213,8 @@ class Decomposition:
 def make_module(algebra: Algebra, rho) -> Module:
     """Validate a representation given by one matrix per basis element."""
     if len(rho) != algebra.dim:
-        raise InvalidInput("need one action matrix per algebra basis element")
+        raise InvalidInput(f"need one action matrix per algebra basis element: "
+                           f"got {len(rho)} for dim {algebra.dim}")
     try:
         stack = numeric.as_complex(rho)
     except ValueError:

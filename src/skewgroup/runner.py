@@ -69,36 +69,39 @@ class JobContext:
                                                  self.job.modules[name])
         return self._contexts[name]
 
+    def report(self, name) -> VerificationReport:
+        """An empty report of the task name at the job's seed and tolerance."""
+        a = self.job.algebra
+        return VerificationReport(name, a.seed, a.tol)
+
 
 def _task_semisimple(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
-    rep = VerificationReport("semisimple", job.seed, job.tol)
+    rep = ctx.report("semisimple")
     rep.add("base_algebra_semisimple", is_semisimple(job.algebra),
             dims={"dim": job.algebra.dim})
     return rep
 
 
 def _task_inertia(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    rep = VerificationReport("inertia", job.seed, job.tol)
+    rep = ctx.report("inertia")
     system = ctx.system(rec["module"])
     rep.add("inertia_subgroup_computed", True,
-            dims={"group_order": job.group.order,
+            dims={"group_order": ctx.job.group.order,
                   "inertia_order": system.cocycle.group.order},
             witness="members=" + ",".join(str(h) for h in system.inertia_members))
     return rep
 
 
 def _task_cocycle(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    rep = VerificationReport("cocycle", job.seed, job.tol)
+    rep = ctx.report("cocycle")
     system = ctx.system(rec["module"])
     coc = system.cocycle
     e = coc.group.identity
     normalized = (np.all(coc.table[e, :] == 1.0)
                   and np.all(coc.table[:, e] == 1.0))
     rep.add("normalized_at_identity", normalized)
-    residual = coc.validate(job.tol)
+    residual = coc.validate(ctx.job.algebra.tol)
     rep.add("cocycle_identity", True, residual=residual,
             dims={"inertia_order": coc.group.order})
     deviation = float(np.abs(np.abs(coc.table) - 1.0).max())
@@ -108,15 +111,15 @@ def _task_cocycle(ctx: JobContext, rec) -> VerificationReport:
 
 def _task_skew(ctx: JobContext, rec) -> VerificationReport:
     job = ctx.job
-    rep = VerificationReport("skew", job.seed, job.tol)
+    rep = ctx.report("skew")
     s = ctx.skew
     rep.add("skew_algebra_valid", True,
             dims={"dim": s.alg.dim, "dim_base": s.base.dim,
                   "group_order": s.group.order})
     worst = 0.0
     scale = s.alg.scale ** 2
-    probes = numeric.complex_probes(np.random.default_rng([job.seed, 77]),
-                                    100, 3, s.alg.dim)
+    probes = numeric.complex_probes(
+        np.random.default_rng([job.algebra.seed, 77]), 100, 3, s.alg.dim)
     for x, y, z in probes:
         delta = s.alg.product(s.alg.product(x, y), z) - s.alg.product(x, s.alg.product(y, z))
         worst = max(worst, numeric.rel_residual(delta, scale * s.alg.dim ** 1.5))
@@ -125,13 +128,12 @@ def _task_skew(ctx: JobContext, rec) -> VerificationReport:
         rep.add("trivial_group_relabel_exact", same_algebra(s.alg, job.algebra))
     e = symmetrizer(s)
     idem = numeric.rel_residual(s.alg.product(e, e) - e, 1.0)
-    rep.add("symmetrizer_idempotent", idem <= job.tol, residual=idem)
+    rep.add("symmetrizer_idempotent", idem <= job.algebra.tol, residual=idem)
     return rep
 
 
 def _task_phi_psi(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    rep = VerificationReport("phi_psi", job.seed, job.tol)
+    rep = ctx.report("phi_psi")
     result = check_phi_psi(ctx.skew)
     rep.add("phi_bijective_multiplicative", result.phi_bijective,
             dims={"dim_invariants": result.fixed.sub.dim,
@@ -147,8 +149,7 @@ def _task_invariant_theory(ctx: JobContext, rec) -> VerificationReport:
 
 
 def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    rep = VerificationReport("clifford", job.seed, job.tol)
+    rep = ctx.report("clifford")
     simples = {cls: p.module
                for cls, p in simple_classes(ctx.skew).representatives.items()}
     for cls, n in simples.items():
@@ -157,8 +158,7 @@ def _task_clifford(ctx: JobContext, rec) -> VerificationReport:
 
 
 def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    rep = VerificationReport("induced_simplicity", job.seed, job.tol)
+    rep = ctx.report("induced_simplicity")
     mctx = ctx.context(rec["module"])
     # The job's skew algebra, not the context's equal copy, which is not
     # derived: earlier tasks cached its trace form, which `is_simple` of each
@@ -170,8 +170,7 @@ def _task_induced_simplicity(ctx: JobContext, rec) -> VerificationReport:
 
 
 def _task_hom_inv(ctx: JobContext, rec) -> VerificationReport:
-    job = ctx.job
-    rep = VerificationReport("hom_inv", job.seed, job.tol)
+    rep = ctx.report("hom_inv")
     mctx = ctx.context(rec["module"])
     for gamma in mctx.iso.class_ids():
         w = mctx.iso.representatives[gamma].module
@@ -218,22 +217,16 @@ def run_job(job: JobSpec, task_filter=None):
         try:
             report = _DISPATCH[rec["task"]](ctx, rec)
             code = EXIT_PASS if report.passed else EXIT_CHECK_FAILED
-        except (NumericalInconsistency, DegenerateSample) as exc:
-            report = _error_report(rec["task"], job, exc)
-            code = EXIT_NUMERICAL
-        except (ParseError, ValidationError, InvalidInput) as exc:
-            report = _error_report(rec["task"], job, exc)
-            code = EXIT_VALIDATION
         except SkewGroupError as exc:
-            report = _error_report(rec["task"], job, exc)
-            code = EXIT_CHECK_FAILED
+            report = ctx.report(rec["task"])
+            report.add("error", False, witness=f"{type(exc).__name__}: {exc}")
+            if isinstance(exc, (NumericalInconsistency, DegenerateSample)):
+                code = EXIT_NUMERICAL
+            elif isinstance(exc, (ParseError, ValidationError, InvalidInput)):
+                code = EXIT_VALIDATION
+            else:
+                code = EXIT_CHECK_FAILED
         elapsed = time.perf_counter() - start
         results.append((rec, report, elapsed))
         exit_code = max(exit_code, code)
     return results, exit_code
-
-
-def _error_report(name, job, exc) -> VerificationReport:
-    rep = VerificationReport(name, job.seed, job.tol)
-    rep.add("error", False, witness=f"{type(exc).__name__}: {exc}")
-    return rep

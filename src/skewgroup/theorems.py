@@ -28,7 +28,6 @@ from .projective import (
     contragredient,
     inertia,
     projective_isotypics,
-    trivial_cocycle,
     twisted_group_algebra,
 )
 from .repmod import (
@@ -250,7 +249,7 @@ def hom_inv_check(m: Module, n: Module, cocycle: Cocycle) -> VerificationReport:
     rep = VerificationReport("hom_inv", m.algebra.seed, m.algebra.tol)
     hom_dim = len(hom_space(m, n))
     mdual = contragredient(m, cocycle)
-    plain = twisted_group_algebra(trivial_cocycle(cocycle.group), 1, m.algebra)
+    plain = twisted_group_algebra(cocycle.group.trivial_cocycle, 1, m.algebra)
     inv = _tensor_invariants(plain, mdual, n)
     rep.add("hom_dim_equals_invariant_dim", hom_dim == inv.shape[1],
             dims={"hom": hom_dim, "invariants": inv.shape[1],
@@ -323,7 +322,7 @@ def main_theorem(ctx: MainTheoremContext) -> VerificationReport:
     corner = corner_algebra(s.alg, e)
     ssub = sub_skew(s, system.inertia_members)
     index = s.group.order // system.cocycle.group.order
-    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1, s.base)
+    plain = twisted_group_algebra(system.cocycle.group.trivial_cocycle, 1, s.base)
     for gamma in iso.class_ids():
         w = iso.representatives[gamma].module
         mult_basis = iso.multiplicity_spaces[gamma]

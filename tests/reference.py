@@ -110,13 +110,18 @@ def cyclic_ranks(orbits, tol):
 
 
 def make_group(table):
-    """(order, identity, inverses) of a validated table."""
+    """(order, identity, inverses) of a validated table of integers."""
     t = np.asarray(table, dtype=np.int64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise InvalidInput("multiplication table must be square")
-    n = t.shape[0]
-    if n < 1 or t.min() < 0 or t.max() >= n:
-        raise InvalidInput("table entries must be indices in [0, order)")
+    n = len(t)
+    for r in range(n):
+        if len(t[r]) != n:
+            raise InvalidInput(f"multiplication table must be square: row {r} "
+                               f"has {len(t[r])} entries for {n} rows")
+    for r in range(n):
+        for c in range(n):
+            if not 0 <= t[r, c] < n:
+                raise InvalidInput(f"table entry [{r}][{c}] must be an index "
+                                   f"in [0, {n}), got {int(t[r, c])}")
     identity = None
     for e in range(n):
         if all(t[e, j] == j and t[j, e] == j for j in range(n)):
@@ -170,7 +175,8 @@ def make_action(group, target, mats):
     """The validated matrices, one element at a time."""
     tol = target.tol
     if len(mats) != group.order:
-        raise InvalidInput("need exactly one matrix per group element")
+        raise InvalidInput(f"need exactly one matrix per group element: got "
+                           f"{len(mats)} for order {group.order}")
     ms = tuple(numeric.as_complex(m) for m in mats)
     d = target.dim
     for g, m in enumerate(ms):
@@ -179,6 +185,9 @@ def make_action(group, target, mats):
     eye = np.eye(d)
     if rel_residual(ms[group.identity] - eye, 1.0) > tol:
         raise NotHomomorphism("identity element does not act as identity")
+    ms = list(ms)
+    ms[group.identity] = numeric.as_complex(eye)
+    ms = tuple(ms)
     stack = np.array(ms)
     for g in group.elements():
         prods = ms[g] @ stack
@@ -273,8 +282,8 @@ def run_report(path, tol=None, seed=None, task=None):
     results, exit_code = run_job(job, task_filter=task)
     payload = {
         "job": data,
-        "tol": job.tol,
-        "seed": job.seed,
+        "tol": job.algebra.tol,
+        "seed": job.algebra.seed,
         "passed": exit_code == 0,
         "tasks": [rep.to_dict() for _, rep, _ in results],
     }

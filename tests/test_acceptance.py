@@ -14,7 +14,7 @@ from helpers import dense
 from skewgroup.cli import main as cli_main
 from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
 from skewgroup.group_action import cyclic_group
-from skewgroup.projective import trivial_cocycle, twisted_group_algebra
+from skewgroup.projective import twisted_group_algebra
 from skewgroup.repmod import is_simple, make_module
 from skewgroup.runner import run_job
 from skewgroup.skew import check_phi_psi, skew_group_algebra
@@ -158,7 +158,7 @@ def test_criterion_6_hom_equals_invariants():
         while done < 50:
             n = int(rng.integers(2, 9))
             g = cyclic_group(n)
-            coc = trivial_cocycle(g)
+            coc = g.trivial_cocycle
             alg = twisted_group_algebra(coc, 1, matrix_algebra(1, TOL))
             omega = np.exp(2j * np.pi / n)
             mods = []

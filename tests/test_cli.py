@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -13,10 +14,10 @@ import reference
 from skewgroup.cli import _dump, main
 from skewgroup.algebra import make_algebra, matrix_algebra
 from skewgroup.errors import InvalidInput, ParseError
-from skewgroup.fixtures import ALL_TASKS, FIXTURE_NAMES, fixture, random_instance
+from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
 from skewgroup.group_action import cyclic_group, make_action
 from skewgroup.jobs import (
-    canonical_json, echo_json, instance_to_job, load_job, parse_job,
+    ALL_TASKS, canonical_json, echo_json, instance_to_job, load_job, parse_job,
 )
 from skewgroup.repmod import make_module
 
@@ -201,7 +202,8 @@ def test_parse_rejects_unknown_module_reference(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("via", ["flag", "job"])
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0,
+                                 1e308])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_unusable_tolerance_exits_2(tmp_path, capsys, command, tol, via):
     data = _fixture_job(capsys, "swap")
@@ -212,7 +214,7 @@ def test_unusable_tolerance_exits_2(tmp_path, capsys, command, tol, via):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("validation error: InvalidInput: tol must be a "
-                            f"finite positive number, got {tol!r}\n")
+                            f"number in (0, 1), got {tol!r}\n")
 
 
 def _replaced(data, where, value):
@@ -233,8 +235,6 @@ def _replaced(data, where, value):
     ("algebra.dim", 1.5),
     ("algebra.mult.0.0", "zero"),
     ("algebra.mult.0.2", 0.5),
-    ("group.table.0.0", "e"),
-    ("group.table.0.0", 0.5),
     ("modules.M.dim", "one"),
     ("seed", "one"),
     ("seed", 1.5),
@@ -274,8 +274,6 @@ def test_integer_beyond_the_float_range_is_a_parse_error_naming_its_field(
                  id="tasks.0.module-value5"),
     pytest.param("", [], "job file must contain a JSON object",
                  id="not_an_object"),
-    pytest.param("algebra.dim", 2,
-                 "algebra unit length does not match dim", id="unit_length"),
     pytest.param("algebra.mult.0", [0, 0, 0],
                  "mult entry must be [i, j, k, scalar], got [0, 0, 0]",
                  id="mult_entry_length"),
@@ -288,14 +286,8 @@ def test_integer_beyond_the_float_range_is_a_parse_error_naming_its_field(
                  id="group_table_shape"),
     pytest.param("action", 3, "action section malformed: 'int' object is "
                  "not subscriptable", id="action_section"),
-    pytest.param("action.mats", [],
-                 "action needs one matrix per group element",
-                 id="action_count"),
     pytest.param("modules.M", 3, "module 'M' malformed: 'int' object is not "
                  "subscriptable", id="module_section"),
-    pytest.param("modules.M.rho", [],
-                 "module 'M' needs one matrix per basis element",
-                 id="module_count"),
     pytest.param("tasks.0", 3, "task record malformed: 3", id="task_record"),
 ])
 def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value,
@@ -305,22 +297,54 @@ def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value,
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("algebra.dim", 2, "unit length 1 does not match dim 2"),
+    ("action.mats", [], "need exactly one matrix per group element: got 0 "
+     "for order 1"),
+    ("modules.M.rho", [], "need one action matrix per algebra basis element: "
+     "got 0 for dim 1"),
+    ("group.table.0.0", "e",
+     "table entry [0][0] must be an index in [0, 1), got 'e'"),
+    ("group.table.0.0", 0.5,
+     "table entry [0][0] must be an index in [0, 1), got 0.5"),
+    ("group.table.0.0", True,
+     "table entry [0][0] must be an index in [0, 1), got True"),
+    ("group.table.0.0", 2 ** 63, "table entry [0][0] must be an index in "
+     "[0, 1), got 9223372036854775808"),
+    ("group.table.0.0", 1e308,
+     "table entry [0][0] must be an index in [0, 1), got 1e+308"),
+    ("tol", 10 ** 400, f"tol must be a number in (0, 1), got {10 ** 400!r}"),
+], ids=["unit_length", "action_count", "module_count", "group.table.0.0-e",
+        "group.table.0.0-0.5", "table_entry_bool", "table_entry_2**63",
+        "table_entry_1e308", "tol_beyond_the_float_range"])
+def test_rules_of_a_constructor_are_validation_errors(tmp_path, capsys, where,
+                                                      value, message):
+    """parse_job leaves each count, the tolerance and every group-table
+    entry to the constructor that needs it, whose message names what it got
+    and what it wanted; an entry beyond int64 is named like any other."""
+    data = _replaced(_fixture_job(capsys, "trivial"), where, value)
+    assert main(["validate", _write(tmp_path, data)]) == 2
+    assert capsys.readouterr() == (
+        "", f"validation error: InvalidInput: {message}\n")
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda a: make_module(a, []),
-     "need one action matrix per algebra basis element"),
+     "need one action matrix per algebra basis element: got 0 for dim 1"),
     (lambda a: make_module(a, [[[1, 0], [1]]]),
      "inconsistent action matrix shapes"),
     (lambda a: make_module(a, [[[1, 0]]]), "action matrices must be square"),
     (lambda a: make_action(cyclic_group(2), a, [np.eye(1)]),
-     "need exactly one matrix per group element"),
+     "need exactly one matrix per group element: got 1 for order 2"),
     (lambda a: make_action(cyclic_group(2), a, [np.eye(1), np.eye(2)]),
      "action matrix 1 has wrong shape"),
 ], ids=["module_count", "module_ragged", "module_not_square", "action_count",
         "action_shape"])
 def test_constructors_reject_malformed_matrices(build, message):
-    """A job file cannot reach these: parse_job checks every count and shape
-    first.  A library caller gets InvalidInput, which `skewgroup` reports as
-    a validation error with exit 2."""
+    """A job file reaches the counts (above) but not the shapes, which
+    parse_job reads from its dim fields.  A library caller gets
+    InvalidInput, which `skewgroup` reports as a validation error with
+    exit 2."""
     with pytest.raises(InvalidInput) as exc:
         build(matrix_algebra(1))
     assert str(exc.value) == message
@@ -580,3 +604,74 @@ def test_the_echoed_job_is_spliced_only_before_later_keys():
     for key in ("elapsed", "errors", "job"):
         with pytest.raises(ValueError, match="sort after 'job'"):
             echo_json(text, {**payload, key: 0})
+
+
+# What a fuzz mutation may write over a leaf: integers beyond int64 and
+# beyond the float range, the top float decade, a negative index, and a
+# value of each other JSON type.
+FUZZ_LEAVES = (2 ** 63, -1, 10 ** 400, 1e308, True, None, "x", [], {})
+FUZZ_MUTATIONS = 300
+
+
+def _walk(data, rng):
+    """A random path from the root of a JSON tree down to a leaf or an
+    empty container, as (container, key) steps, one child drawn uniformly
+    at each level."""
+    path, node = [], data
+    while isinstance(node, (dict, list)) and node:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = keys[rng.integers(len(keys))]
+        path.append((node, key))
+        node = node[key]
+    return path
+
+
+def _mutate(data, rng):
+    """Mutate the job in place once, on a random path: delete a key, write
+    a leaf of FUZZ_LEAVES over its end, or duplicate a list element.  A
+    path with no key (no list element) to delete (duplicate) is written
+    over instead.  Returns (kind, keys of the site, value written)."""
+    path = _walk(data, rng)
+    kind = ("delete", "replace", "duplicate")[rng.integers(3)]
+    sites = [(c, k) for c, k in path if isinstance(c, dict) == (kind == "delete")]
+    if kind == "replace" or not sites:
+        container, key = path[-1]
+        container[key] = FUZZ_LEAVES[rng.integers(len(FUZZ_LEAVES))]
+        return "replace", tuple(k for _, k in path), container[key]
+    container, key = sites[rng.integers(len(sites))]
+    keys = tuple(k for _, k in path[:path.index((container, key)) + 1])
+    if kind == "delete":
+        del container[key]
+    else:
+        container.insert(key, copy.deepcopy(container[key]))
+    return kind, keys, None
+
+
+def test_mutated_fixture_jobs_exit_with_a_documented_code(tmp_path, capsys):
+    """Seeded structural fuzz of the five fixture jobs.  Each mutated job is
+    validated, and run with --json when it validates: no exception escapes,
+    every exit code is 0 to 3, and a job that fails to load exits 2 with one
+    stderr line and no report."""
+    jobs = {name: _fixture_job(capsys, name) for name in FIXTURE_NAMES}
+    rng = np.random.default_rng(31)
+    table_overflow = False
+    for t in range(FUZZ_MUTATIONS):
+        data = copy.deepcopy(jobs[FIXTURE_NAMES[t % len(FIXTURE_NAMES)]])
+        kind, keys, value = _mutate(data, rng)
+        table_overflow |= keys[:2] == ("group", "table") and value == 2 ** 63
+        where = f"mutation {t}: {kind} at {keys}, {value!r}"
+        path = _write(tmp_path, data)
+        code = main(["validate", path])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (out, err) == (f"{path}: OK\n", ""), where
+            code = main(["run", path, "--json"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), where
+            assert err == "", where
+            assert json.loads(out)["passed"] == (code == 0), where
+        else:
+            assert code == 2, where
+            assert out == "" and err.count("\n") == 1, where
+    # the net covers the group-table entry numpy cannot hold as int64
+    assert table_overflow

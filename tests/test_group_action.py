@@ -10,6 +10,7 @@ from helpers import dense
 from skewgroup import numeric
 from skewgroup.algebra import fixed_subalgebra, matrix_algebra
 from skewgroup.errors import (
+    InvalidInput,
     NoIdentity,
     NotASubgroup,
     NotAutomorphism,
@@ -43,6 +44,41 @@ def test_make_group_z2():
 def test_make_group_no_identity():
     with pytest.raises(NoIdentity):
         make_group([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]],
+     "multiplication table must be square: row 1 has 1 entries for 2 rows"),
+    (np.zeros((2, 3), dtype=int),
+     "multiplication table must be square: row 0 has 3 entries for 2 rows"),
+    (3, "multiplication table must be square"),
+    ([[0, 1.5], [1, 0]], "table entry [0][1] must be an index in [0, 2), got 1.5"),
+    ([[0, None], [1, 0]], "table entry [0][1] must be an index in [0, 2), got None"),
+    ([[0, 1], [1, np.True_]],
+     f"table entry [1][1] must be an index in [0, 2), got {np.True_!r}"),
+    ([[0, 1], [1, 2 ** 63]], "table entry [1][1] must be an index in [0, 2), "
+     "got 9223372036854775808"),
+    (np.array([[0, 1], [1, -1]]),
+     "table entry [1][1] must be an index in [0, 2), got -1"),
+    (np.array([[0, 1], [1, 2 ** 63]], dtype=np.uint64),
+     "table entry [1][1] must be an index in [0, 2), got 9223372036854775808"),
+], ids=["ragged", "not_square", "not_a_table", "fraction", "none",
+        "numpy_bool", "beyond_int64", "negative", "uint64"])
+def test_make_group_names_the_first_entry_that_is_not_an_index(table, message):
+    with pytest.raises(InvalidInput) as exc:
+        make_group(table)
+    assert str(exc.value) == message
+
+
+def test_an_empty_table_has_no_identity():
+    with pytest.raises(NoIdentity):
+        make_group([])
+
+
+def test_make_group_reads_whole_floats_and_numpy_integers():
+    g = make_group([[0.0, np.int8(1)], [1.0, 0]])
+    assert g.table.dtype == np.int64
+    assert g.table.tolist() == [[0, 1], [1, 0]]
 
 
 def test_cyclic_group_inverses():

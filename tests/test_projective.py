@@ -16,7 +16,6 @@ from skewgroup.projective import (
     inertia,
     module_over_twisted,
     projective_isotypics,
-    trivial_cocycle,
     twisted_group_algebra,
 )
 from skewgroup.repmod import decompose, hom_space, make_module, regular_module
@@ -122,7 +121,7 @@ def test_cocycle_identity_all_fixtures(inst):
 
 def test_twisted_group_algebra_trivial_cocycle():
     g = cyclic_group(3)
-    a = twisted_group_algebra(trivial_cocycle(g), 1, matrix_algebra(1, TOL))
+    a = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1, TOL))
     assert a.dim == 3
     # plain group algebra: c_1 c_1 = c_2
     assert np.allclose(a.product(np.eye(3)[:, 1], np.eye(3)[:, 1]),
@@ -158,14 +157,14 @@ def test_twisted_group_algebras_are_built_once_per_cocycle(inst):
 
 def test_plain_group_algebra_is_built_once_per_group():
     g = cyclic_group(3)
-    plain = twisted_group_algebra(trivial_cocycle(g), 1,
+    plain = twisted_group_algebra(g.trivial_cocycle, 1,
                                   matrix_algebra(1, TOL))
-    assert trivial_cocycle(g) is trivial_cocycle(g)
-    assert twisted_group_algebra(trivial_cocycle(g), 1,
+    assert g.trivial_cocycle is g.trivial_cocycle
+    assert twisted_group_algebra(g.trivial_cocycle, 1,
                                  matrix_algebra(1, TOL)) is plain
-    assert trivial_cocycle(cyclic_group(3)) is not trivial_cocycle(g)
+    assert cyclic_group(3).trivial_cocycle is not g.trivial_cocycle
     # kept with the group, and freed with it
-    cocycle = weakref.ref(trivial_cocycle(g))
+    cocycle = weakref.ref(g.trivial_cocycle)
     del g, plain
     gc.collect()
     assert cocycle() is None
@@ -174,7 +173,7 @@ def test_plain_group_algebra_is_built_once_per_group():
 def test_twisted_group_algebra_rejects_bad_exponent():
     g = cyclic_group(2)
     with pytest.raises(InvalidInput):
-        twisted_group_algebra(trivial_cocycle(g), 2, matrix_algebra(1, TOL))
+        twisted_group_algebra(g.trivial_cocycle, 2, matrix_algebra(1, TOL))
 
 
 def test_module_over_twisted_pauli(inst):
@@ -205,9 +204,9 @@ def test_module_over_twisted_coboundary_equivalence(inst):
 
 def test_contragredient_dual_line():
     g = make_group([[0]])
-    alg = twisted_group_algebra(trivial_cocycle(g), 1, matrix_algebra(1, TOL))
+    alg = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1, TOL))
     w = make_module(alg, [np.eye(1)])
-    wd = contragredient(w, trivial_cocycle(g))
+    wd = contragredient(w, g.trivial_cocycle)
     assert wd.dim == 1
 
 

@@ -27,9 +27,9 @@ from skewgroup.errors import (
     NotARepresentation,
     NotSemisimple,
 )
-from skewgroup.fixtures import ALL_TASKS, random_instance
+from skewgroup.fixtures import random_instance
 from skewgroup.group_action import cyclic_group
-from skewgroup.jobs import instance_to_job, parse_job
+from skewgroup.jobs import ALL_TASKS, instance_to_job, parse_job
 from skewgroup import numeric, repmod
 from skewgroup.numeric import orthonormal_column_basis
 from skewgroup.projective import module_over_twisted

@@ -66,7 +66,7 @@ def test_skew_task_probes_are_the_vectors_of_one_draw_at_a_time(monkeypatch):
     seen = record_products(monkeypatch)
     runner._task_skew(ctx, {"task": "skew"})
     expected = probes_one_draw_at_a_time(
-        np.random.default_rng([job.seed, 77]), 100, 3, dim)
+        np.random.default_rng([job.algebra.seed, 77]), 100, 3, dim)
     # the symmetrizer check follows the triples
     assert len(seen) > 4 * len(expected)
     assert saw_triples(seen, expected)

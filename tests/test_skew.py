@@ -21,7 +21,6 @@ from skewgroup.projective import (
     inertia,
     module_over_twisted,
     projective_isotypics,
-    trivial_cocycle,
     twisted_group_algebra,
 )
 from skewgroup.repmod import (
@@ -337,7 +336,7 @@ def test_extend_to_skew_rejects_wrong_cocycle(inst):
     # a plain group-algebra module is the wrong input: its algebra carries
     # the trivial cocycle, not the inverse of the extracted one (which has
     # genuine -1 entries for this instance)
-    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), -1,
+    plain = twisted_group_algebra(system.cocycle.group.trivial_cocycle, -1,
                                   i.algebra)
     v = make_module(plain, [np.eye(1)] * 4)
     with pytest.raises(CocycleMismatch):
@@ -385,7 +384,7 @@ def test_functions_taking_a_module_accept_implicit_ones(inst):
                for x in (m, _dense_copy(m))]
     assert reports[0].passed
     assert reports[0].to_dict() == reports[1].to_dict()
-    plain = twisted_group_algebra(trivial_cocycle(system.cocycle.group), 1,
+    plain = twisted_group_algebra(system.cocycle.group.trivial_cocycle, 1,
                                   pauli.algebra)
     m = regular_module(plain)
     fixed = invariant_subspace(m)

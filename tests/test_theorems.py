@@ -6,7 +6,7 @@ import pytest
 from skewgroup.algebra import make_algebra, matrix_algebra
 from skewgroup.errors import NotSemisimple
 from skewgroup.group_action import make_action, make_group
-from skewgroup.projective import inertia, module_over_twisted, trivial_cocycle
+from skewgroup.projective import inertia, module_over_twisted
 from skewgroup.repmod import make_module, regular_module
 from skewgroup.skew import skew_group_algebra
 from skewgroup.theorems import (
@@ -118,15 +118,15 @@ def test_induced_simplicity_fixtures(inst):
 def test_hom_inv_trivial_characters():
     g = make_group([[0, 1], [1, 0]])
     from skewgroup.projective import twisted_group_algebra
-    plain = twisted_group_algebra(trivial_cocycle(g), 1,
+    plain = twisted_group_algebra(g.trivial_cocycle, 1,
                                   matrix_algebra(1, TOL))
     triv = make_module(plain, [np.eye(1), np.eye(1)])
     sign = make_module(plain, [np.eye(1), -np.eye(1)])
-    rep = hom_inv_check(triv, triv, trivial_cocycle(g))
+    rep = hom_inv_check(triv, triv, g.trivial_cocycle)
     assert rep.passed
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims == \
         {"hom": 1, "invariants": 1, "dim_M": 1, "dim_N": 1}
-    rep = hom_inv_check(triv, sign, trivial_cocycle(g))
+    rep = hom_inv_check(triv, sign, g.trivial_cocycle)
     assert rep.passed
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims["hom"] == 0
     assert _checks(rep)["hom_dim_equals_invariant_dim"].dims["invariants"] == 0

@@ -1,8 +1,11 @@
 """One tolerance and one seed per algebra: set where an algebra is built,
 inherited by everything derived from it."""
 
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import pkgutil
 
 import numpy as np
@@ -19,7 +22,9 @@ from skewgroup.algebra import (
     matrix_algebra,
 )
 from skewgroup.errors import InvalidInput
-from skewgroup.fixtures import Instance, fixture
+from skewgroup.cli import main
+from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
+from skewgroup.group_action import cyclic_group, make_action
 from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup.projective import (
     Cocycle,
@@ -27,7 +32,6 @@ from skewgroup.projective import (
     extract_cocycle,
     inertia,
     module_over_twisted,
-    trivial_cocycle,
     twisted_group_algebra,
 )
 from skewgroup.repmod import decompose, is_simple, make_module, regular_module
@@ -59,8 +63,8 @@ ENTRY_POINTS = {
 SEED_ENTRY_POINTS = {"algebra.make_algebra", "jobs.parse_job", "jobs.load_job",
                      "fixtures.random_instance"}
 # Records that store the value as a field: the algebra that owns it, and the
-# job and report that print it.
-RECORDS = {"algebra.Algebra", "jobs.JobSpec", "theorems.VerificationReport"}
+# report that prints it.
+RECORDS = {"algebra.Algebra", "theorems.VerificationReport"}
 
 
 def _callables_taking(param):
@@ -108,7 +112,7 @@ def test_derived_algebras_inherit_the_job_tolerance():
         "direct_sum": direct_sum(job.algebra, job.algebra),
         "twisted": w.algebra,
         "contragredient": wdual.algebra,
-        "plain": twisted_group_algebra(trivial_cocycle(system.cocycle.group),
+        "plain": twisted_group_algebra(system.cocycle.group.trivial_cocycle,
                                        1, job.algebra),
         "induced": induce(extend_to_skew(system, wdual, ssub), s, ssub).algebra,
     }
@@ -122,10 +126,8 @@ def test_derived_algebras_inherit_the_job_tolerance():
 
 def test_instance_to_job_keeps_the_tolerance_and_seed():
     job = parse_job(instance_to_job(fixture("pauli", tol=1e-7)), seed=7)
-    i = Instance("pauli", job.algebra, job.group, job.action, job.modules)
-    again = parse_job(instance_to_job(i))
+    again = parse_job(instance_to_job(job))
     assert (again.algebra.tol, again.algebra.seed) == (1e-7, 7)
-    assert (again.tol, again.seed) == (1e-7, 7)
 
 
 def test_direct_sum_rejects_summands_with_different_tolerances():
@@ -174,11 +176,65 @@ def test_twisted_group_algebra_has_no_default_algebra():
     assert param.default is inspect.Parameter.empty
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0])
 @pytest.mark.parametrize("primitive", [numeric.rank, numeric.nullspace,
                                        numeric.orthonormal_column_basis,
                                        canonical_span])
 def test_matrix_primitives_reject_an_unusable_tolerance(primitive, tol):
-    with pytest.raises(InvalidInput, match=rf"^tol must be a finite positive "
-                                           rf"number, got {tol!r}$"):
+    with pytest.raises(InvalidInput, match=rf"^tol must be a number in "
+                                           rf"\(0, 1\), got {tol!r}$"):
         primitive(np.eye(3), tol)
+
+
+def _noisy(data, rng):
+    """The job with noise of tol/100, of random sign, on the real and the
+    imaginary part of every action and module entry."""
+    def noisy(mats):
+        m = np.array(mats)
+        return (m + data["tol"] / 100 * rng.choice([-1.0, 1.0], m.shape)).tolist()
+
+    data["action"]["mats"] = noisy(data["action"]["mats"])
+    for mspec in data["modules"].values():
+        mspec["rho"] = noisy(mspec["rho"])
+    return data
+
+
+def _verdicts(tmp_path, data):
+    """The exit code of `skewgroup run --json` on the job, and each task's
+    record with its residuals removed."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["run", str(path), "--json"])
+    return code, [
+        {**rec, "checks": [{k: v for k, v in c.items() if k != "residual"}
+                           for c in rec["checks"]]}
+        for rec in json.loads(out.getvalue())["tasks"]]
+
+
+@pytest.mark.parametrize("source", [*FIXTURE_NAMES, *range(20)])
+def test_noise_below_the_tolerance_keeps_every_verdict(tmp_path, source):
+    """Every check, dim and witness of every task is that of the exact job.
+    With |G| = 1 the stack fixed_subalgebra reads is all noise, and A⋊{e}
+    must equal A exactly: make_action keeps φ_e exact."""
+    job = fixture(source) if isinstance(source, str) else random_instance(source)
+    data = instance_to_job(job)
+    exact = _verdicts(tmp_path, data)
+    assert exact[0] == 0
+    assert _verdicts(tmp_path, _noisy(data, np.random.default_rng(19))) == exact
+
+
+def test_rounding_noise_on_a_trivial_action_fixes_the_whole_algebra():
+    """Each block m - I of fixed_subalgebra's stack is O(1), so a stack of
+    rounding noise reads as zero: its rank scale is floored at that of I."""
+    a = matrix_algebra(2)
+    noise = 1e-13 * np.random.default_rng(0).standard_normal((4, 4))
+    action = make_action(cyclic_group(2), a, [np.eye(4), np.eye(4) + noise])
+    assert fixed_subalgebra(a, action).sub.dim == 4
+
+
+def test_the_identity_acts_exactly_after_validation():
+    a = matrix_algebra(2)
+    action = make_action(cyclic_group(1), a, [np.eye(4) + 1e-13])
+    assert (action.mats[0] == np.eye(4)).all()

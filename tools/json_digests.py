@@ -39,12 +39,11 @@ import workloads  # noqa: E402
 
 from skewgroup.cli import main as cli_main  # noqa: E402
 from skewgroup.fixtures import (  # noqa: E402
-    ALL_TASKS,
     FIXTURE_NAMES,
     fixture,
     random_instance,
 )
-from skewgroup.jobs import instance_to_job  # noqa: E402
+from skewgroup.jobs import ALL_TASKS, instance_to_job  # noqa: E402
 
 RANDOM_SEEDS = range(20)
 TASK_SEED = 6
