@@ -50,9 +50,9 @@ class Algebra:
     # from it.
     tol: float = numeric.DEFAULT_TOL
     seed: int = numeric.DEFAULT_SEED
-    # Coordinate vectors that generate the algebra as a unital algebra; used
-    # to shrink intertwiner systems.  Empty means "use the whole basis".
-    generators: tuple = field(default=(), compare=False)
+    # Read-only (k, dim) coordinates of k generators of the algebra as a
+    # unital algebra, to shrink intertwiner systems; None: the whole basis.
+    generators: np.ndarray | None = field(default=None, compare=False)
 
     @cached_property
     def trace_gram(self) -> np.ndarray:
@@ -74,14 +74,8 @@ class Algebra:
         swapped = k * n + j
         lo = slots.searchsorted(swapped)
         hi = slots.searchsorted(swapped, side="right")
-        done = (hi - lo).cumsum()                  # pairs joined up to t
-        total = int(done[-1]) if done.size else 0
-        # a chunk is at least one join's fixed cost
-        size = max(n * n, _JOIN_FIXED_TERMS)
-        cuts = done.searchsorted(np.arange(size, total, size), side="right")
-        bounds = [0, *cuts.tolist(), lo.size]
         gram = np.zeros(n * n, dtype=np.complex128)
-        for a, b in zip(bounds, bounds[1:]):
+        for a, b in _chunks((hi - lo).cumsum(), n):
             t, s = join(lo[a:b], hi[a:b])
             t += a
             s = order[s]
@@ -118,11 +112,10 @@ class Algebra:
     @cached_property
     def generator_stack(self) -> np.ndarray:
         """Read-only (k, dim) coordinates of the generators, the whole basis
-        when `generators` is empty."""
-        if self.generators:
-            out = np.array([np.asarray(g) for g in self.generators])
-        else:
-            out = np.eye(self.dim, dtype=np.complex128)
+        when `generators` is None."""
+        if self.generators is not None:
+            return self.generators
+        out = np.eye(self.dim, dtype=np.complex128)
         out.flags.writeable = False
         return out
 
@@ -134,7 +127,7 @@ class SubalgebraEmbedding:
     inclusion: np.ndarray     # (dim parent, dim sub), injective
 
 
-def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
+def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=None,
                  seed=numeric.DEFAULT_SEED) -> Algebra:
     """Validate structure constants and unit, returning an Algebra.
 
@@ -146,6 +139,8 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
     numeric.check_tol(tol)
     if dim < 1:
         raise InvalidInput("algebra dimension must be >= 1")
+    if int(dim) ** 3 > np.iinfo(np.intp).max:
+        raise InvalidInput(f"algebra dimension {dim} is too large: dim^3 > {np.iinfo(np.intp).max}")
     nonzeros = _sorted_coo(dim, mult)
     u = numeric.as_complex(np.array(unit, dtype=np.complex128)).reshape(-1)
     if u.shape != (dim,):
@@ -154,8 +149,13 @@ def make_algebra(dim, mult, unit, tol=numeric.DEFAULT_TOL, generators=(),
     numeric.check_entry_bound(
         v, lambda at: f"structure constant c[{i[at]}, {j[at]}, {k[at]}]")
     numeric.check_entry_bound(u, lambda at: f"unit[{at[0]}]")
+    if generators is not None:      # a copy unless read-only with its own data
+        generators = np.asarray(generators, dtype=np.complex128)
+        if generators.flags.writeable or generators.base is not None:
+            generators = generators.copy()
+            generators.flags.writeable = False
     a = Algebra(dim=dim, nonzeros=nonzeros, unit=u, tol=tol, seed=seed,
-                generators=tuple(generators))
+                generators=generators)
     _check_associativity(a)
     _check_unit(a)
     return a
@@ -171,10 +171,11 @@ def _sorted_coo(dim, mult) -> tuple:
         idx = np.array(mult[:3])
         if idx.dtype.kind not in "iu":
             raise InvalidInput("structure constant indices must be integers")
-        try:
-            key = np.ravel_multi_index(idx, (dim, dim, dim))
-        except ValueError:
-            raise InvalidInput("structure constant index out of range")
+        bad = ((idx < 0) | (idx >= dim)).any(axis=0)
+        if bad.any():
+            i, j, k = idx[:, bad.argmax()]
+            raise InvalidInput(f"structure constant index c[{i}, {j}, {k}] out of range for dim {dim}")
+        key = np.ravel_multi_index(idx, (dim, dim, dim))
         idx = idx.astype(np.intp, copy=False)
         v = numeric.as_complex(np.array(mult[3], dtype=np.complex128))
         if (key[1:] <= key[:-1]).any():
@@ -202,6 +203,16 @@ def join(lo, hi):
     cnt = hi - lo
     t = np.arange(lo.size).repeat(cnt)
     return t, np.arange(t.size) + (lo - cnt.cumsum() + cnt).repeat(cnt)
+
+
+def _chunks(done, n) -> zip:
+    """(a, b) bounds of runs of a join's outer positions t, with done[t] terms
+    up to t, of about max(n^2, one join's fixed cost) terms each."""
+    size = max(n * n, _JOIN_FIXED_TERMS)
+    cuts = done.searchsorted(np.arange(size, done[-1] if done.size else 0, size),
+                             side="right")
+    bounds = [0, *cuts.tolist(), done.size]
+    return zip(bounds, bounds[1:])
 
 
 def _check_associativity(a: Algebra) -> None:
@@ -233,13 +244,9 @@ def _worst_associator(a: Algebra) -> tuple:
     i, j, k, v = a.nonzeros
     n = a.dim
     budget = n ** 5 // _JOIN_TERM_COST - _JOIN_FIXED_TERMS
-    if budget > 0:
-        bounds = np.arange(n + 1)
-        rows = i.searchsorted(bounds)           # first index m: rows[m]:rows[m+1]
-        by_k = k.argsort(kind="stable")
-        thirds = k[by_k].searchsorted(bounds)   # third index m, in by_k
-        if np.diff(rows)[k].sum() + np.diff(thirds)[j].sum() < budget:
-            return _joined_associator(a, rows, by_k, thirds)
+    joined = _joined_associator(a, budget) if budget > 0 else None
+    if joined is not None:
+        return joined
     c = np.zeros((n, n, n), dtype=np.complex128)
     c[i, j, k] = v
     flat = c.reshape(n, n * n)     # [m, (k, l)]
@@ -253,36 +260,48 @@ def _worst_associator(a: Algebra) -> tuple:
     return worst, at
 
 
-def _joined_associator(a: Algebra, rows, by_k, thirds) -> tuple:
+def _joined_associator(a: Algebra, budget=math.inf):
+    """_worst_associator by the join, or None if it has `budget` terms or
+    more; in chunks of whole first indices r (see _chunks), each slot's terms
+    summed in one bincount in the order of one whole join, bit for bit."""
     i, j, k, v = a.nonzeros
     n = a.dim
-    p, s = join(rows[k], rows[k + 1])
-    q, u = join(thirds[j], thirds[j + 1])
-    u = by_k[u]
+    rows = i.searchsorted(np.arange(n + 1))          # first index m: rows[m]:rows[m+1]
+    by_k = k.argsort(kind="stable")
+    thirds = k[by_k].searchsorted(np.arange(n + 1))  # third index m, in by_k
+    # terms joined before each nonzero, of the left side and the right
+    done = np.concatenate([[0], (np.diff(rows)[k] + np.diff(thirds)[j]).cumsum()])
+    if done[-1] >= budget:
+        return None
     ij = i * n + j
-    # slot ((r, j, k), l) is ((r n + j) n + k) n + l
-    key = np.concatenate([ij[p] * n * n + j[s] * n + k[s],
-                          (i[q] * n * n + ij[u]) * n + k[q]])
-    w = np.concatenate([v[p] * v[s], -(v[u] * v[q])])
-    slots, at = np.unique(key, return_inverse=True)
-    if not slots.size:
-        return 0.0, (0, 0, 0)
-    re, im = np.bincount(at, w.real), np.bincount(at, w.imag)
-    err = re * re + im * im            # squared: cheaper than abs or hypot
-    t = int(err.argmax())
-    slot = int(slots[t])
-    return math.sqrt(err[t]), (slot // n ** 3, slot // (n * n) % n, slot // n % n)
+    worst, at = -1.0, (0, 0, 0)
+    for lo, hi in _chunks(done[rows[1:]], n):
+        lo, hi = rows[lo], rows[hi]
+        p, s = join(rows[k[lo:hi]], rows[k[lo:hi] + 1])
+        q, u = join(thirds[j[lo:hi]], thirds[j[lo:hi] + 1])
+        p, q, u = p + lo, q + lo, by_k[u]
+        # slot ((r, j, k), l) is ((r n + j) n + k) n + l
+        key = np.concatenate([ij[p] * n * n + j[s] * n + k[s],
+                              (i[q] * n * n + ij[u]) * n + k[q]])
+        w = np.concatenate([v[p] * v[s], -(v[u] * v[q])])
+        slots, at_slot = np.unique(key, return_inverse=True)
+        re, im = np.bincount(at_slot, w.real), np.bincount(at_slot, w.imag)
+        err = re * re + im * im        # squared: cheaper than abs or hypot
+        if slots.size and err.max() > worst:
+            t = int(err.argmax())
+            worst, slot = err[t], int(slots[t])
+            at = (slot // n ** 3, slot // (n * n) % n, slot // n % n)
+    return math.sqrt(max(worst, 0.0)), at
 
 
 def _check_unit(a: Algebra) -> None:
-    lu = a.left_mult(a.unit)
-    ru = a.right_mult(a.unit)
-    eye = np.eye(a.dim)
     scale = a.scale * max(float(np.linalg.norm(a.unit)), 1.0)
-    for name, m in (("left", lu), ("right", ru)):
-        res = numeric.rel_residual(m - eye, scale)
+    for name, mult in (("left", a.left_mult), ("right", a.right_mult)):
+        m = mult(a.unit)
+        m.flat[::a.dim + 1] -= 1.0
+        res = numeric.rel_residual(m, scale)
         if res > a.tol:
-            j = int(np.abs(m - eye).max(axis=0).argmax())
+            j = int(np.abs(m).max(axis=0).argmax())
             raise UnitViolation(f"{name} unit law fails at basis index {j}: residual {res:.3e}")
 
 
@@ -337,12 +356,13 @@ def canonical_span(vectors, tol) -> np.ndarray:
     Keeps report output (and subalgebra structure constants) stable.
     """
     numeric.check_tol(tol)
-    m = np.column_stack(vectors) if isinstance(vectors, (list, tuple)) else np.asarray(vectors)
-    raw = numeric.orthonormal_column_basis(m, tol)
+    raw = numeric.orthonormal_column_basis(    # no name keeps the stacked input
+        np.column_stack(vectors) if isinstance(vectors, (list, tuple)) else np.asarray(vectors), tol)
     k = raw.shape[1]
     if k == 0:
         return raw
     residual = raw @ raw.conj().T
+    del raw
     n = len(residual)
     out = np.empty((n, k), dtype=np.complex128)
     # The column norms and the rank-one update, as np.linalg.norm(axis=0)

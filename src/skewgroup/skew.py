@@ -95,16 +95,11 @@ def skew_group_algebra(action: AlgebraAction) -> SkewAlgebra:
                 np.repeat(values, ng))
     unit = np.zeros(dim, dtype=np.complex128)
     unit[group.identity::ng] = base.unit
-    gens = []
-    eye = np.eye(da, dtype=np.complex128)
-    for i in range(da):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[group.identity::ng] = eye[:, i]
-        gens.append(v)
-    for g in group.elements():
-        v = np.zeros(dim, dtype=np.complex128)
-        v[g::ng] = base.unit
-        gens.append(v)
+    # generators: each b_i at the identity of G, then each g = 1_A g
+    gens = np.zeros((da + ng, dim), dtype=np.complex128)
+    gens[:da].reshape(da, da, ng)[:, :, group.identity] = np.eye(da)
+    gens[da:].reshape(ng, da, ng)[np.arange(ng), :, np.arange(ng)] = base.unit
+    gens.flags.writeable = False       # so make_algebra keeps it without a copy
     alg = make_algebra(dim, nonzeros, unit, tol=base.tol, generators=gens,
                        seed=base.seed)
     return SkewAlgebra(base=base, group=group, action=action, alg=alg,

@@ -5,10 +5,12 @@ kernel replaced.  Tests require the library's kernels to return the same
 bits, or to raise the same message."""
 
 import json
+import math
 
 import numpy as np
 
 from skewgroup import numeric, repmod
+from skewgroup.algebra import join
 from skewgroup.jobs import parse_job
 from skewgroup.runner import run_job
 from skewgroup.errors import (
@@ -50,6 +52,32 @@ def canonical_span(vectors, tol):
         out.append(v)
         residual -= np.outer(v, v.conj() @ residual)
     return np.column_stack(out)
+
+
+def joined_associator(a):
+    """The worst associator entry and its first basis triple from one join
+    over all nonzeros, its terms summed per slot in one bincount."""
+    i, j, k, v = a.nonzeros
+    n = a.dim
+    bounds = np.arange(n + 1)
+    rows = i.searchsorted(bounds)
+    by_k = k.argsort(kind="stable")
+    thirds = k[by_k].searchsorted(bounds)
+    p, s = join(rows[k], rows[k + 1])
+    q, u = join(thirds[j], thirds[j + 1])
+    u = by_k[u]
+    ij = i * n + j
+    key = np.concatenate([ij[p] * n * n + j[s] * n + k[s],
+                          (i[q] * n * n + ij[u]) * n + k[q]])
+    w = np.concatenate([v[p] * v[s], -(v[u] * v[q])])
+    slots, at = np.unique(key, return_inverse=True)
+    if not slots.size:
+        return 0.0, (0, 0, 0)
+    re, im = np.bincount(at, w.real), np.bincount(at, w.imag)
+    err = re * re + im * im
+    t = int(err.argmax())
+    slot = int(slots[t])
+    return math.sqrt(err[t]), (slot // n ** 3, slot // (n * n) % n, slot // n % n)
 
 
 def module_actions(rho, xs):

@@ -174,15 +174,26 @@ def test_worst_associator_matches_dense_reference(monkeypatch, case, joined):
     else:
         c = _perturbed_cyclic_group_algebra(int(case[6:]))
         a = unvalidated_algebra(c.shape[0], c, np.eye(c.shape[0])[:, 0])
-    calls = []
+    results = []
     joined_associator = algebra._joined_associator
-    monkeypatch.setattr(algebra, "_joined_associator",
-                        lambda *args: calls.append(1) or joined_associator(*args))
+    monkeypatch.setattr(algebra, "_joined_associator", lambda *args: results.append(
+        joined_associator(*args)) or results[-1])
     worst, at = algebra._worst_associator(a)
     err = np.abs(np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c))
-    assert bool(calls) == joined
+    # the join declines (None) when it would cost more than the dense slices
+    assert any(r is not None for r in results) == joined
     assert at == _dense_worst_triple(c)
     assert abs(worst - err.max()) <= 1e-12 * err.max()
+
+
+def test_a_join_that_fits_one_chunk_takes_one():
+    """A join of at most max(n^2, 1000) terms runs in one chunk; a longer
+    one in runs of whole outer positions, each ending at the first position
+    whose running count of terms passes a multiple of that size."""
+    assert list(algebra._chunks(np.array([400, 1000]), 10)) == [(0, 2)]
+    assert list(algebra._chunks(np.array([], dtype=np.int64), 10)) == [(0, 0)]
+    done = np.arange(1, 31) * 100          # 100 terms at each of 30 positions
+    assert list(algebra._chunks(done, 40)) == [(0, 16), (16, 30)]
 
 
 def test_make_algebra_rejects_nonassociative_by_random_probes():
@@ -213,6 +224,18 @@ def test_make_algebra_owns_its_structure_constants():
     b2, b1 = np.eye(4)[:, 2], np.eye(4)[:, 1]
     assert np.allclose(a.product(b2, b1), _dense_product(dense(a), b2, b1))
     assert np.allclose(a.product(b2, b1), np.eye(4)[:, 3])    # E10 E01 = E11
+
+
+def test_make_algebra_owns_its_generators():
+    """The algebra keeps a read-only copy: the caller's array, or the base
+    of a view, stays writeable, and writing to it changes nothing."""
+    c = dense(matrix_algebra(2))
+    base = np.eye(4, dtype=np.complex128)
+    gens = base[1:3]
+    a = make_algebra(4, c, [1.0, 0.0, 0.0, 1.0], tol=TOL, generators=gens)
+    assert gens.flags.writeable and not a.generator_stack.flags.writeable
+    base[1, 1] = 5.0
+    assert np.array_equal(a.generator_stack, np.eye(4)[1:3])
 
 
 def test_make_algebra_field():

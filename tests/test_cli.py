@@ -314,14 +314,20 @@ def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value,
     ("group.table.0.0", 1e308,
      "table entry [0][0] must be an index in [0, 1), got 1e+308"),
     ("tol", 10 ** 400, f"tol must be a number in (0, 1), got {10 ** 400!r}"),
+    ("algebra.dim", 2 ** 40, "algebra dimension 1099511627776 is too large: "
+     "dim^3 > 9223372036854775807"),
+    ("algebra.dim", 10 ** 6, "unit length 1 does not match dim 1000000"),
 ], ids=["unit_length", "action_count", "module_count", "group.table.0.0-e",
         "group.table.0.0-0.5", "table_entry_bool", "table_entry_2**63",
-        "table_entry_1e308", "tol_beyond_the_float_range"])
+        "table_entry_1e308", "tol_beyond_the_float_range", "dim_cube_too_large",
+        "dim_cube_fits"])
 def test_rules_of_a_constructor_are_validation_errors(tmp_path, capsys, where,
                                                       value, message):
-    """parse_job leaves each count, the tolerance and every group-table
-    entry to the constructor that needs it, whose message names what it got
-    and what it wanted; an entry beyond int64 is named like any other."""
+    """parse_job leaves each count, the tolerance, every group-table entry
+    and the size of the dimension to the constructor that needs it, whose
+    message names what it got and what it wanted; an entry beyond int64 is
+    named like any other, and a dimension whose cube exceeds int64 is not
+    taken for an index out of range."""
     data = _replaced(_fixture_job(capsys, "trivial"), where, value)
     assert main(["validate", _write(tmp_path, data)]) == 2
     assert capsys.readouterr() == (

@@ -11,7 +11,7 @@ import reference
 from helpers import same_bits
 
 from skewgroup import numeric, repmod
-from skewgroup.algebra import canonical_span
+from skewgroup.algebra import Algebra, _joined_associator, canonical_span
 from skewgroup.fixtures import FIXTURE_NAMES, fixture, random_instance
 from skewgroup import group_action
 from skewgroup.group_action import (
@@ -195,6 +195,37 @@ def test_extend_to_skew_is_the_kron_loop(source):
         v = contragredient(rep.module, system.cocycle)
         want = reference.extend_to_skew_stack(m.rho, system.phi, v.rho)
         assert same_bits(extend_to_skew(system, v, ssub).rho, want)
+
+
+def _associator_algebras(source):
+    """The source's algebra, its A x| G and the sub-skew algebra of its
+    module's inertia group, each also with c[0, 0, dim - 1] raised by 1,
+    unvalidated, so that associativity fails above dimension 1."""
+    s = skew(source)
+    members = inertia(instance(source).module, instance(source).action).inertia_members
+    out = [s.base, s.alg, sub_skew(s, members).alg]
+    for a in out[:3]:
+        i, j, k, v = a.nonzeros
+        key, slot = (i * a.dim + j) * a.dim + k, a.dim - 1
+        t = int(key.searchsorted(slot))
+        if t < key.size and key[t] == slot:
+            v = v.copy()
+            v[t] += 1.0
+        else:
+            i, j, k, v = (np.insert(x, t, y) for x, y in zip(a.nonzeros, (0, 0, slot, 1.0)))
+        out.append(Algebra(dim=a.dim, nonzeros=(i, j, k, v), unit=a.unit))
+    return out
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_joined_associator_is_the_reference(source):
+    """The join in chunks of first indices names the worst associator entry
+    and its first triple with the bits of one whole join."""
+    for t, a in enumerate(_associator_algebras(source)):
+        worst, at = _joined_associator(a)
+        want = reference.joined_associator(a)
+        assert same_bits(worst, want[0]) and at == want[1]
+        assert (worst > a.tol * a.scale ** 2) == (t >= 3 and a.dim > 1)
 
 
 def _orbit_stacks(source):

@@ -1,11 +1,17 @@
 """Task dispatch: each task derives only the artifacts it reads."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import probes_one_draw_at_a_time, record_products, saw_triples
 
 from skewgroup import runner, theorems
-from skewgroup.fixtures import fixture
+from skewgroup.fixtures import fixture, random_instance
 from skewgroup.jobs import instance_to_job, parse_job
 
 FIXTURES = ("trivial", "swap", "pauli", "perm", "cyclic")
@@ -70,3 +76,28 @@ def test_skew_task_probes_are_the_vectors_of_one_draw_at_a_time(monkeypatch):
     # the symmetrizer check follows the triples
     assert len(seen) > 4 * len(expected)
     assert saw_triples(seen, expected)
+
+
+def test_a_cold_run_imports_no_lazy_numpy_module(tmp_path):
+    """numpy imports some of its modules on first use: a bare np.unique(x)
+    or np.r_ imports numpy.ma, about 1.3 MB that a cold first call would
+    count in its peak memory.  No task of the fixture jobs or of
+    random_instance(6) (skew dimension 48) imports it, run in a fresh
+    interpreter."""
+    paths = []
+    for name, job in [*((f, fixture(f)) for f in FIXTURES),
+                      ("random6", random_instance(6))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instance_to_job(job)))
+        paths.append(str(path))
+    code = ("import contextlib, io, sys\n"
+            "from skewgroup.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['run', p, '--json']) for p in sys.argv[1:]]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(runner.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == f"{[0] * len(paths)} False\n"

@@ -7,9 +7,11 @@ import json
 
 import numpy as np
 import pytest
-from helpers import dense, peak_bytes
+from helpers import dense, peak_bytes, same_bits
 
+from skewgroup import algebra
 from skewgroup.algebra import (
+    canonical_span,
     corner_algebra,
     direct_sum,
     fixed_subalgebra,
@@ -28,7 +30,7 @@ from skewgroup.repmod import (
     is_simple,
     regular_module,
 )
-from skewgroup.skew import skew_group_algebra, symmetrizer
+from skewgroup.skew import skew_group_algebra, sub_skew, symmetrizer
 from skewgroup.theorems import check_invariant_theory, simple_classes
 
 INSTANCES = list(FIXTURE_NAMES) + [f"random{s}" for s in range(20)]
@@ -115,14 +117,22 @@ def test_make_algebra_sorts_and_checks_coo_input():
     shuffled = tuple(np.concatenate([x[order], z]) for x, z in zip(a.nonzeros, zero))
     b = make_algebra(4, shuffled, a.unit)
     assert all(np.array_equal(x, y) for x, y in zip(a.nonzeros, b.nonzeros))
-    bad = [((i, j, k + 4, v), "out of range"),
-           ((i, j, -k, v), "out of range"),
+    bad = [((i, j, k + 4, v), r"index c\[0, 0, 4\] out of range for dim 4"),
+           ((i, j, -k, v), r"index c\[0, 1, -1\] out of range for dim 4"),
            ((i, j, k.astype(float), v), "must be integers"),
            ((i, j, k, v[:-1]), "differ in length"),
            (tuple(np.concatenate([x, x[:1]]) for x in a.nonzeros), "given twice")]
     for mult, message in bad:
         with pytest.raises(InvalidInput, match=message):
             make_algebra(4, mult, a.unit)
+    # 2^21 is the least dim whose cube exceeds int64; below it, the
+    # constants are read and the unit length is the first rule broken
+    for dim in (2 ** 40, 2 ** 21, np.int64(2 ** 21)):
+        with pytest.raises(InvalidInput, match=rf"dimension {dim} is too large: "
+                           rf"dim\^3 > 9223372036854775807"):
+            make_algebra(dim, a.nonzeros, a.unit)
+    with pytest.raises(InvalidInput, match="unit length 4 does not match dim 2097151"):
+        make_algebra(2 ** 21 - 1, a.nonzeros, a.unit)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -294,3 +304,73 @@ def test_regular_module_builds_no_action_stack(inst):
     hom_space(reg, reg)
     is_simple(reg)
     assert "rho" not in vars(reg)
+
+
+def _skew48():
+    i = random_instance(6)
+    s = skew_group_algebra(i.action)
+    assert s.alg.dim == 48
+    return i, s
+
+
+def test_skew48_sub_skew_validation_joins_in_chunks():
+    """The sub-skew algebra of the inertia group at skew dimension 48 has
+    dimension 24, so make_algebra checks every basis triple by the
+    associator join.  Joined whole, its keys, values and np.unique's
+    temporaries took make_algebra to 160 KB; in chunks of whole first
+    indices of about 24^2 terms it peaks near 106 KB."""
+    i, s = _skew48()
+    sub = sub_skew(s, inertia(i.module, i.action).inertia_members).alg
+    assert sub.dim == 24
+
+    def build():
+        return make_algebra(sub.dim, sub.nonzeros, sub.unit, tol=sub.tol,
+                            generators=sub.generators, seed=sub.seed)
+
+    build()                          # first call: imports and caches
+    assert peak_bytes(build) <= 130e3
+
+
+def test_skew48_corner_algebra_drops_its_column_stack():
+    """The corner of A x| G at skew dimension 48 spans its 48 columns
+    e b_i e.  canonical_span stacked them and held that stack and its
+    orthonormal basis through the projector loop, which took corner_algebra
+    to 237 KB; dropped when read, they leave it near 198 KB."""
+    _, s = _skew48()
+    e = symmetrizer(s)
+    corner_algebra(s.alg, e)
+    assert peak_bytes(lambda: corner_algebra(s.alg, e)) <= 215e3
+
+
+def test_skew48_canonical_span_drops_its_input_stack():
+    """canonical_span stacks a list of 48 columns into one (48, 48) array
+    for the SVD, 37 KB.  Held with the orthonormal basis through the
+    projector loop they took it to 193 KB on the corner's columns; dropped
+    when read, it peaks near 154 KB."""
+    _, s = _skew48()
+    a, e = s.alg, symmetrizer(s)
+    cols = [a.product(e, a.product(b, e)) for b in np.eye(48, dtype=np.complex128)]
+    canonical_span(cols, a.tol)
+    assert peak_bytes(lambda: canonical_span(cols, a.tol)) <= 175e3
+
+
+def test_skew72_unit_check_forms_one_side_at_a_time():
+    """At skew dimension 72 one unit-law matrix is 83 KB.  Both sides, the
+    identity and a difference formed at once peaked at 375 KB; one side at a
+    time, the identity subtracted in place, peaks near 193 KB."""
+    s = skew_group_algebra(random_instance(2).action)
+    assert s.alg.dim == 72
+    algebra._check_unit(s.alg)
+    assert peak_bytes(lambda: algebra._check_unit(s.alg)) <= 280e3
+
+
+def test_skew_generators_are_one_read_only_array():
+    """A x| G keeps its generators b_i and g as one (dim A + |G|, dim)
+    array, which generator_stack returns rather than stacking a copy."""
+    _, s = _skew48()
+    gens = s.alg.generators
+    assert gens.shape == (s.base.dim + s.group.order, 48)
+    assert s.alg.generator_stack is gens and not gens.flags.writeable
+    want = [s.embed_base(np.eye(s.base.dim)[:, t]) for t in range(s.base.dim)]
+    want += [s.embed_group(g) for g in s.group.elements()]
+    assert same_bits(gens, np.array(want))

@@ -24,21 +24,37 @@ def test_peak_where_names_the_sites_of_a_call(tmp_path):
     lines = done.stdout.splitlines()
     peak = re.fullmatch(r"exit code 0; peak (\S+) MB above the start of the "
                         r"call", lines[0])
-    # the true peak's interval, between two profile events, and the
-    # skewgroup frames it ran under, innermost first
-    true = re.fullmatch(r"true peak: (\S+) MB, between event (\d+) \((.+)\) "
-                        r"and event (\d+) \((.+)\), under:", lines[1])
     at = next(t for t, line in enumerate(lines)
               if line.startswith("fullest traced moment"))
-    stack = [line.strip() for line in lines[2:at]]
+    # the true peak's interval, between two profile events, then the
+    # largest under four other call chains, each with the skewgroup frames
+    # it ran under, innermost first
+    heads = [t for t in range(1, at) if not lines[t].startswith(" ")]
+    assert len(heads) == 5 and heads[0] == 1
+    intervals = []
+    for t, end in zip(heads, [*heads[1:], at]):
+        label = "true peak" if t == 1 else "next peak, under another call chain"
+        head = re.fullmatch(label + r": (\S+) MB, between event (\d+) "
+                            r"\((.+)\) and event (\d+) \((.+)\), under:",
+                            lines[t])
+        assert head and int(head[4]) == int(head[2]) + 1
+        assert re.search(r" at \S+:\d+", head[5])
+        stack = [line.strip() for line in lines[t + 1:end]]
+        assert stack and all(re.fullmatch(r"\w+\.py:\d+ [\w.]+", f)
+                             for f in stack)
+        intervals.append((float(head[1]), stack))
+    true = intervals[0][0]
+    assert [p for p, _ in intervals] == sorted((p for p, _ in intervals),
+                                               reverse=True)
+    # distinct chains: innermost function and the call lines outside it
+    chains = {(stack[0].split(":")[0], stack[0].split()[1], *stack[1:])
+              for _, stack in intervals}
+    assert len(chains) == 5
     held = re.match(r"fullest traced moment: (\S+) MB, event \d+", lines[at])
-    assert peak and true and held
-    assert int(true[4]) == int(true[2]) + 1
-    assert stack and all(re.fullmatch(r"\w+\.py:\d+ [\w.]+", f) for f in stack)
-    assert re.search(r" at \S+:\d+", true[5])
+    assert peak and held
     assert 0 < float(held[1]) <= float(peak[1])
     # the true peak is found in a run of its own, whose hook keeps a little
-    assert float(held[1]) <= float(true[1]) <= 1.1 * float(peak[1])
+    assert float(held[1]) <= true <= 1.1 * float(peak[1])
     sites = [line for line in lines[at + 1:] if " KB " in line]
     assert 1 <= len(sites) <= 10
     # each chain ends at the task runner, the outermost skewgroup frame

@@ -14,9 +14,13 @@ the ``tracemalloc`` peak at every event and finds the interval between two
 events that holds the true peak; the third takes a snapshot at the fullest
 moment.  Printed: the peak; the true peak's interval, named by the events
 that open and close it, with the chain of ``skewgroup`` functions it ran
-under, innermost first; the memory live at the fullest moment; and the ten
-largest allocation sites live at that moment that the call made, each with
-its chain of ``skewgroup`` functions up to the task runner.
+under, innermost first; the largest interval peaks under the next four
+call chains, in the same form, largest first, a chain being the innermost
+``skewgroup`` function and the lines of the calls that led to it (so the
+runner-up to a peak shows where a cut would move it); the memory live at
+the fullest moment; and the ten largest allocation sites live at that
+moment that the call made, each with its chain of ``skewgroup`` functions
+up to the task runner.
 
 A temporary that lives only inside one C call (a LAPACK workspace, the
 intermediate of an arithmetic expression) counts in the peak but is never
@@ -46,6 +50,7 @@ from skewgroup.cli import main as cli_main  # noqa: E402
 PACKAGE = Path(skewgroup.__file__).resolve().parent
 PREFIX = str(PACKAGE) + os.sep          # of the package's file names
 TOP = 10
+SITES = 5                               # call chains whose peaks are printed
 FRAMES = 64
 
 
@@ -122,27 +127,43 @@ def _events(argv, stop=None):
     return state
 
 
-def _peak_interval(argv):
+def _innermost(frame):
+    """The code of the innermost frame in the package, or None."""
+    while frame is not None and not frame.f_code.co_filename.startswith(PREFIX):
+        frame = frame.f_back
+    return frame and frame.f_code
+
+
+def _peak_intervals(argv):
     """Run the call with a hook at every call and return event that resets
     the tracemalloc peak; (index, peak bytes above the start, opening event,
-    closing event, stack) of the interval between two events that holds the
-    true peak.  Its own run, so that what this hook keeps is not counted in
-    the fullest moment."""
-    state = {"n": 0, "top": (0, -1, None, None, []),
-             "last": ("start", "", "", 0)}
+    closing event, stack) of the interval between two events with the
+    largest peak under each of the SITES call chains whose largest peaks are
+    largest, largest first: the first holds the true peak.  A chain is
+    the innermost package function and the call lines outside it.  Its own
+    run, so that what this hook keeps is not counted in the fullest
+    moment."""
+    state = {"n": 0, "top": {}, "floor": -1, "last": ("start", "", "", 0)}
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
 
     def hook(frame, event, arg):
         n = state["n"]
         state["n"] = n + 1
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - base
         # a builtin's name only: a bound method or a returned value kept
         # here would keep its array alive
         name = getattr(arg, "__qualname__", "") if event[0] == "c" else ""
         here = (event, name, frame.f_code.co_filename, frame.f_lineno)
-        if peak - base > state["top"][1]:
-            state["top"] = (n, peak - base, state["last"], here, _stack(frame))
+        if peak > state["floor"]:
+            top, stack = state["top"], _stack(frame)
+            chain = (_innermost(frame), *stack[1:])
+            if peak > top.get(chain, (0, -1))[1]:
+                top[chain] = (n, peak, state["last"], here, stack)
+                if len(top) > SITES:
+                    del top[min(top, key=lambda c: top[c][1])]
+                if len(top) == SITES:
+                    state["floor"] = min(t[1] for t in top.values())
         state["last"] = here
         # the next event reads the peak of the interval up to it alone
         tracemalloc.reset_peak()
@@ -152,7 +173,7 @@ def _peak_interval(argv):
         _call(argv)
     finally:
         sys.setprofile(None)
-    return state["top"]
+    return sorted(state["top"].values(), key=lambda t: -t[1])
 
 
 def _event(event: str, name: str, filename: str, lineno: int) -> str:
@@ -167,6 +188,14 @@ def _call(argv) -> int:
         return cli_main(argv)
 
 
+def _interval(label, top, peak, opened, closed, stack) -> list[str]:
+    """The lines of one interval peak and the chain it ran under."""
+    return [f"{label}: {peak / 1e6:.3f} MB, between event {top - 1} "
+            f"({_event(*opened)}) and event {top} ({_event(*closed)}), "
+            f"under:",
+            *(f"{'':27}{_where(*f)}" for f in stack if _is_chain(f[0]))]
+
+
 def report(argv) -> list[str]:
     """The lines printed for one call of cli.main(argv)."""
     # imports, caches, and what a profile hook allocates on first use
@@ -177,7 +206,7 @@ def report(argv) -> list[str]:
         _call(argv)
         peak = tracemalloc.get_traced_memory()[1] - base
         index, held = _events(argv)["best"]
-        top, top_peak, opened, closed, stack = _peak_interval(argv)
+        intervals = _peak_intervals(argv)
         before = tracemalloc.take_snapshot()
         snapshot = _events(argv, stop=index)["snapshot"]
     finally:
@@ -189,11 +218,10 @@ def report(argv) -> list[str]:
     sites = sorted((d for d in diffs if d.size_diff > 0),
                    key=lambda d: d.size_diff, reverse=True)[:TOP]
     lines = [f"exit code {code}; peak {peak / 1e6:.3f} MB above the start "
-             f"of the call",
-             f"true peak: {top_peak / 1e6:.3f} MB, between event {top - 1} "
-             f"({_event(*opened)}) and event {top} ({_event(*closed)}), "
-             f"under:"]
-    lines += [f"{'':27}{_where(*f)}" for f in stack if _is_chain(f[0])]
+             f"of the call"]
+    for t, interval in enumerate(intervals):
+        lines += _interval("true peak" if t == 0 else
+                           "next peak, under another call chain", *interval)
     lines.append(f"fullest traced moment: {held / 1e6:.3f} MB, event {index}; "
                  f"its {len(sites)} largest allocation sites made by the call:")
     for d in sites:
