@@ -28,9 +28,6 @@ from .errors import (
 # per triple and quickly dominates wall time).
 EXHAUSTIVE_DIM_LIMIT = 32
 _PROBE_COUNT = 50
-# canonical_span's n x n work runs in row blocks of about this many complex
-# entries: in one block up to n = 48, the skew dimension of most jobs.
-_SPAN_BLOCK = 48 * 48
 # Cost model of the exhaustive associativity check, measured on 2 cores: one
 # term of the join over the nonzeros costs about as much as 32 dense
 # multiply-adds, and a join has the fixed cost of about 1000 terms.
@@ -351,50 +348,35 @@ def canonical_span(vectors, tol) -> np.ndarray:
     """Deterministic orthonormal basis of the span of the given column vectors.
 
     The result depends only on the subspace, not on the spanning set: columns
-    of the orthogonal projector are Gram-Schmidt'ed in coordinate order and
-    phase-fixed so each leading significant coordinate is real positive.
-    Keeps report output (and subalgebra structure constants) stable.
+    of the orthogonal projector are Gram-Schmidt'ed with pivoting and
+    phase-fixed so each leading significant coordinate is real positive.  The
+    pivot is the column of largest residual norm; columns within relative tol
+    of that norm tie, and the first of them wins, so rounding never decides
+    an exact tie.  Keeps report output (and subalgebra structure constants)
+    stable.
+
+    The work runs in the k coordinates of an orthonormal basis Q of the span:
+    column j of the residual projector is Q c_j, with C = Q^H at the start,
+    and a step takes u (u^H C) off C and |u^H c_j|^2 off each squared column
+    norm, so no n x n matrix is formed.
     """
     numeric.check_tol(tol)
-    raw = numeric.orthonormal_column_basis(    # no name keeps the stacked input
+    q = numeric.orthonormal_column_basis(    # no name keeps the stacked input
         np.column_stack(vectors) if isinstance(vectors, (list, tuple)) else np.asarray(vectors), tol)
-    k = raw.shape[1]
-    if k == 0:
-        return raw
-    residual = raw @ raw.conj().T
-    del raw
-    n = len(residual)
-    out = np.empty((n, k), dtype=np.complex128)
-    # The column norms and the rank-one update, as np.linalg.norm(axis=0)
-    # and np.outer form them, in row blocks of about _SPAN_BLOCK entries
-    # through one scratch buffer.  np.add.reduce sums each column over the
-    # rows in order, so a later block goes on from the sums so far, put in
-    # the scratch row before it.
-    blocks = -(-n * n // _SPAN_BLOCK)
-    step = -(-n // blocks)
-    scratch = np.empty((1 + step, n), dtype=np.complex128)
-    spans = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    parts = [(residual[at], scratch[1:1 + at.stop - at.start],
-              scratch[at.start == 0:1 + at.stop - at.start].real, at)
-             for at in spans]
-    norms = np.empty(n)
-    for t in range(k):
-        for block, rows, summed, at in parts:
-            np.conjugate(block, out=rows)
-            np.multiply(rows, block, out=rows)
-            if at.start:
-                scratch[0] = norms
-            np.add.reduce(summed, axis=0, out=norms)
-        np.sqrt(norms, out=norms)
-        i = int(norms.argmax())  # ties break at the smallest index
-        v = residual[:, i] / norms[i]
-        lead = int((np.abs(v) > 1e-8).argmax())
-        v = v / (v[lead] / abs(v[lead]))
-        out[:, t] = v
-        row = v.conj() @ residual
-        for block, rows, _, at in parts:
-            np.multiply(v[at, None], row, out=rows)
-            block -= rows
+    c = np.conjugate(q.T, order="C")
+    out = np.empty_like(q)
+    sq = np.einsum("ij,ij->j", c.real, c.real) + np.einsum("ij,ij->j", c.imag, c.imag)
+    cut = (1 - tol) ** 2
+    for t in range(len(c)):
+        col = c[:, (sq >= cut * sq.max()).argmax()]
+        u = col / math.sqrt(np.vdot(col, col).real)
+        v = q @ u
+        lead = complex(v[(np.abs(v) > 1e-8).argmax()])
+        out[:, t] = v / (lead / abs(lead))
+        if t + 1 < len(c):
+            w = u.conj() @ c
+            c -= u[:, None] * w
+            sq -= w.real * w.real + w.imag * w.imag
     return out
 
 

@@ -330,12 +330,16 @@ def is_simple(m: Module) -> bool:
 
 def _cyclic_orbits(m: Module) -> np.ndarray:
     """(3, dim, dim A) stack of the orbit matrices [b_i v] of three random
-    vectors v from the algebra's seed, drawn as one stack so that one images
-    call serves them."""
+    vectors v from the algebra's seed, drawn as one stack and filled in
+    compress's blocks of basis elements, so no temporary holds more than
+    about dim A * dim entries."""
     rng = np.random.default_rng(m.algebra.seed)
     vs = np.column_stack([rng.standard_normal(m.dim)
                           + 1j * rng.standard_normal(m.dim) for _ in range(3)])
-    return m.images(vs).transpose(2, 1, 0)
+    out = np.empty((m.algebra.dim, m.dim, 3), dtype=np.complex128)
+    for lo, hi, block in _image_blocks(m, vs):
+        out[lo:hi] = block
+    return out.transpose(2, 1, 0)
 
 
 def twist(m: Module, g: int, action) -> Module:
@@ -356,10 +360,11 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     """Restrict the action to an invariant subspace with orthonormal basis.
 
     The (dim A, k, k) action, k = basis.shape[1], is filled in blocks of
-    ceil(dim A / k) basis elements, so no other temporary holds more than
-    about dim A * dim M entries; the result keeps its generator actions and
-    scale and drops it.  Every basis element's invariance residual is
-    checked, and a failure names the first one above tolerance.
+    ceil(dim A / k) basis elements, and the projection is taken off a
+    block's images one basis element at a time, so no other temporary holds
+    more than about dim A * dim M entries; the result keeps its generator
+    actions and scale and drops it.  Every basis element's invariance
+    residual is checked, and a failure names the first one above tolerance.
     """
     a = m.algebra
     n, k = a.dim, basis.shape[1]
@@ -368,7 +373,8 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     small = np.empty((n, k, k), dtype=np.complex128)
     for lo, hi, rb, block in _compressed_blocks(m, basis):
         small[lo:hi] = block
-        rb -= basis @ block
+        for r, b in zip(rb, block):
+            r -= basis @ b
         re, im = rb.real, rb.imag
         res = np.sqrt(np.einsum("iab,iab->i", re, re)
                       + np.einsum("iab,iab->i", im, im)) / m.scale
@@ -379,15 +385,20 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     return CompressedModule(m, basis, small)
 
 
-def _compressed_blocks(m: Module, basis: np.ndarray):
-    """(lo, hi, images, basis^H images) over consecutive blocks of
-    ceil(dim A / k) basis elements lo <= i < hi, images = rho(b_i) basis."""
+def _image_blocks(m: Module, basis: np.ndarray):
+    """(lo, hi, images) over consecutive blocks of ceil(dim A / k) basis
+    elements lo <= i < hi, images = rho(b_i) basis, k = basis.shape[1]."""
     n = m.algebra.dim
     step = -(-n // basis.shape[1])
-    adjoint = basis.conj().T
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        rb = m.images(basis, lo, hi)
+        yield lo, hi, m.images(basis, lo, hi)
+
+
+def _compressed_blocks(m: Module, basis: np.ndarray):
+    """(lo, hi, images, basis^H images) over _image_blocks."""
+    adjoint = basis.conj().T
+    for lo, hi, rb in _image_blocks(m, basis):
         yield lo, hi, rb, adjoint @ rb
 
 
@@ -463,11 +474,10 @@ def _try_split(m: Module, comm, rng) -> list:
     total = 0
     while clusters:
         cols = clusters.pop()
-        basis = numeric.orthonormal_column_basis(cols, tol)
+        basis = canonical_span(cols, tol)
         if basis.shape[1] != cols.shape[1]:
             raise DegenerateSample("eigenvector block is rank-deficient")
         del cols
-        basis = canonical_span(basis, tol)
         try:
             sub = compress(m, basis)
         except NotARepresentation as exc:

@@ -2,7 +2,8 @@
 written with the library wrappers (np.linalg.norm, np.kron, np.outer,
 np.tensordot, np.eye) and Python loops, or the earlier formulation a
 kernel replaced.  Tests require the library's kernels to return the same
-bits, or to raise the same message."""
+bits, or to raise the same message; canonical_span, whose library form
+works in other coordinates, is matched entrywise."""
 
 import json
 import math
@@ -34,6 +35,9 @@ def product(a, x, y):
 
 
 def canonical_span(vectors, tol):
+    """Pivoted Gram-Schmidt on the whole n x n residual projector, each
+    column norm taken anew; columns within relative tol of the largest norm
+    tie, and the first wins."""
     numeric.check_tol(tol)
     m = (np.column_stack(vectors) if isinstance(vectors, (list, tuple))
          else np.asarray(vectors))
@@ -45,7 +49,7 @@ def canonical_span(vectors, tol):
     out = []
     for _ in range(k):
         norms = np.linalg.norm(residual, axis=0)
-        i = int(np.argmax(norms))
+        i = int(np.argmax(norms >= (1 - tol) * norms.max()))
         v = residual[:, i] / norms[i]
         lead = int(np.argmax(np.abs(v) > 1e-8))
         v = v / (v[lead] / abs(v[lead]))

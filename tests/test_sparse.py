@@ -25,7 +25,9 @@ from skewgroup.jobs import instance_to_job, parse_job
 from skewgroup.projective import inertia, twisted_group_algebra
 from skewgroup.repmod import (
     DirectSum,
+    _cyclic_orbits,
     _multiplicity_spaces,
+    compress,
     hom_space,
     is_simple,
     regular_module,
@@ -290,6 +292,28 @@ def test_skew72_multiplicity_spaces_stack_the_pieces_per_class():
 
     spaces()
     assert peak_bytes(spaces) <= 250e3
+
+
+def test_skew72_cyclic_orbits_fill_in_blocks():
+    """The orbit matrices of a 6-dim piece take the regular module's images
+    of three vectors.  Formed from one (72, 72, 3) images stack they peaked
+    at 315 KB; in blocks of 24 basis elements they peak near 145 KB."""
+    _, dec = _skew72_decomposition()
+    piece = dec.pieces[0].module
+    assert piece.dim == 6
+    _cyclic_orbits(piece)
+    assert peak_bytes(lambda: _cyclic_orbits(piece)) <= 190e3
+
+
+def test_skew72_compress_projects_one_basis_element_at_a_time():
+    """compress takes the projection off a block's (12, 72, 6) images one
+    basis element at a time.  Formed for the whole block, the projection
+    was a second temporary of the block's size, and compress peaked at
+    306 KB; now it peaks near 244 KB."""
+    _, dec = _skew72_decomposition()
+    basis = dec.pieces[0].basis
+    compress(dec.module, basis)
+    assert peak_bytes(lambda: compress(dec.module, basis)) <= 275e3
 
 
 def test_regular_module_builds_no_action_stack(inst):

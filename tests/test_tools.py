@@ -86,7 +86,8 @@ def test_json_digests_lists_each_workload_call_once():
     workload_labels = [label for label in labels
                        if label.split(".")[0] in digests.workloads.WORKLOADS]
     assert len(workload_labels) == wanted == 34
-    # then the skew-128 job, where canonical_span runs 8 row blocks
+    # then the skew-128 job, the one call above the benchmark's skew
+    # dimension 72
     label, build, tail = listed[-1]
     job = build()
     assert (label, tail) == ("rot128", ["--json"])
@@ -101,3 +102,45 @@ def test_json_digests_runs_every_fixture_and_random_job_at_seed_7_once():
     assert listed == [(f"{job}@seed7", ["--json", "--seed", "7"])
                       for job in jobs]
     assert len(digests.calls()) == 96
+
+
+def test_json_digests_verdict_digest_drops_only_residuals():
+    digests = _tool("json_digests")
+    report = {"passed": True, "tasks": [{"checks": [
+        {"name": "a", "passed": True, "residual": 1e-16},
+        {"name": "b", "passed": True, "dims": {"dim": 4}}]}]}
+    moved = json.loads(json.dumps(report))
+    moved["tasks"][0]["checks"][0]["residual"] = 2e-16
+    flipped = json.loads(json.dumps(report))
+    flipped["tasks"][0]["checks"][1]["dims"]["dim"] = 5
+    text = json.dumps(report)
+    assert digests.verdict_digest(text) == digests.verdict_digest(json.dumps(moved))
+    assert digests.verdict_digest(text) != digests.verdict_digest(json.dumps(flipped))
+    # keys sorted, no spaces, as perfbench digests a record
+    bare = {"passed": True, "tasks": [{"checks": [
+        {"name": "a", "passed": True},
+        {"dims": {"dim": 4}, "name": "b", "passed": True}]}]}
+    assert digests.verdict_digest(text) == digests.sha256(
+        json.dumps(bare, sort_keys=True, separators=(",", ":")))
+    # no report (a call that exits 2 prints none): the output itself
+    assert digests.verdict_digest("") == digests.sha256("")
+
+
+def test_json_digests_compare_marks_calls_that_differ_in_residuals_only(
+        tmp_path, monkeypatch, capsys):
+    digests = _tool("json_digests")
+    lines = ["a 0 b1 v1", "b 0 b2 v2", "c 1 b3 v3", "d 0 b4 v4"]
+    saved = ["a 0 b1 v1", "b 0 bX v2", "c 0 bX v3", "d 0 bX vX"]
+    path = tmp_path / "saved.txt"
+    path.write_text("\n".join(saved) + "\n")
+    monkeypatch.setattr(digests, "digest_lines", lambda workdir: lines)
+    assert digests.main(["--compare", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "differs (residuals only): 'b 0 bX v2' -> 'b 0 b2 v2'",
+        "differs: 'c 0 bX v3' -> 'c 1 b3 v3'",
+        "differs: 'd 0 bX vX' -> 'd 0 b4 v4'",
+        "1 of 4 calls equal, 1 more in all but residuals"]
+    path.write_text("\n".join(lines) + "\n")
+    assert digests.main(["--compare", str(path)]) == 0
+    assert capsys.readouterr().out == "4 of 4 calls equal, 0 more in all but residuals\n"
