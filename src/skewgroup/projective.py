@@ -94,32 +94,31 @@ def inertia(m: Module, action: AlgebraAction) -> ProjectiveSystem:
         raise NotSimple("inertia is defined for simple modules only")
     group = action.group
     members = []
-    raw_phi = {}
+    raw_phi = {}                # h -> (intertwiner, action stack of the twist)
     for h in group.elements():
-        homs = hom_space(twist(m, h, action), m)
+        t = twist(m, h, action)
+        homs = hom_space(t, m)
         if len(homs) > 1:
             raise NumericalInconsistency(
                 f"hom space from the twist by {h} has dimension {len(homs)} > 1")
         if homs:
             members.append(h)
-            raw_phi[h] = _normalize_intertwiner(homs[0], m.dim)
+            raw_phi[h] = _normalize_intertwiner(homs[0], m.dim), t.rho
     inertia_group, members = subgroup_as_group(group, members)
     phi = tuple(np.eye(m.dim, dtype=np.complex128) if h == group.identity
-                else raw_phi[h] for h in members)
-    _check_intertwiners(m, action, members, phi)
+                else raw_phi[h][0] for h in members)
+    _check_intertwiners(m, [raw_phi[h][1] for h in members], members, phi)
     cocycle = extract_cocycle(phi, inertia_group, m.algebra.tol)
     return ProjectiveSystem(module=m, inertia_members=members, phi=phi,
                             cocycle=cocycle)
 
 
-def _check_intertwiners(m: Module, action: AlgebraAction, members, phi):
-    """phi(h) rho(h^{-1}(a)) = rho(a) phi(h) for every basis element a."""
-    group = action.group
+def _check_intertwiners(m: Module, twisted, members, phi):
+    """phi(h) rho(h^{-1}(a)) = rho(a) phi(h) for every basis element a, given
+    the action stack of m's twist by each member h."""
     scale = m.scale * np.sqrt(m.dim)
-    for local, h in enumerate(members):
-        tmat = action.mats[group.inv(h)]
-        lhs = phi[local] @ m.actions(tmat.T)
-        res = np.linalg.norm(lhs - m.images(phi[local]), axis=(1, 2)) / scale
+    for h, rho, f in zip(members, twisted, phi):
+        res = np.linalg.norm(f @ rho - m.images(f), axis=(1, 2)) / scale
         bad = (res > m.algebra.tol).nonzero()[0]
         if bad.size:
             raise NotProjective(

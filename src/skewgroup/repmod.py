@@ -36,21 +36,34 @@ MAX_DECOMPOSE_RETRIES = 8
 _PROBE_COUNT = 20
 
 
-@dataclass(frozen=True, eq=False)
 class Module:
-    """A module over an algebra, given by its one action stack rho.
+    """A module over an algebra, given by one primitive, `images(V, lo, hi)`.
 
-    The stack is stored, or built on first read by a kind that gives its
-    images and scale without it (the regular module, a compressed piece);
-    the actions and the generator side derive from it.
+    A stored module reads its images from the action stack rho it is given.
+    Another kind gives its images alone, and its stack is filled from
+    images(I) when read.  The actions, scale and generator side derive from
+    the stack, here only; a kind may seed a value it has more cheaply.
     """
-    algebra: Algebra
-    dim: int
-    rho: np.ndarray           # (algebra dim, dim, dim): rho[i] is the action of b_i
+
+    def __init__(self, algebra: Algebra, dim: int, rho: np.ndarray | None = None):
+        self.algebra = algebra
+        self.dim = dim
+        if rho is not None:
+            self.rho = rho
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """(algebra dim, dim, dim) stack: rho[i] is the action of b_i."""
+        return _image_stack(self, np.eye(self.dim))
+
+    def images(self, basis, lo=0, hi=None) -> np.ndarray:
+        """(hi - lo, dim, k) stack of rho(b_i) @ basis for the basis elements
+        lo <= i < hi (by default all of them), given a (dim, k) basis."""
+        return self.rho[lo:hi] @ basis
 
     def act(self, x) -> np.ndarray:
         """Action matrix of the element with coordinates x."""
-        return np.einsum("i,iab->ab", np.asarray(x), self.rho)
+        return self.actions(x)
 
     def actions(self, xs) -> np.ndarray:
         """(len(xs), dim, dim) action matrices of the elements xs[t]."""
@@ -59,11 +72,6 @@ class Module:
         n = self.rho.shape[0]
         return np.dot(xs.reshape(-1, n), self.rho.reshape(n, -1)).reshape(
             xs.shape[:-1] + self.rho.shape[1:])
-
-    def images(self, basis, lo=0, hi=None) -> np.ndarray:
-        """(hi - lo, dim, k) stack of rho(b_i) @ basis for the basis elements
-        lo <= i < hi (by default all of them), given a (dim, k) basis."""
-        return self.rho[lo:hi] @ basis
 
     @cached_property
     def scale(self) -> float:
@@ -88,18 +96,10 @@ class Module:
 class RegularModule(Module):
     """The left regular module of an algebra.
 
-    Its images and its generator actions are scattered from the nonzero
-    structure constants; its stack, the left multiplications, is built only
-    when read.
+    Its images, and its scale and generator actions as seeds, are read off
+    the nonzero structure constants: derived from the stack, they would
+    build all dim A left multiplications.
     """
-
-    def __init__(self, algebra: Algebra):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dim", algebra.dim)
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return self.images(np.eye(self.dim))
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         # row k of L_{b_i} @ basis collects c[i, j, k] basis[j]; the
@@ -145,31 +145,16 @@ class DirectSum:
 class CompressedModule(Module):
     """An invariant subspace of a parent module, with no stored action.
 
-    It keeps its parent, its orthonormal basis and, from the stack `compress`
-    built, its generator actions and scale.  `images` goes through the
-    parent; `act` and `actions` rebuild the stack on first use, in
-    compress's blocks and so bitwise the same, and keep it.  A piece read
-    only through hom spaces never holds one.
+    Its images go through the parent's, on its orthonormal basis.  Its
+    generator actions and scale are seeded from the stack `compress` built,
+    which it then drops, so a piece read only through hom spaces holds none.
     """
 
     def __init__(self, parent: Module, basis: np.ndarray, rho: np.ndarray):
-        object.__setattr__(self, "algebra", parent.algebra)
-        object.__setattr__(self, "dim", basis.shape[1])
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "basis", basis)
-        # derived from rho as a stored module derives them; a cached
-        # property reads its instance entry first
-        stored = Module(algebra=parent.algebra, dim=self.dim, rho=rho)
-        object.__setattr__(self, "generator_actions", stored.generator_actions)
-        object.__setattr__(self, "scale", stored.scale)
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        small = np.empty((self.algebra.dim, self.dim, self.dim),
-                         dtype=np.complex128)
-        for lo, hi, _, block in _compressed_blocks(self.parent, self.basis):
-            small[lo:hi] = block
-        return small
+        super().__init__(parent.algebra, basis.shape[1], rho)
+        self.parent, self.basis = parent, basis
+        self.generator_actions, self.scale     # derived from rho, and kept
+        del self.rho
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         return self.basis.conj().T @ self.parent.images(self.basis @ basis, lo, hi)
@@ -336,10 +321,7 @@ def _cyclic_orbits(m: Module) -> np.ndarray:
     rng = np.random.default_rng(m.algebra.seed)
     vs = np.column_stack([rng.standard_normal(m.dim)
                           + 1j * rng.standard_normal(m.dim) for _ in range(3)])
-    out = np.empty((m.algebra.dim, m.dim, 3), dtype=np.complex128)
-    for lo, hi, block in _image_blocks(m, vs):
-        out[lo:hi] = block
-    return out.transpose(2, 1, 0)
+    return _image_stack(m, vs).transpose(2, 1, 0)
 
 
 def twist(m: Module, g: int, action) -> Module:
@@ -370,9 +352,10 @@ def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     n, k = a.dim, basis.shape[1]
     if k == 0:
         raise InvalidInput("cannot compress to a zero-dimensional subspace")
+    adjoint = basis.conj().T
     small = np.empty((n, k, k), dtype=np.complex128)
-    for lo, hi, rb, block in _compressed_blocks(m, basis):
-        small[lo:hi] = block
+    for lo, hi, rb in _image_blocks(m, basis):
+        small[lo:hi] = block = adjoint @ rb
         for r, b in zip(rb, block):
             r -= basis @ b
         re, im = rb.real, rb.imag
@@ -395,11 +378,12 @@ def _image_blocks(m: Module, basis: np.ndarray):
         yield lo, hi, m.images(basis, lo, hi)
 
 
-def _compressed_blocks(m: Module, basis: np.ndarray):
-    """(lo, hi, images, basis^H images) over _image_blocks."""
-    adjoint = basis.conj().T
-    for lo, hi, rb in _image_blocks(m, basis):
-        yield lo, hi, rb, adjoint @ rb
+def _image_stack(m: Module, basis: np.ndarray) -> np.ndarray:
+    """(dim A, dim, k) stack of rho(b_i) basis, filled over _image_blocks."""
+    out = np.empty((m.algebra.dim, m.dim, basis.shape[1]), dtype=np.complex128)
+    for lo, hi, block in _image_blocks(m, basis):
+        out[lo:hi] = block
+    return out
 
 
 def _commutant(m: Module) -> tuple:
@@ -581,6 +565,7 @@ def invariant_subspace(m: Module) -> np.ndarray:
 
 
 def regular_module(a: Algebra) -> Module:
-    """Left regular representation of an algebra on itself, its action
-    stack built only when read."""
-    return RegularModule(a)
+    """Left regular representation of an algebra on itself: its images,
+    scale and generator actions come from the structure constants, and its
+    action stack is built, in blocks, only when read."""
+    return RegularModule(a, a.dim)

@@ -18,9 +18,37 @@ from skewgroup.projective import (
     projective_isotypics,
     twisted_group_algebra,
 )
-from skewgroup.repmod import decompose, hom_space, make_module, regular_module
+from skewgroup.repmod import (
+    Module,
+    decompose,
+    hom_space,
+    make_module,
+    regular_module,
+)
 
 TOL = 1e-9
+
+
+@pytest.mark.parametrize("name", ["swap", "pauli", "perm", "cyclic"])
+def test_inertia_twists_each_group_element_once(inst, monkeypatch, name):
+    """The intertwiner check reads the twists that the hom spaces were
+    solved on: m's actions are formed once per group element, not again
+    for each member of the inertia subgroup."""
+    i = inst(name)
+    m = i.module
+    m.generator_side                    # formed before counting
+    calls = []
+    actions = Module.actions
+
+    def counted(self, xs):
+        if self is m:
+            calls.append(xs)
+        return actions(self, xs)
+
+    monkeypatch.setattr(Module, "actions", counted)
+    system = inertia(m, i.action)
+    assert len(system.inertia_members) >= 1
+    assert len(calls) == i.group.order
 
 
 def test_inertia_trivial_group(inst):

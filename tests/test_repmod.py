@@ -503,6 +503,33 @@ def test_images_of_a_row_range_are_bitwise_the_full_stack_rows(kind):
         assert np.array_equal(m.images(basis, lo, hi), full[lo:hi])
 
 
+@pytest.mark.parametrize("kind", ["stored", "regular", "compressed"])
+def test_rho_is_the_stacked_images_and_act_is_actions(kind):
+    s = skew_group_algebra(random_instance(2).action).alg
+    reg = regular_module(s)
+    m = {"stored": lambda: Module(algebra=s, dim=s.dim,
+                                  rho=reg.actions(np.eye(s.dim))),
+         "regular": lambda: reg,
+         "compressed": lambda: compress(reg, decompose(reg).pieces[0].basis),
+         }[kind]()
+    assert same_bits(m.rho, m.images(np.eye(m.dim)))
+    rng = np.random.default_rng(4)
+    for x in (rng.standard_normal(s.dim),
+              rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)):
+        assert same_bits(m.act(x), m.actions(x))
+
+
+def test_regular_module_fills_its_stack_without_a_second_copy():
+    """Scattered in one shot, the left multiplications of random_instance(2)'s
+    skew algebra peaked at 7.02 MB, 1.18 times their 5.97 MB stack; filled
+    from images in blocks, they hold little besides the stack."""
+    s = skew_group_algebra(random_instance(2).action).alg
+    reg = regular_module(s)
+    stack_bytes = s.dim ** 3 * 16
+    assert stack_bytes == 5_971_968
+    assert peak_bytes(lambda: reg.rho) <= 1.1 * stack_bytes
+
+
 def test_compress_of_the_regular_module_holds_no_full_image_stack():
     """The one-shot compress held the (dim A, d, k) image stack and a second
     temporary its size, 1.04 MB for a 6-dim piece of random_instance(2)'s

@@ -12,10 +12,13 @@ Python and builtin call and return.  The first of those reads the traced
 memory at every event and finds the fullest such moment; the second resets
 the ``tracemalloc`` peak at every event and finds the interval between two
 events that holds the true peak; the third takes a snapshot at the fullest
-moment.  Printed: the peak; the true peak's interval, named by the events
-that open and close it, with the chain of ``skewgroup`` functions it ran
-under, innermost first; the largest interval peaks under the next four
-call chains, in the same form, largest first, a chain being the innermost
+moment.  The peak run and the first two hooked runs trace one frame per
+allocation, as ``perfbench`` does; tracing restarts with deep tracebacks
+only for the snapshot, whose allocation sites need their call chains.
+Printed: the peak; the true peak's interval, named by the events that open
+and close it, with the chain of ``skewgroup`` functions it ran under,
+innermost first; the largest interval peaks under the next four call
+chains, in the same form, largest first, a chain being the innermost
 ``skewgroup`` function and the lines of the calls that led to it (so the
 runner-up to a peak shows where a cut would move it); the memory live at
 the fullest moment; and the ten largest allocation sites live at that
@@ -200,13 +203,17 @@ def report(argv) -> list[str]:
     """The lines printed for one call of cli.main(argv)."""
     # imports, caches, and what a profile hook allocates on first use
     code = _events(argv)["code"]
-    tracemalloc.start(FRAMES)
+    # one frame per trace, as perfbench traces, until the snapshots need
+    # the chains: at FRAMES frames every traced allocation walks the stack
+    tracemalloc.start(1)
     try:
         base = tracemalloc.get_traced_memory()[0]
         _call(argv)
         peak = tracemalloc.get_traced_memory()[1] - base
         index, held = _events(argv)["best"]
         intervals = _peak_intervals(argv)
+        tracemalloc.stop()
+        tracemalloc.start(FRAMES)
         before = tracemalloc.take_snapshot()
         snapshot = _events(argv, stop=index)["snapshot"]
     finally:
