@@ -302,7 +302,7 @@ def _check_unit(a: Algebra) -> None:
             raise UnitViolation(f"{name} unit law fails at basis index {j}: residual {res:.3e}")
 
 
-def matrix_algebra(n: int, tol=numeric.DEFAULT_TOL) -> Algebra:
+def matrix_algebra(n: int) -> Algebra:
     """M_n(C) on the matrix-unit basis E_{pq}, ordered row-major."""
     if n < 1:
         raise InvalidInput("matrix algebra needs n >= 1")
@@ -312,8 +312,7 @@ def matrix_algebra(n: int, tol=numeric.DEFAULT_TOL) -> Algebra:
     ones = np.ones(p.size, dtype=np.complex128)
     unit = np.zeros(dim, dtype=np.complex128)
     unit[::n + 1] = 1.0
-    return make_algebra(dim, (p * n + q, q * n + r, p * n + r, ones), unit,
-                        tol=tol)
+    return make_algebra(dim, (p * n + q, q * n + r, p * n + r, ones), unit)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import numeric
 from .algebra import direct_sum, make_algebra, matrix_algebra
 from .errors import UnknownFixture
 from .group_action import (
@@ -19,8 +18,6 @@ from .group_action import (
 )
 from .jobs import ALL_TASKS, JobSpec
 from .repmod import make_module
-
-FIXTURE_NAMES = ("trivial", "swap", "pauli", "perm", "cyclic")
 
 
 def _job(name, action, m) -> JobSpec:
@@ -46,16 +43,16 @@ def _conjugation_action_mats(n: int, units: list) -> list:
     return mats
 
 
-def fixture_trivial(tol=numeric.DEFAULT_TOL) -> JobSpec:
-    a = make_algebra(1, np.ones((1, 1, 1)), [1.0], tol=tol)
+def fixture_trivial() -> JobSpec:
+    a = make_algebra(1, np.ones((1, 1, 1)), [1.0])
     g = make_group([[0]])
     action = make_action(g, a, [np.eye(1)])
     m = make_module(a, [np.eye(1)])
     return _job("trivial", action, m)
 
 
-def fixture_swap(tol=numeric.DEFAULT_TOL) -> JobSpec:
-    a = direct_sum(matrix_algebra(2, tol), matrix_algebra(2, tol))
+def fixture_swap() -> JobSpec:
+    a = direct_sum(matrix_algebra(2), matrix_algebra(2))
     g = cyclic_group(2)
     swap = np.zeros((8, 8))
     swap[:4, 4:] = np.eye(4)
@@ -71,8 +68,8 @@ def fixture_swap(tol=numeric.DEFAULT_TOL) -> JobSpec:
     return _job("swap", action, m)
 
 
-def fixture_pauli(tol=numeric.DEFAULT_TOL) -> JobSpec:
-    a = matrix_algebra(2, tol)
+def fixture_pauli() -> JobSpec:
+    a = matrix_algebra(2)
     table = np.bitwise_xor.outer(np.arange(4), np.arange(4))
     g = make_group(table)
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -89,11 +86,11 @@ def fixture_pauli(tol=numeric.DEFAULT_TOL) -> JobSpec:
     return _job("pauli", action, m)
 
 
-def fixture_perm(tol=numeric.DEFAULT_TOL) -> JobSpec:
+def fixture_perm() -> JobSpec:
     c = np.zeros((3, 3, 3))
     for i in range(3):
         c[i, i, i] = 1.0
-    a = make_algebra(3, c, np.ones(3), tol=tol)
+    a = make_algebra(3, c, np.ones(3))
     g, elems = group_from_permutations([(1, 0, 2), (0, 2, 1)])
     mats = []
     for p in elems:
@@ -106,14 +103,14 @@ def fixture_perm(tol=numeric.DEFAULT_TOL) -> JobSpec:
     return _job("perm", action, m)
 
 
-def fixture_cyclic(tol=numeric.DEFAULT_TOL) -> JobSpec:
+def fixture_cyclic() -> JobSpec:
     c = np.zeros((3, 3, 3))
     for i in range(3):
         for j in range(3):
             c[i, j, (i + j) % 3] = 1.0
     unit = np.zeros(3)
     unit[0] = 1.0
-    a = make_algebra(3, c, unit, tol=tol)
+    a = make_algebra(3, c, unit)
     g = cyclic_group(2)
     invmat = np.zeros((3, 3))
     for k in range(3):
@@ -131,16 +128,17 @@ _BUILDERS = {
     "perm": fixture_perm,
     "cyclic": fixture_cyclic,
 }
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
-def fixture(name: str, tol=numeric.DEFAULT_TOL) -> JobSpec:
+def fixture(name: str) -> JobSpec:
     if name not in _BUILDERS:
         raise UnknownFixture(f"unknown fixture {name!r}; "
                              f"choose from {', '.join(FIXTURE_NAMES)}")
-    return _BUILDERS[name](tol)
+    return _BUILDERS[name]()
 
 
-def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> JobSpec:
+def random_instance(seed: int) -> JobSpec:
     """A sum of equal matrix blocks with a cyclic block-permuting, inner-twisted
     automorphism, plus the natural module of the first block.
 
@@ -151,9 +149,9 @@ def random_instance(seed: int, tol=numeric.DEFAULT_TOL) -> JobSpec:
     n = int(rng.choice([1, 1, 2, 2, 3]))
     max_b = {1: 8, 2: 3, 3: 1}[n]
     b = int(rng.integers(1, max_b + 1))
-    a = matrix_algebra(n, tol)
+    a = matrix_algebra(n)
     for _ in range(b - 1):
-        a = direct_sum(a, matrix_algebra(n, tol))
+        a = direct_sum(a, matrix_algebra(n))
 
     # Generator: rotate blocks by one, then conjugate blockwise by diagonal
     # root-of-unity matrices.  Its order divides b * q <= 8.

@@ -233,9 +233,9 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
 
 def load_job(path, tol=None, seed=None) -> JobSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read job file {path}: {exc}")
     return parse_job(data, tol=tol, seed=seed)
 

@@ -62,16 +62,13 @@ class Module:
         return self.rho[lo:hi] @ basis
 
     def act(self, x) -> np.ndarray:
-        """Action matrix of the element with coordinates x."""
-        return self.actions(x)
-
-    def actions(self, xs) -> np.ndarray:
-        """(len(xs), dim, dim) action matrices of the elements xs[t]."""
-        # the reshape and dot that np.tensordot(xs, rho, axes=1) does
-        xs = np.asarray(xs)
+        """Action matrix of the element with coordinates x, or, for a stack
+        x of elements, the (len(x), dim, dim) action matrices of the x[t]."""
+        # the reshape and dot that np.tensordot(x, rho, axes=1) does
+        x = np.asarray(x)
         n = self.rho.shape[0]
-        return np.dot(xs.reshape(-1, n), self.rho.reshape(n, -1)).reshape(
-            xs.shape[:-1] + self.rho.shape[1:])
+        return np.dot(x.reshape(-1, n), self.rho.reshape(n, -1)).reshape(
+            x.shape[:-1] + self.rho.shape[1:])
 
     @cached_property
     def scale(self) -> float:
@@ -82,7 +79,7 @@ class Module:
     def generator_actions(self) -> np.ndarray:
         """Read-only (k, dim, dim) actions of the algebra's k generators,
         checked finite."""
-        out = numeric.as_complex(self.actions(self.algebra.generator_stack))
+        out = numeric.as_complex(self.act(self.algebra.generator_stack))
         out.flags.writeable = False
         return out
 
@@ -327,7 +324,7 @@ def _cyclic_orbits(m: Module) -> np.ndarray:
 def twist(m: Module, g: int, action) -> Module:
     """Same carrier with a * m := g^{-1}(a) m."""
     tmat = action.mats[action.group.inv(g)]
-    return Module(algebra=m.algebra, dim=m.dim, rho=m.actions(tmat.T))
+    return Module(algebra=m.algebra, dim=m.dim, rho=m.act(tmat.T))
 
 
 def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
@@ -335,7 +332,7 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
     if not same_algebra(embedding.parent, m.algebra):
         raise AlgebraMismatch("embedding does not target the module's algebra")
     return Module(algebra=embedding.sub, dim=m.dim,
-                  rho=m.actions(embedding.inclusion.T))
+                  rho=m.act(embedding.inclusion.T))
 
 
 def compress(m: Module, basis: np.ndarray) -> CompressedModule:

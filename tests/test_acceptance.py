@@ -30,7 +30,6 @@ from skewgroup.algebra import fixed_subalgebra, matrix_algebra
 from skewgroup.jobs import parse_job
 from skewgroup.projective import inertia
 
-TOL = 1e-9
 
 _CACHE = {}
 
@@ -159,7 +158,7 @@ def test_criterion_6_hom_equals_invariants():
             n = int(rng.integers(2, 9))
             g = cyclic_group(n)
             coc = g.trivial_cocycle
-            alg = twisted_group_algebra(coc, 1, matrix_algebra(1, TOL))
+            alg = twisted_group_algebra(coc, 1, matrix_algebra(1))
             omega = np.exp(2j * np.pi / n)
             mods = []
             for _ in range(2):

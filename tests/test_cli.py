@@ -75,6 +75,19 @@ def test_validate_missing_unit_exits_2(tmp_path, capsys):
 
 def test_validate_unreadable_file_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    # not UTF-8, and nested past the interpreter's recursion limit
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "\xff\xfe"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    capsys.readouterr()
+    for path in (bad, deep):
+        for argv in (["validate", str(path)], ["run", str(path), "--json"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith(f"parse error: cannot read job file {path}")
 
 
 def test_run_single_task_json(tmp_path, capsys):

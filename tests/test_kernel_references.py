@@ -207,7 +207,7 @@ def test_module_actions_are_the_reference(source):
         for xs in (np.eye(k), np.eye(k)[::-1].T, _complex(rng, 3, k),
                    rng.standard_normal((1, k)), np.zeros((0, k)),
                    _complex(rng, k)):
-            assert same_bits(m.actions(xs), reference.module_actions(rho, xs))
+            assert same_bits(m.act(xs), reference.module_actions(rho, xs))
 
 
 @pytest.mark.parametrize("source", SOURCES)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from skewgroup.algebra import matrix_algebra
+from skewgroup.algebra import make_algebra, matrix_algebra
 from skewgroup.errors import InvalidInput, NotProjective, NotSimple
 from skewgroup.group_action import cyclic_group, make_group
 from skewgroup.projective import (
@@ -38,14 +38,14 @@ def test_inertia_twists_each_group_element_once(inst, monkeypatch, name):
     m = i.module
     m.generator_side                    # formed before counting
     calls = []
-    actions = Module.actions
+    act = Module.act
 
     def counted(self, xs):
         if self is m:
             calls.append(xs)
-        return actions(self, xs)
+        return act(self, xs)
 
-    monkeypatch.setattr(Module, "actions", counted)
+    monkeypatch.setattr(Module, "act", counted)
     system = inertia(m, i.action)
     assert len(system.inertia_members) >= 1
     assert len(calls) == i.group.order
@@ -76,7 +76,6 @@ def test_inertia_rejects_non_simple():
     # the regular module of C[Z/2] is not simple
     c = np.zeros((2, 2, 2))
     c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 0] = 1.0
-    from skewgroup.algebra import make_algebra
     from skewgroup.group_action import make_action
     a = make_algebra(2, c, [1.0, 0.0], tol=TOL)
     g = make_group([[0, 1], [1, 0]])
@@ -149,7 +148,7 @@ def test_cocycle_identity_all_fixtures(inst):
 
 def test_twisted_group_algebra_trivial_cocycle():
     g = cyclic_group(3)
-    a = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1, TOL))
+    a = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1))
     assert a.dim == 3
     # plain group algebra: c_1 c_1 = c_2
     assert np.allclose(a.product(np.eye(3)[:, 1], np.eye(3)[:, 1]),
@@ -177,7 +176,8 @@ def test_twisted_group_algebras_are_built_once_per_cocycle(inst):
     dual = contragredient(w, system.cocycle)
     assert dual.algebra is twisted_group_algebra(system.cocycle, -1, i.algebra)
     assert dual.algebra is not w.algebra
-    other = twisted_group_algebra(system.cocycle, 1, matrix_algebra(1, 1e-7))
+    other = twisted_group_algebra(
+        system.cocycle, 1, make_algebra(1, np.ones((1, 1, 1)), [1], tol=1e-7))
     assert other is not w.algebra and other.tol == 1e-7
     fresh = Cocycle(group=system.cocycle.group, table=system.cocycle.table)
     assert twisted_group_algebra(fresh, 1, i.algebra) is not w.algebra
@@ -185,11 +185,10 @@ def test_twisted_group_algebras_are_built_once_per_cocycle(inst):
 
 def test_plain_group_algebra_is_built_once_per_group():
     g = cyclic_group(3)
-    plain = twisted_group_algebra(g.trivial_cocycle, 1,
-                                  matrix_algebra(1, TOL))
+    plain = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1))
     assert g.trivial_cocycle is g.trivial_cocycle
     assert twisted_group_algebra(g.trivial_cocycle, 1,
-                                 matrix_algebra(1, TOL)) is plain
+                                 matrix_algebra(1)) is plain
     assert cyclic_group(3).trivial_cocycle is not g.trivial_cocycle
     # kept with the group, and freed with it
     cocycle = weakref.ref(g.trivial_cocycle)
@@ -201,7 +200,7 @@ def test_plain_group_algebra_is_built_once_per_group():
 def test_twisted_group_algebra_rejects_bad_exponent():
     g = cyclic_group(2)
     with pytest.raises(InvalidInput):
-        twisted_group_algebra(g.trivial_cocycle, 2, matrix_algebra(1, TOL))
+        twisted_group_algebra(g.trivial_cocycle, 2, matrix_algebra(1))
 
 
 def test_module_over_twisted_pauli(inst):
@@ -232,7 +231,7 @@ def test_module_over_twisted_coboundary_equivalence(inst):
 
 def test_contragredient_dual_line():
     g = make_group([[0]])
-    alg = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1, TOL))
+    alg = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1))
     w = make_module(alg, [np.eye(1)])
     wd = contragredient(w, g.trivial_cocycle)
     assert wd.dim == 1

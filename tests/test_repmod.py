@@ -124,7 +124,7 @@ def test_hom_space_regular_z2():
     assert len(homs) == 2
     # oracle: brute nullspace of the stacked intertwiner system
     blocks = []
-    for r in m.actions(np.eye(2)):
+    for r in m.act(np.eye(2)):
         blocks.append(np.kron(np.eye(2), np.asarray(r).T)
                       - np.kron(np.asarray(r), np.eye(2)))
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
@@ -275,7 +275,7 @@ def test_decompose_dimension_bookkeeping(inst):
         for p in dec.pieces:
             # invariance: projection residual of the acted basis
             proj = p.basis @ p.basis.conj().T
-            for r in reg.actions(np.eye(i.algebra.dim)):
+            for r in reg.act(np.eye(i.algebra.dim)):
                 img = np.asarray(r) @ p.basis
                 assert np.linalg.norm(img - proj @ img) <= 1e-7
             assert is_simple(p.module)
@@ -413,7 +413,7 @@ def test_twist_and_restrict_of_regular_module_match_its_dense_copy(inst, name):
     i = inst(name)
     a = i.algebra
     reg = regular_module(a)
-    dense = make_module(a, reg.actions(np.eye(a.dim)))
+    dense = make_module(a, reg.act(np.eye(a.dim)))
     emb = fixed_subalgebra(a, i.action)
     assert np.array_equal(restrict(reg, emb).rho, restrict(dense, emb).rho)
     for g in i.group.elements():
@@ -492,7 +492,7 @@ def test_images_of_a_row_range_are_bitwise_the_full_stack_rows(kind):
     s = skew_group_algebra(random_instance(2).action).alg
     reg = regular_module(s)
     if kind == "stored":
-        m = Module(algebra=s, dim=s.dim, rho=reg.actions(np.eye(s.dim)))
+        m = Module(algebra=s, dim=s.dim, rho=reg.act(np.eye(s.dim)))
     else:
         m = reg
     rng = np.random.default_rng(3)
@@ -504,19 +504,23 @@ def test_images_of_a_row_range_are_bitwise_the_full_stack_rows(kind):
 
 
 @pytest.mark.parametrize("kind", ["stored", "regular", "compressed"])
-def test_rho_is_the_stacked_images_and_act_is_actions(kind):
+def test_rho_is_the_stacked_images_and_act_takes_a_stack(kind):
     s = skew_group_algebra(random_instance(2).action).alg
     reg = regular_module(s)
     m = {"stored": lambda: Module(algebra=s, dim=s.dim,
-                                  rho=reg.actions(np.eye(s.dim))),
+                                  rho=reg.act(np.eye(s.dim))),
          "regular": lambda: reg,
          "compressed": lambda: compress(reg, decompose(reg).pieces[0].basis),
          }[kind]()
     assert same_bits(m.rho, m.images(np.eye(m.dim)))
     rng = np.random.default_rng(4)
-    for x in (rng.standard_normal(s.dim),
-              rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)):
-        assert same_bits(m.act(x), m.actions(x))
+    xs = np.stack([rng.standard_normal(s.dim),
+                   rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)])
+    # a stack is one matrix product and an element a matrix-vector product,
+    # which round differently on a dense complex stack
+    stacked, one_by_one = m.act(xs), np.stack([m.act(x) for x in xs])
+    assert stacked.shape == one_by_one.shape == (2, m.dim, m.dim)
+    assert np.allclose(stacked, one_by_one, rtol=0, atol=1e-12)
 
 
 def test_regular_module_fills_its_stack_without_a_second_copy():
@@ -579,7 +583,7 @@ def _assert_matches_stored_compress(parent, basis):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     xs = rng.standard_normal((4, n))
     assert got.act(x).tobytes() == want.act(x).tobytes()
-    assert got.actions(xs).tobytes() == want.actions(xs).tobytes()
+    assert got.act(xs).tobytes() == want.act(xs).tobytes()
     assert got.rho.tobytes() == want.rho.tobytes()
 
 
@@ -641,7 +645,7 @@ def _dense_regular_random19():
     """The regular module of random_instance(19)'s skew algebra (dim 25),
     with its actions stored as a dense (25, 25, 25) stack."""
     s = skew_group_algebra(random_instance(19).action).alg
-    rho = np.ascontiguousarray(regular_module(s).actions(np.eye(s.dim)))
+    rho = np.ascontiguousarray(regular_module(s).act(np.eye(s.dim)))
     return s, rho
 
 
@@ -714,7 +718,7 @@ SKEW_CASES = ["trivial", "swap", "pauli", "perm", "cyclic", "random2"]
 def test_sides_solve_bitwise_like_dense_pairs(inst, name):
     s, dec, direct = _regular_decomposition(inst, name)
     gens = s.generator_stack
-    dense_direct = reference.block_diagonal([n.actions(gens)
+    dense_direct = reference.block_diagonal([n.act(gens)
                                              for n in direct.summands])
     systems = [(rep.module, direct, dense_direct)
                for rep in dec.representatives.values()]
@@ -734,7 +738,7 @@ def test_sides_solve_bitwise_like_dense_pairs(inst, name):
 def test_direct_sum_side_is_the_finest_dense_split(inst, name):
     s, _, direct = _regular_decomposition(inst, name)
     dense_direct = reference.block_diagonal(
-        [n.actions(s.generator_stack) for n in direct.summands])
+        [n.act(s.generator_stack) for n in direct.summands])
     _same_side(direct.generator_side, numeric.Side.split(dense_direct))
 
 
@@ -759,13 +763,13 @@ def test_no_task_builds_the_regular_module_stack(monkeypatch):
 def test_generator_side_is_derived_once_and_shares_the_cached_stack(monkeypatch):
     m = _doubled_natural_m2()
     calls = []
-    actions = Module.actions
+    act = Module.act
 
     def counted(self, xs):
         calls.append(self)
-        return actions(self, xs)
+        return act(self, xs)
 
-    monkeypatch.setattr(Module, "actions", counted)
+    monkeypatch.setattr(Module, "act", counted)
     assert len(hom_space(m, m)) == len(hom_space(m, m)) == 4
     assert calls == [m]
     stack = m.generator_actions

@@ -194,7 +194,7 @@ def test_induce_full_subgroup(inst):
     ssub = sub_skew(s, range(i.group.order))
     ind = induce(n, s, ssub)
     assert ind.dim == n.dim
-    for a, b in zip(ind.rho, n.actions(np.eye(s.alg.dim))):
+    for a, b in zip(ind.rho, n.act(np.eye(s.alg.dim))):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
 
 
@@ -240,7 +240,7 @@ def _induce_by_loops(m, s, sub):
     local = {h: t for t, h in enumerate(members)}
     coset_of = {group.mul(r, h): l for l, r in enumerate(reps) for h in members}
     d, nh, da = m.dim, len(members), s.base.dim
-    stack = m.actions(np.eye(m.algebra.dim))
+    stack = m.act(np.eye(m.algebra.dim))
     rho = []
     for j in range(da):
         for g in group.elements():
@@ -261,7 +261,7 @@ def _induce_by_loops(m, s, sub):
 
 def _assert_induce_matches_loops(m, s, sub):
     ind = induce(m, s, sub)
-    assert np.allclose(ind.actions(np.eye(s.alg.dim)),
+    assert np.allclose(ind.act(np.eye(s.alg.dim)),
                        _induce_by_loops(m, s, sub), rtol=0, atol=1e-12)
     return ind
 
@@ -362,13 +362,13 @@ def test_embed_maps_multiplicative(inst):
 
 
 def _dense_copy(m):
-    return make_module(m.algebra, m.actions(np.eye(m.algebra.dim)))
+    return make_module(m.algebra, m.act(np.eye(m.algebra.dim)))
 
 
 def _assert_same_actions(x, y):
     eye = np.eye(x.algebra.dim)
     assert x.dim == y.dim
-    assert np.allclose(x.actions(eye), y.actions(eye), atol=1e-12)
+    assert np.allclose(x.act(eye), y.act(eye), atol=1e-12)
 
 
 def test_functions_taking_a_module_accept_implicit_ones(inst):

@@ -118,8 +118,7 @@ def test_induced_simplicity_fixtures(inst):
 def test_hom_inv_trivial_characters():
     g = make_group([[0, 1], [1, 0]])
     from skewgroup.projective import twisted_group_algebra
-    plain = twisted_group_algebra(g.trivial_cocycle, 1,
-                                  matrix_algebra(1, TOL))
+    plain = twisted_group_algebra(g.trivial_cocycle, 1, matrix_algebra(1))
     triv = make_module(plain, [np.eye(1), np.eye(1)])
     sign = make_module(plain, [np.eye(1), -np.eye(1)])
     rep = hom_inv_check(triv, triv, g.trivial_cocycle)

@@ -45,15 +45,12 @@ from skewgroup.skew import (
 )
 from skewgroup.theorems import build_context
 
-# The callables through which a tolerance enters: algebra constructors, the
-# fixture and job front ends, matrix-level primitives that see no algebra, and
+# The callables through which a tolerance enters: the algebra constructor, the
+# job front ends, matrix-level primitives that see no algebra, and
 # the one check that all of them apply to it.
 ENTRY_POINTS = {
-    "algebra.make_algebra", "algebra.matrix_algebra", "algebra.canonical_span",
+    "algebra.make_algebra", "algebra.canonical_span",
     "projective.extract_cocycle", "projective.Cocycle.validate",
-    "fixtures.fixture", "fixtures.fixture_trivial", "fixtures.fixture_swap",
-    "fixtures.fixture_pauli", "fixtures.fixture_perm", "fixtures.fixture_cyclic",
-    "fixtures.random_instance",
     "jobs.parse_job", "jobs.load_job",
     "numeric.rank", "numeric.nullspace", "numeric.orthonormal_column_basis",
     "numeric.solve_sandwich", "numeric.check_tol",
@@ -125,14 +122,15 @@ def test_derived_algebras_inherit_the_job_tolerance():
 
 
 def test_instance_to_job_keeps_the_tolerance_and_seed():
-    job = parse_job(instance_to_job(fixture("pauli", tol=1e-7)), seed=7)
+    job = parse_job(instance_to_job(fixture("pauli")), tol=1e-7, seed=7)
     again = parse_job(instance_to_job(job))
     assert (again.algebra.tol, again.algebra.seed) == (1e-7, 7)
 
 
 def test_direct_sum_rejects_summands_with_different_tolerances():
     with pytest.raises(InvalidInput, match="different tolerances"):
-        direct_sum(matrix_algebra(1, 1e-7), matrix_algebra(1, 1e-9))
+        direct_sum(make_algebra(1, np.ones((1, 1, 1)), [1], tol=1e-7),
+                   matrix_algebra(1))
     with pytest.raises(InvalidInput, match="different seeds 1 and 7"):
         direct_sum(matrix_algebra(1), make_algebra(1, np.ones((1, 1, 1)), [1],
                                                    seed=7))
