@@ -1,7 +1,18 @@
 """Built-in instances and the randomized instance generator.
 
 Each builds the JobSpec a job file parses into: the algebra, group and
-action, the module "M", and every task on it.
+action, the module "M", and every task on it.  The instances fall into
+three families:
+
+- block rotation (n, b, q, exps): b copies of M_n under the generator that
+  rotates the blocks by one and conjugates block i by the diagonal matrix of
+  the roots of unity exp(2 pi i exps[i] / q), acted on by the cyclic group
+  of that generator's order, with the natural module of block 0.  `trivial`
+  is (1, 1, 1), `swap` is (2, 2, 1) and `random_instance` draws the rest;
+- `pauli`: M_2 under conjugation by I, X, Z and XZ, with its natural module;
+- permutation actions: `perm` is C^3 with S_3 permuting the coordinates,
+  and `cyclic` is the group algebra C[Z_3] with Z_2 inverting the group
+  elements, each with a one-dimensional module.
 """
 
 from __future__ import annotations
@@ -43,29 +54,49 @@ def _conjugation_action_mats(n: int, units: list) -> list:
     return mats
 
 
-def fixture_trivial() -> JobSpec:
-    a = make_algebra(1, np.ones((1, 1, 1)), [1.0])
-    g = make_group([[0]])
-    action = make_action(g, a, [np.eye(1)])
-    m = make_module(a, [np.eye(1)])
-    return _job("trivial", action, m)
+def _natural_module(n: int, b: int) -> np.ndarray:
+    """The images of the natural module of block 0 of b copies of M_n: the
+    matrix units of that block, row-major, and zero on the other blocks."""
+    rho = np.zeros((b * n * n, n, n), dtype=np.complex128)
+    rho[:n * n] = np.eye(n * n).reshape(-1, n, n)
+    return rho
 
 
-def fixture_swap() -> JobSpec:
-    a = direct_sum(matrix_algebra(2), matrix_algebra(2))
-    g = cyclic_group(2)
-    swap = np.zeros((8, 8))
-    swap[:4, 4:] = np.eye(4)
-    swap[4:, :4] = np.eye(4)
-    action = make_action(g, a, [np.eye(8), swap])
-    units = [np.zeros((2, 2)) for _ in range(8)]
-    for p in range(2):
-        for q in range(2):
-            eb = np.zeros((2, 2))
-            eb[p, q] = 1.0
-            units[p * 2 + q] = eb          # first block acts naturally
-    m = make_module(a, units)
-    return _job("swap", action, m)
+def _block_rotation(name, n: int, b: int, q: int, exps) -> JobSpec:
+    """The block-rotation instance (n, b, q, exps) of the module docstring;
+    the generator's order divides b * q, which must be at most 8."""
+    a = matrix_algebra(n)
+    for _ in range(b - 1):
+        a = direct_sum(a, matrix_algebra(n))
+    nn = n * n
+    blockperm = np.kron(np.roll(np.eye(b), 1, axis=0), np.eye(nn))
+    conj = np.zeros((a.dim, a.dim), dtype=np.complex128)
+    for i in range(b):
+        d = np.diag(np.exp(2j * np.pi * np.asarray(exps[i]) / q))
+        conj[i * nn:(i + 1) * nn, i * nn:(i + 1) * nn] = \
+            _conjugation_action_mats(n, [d])[0]
+    gen = conj @ blockperm
+    # the powers of the generator below its order
+    gmats = [np.eye(a.dim)]
+    for _ in range(8):
+        power = gen @ gmats[-1]
+        if np.allclose(power, np.eye(a.dim), atol=1e-12):
+            break
+        gmats.append(power)
+    else:
+        raise AssertionError("generator order exceeded 8")
+    action = make_action(cyclic_group(len(gmats)), a, gmats)
+    return _job(name, action, make_module(a, _natural_module(n, b)))
+
+
+def _permuting(name, c, unit, perms, rho) -> JobSpec:
+    """The algebra of dense structure constants c and unit, acted on by the
+    group the permutations perms generate: p sends basis vector i to p[i]."""
+    d = len(unit)
+    a = make_algebra(d, c, unit)
+    g, elems = group_from_permutations(perms)
+    action = make_action(g, a, [np.eye(d)[:, list(p)] for p in elems])
+    return _job(name, action, make_module(a, rho))
 
 
 def fixture_pauli() -> JobSpec:
@@ -76,54 +107,32 @@ def fixture_pauli() -> JobSpec:
     z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     units = [np.eye(2, dtype=np.complex128), x, z, x @ z]
     action = make_action(g, a, _conjugation_action_mats(2, units))
-    rho = []
-    for p in range(2):
-        for q in range(2):
-            eb = np.zeros((2, 2), dtype=np.complex128)
-            eb[p, q] = 1.0
-            rho.append(eb)
-    m = make_module(a, rho)
-    return _job("pauli", action, m)
+    return _job("pauli", action, make_module(a, _natural_module(2, 1)))
 
 
 def fixture_perm() -> JobSpec:
+    """C^3, three orthogonal idempotents, under S_3."""
     c = np.zeros((3, 3, 3))
     for i in range(3):
         c[i, i, i] = 1.0
-    a = make_algebra(3, c, np.ones(3))
-    g, elems = group_from_permutations([(1, 0, 2), (0, 2, 1)])
-    mats = []
-    for p in elems:
-        pm = np.zeros((3, 3))
-        for i in range(3):
-            pm[p[i], i] = 1.0
-        mats.append(pm)
-    action = make_action(g, a, mats)
-    m = make_module(a, [np.array([[1.0 if i == 0 else 0.0]]) for i in range(3)])
-    return _job("perm", action, m)
+    return _permuting("perm", c, np.ones(3), [(1, 0, 2), (0, 2, 1)],
+                      [[[1.0]], [[0.0]], [[0.0]]])
 
 
 def fixture_cyclic() -> JobSpec:
+    """C[Z_3] under inversion k -> -k, with the character k -> omega^k."""
     c = np.zeros((3, 3, 3))
     for i in range(3):
         for j in range(3):
             c[i, j, (i + j) % 3] = 1.0
-    unit = np.zeros(3)
-    unit[0] = 1.0
-    a = make_algebra(3, c, unit)
-    g = cyclic_group(2)
-    invmat = np.zeros((3, 3))
-    for k in range(3):
-        invmat[(-k) % 3, k] = 1.0
-    action = make_action(g, a, [np.eye(3), invmat])
     omega = np.exp(2j * np.pi / 3)
-    m = make_module(a, [np.array([[omega ** k]]) for k in range(3)])
-    return _job("cyclic", action, m)
+    return _permuting("cyclic", c, np.eye(3)[0], [(0, 2, 1)],
+                      [np.array([[omega ** k]]) for k in range(3)])
 
 
 _BUILDERS = {
-    "trivial": fixture_trivial,
-    "swap": fixture_swap,
+    "trivial": lambda: _block_rotation("trivial", 1, 1, 1, [[0]]),
+    "swap": lambda: _block_rotation("swap", 2, 2, 1, [[0, 0], [0, 0]]),
     "pauli": fixture_pauli,
     "perm": fixture_perm,
     "cyclic": fixture_cyclic,
@@ -139,59 +148,13 @@ def fixture(name: str) -> JobSpec:
 
 
 def random_instance(seed: int) -> JobSpec:
-    """A sum of equal matrix blocks with a cyclic block-permuting, inner-twisted
-    automorphism, plus the natural module of the first block.
-
-    dim A <= 12 and |G| <= 8 always.  `seed` picks the instance; the seed of
-    a run on it is its algebra's, the default one.
+    """A block-rotation instance (see the module docstring) with dim A <= 12
+    and |G| <= 8 always.  `seed` picks the instance; the seed of a run on it
+    is its algebra's, the default one.
     """
     rng = np.random.default_rng([87251, seed])
     n = int(rng.choice([1, 1, 2, 2, 3]))
-    max_b = {1: 8, 2: 3, 3: 1}[n]
-    b = int(rng.integers(1, max_b + 1))
-    a = matrix_algebra(n)
-    for _ in range(b - 1):
-        a = direct_sum(a, matrix_algebra(n))
-
-    # Generator: rotate blocks by one, then conjugate blockwise by diagonal
-    # root-of-unity matrices.  Its order divides b * q <= 8.
+    b = int(rng.integers(1, {1: 8, 2: 3, 3: 1}[n] + 1))
     q = int(rng.choice([d for d in (1, 2, 3, 4) if b * d <= 8]))
-    dim = a.dim
-    blockperm = np.zeros((dim, dim))
-    nn = n * n
-    for i in range(b):
-        j = (i + 1) % b
-        blockperm[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] = np.eye(nn)
-    conj = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(b):
-        phases = np.exp(2j * np.pi * rng.integers(0, q, size=n) / q)
-        d = np.diag(phases)
-        conj[i * nn:(i + 1) * nn, i * nn:(i + 1) * nn] = \
-            _conjugation_action_mats(n, [d])[0]
-    gen = conj @ blockperm
-
-    # order of the generator as an automorphism
-    power = np.eye(dim)
-    mats = []
-    for k in range(1, 9):
-        power = gen @ power
-        mats.append(power.copy())
-        if np.allclose(power, np.eye(dim), atol=1e-12):
-            order = k
-            break
-    else:
-        raise AssertionError("generator order exceeded 8")
-    gmats = [np.eye(dim)] + mats[:order - 1]
-    g = cyclic_group(order)
-    action = make_action(g, a, gmats)
-
-    rho = []
-    for i in range(b):
-        for p in range(n):
-            for q2 in range(n):
-                eb = np.zeros((n, n), dtype=np.complex128)
-                if i == 0:
-                    eb[p, q2] = 1.0
-                rho.append(eb)
-    m = make_module(a, rho)
-    return _job(f"random{seed}", action, m)
+    exps = [rng.integers(0, q, size=n) for _ in range(b)]
+    return _block_rotation(f"random{seed}", n, b, q, exps)

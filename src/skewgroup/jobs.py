@@ -50,8 +50,10 @@ class JobSpec:
 
 def canonical_json(obj) -> str:
     """obj as JSON text with sorted keys and no spaces: the form of every
-    document the command line prints."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    document the command line prints.  JSON has no NaN or Infinity, so a
+    float that is one raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def echo_json(job_text: str, payload: dict) -> str:
@@ -137,10 +139,6 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     """Build and validate all objects referenced by a job dictionary."""
     if not isinstance(data, dict):
         raise ParseError("job file must contain a JSON object")
-    try:
-        text = canonical_json(data)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"job is not JSON: {exc}")
     # --tol and --seed override the job's own values
     if tol is None:
         tol = data.get("tol", numeric.DEFAULT_TOL)
@@ -227,6 +225,11 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
                              f"is given")
         tasks.append(rec)
 
+    # last, so that a field read above reports its own error
+    try:
+        text = canonical_json(data)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ParseError(f"job is not JSON: {exc}")
     return JobSpec(algebra=algebra, group=group, action=action, modules=modules,
                    tasks=tasks, name=data.get("name"), raw=text)
 

@@ -615,6 +615,88 @@ def test_a_job_json_cannot_serialize_is_a_parse_error(capsys):
         parse_job(data)
 
 
+@pytest.mark.parametrize("where, value", [
+    ("name", float("nan")),
+    ("note", float("inf")),
+    ("tasks.0.note", float("-inf")),
+])
+def test_nan_or_infinity_in_a_field_no_constructor_reads_exits_2(
+        tmp_path, capsys, where, value):
+    # the --json report echoes the job, and JSON has no NaN or Infinity
+    data = _replaced(_fixture_job(capsys, "pauli"), where, value)
+    path = _write(tmp_path, data)
+    for argv in (["validate", path], ["run", path, "--json"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("parse error: job is not JSON")
+
+
+def _raises_recursion(f, arg):
+    try:
+        f(arg)
+    except RecursionError:
+        return True
+    return False
+
+
+def _nested(depth):
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+def test_a_job_nested_too_deeply_to_encode_is_a_parse_error(capsys):
+    # the depth json stops encoding at depends on the Python version: from
+    # 3.12 its C code has a limit of its own, apart from the recursion limit
+    depth = next((d for d in (2 ** k for k in range(10, 18))
+                  if _raises_recursion(json.dumps, _nested(d))), None)
+    if depth is None:
+        pytest.skip("json encodes lists nested 2**17 deep")
+    data = _fixture_job(capsys, "pauli")
+    data["zz"] = _nested(depth)
+    with pytest.raises(ParseError, match="job is not JSON"):
+        parse_job(data)
+
+
+def test_validate_of_a_job_nested_near_the_decode_limit_exits_0_or_2(
+        tmp_path, capsys):
+    # before 3.12, json.load accepts depths that parse_job, a few frames
+    # deeper, cannot encode again for the echo; from 3.12 json's C code
+    # stops both at one depth of its own
+    text = json.dumps(_fixture_job(capsys, "pauli"))[:-1] + ', "zz": '
+
+    def job_text(depth):
+        return text + "[" * depth + "]" * depth + "}"
+
+    # the deepest job json.loads accepts here, found by bisection
+    lo = 0
+    hi = hi_cap = 2 ** 17
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _raises_recursion(json.loads, job_text(mid)):
+            hi = mid - 1
+        else:
+            lo = mid
+    if lo == hi_cap:
+        pytest.skip("json decodes lists nested 2**17 deep")
+    path = tmp_path / "job.json"
+    codes = set()
+    for depth in range(lo - 200, lo + 2):
+        path.write_text(job_text(depth))
+        code = main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("parse error: ")
+        codes.add(code)
+    # past the deepest loadable job, loading itself fails
+    assert codes == {0, 2}
+
+
 def test_the_echoed_job_is_spliced_only_before_later_keys():
     text = canonical_json({"b": [1, 2], "a": "ü"})
     payload = {"tol": 1e-9, "tasks": [], "passed": True}

@@ -1,6 +1,9 @@
-"""Job parsing: matrices converted at once agree with the per-entry path."""
+"""Job parsing: matrices converted at once agree with the per-entry path,
+and the built-in instances give the jobs of their families."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,3 +88,23 @@ def test_array_conversion_keeps_negative_zero_and_exact_numbers():
 def test_malformed_and_unusual_matrices_fare_as_per_entry(obj, rows, cols):
     assert _outcome(jobs._matrix, obj, rows, cols) == \
         _outcome(_per_entry, obj, rows, cols)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, whose block_rotation_job builds a job without
+    skewgroup."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("trivial", (1, 1, 1, [[0]])),
+    ("swap", (2, 2, 1, [[0, 0], [0, 0]])),
+])
+def test_trivial_and_swap_are_block_rotation_instances(name, shape):
+    workloads = _benchmark_workloads()
+    assert instance_to_job(fixture(name)) == \
+        workloads.block_rotation_job(name, *shape)
