@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ParseError, SkewGroupError
+from .errors import ParseError, SkewGroupError, brief
 from .fixtures import FIXTURE_NAMES, fixture
 from .jobs import ALL_TASKS, canonical_json as _dump, echo_json, instance_to_job, load_job
 from .runner import EXIT_VALIDATION, run_job
@@ -68,9 +68,9 @@ def _task_filter_problem(task, job):
         return None
     listed = list(dict.fromkeys(rec["task"] for rec in job.tasks))
     if task not in ALL_TASKS:
-        return f"unknown task {task!r}; known tasks: {', '.join(ALL_TASKS)}"
+        return f"unknown task {brief(task)}; known tasks: {', '.join(ALL_TASKS)}"
     if task not in listed:
-        return (f"task {task!r} is not listed in the job; listed tasks: "
+        return (f"task {brief(task)} is not listed in the job; listed tasks: "
                 f"{', '.join(listed) or 'none'}")
     return None
 

@@ -6,13 +6,14 @@ metadata only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import numeric
-from .algebra import Algebra
+from .algebra import EXHAUSTIVE_DIM_LIMIT, Algebra
 from .errors import (
     InvalidInput,
     NoIdentity,
@@ -21,13 +22,18 @@ from .errors import (
     NotAssociative,
     NotAutomorphism,
     NotHomomorphism,
+    brief,
 )
 
 
-# Group elements are validated in blocks of about this many matrix entries
-# per temporary, so a small action is checked in one step and a large one
-# holds no temporary much larger than one element's.
-_BLOCK_ENTRIES = 2048
+# The search that names a failing pair or element forms temporaries of
+# about this many matrix entries at most: blocks of first elements for the
+# product law, and one element's errors over all basis pairs at once, or
+# else one first index at a time, for the automorphism law.
+_WITNESS_ENTRIES = 1 << 20
+# Probes of the automorphism law on an algebra without generators above
+# EXHAUSTIVE_DIM_LIMIT.
+_ACTION_PROBES = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +50,26 @@ class FiniteGroup:
         from .projective import Cocycle     # projective builds on this module
         return Cocycle(group=self, table=np.ones((self.order, self.order),
                                                  dtype=np.complex128))
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Elements that generate the group, chosen greedily in index order:
+        each element that the ones before it do not generate."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.identity] = True
+        gens = []
+        for g in range(self.order):
+            if inside[g]:
+                continue
+            gens.append(g)
+            # what is generated, closed under right products by generators
+            new = inside.nonzero()[0]
+            while new.size:
+                reached = np.zeros(self.order, dtype=bool)
+                reached[self.table[np.ix_(new, gens)]] = True
+                new = (reached & ~inside).nonzero()[0]
+                inside[new] = True
+        return tuple(gens)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -106,7 +132,7 @@ def _index_table(table) -> np.ndarray:
         for c, x in enumerate(row):
             if isinstance(x, (bool, np.bool_)) or x not in range(n):
                 raise InvalidInput(f"table entry [{r}][{c}] must be an index in "
-                                   f"[0, {n}), got {x!r}")
+                                   f"[0, {n}), got {brief(x)}")
     return np.array(rows, dtype=np.int64).reshape(n, n)
 
 
@@ -151,9 +177,17 @@ def group_from_permutations(perms) -> tuple:
 def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     """Validate automorphism matrices, one per group element.
 
-    The product law and the automorphism law are each checked for blocks of
-    group elements at once, all of them when the action is small; a
-    failure names the first element, in index order, that breaks the law.
+    Each law is checked on generators.  The product law mats[s] @ mats[h] =
+    mats[s*h] is checked for every generator s of the group and every h.
+    The unit law and the automorphism law mats[s] L_x = L_{mats[s] x}
+    mats[s] are checked for every generator s and each x among the
+    algebra's generators.  An algebra without them is checked on every
+    basis pair up to EXHAUSTIVE_DIM_LIMIT, as make_algebra checks it, and
+    above it on two probes drawn from its seed; a probe passes a
+    non-automorphism with probability 0.  Where the laws hold for
+    generators, they hold for every element.  When one fails, the search
+    over every element in index order names the first failing pair or
+    element, as the check of every element would.
     """
     tol = target.tol
     if len(mats) != group.order:
@@ -164,43 +198,102 @@ def make_action(group: FiniteGroup, target: Algebra, mats) -> AlgebraAction:
     for g, m in enumerate(ms):
         if m.shape != (d, d):
             raise InvalidInput(f"action matrix {g} has wrong shape")
-    stack = np.array(ms)
-    numeric.check_entry_bound(
-        stack, lambda at: f"mats[{at[0]}][{at[1]}, {at[2]}]")
+    for g, m in enumerate(ms):
+        numeric.check_entry_bound(m, lambda at: f"mats[{g}][{at[0]}, {at[1]}]")
     e = group.identity
     if numeric.rel_residual(ms[e] - np.eye(d), 1.0) > tol:
         raise NotHomomorphism("identity element does not act as identity")
     if (ms[e] != np.eye(d)).any():
         # the identity acts exactly, as extract_cocycle's phi(e) = I requires
         ms = ms[:e] + (np.eye(d, dtype=np.complex128),) + ms[e + 1:]
-        stack[e] = ms[e]
-    n = len(ms)
-    # mats[g] @ mats[h] against mats[g*h] for blocks of first elements g;
-    # the first failing h of the first failing g is reported
-    step = max(1, _BLOCK_ENTRIES // (n * d * d))
+    gens = group.generators
+    if any(_product_residual(ms[s], m, ms[t]) > tol
+           for s in gens for m, t in zip(ms, group.table[s])):
+        _name_product_failure(ms, group.table, target)
+    xs = target.generators
+    if xs is None and d > EXHAUSTIVE_DIM_LIMIT:
+        xs = [x for x, in numeric.complex_probes(
+            np.random.default_rng(target.seed), _ACTION_PROBES, 1, d)]
+    if not all(_is_automorphism(ms[s], target, xs) for s in gens):
+        _name_non_automorphism(ms, target)
+    return AlgebraAction(group=group, target=target, mats=ms)
+
+
+def _product_residual(a, b, ab) -> float:
+    """|a b - ab| / max(|a b|, 1), in Frobenius norms."""
+    prod = a @ b
+    return numeric.rel_residual(prod - ab, numeric.frobenius(prod))
+
+
+def _law_error(m, target: Algebra, x) -> np.ndarray:
+    """m L_x - L_{m x} m: column q is m(x b_q) - m(x) m(b_q)."""
+    return m @ target.left_mult(x) - target.left_mult(m @ x) @ m
+
+
+def _is_automorphism(m, target: Algebra, xs) -> bool:
+    """Whether m fixes the unit and m L_x = L_{m x} m for each x in xs, or,
+    when xs is None, m(b_i b_j) = m(b_i) m(b_j) for all basis pairs.
+
+    Column q of m L_x - L_{m x} m sums the errors of the basis pairs (i, q)
+    weighted by x_i, so its norm is at most |x| times the norm of all their
+    errors: x fails here only where the check over all pairs fails.
+    """
+    tol = target.tol
+    scale = target.scale * max(numeric.frobenius(m) ** 2, 1.0)
+    if numeric.rel_residual(m @ target.unit - target.unit, 1.0) > tol:
+        return False
+    if xs is None:
+        return _multiplicativity_witness(m, target)[0] <= tol * scale
+    return all(numeric.frobenius(_law_error(m, target, x))
+               <= tol * scale * numeric.frobenius(x) for x in xs)
+
+
+def _name_product_failure(ms, table: np.ndarray, target: Algebra) -> None:
+    """Raise for the first pair (g, h) in index order with mats[g] @ mats[h]
+    != mats[g*h] to the tolerance of target, checked for blocks of first
+    elements g; return if there is none."""
+    stack = np.array(ms)
+    n, d = stack.shape[:2]
+    step = max(1, _WITNESS_ENTRIES // (n * d * d))
     for lo in range(0, n, step):
-        res = _product_residuals(stack, group.table, lo, lo + step)
-        bad = np.argwhere(res > tol)
+        res = _product_residuals(stack, table, lo, lo + step)
+        bad = np.argwhere(res > target.tol)
         if bad.size:
             g, h = int(bad[0, 0]) + lo, int(bad[0, 1])
             raise NotHomomorphism(f"mats[{g}]@mats[{h}] != mats[{g}*{h}]: "
                                   f"residual {res[g - lo, h]:.3e}")
-    unit_errors = stack @ target.unit - target.unit
-    scale = target.scale
-    step = max(1, _BLOCK_ENTRIES // d ** 3)
-    for lo in range(0, n, step):
-        errors = _multiplicativity_errors(stack[lo:lo + step], target)
-        for g, err in enumerate(errors, lo):
-            res = numeric.rel_residual(
-                err, scale * max(numeric.frobenius(ms[g]) ** 2, 1.0))
-            if res > tol:
-                pair = tuple(int(t) for t in np.unravel_index(
-                    int(np.abs(err).sum(axis=2).argmax()), (d, d)))
-                raise NotAutomorphism(f"element {g} is not multiplicative at "
-                                      f"basis pair {pair}: residual {res:.3e}")
-            if numeric.rel_residual(unit_errors[g], 1.0) > tol:
-                raise NotAutomorphism(f"element {g} does not fix the unit")
-    return AlgebraAction(group=group, target=target, mats=ms)
+
+
+def _name_non_automorphism(ms, target: Algebra) -> None:
+    """Raise for the first element in index order that is not multiplicative
+    at some basis pair, naming the pair whose error is largest, or that does
+    not fix the unit; return if there is none."""
+    for g, m in enumerate(ms):
+        norm, sums = _multiplicativity_witness(m, target)
+        res = norm / (target.scale * max(numeric.frobenius(m) ** 2, 1.0))
+        if res > target.tol:
+            pair = divmod(int(sums.argmax()), target.dim)
+            raise NotAutomorphism(f"element {g} is not multiplicative at "
+                                  f"basis pair {pair}: residual {res:.3e}")
+        if numeric.rel_residual(m @ target.unit - target.unit, 1.0) > target.tol:
+            raise NotAutomorphism(f"element {g} does not fix the unit")
+
+
+def _multiplicativity_witness(m, target: Algebra) -> tuple:
+    """(Frobenius norm, (d, d) sums of moduli over the last index) of the
+    errors m(b_i b_j) - m(b_i) m(b_j) over all basis pairs (i, j): formed
+    whole when they fit _WITNESS_ENTRIES, else one first index i at a time,
+    as the columns of m L_{b_i} - L_{m b_i} m."""
+    d = target.dim
+    if d ** 3 <= _WITNESS_ENTRIES:
+        err = _multiplicativity_errors(np.ascontiguousarray(m)[None], target)[0]
+        return numeric.frobenius(err), np.abs(err).sum(axis=2)
+    norm, sums = 0.0, np.empty((d, d))
+    for i, x in enumerate(np.eye(d)):
+        err = _law_error(m, target, x)
+        norm = math.hypot(norm, numeric.frobenius(err))
+        sums[i] = np.abs(err).sum(axis=0)
+    return norm, sums
 
 
 def _product_residuals(stack: np.ndarray, table: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numeric
 from .algebra import Algebra, make_algebra
-from .errors import ParseError
+from .errors import ParseError, brief
 from .group_action import AlgebraAction, FiniteGroup, make_action, make_group
 from .repmod import Module, make_module
 
@@ -81,7 +81,7 @@ def _scalar(obj, where) -> complex:
     except OverflowError:
         raise ParseError(f"{where}: integer too large to convert to float")
     raise ParseError(f"{where}: scalar must be a number or [re, im] pair, "
-                     f"got {obj!r}")
+                     f"got {brief(obj)}")
 
 
 def _int(obj, where) -> int:
@@ -91,12 +91,12 @@ def _int(obj, where) -> int:
     if (isinstance(obj, numbers.Integral) and not isinstance(obj, bool)
             or isinstance(obj, float) and obj.is_integer()):
         return int(obj)
-    raise ParseError(f"{where} must be an integer, got {obj!r}")
+    raise ParseError(f"{where} must be an integer, got {brief(obj)}")
 
 
 def _list(obj, where) -> list:
     if not isinstance(obj, list):
-        raise ParseError(f"{where} must be a list, got {obj!r}")
+        raise ParseError(f"{where} must be a list, got {brief(obj)}")
     return obj
 
 
@@ -145,10 +145,11 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     if seed is None:
         seed = data.get("seed", numeric.DEFAULT_SEED)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ParseError(f"tol must be a number, got {tol!r}")
+        raise ParseError(f"tol must be a number, got {brief(tol)}")
     job_seed = _int(seed, "seed")
     if job_seed < 0:
-        raise ParseError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ParseError(f"seed must be a non-negative integer, got "
+                         f"{brief(seed)}")
 
     try:
         aspec = data["algebra"]
@@ -161,7 +162,8 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     slots = {}
     for t, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 4:
-            raise ParseError(f"mult entry must be [i, j, k, scalar], got {entry!r}")
+            raise ParseError(f"mult entry must be [i, j, k, scalar], got "
+                             f"{brief(entry)}")
         i, j, k = (_int(x, "mult index") for x in entry[:3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ParseError(f"mult entry index out of range: {entry[:3]}")
@@ -196,13 +198,14 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     modules = {}
     mspecs = data.get("modules", {})
     if not isinstance(mspecs, dict):
-        raise ParseError(f"modules must be an object of named modules, got {mspecs!r}")
+        raise ParseError(f"modules must be an object of named modules, got "
+                         f"{brief(mspecs)}")
     for name, mspec in mspecs.items():
         try:
             mdim = _int(mspec["dim"], f"modules.{name}.dim")
             rho = mspec["rho"]
         except (KeyError, TypeError) as exc:
-            raise ParseError(f"module {name!r} malformed: {exc}")
+            raise ParseError(f"module {brief(name)} malformed: {exc}")
         modules[name] = make_module(
             algebra,
             [_matrix(m, mdim, mdim, f"modules.{name}.rho[{i}]")
@@ -212,17 +215,18 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
     tasks = []
     for t in _list(data.get("tasks", []), "tasks"):
         if not isinstance(t, dict) or "task" not in t:
-            raise ParseError(f"task record malformed: {t!r}")
+            raise ParseError(f"task record malformed: {brief(t)}")
         if t["task"] not in ALL_TASKS:
-            raise ParseError(f"unknown task {t['task']!r}")
+            raise ParseError(f"unknown task {brief(t['task'])}")
         rec = dict(t)
         rec.setdefault("module", default_module)
         if rec["module"] is not None and (not isinstance(rec["module"], str)
                                           or rec["module"] not in modules):
-            raise ParseError(f"task references unknown module {rec['module']!r}")
+            raise ParseError(f"task references unknown module "
+                             f"{brief(rec['module'])}")
         if rec["module"] is None and rec["task"] in MODULE_TASKS:
-            raise ParseError(f"task {rec['task']!r} needs a module, but none "
-                             f"is given")
+            raise ParseError(f"task {brief(rec['task'])} needs a module, but "
+                             f"none is given")
         tasks.append(rec)
 
     # last, so that a field read above reports its own error

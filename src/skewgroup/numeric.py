@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, brief
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 1
@@ -45,16 +45,17 @@ def check_entry_bound(a: np.ndarray, label) -> None:
 def check_tol(tol) -> None:
     """Reject a tolerance outside (0, 1), where every rank would read 0."""
     if not 0 < tol < 1:
-        raise InvalidInput(f"tol must be a number in (0, 1), got {tol!r}")
+        raise InvalidInput(f"tol must be a number in (0, 1), got {brief(tol)}")
 
 
 def complex_probes(rng, count: int, arity: int, dim: int):
-    """The count probes of one draw from the generator rng, each an (arity,
-    dim) stack of complex vectors: every vector's real part, then its
-    imaginary part, the stream of drawing each part in turn.  A probe's
-    vectors are formed when it is reached, so only the real draws are held."""
-    draws = rng.standard_normal((count, arity, 2, dim))
-    return (probe[:, 0] + 1j * probe[:, 1] for probe in draws)
+    """The count probes of the generator rng, each an (arity, dim) stack of
+    complex vectors: every vector's real part, then its imaginary part.
+    Each probe is drawn when it is reached, so only one is held; the
+    stream is that of one (count, arity, 2, dim) draw, bit for bit."""
+    for _ in range(count):
+        probe = rng.standard_normal((arity, 2, dim))
+        yield probe[:, 0] + 1j * probe[:, 1]
 
 
 def _scale(s, scale_floor: float = 0.0) -> float:

@@ -20,7 +20,7 @@ from .algebra import (
     make_algebra,
 )
 from .errors import AlgebraMismatch, CocycleMismatch, InvalidInput
-from .group_action import AlgebraAction, FiniteGroup, left_cosets, make_action
+from .group_action import AlgebraAction, FiniteGroup, left_cosets
 from .projective import (
     ProjectiveSystem,
     subgroup_as_group,
@@ -212,11 +212,14 @@ def corner_module(n: Module, corner: SubalgebraEmbedding, e) -> tuple:
 
 
 def sub_skew(s: SkewAlgebra, members) -> SkewAlgebra:
-    """Materialize A x| H for a subgroup H given by its members in s.group."""
+    """Materialize A x| H for a subgroup H given by its members in s.group.
+
+    H acts by the restriction of s's validated action, which is valid by
+    construction and is not validated again."""
     subgroup, members = subgroup_as_group(s.group, members)
-    mats = tuple(s.action.mats[h] for h in members)
-    return replace(skew_group_algebra(make_action(subgroup, s.base, mats)),
-                   members=members)
+    action = AlgebraAction(group=subgroup, target=s.base,
+                           mats=tuple(s.action.mats[h] for h in members))
+    return replace(skew_group_algebra(action), members=members)
 
 
 def induce(m: Module, s: SkewAlgebra, sub: SkewAlgebra) -> Module:

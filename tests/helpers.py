@@ -1,11 +1,14 @@
-"""Dense structure tensors for tests that use them as an oracle, and a
-tracemalloc probe for tests that bound memory."""
+"""Dense structure tensors for tests that use them as an oracle, a
+Schur-Weyl action above the exhaustive dimension, and a tracemalloc probe
+for tests that bound memory."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 
-from skewgroup.algebra import Algebra
+from skewgroup.algebra import Algebra, matrix_algebra
+from skewgroup.group_action import group_from_permutations
 
 
 def dense(a):
@@ -22,6 +25,25 @@ def unvalidated_algebra(dim, c, unit):
     i, j, k = np.nonzero(c)
     return Algebra(dim=dim, nonzeros=(i, j, k, c[i, j, k]),
                    unit=np.asarray(unit, dtype=np.complex128))
+
+
+def schur_weyl(d, k):
+    """(S_k, M_{d^k}, mats): S_k permutes the k tensor factors of
+    (C^d)^(x)k and acts on M_{d^k} by conjugation, as a permutation of the
+    matrix units."""
+    n = d ** k
+    group, perms = group_from_permutations(
+        [tuple(range(1, k)) + (0,), (1, 0) + tuple(range(2, k))])
+    digits = np.array(list(itertools.product(range(d), repeat=k)))
+    mats = []
+    for p in perms:
+        moved = np.empty_like(digits)
+        moved[:, list(p)] = digits           # factor t moves to place p[t]
+        to = moved @ d ** np.arange(k - 1, -1, -1)
+        m = np.zeros((n * n, n * n), dtype=np.complex128)
+        m[(to[:, None] * n + to).ravel(), np.arange(n * n)] = 1.0
+        mats.append(m)
+    return group, matrix_algebra(n), mats
 
 
 def peak_bytes(fn):

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -326,7 +327,7 @@ def test_malformed_sections_are_parse_errors(tmp_path, capsys, where, value,
      "[0, 1), got 9223372036854775808"),
     ("group.table.0.0", 1e308,
      "table entry [0][0] must be an index in [0, 1), got 1e+308"),
-    ("tol", 10 ** 400, f"tol must be a number in (0, 1), got {10 ** 400!r}"),
+    ("tol", 10 ** 400, f"tol must be a number in (0, 1), got 1{'0' * 76}..."),
     ("algebra.dim", 2 ** 40, "algebra dimension 1099511627776 is too large: "
      "dim^3 > 9223372036854775807"),
     ("algebra.dim", 10 ** 6, "unit length 1 does not match dim 1000000"),
@@ -695,6 +696,42 @@ def test_validate_of_a_job_nested_near_the_decode_limit_exits_0_or_2(
         codes.add(code)
     # past the deepest loadable job, loading itself fails
     assert codes == {0, 2}
+
+
+# Every field of the pauli job that parse_job reads, as a dotted path.
+READ_FIELDS = (
+    "", "tol", "seed", "algebra", "algebra.dim", "algebra.unit",
+    "algebra.unit.0", "algebra.mult", "algebra.mult.0", "algebra.mult.0.0",
+    "algebra.mult.0.3", "group", "group.order", "group.table", "group.table.0",
+    "group.table.0.0", "action", "action.mats", "action.mats.0",
+    "action.mats.0.0", "action.mats.0.0.0", "modules", "modules.M",
+    "modules.M.dim", "modules.M.rho", "modules.M.rho.0", "tasks", "tasks.0",
+    "tasks.0.task", "tasks.0.module")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--json"]])
+def test_a_value_nested_960_deep_in_any_read_field_exits_2_with_one_short_line(
+        tmp_path, capsys, command):
+    """Each message quotes the offending value cut to a bounded length.
+    The job is written and run in a new thread, whose stack is as shallow
+    as that of a call from a shell, so that the job loads."""
+    base = _fixture_job(capsys, "pauli")
+    for where in READ_FIELDS:
+        data = _replaced(copy.deepcopy(base), where, _nested(960))
+        codes = []
+
+        def call():
+            path = _write(tmp_path, data)
+            codes.append(main([command[0], path, *command[1:]]))
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        out, err = capsys.readouterr()
+        assert codes == [2], where
+        assert out == "" and err.count("\n") == 1 and len(err) < 200, where
+        assert "cannot read job file" not in err, where
 
 
 def test_the_echoed_job_is_spliced_only_before_later_keys():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import dense
+from helpers import dense, peak_bytes, schur_weyl
 
 from skewgroup import numeric
 from skewgroup.algebra import fixed_subalgebra, matrix_algebra
@@ -265,3 +265,38 @@ def test_homomorphism_check_names_the_first_failing_pair(source):
         with pytest.raises(NotHomomorphism, match=re.escape(expected)):
             make_action(group, target, candidate)
     assert failing
+
+
+def _generated(group, gens):
+    """The elements that products of gens reach, from the identity."""
+    reached, frontier = {group.identity}, [group.identity]
+    while frontier:
+        frontier = [group.mul(x, s) for x in frontier for s in gens
+                    if group.mul(x, s) not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("source", ["trivial", "swap", "pauli", "perm",
+                                    "cyclic", 2, 6, 9])
+def test_generators_are_chosen_greedily_in_index_order(source):
+    group = (fixture(source) if isinstance(source, str)
+             else random_instance(source)).group
+    gens = group.generators
+    assert _generated(group, gens) == set(group.elements())
+    for g in group.elements():
+        before = [s for s in gens if s < g]
+        assert (g in gens) == (g not in _generated(group, before))
+
+
+def test_generators_of_a_symmetric_group_are_two():
+    group, _ = group_from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert group.order == 24 and len(group.generators) == 2
+
+
+def test_make_action_on_schur_weyl_2_3_holds_no_element_sized_errors():
+    """M_8 under S_3, d = 64: one element's (d, d, d) errors over all basis
+    pairs would take 4.2 MB, and validation on generators stays under 1 MB."""
+    group, a, mats = schur_weyl(2, 3)
+    assert (group.order, a.dim) == (6, 64)
+    assert peak_bytes(lambda: make_action(group, a, mats)) < 1e6

@@ -9,7 +9,7 @@ import functools
 import numpy as np
 import pytest
 import reference
-from helpers import same_bits
+from helpers import same_bits, schur_weyl
 
 from skewgroup import numeric, repmod
 from skewgroup.algebra import Algebra, _joined_associator, canonical_span
@@ -401,6 +401,17 @@ def _action_variants(source):
                 for h, m in enumerate(mats)])
     out.append([m.T.copy() for m in mats])
     out.append([m.T.copy().T for m in mats])          # not C-contiguous
+    # conjugated by one basis change that fixes the unit: the product and
+    # unit laws still hold, and in general multiplicativity does not
+    u = a.unit
+    unit_projector = np.outer(u, u.conj()) / np.vdot(u, u).real
+    t = np.eye(n) + 0.3 * rng.standard_normal((n, n)) @ (np.eye(n) - unit_projector)
+    tinv = np.linalg.inv(t)
+    out.append([t @ m @ tinv for m in mats])
+    # the unit moved by 1.5 tolerances off the identity: each other law
+    # holds to within the tolerance on most instances
+    shift = 1.5 * a.tol / np.linalg.norm(u) * unit_projector
+    out.append([m if h == g.identity else m + shift for h, m in enumerate(mats)])
     return [(g, a, ms) for ms in out]
 
 
@@ -433,10 +444,47 @@ def test_action_residuals_are_the_reference(source):
                          reference.multiplicativity_norms(ms, algebra))
 
 
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_witness_found_one_first_index_at_a_time_is_the_whole_one(
+        source, monkeypatch):
+    """Above _WITNESS_ENTRIES a failing element's errors are formed one
+    first index at a time, by another formula: the same message, the
+    residual to rounding."""
+    outcomes = [_outcome(make_action, *v) for v in _action_variants(source)]
+    monkeypatch.setattr(group_action, "_WITNESS_ENTRIES", 1)
+    for variant, whole in zip(_action_variants(source), outcomes):
+        blocked = _outcome(make_action, *variant)
+        assert blocked[0] == whole[0]
+        if whole[0] != "NotAutomorphism" or "unit" in whole[1]:
+            assert whole[0] == "ok" or blocked == whole
+            continue
+        head, _, res = whole[1].rpartition(" ")
+        assert blocked[1].rpartition(" ")[0] == head
+        assert float(blocked[1].rpartition(" ")[2]) == pytest.approx(
+            float(res), rel=2e-3)
+
+
+def test_a_non_automorphism_above_dimension_32_is_named_as_the_reference():
+    """M_8 under S_3, conjugated by one basis change that fixes the unit:
+    the group law holds, the two seeded probes catch the automorphism law,
+    and the search names the reference's pair and residual."""
+    group, a, mats = schur_weyl(2, 3)
+    rng = np.random.default_rng(11)
+    u = a.unit
+    t = np.eye(a.dim) + 0.3 * rng.standard_normal((a.dim, a.dim)) @ (
+        np.eye(a.dim) - np.outer(u, u) / (u @ u))
+    tinv = np.linalg.inv(t)
+    bad = [t @ m @ tinv for m in mats]
+    got = _outcome(make_action, group, a, bad)
+    assert got[0] == "NotAutomorphism"
+    assert got == _outcome(reference.make_action, group, a, bad)
+
+
 def test_the_action_variants_reach_each_failure():
     """Between them the variants pass and fail the identity, the product
-    law and multiplicativity.  (The unit law fails only after those pass
-    within tolerance: an invertible multiplicative map fixes the unit.)"""
+    law, multiplicativity and the unit law.  (The unit law fails only
+    where the others hold within the tolerance, not exactly: an invertible
+    multiplicative map fixes the unit.)"""
     seen = set()
     for source in SOURCES:
         for group, algebra, mats in _action_variants(source):
@@ -444,7 +492,7 @@ def test_the_action_variants_reach_each_failure():
             seen.add("ok" if kind == "ok" else next(
                 word for word in ("identity", "mats", "multiplicative", "unit")
                 if word in msg))
-    assert {"ok", "identity", "mats", "multiplicative"} <= seen
+    assert {"ok", "identity", "mats", "multiplicative", "unit"} <= seen
 
 
 @functools.cache

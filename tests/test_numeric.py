@@ -361,3 +361,13 @@ def test_frobenius_scales_a_sum_of_squares_that_overflows():
         assert same_bits(np.float64(numeric.frobenius(z)), np.linalg.norm(z))
         assert same_bits(np.float64(numeric.frobenius(z.real)),
                          np.linalg.norm(z.real))
+
+
+def test_complex_probes_drawn_one_at_a_time_are_one_batched_draw():
+    """Each probe is drawn when it is reached, and the probes are those of
+    one (count, arity, 2, dim) draw, bit for bit."""
+    draw = np.random.default_rng(3).standard_normal((50, 3, 2, 48))
+    probes = list(numeric.complex_probes(np.random.default_rng(3), 50, 3, 48))
+    assert len(probes) == 50
+    assert all(same_bits(p, d[:, 0] + 1j * d[:, 1])
+               for p, d in zip(probes, draw))
