@@ -427,9 +427,11 @@ def corner_algebra(parent: Algebra, e) -> SubalgebraEmbedding:
                                max(float(np.linalg.norm(e)), 1.0))
     if res > parent.tol:
         raise NotIdempotent(f"e*e != e: residual {res:.3e}")
-    cols = []
+    # column i is e b_i e, written in place: a list of columns and their
+    # stacked copy would both be live through canonical_span's SVD
+    cols = np.empty((parent.dim, parent.dim), dtype=np.complex128)
     for i in range(parent.dim):
         b = np.zeros(parent.dim, dtype=np.complex128)
         b[i] = 1.0
-        cols.append(parent.product(e, parent.product(b, e)))
+        cols[:, i] = parent.product(e, parent.product(b, e))
     return subalgebra_from_span(parent, cols, unit_coords=e)

@@ -201,15 +201,19 @@ def parse_job(data: dict, tol=None, seed=None) -> JobSpec:
         raise ParseError(f"modules must be an object of named modules, got "
                          f"{brief(mspecs)}")
     for name, mspec in mspecs.items():
+        # the name as its field paths quote it: as given when brief() would
+        # quote it whole and unescaped, else cut short by brief()
+        quoted = brief(name)
+        where = f"modules.{name if quoted[1:-1] == name else quoted}"
         try:
-            mdim = _int(mspec["dim"], f"modules.{name}.dim")
+            mdim = _int(mspec["dim"], f"{where}.dim")
             rho = mspec["rho"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"module {brief(name)} malformed: {exc}")
         modules[name] = make_module(
             algebra,
-            [_matrix(m, mdim, mdim, f"modules.{name}.rho[{i}]")
-             for i, m in enumerate(_list(rho, f"modules.{name}.rho"))])
+            [_matrix(m, mdim, mdim, f"{where}.rho[{i}]")
+             for i, m in enumerate(_list(rho, f"{where}.rho"))])
 
     default_module = next(iter(modules), None)
     tasks = []

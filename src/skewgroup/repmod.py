@@ -18,6 +18,7 @@ from .algebra import (
     SubalgebraEmbedding,
     canonical_span,
     is_semisimple,
+    join,
     EXHAUSTIVE_DIM_LIMIT,
 )
 from .errors import (
@@ -37,12 +38,14 @@ _PROBE_COUNT = 20
 
 
 class Module:
-    """A module over an algebra, given by one primitive, `images(V, lo, hi)`.
+    """A module over an algebra, given by one primitive, `images(V, lo, hi)`,
+    whose `lo` may also be a stack of element coordinates.
 
     A stored module reads its images from the action stack rho it is given.
     Another kind gives its images alone, and its stack is filled from
     images(I) when read.  The actions, scale and generator side derive from
-    the stack, here only; a kind may seed a value it has more cheaply.
+    the stack (the scale from the images while none is held), here only; a
+    kind may seed a value it has more cheaply.
     """
 
     def __init__(self, algebra: Algebra, dim: int, rho: np.ndarray | None = None):
@@ -58,7 +61,11 @@ class Module:
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         """(hi - lo, dim, k) stack of rho(b_i) @ basis for the basis elements
-        lo <= i < hi (by default all of them), given a (dim, k) basis."""
+        lo <= i < hi (by default all of them), given a (dim, k) basis; or,
+        when lo is an (m, dim A) stack of element coordinates, the (m, dim,
+        k) stack of their actions on the basis."""
+        if isinstance(lo, np.ndarray):
+            return self.act(lo) @ basis
         return self.rho[lo:hi] @ basis
 
     def act(self, x) -> np.ndarray:
@@ -72,8 +79,12 @@ class Module:
 
     @cached_property
     def scale(self) -> float:
-        """Largest action entry, floored at 1: the scale of residual bounds."""
-        return max(float(np.abs(self.rho).max()), 1.0)
+        """Largest action entry, floored at 1: the scale of residual bounds.
+        Read off the stack if it is held, else off the images in blocks,
+        keeping none."""
+        blocks = ([self.rho] if "rho" in vars(self) else
+                  (b for *_, b in _image_blocks(self, np.eye(self.dim))))
+        return max([float(np.abs(b).max()) for b in blocks] + [1.0])
 
     @cached_property
     def generator_actions(self) -> np.ndarray:
@@ -100,14 +111,21 @@ class RegularModule(Module):
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         # row k of L_{b_i} @ basis collects c[i, j, k] basis[j]; the
-        # nonzeros are sorted by i, so those of rows lo..hi are one run
+        # nonzeros are sorted by i, so those of rows lo..hi are one run, and
+        # each nonzero coordinate x[t, i] of a stack meets the run of i
         n = self.dim
-        hi = n if hi is None else hi
         i, j, k, v = self.algebra.nonzeros
-        run = slice(*i.searchsorted([lo, hi]))
-        flat = numeric.scatter((i[run] - lo) * n + k[run],
-                               v[run, None] * basis[j[run]], (hi - lo) * n)
-        return flat.reshape(hi - lo, n, basis.shape[1])
+        if isinstance(lo, np.ndarray):      # a stack of elements x[t]
+            t, r = lo.nonzero()
+            p, s = join(i.searchsorted(r), i.searchsorted(r, side="right"))
+            rows, w, count = t[p], lo[t, r][p] * v[s], len(lo)
+        else:
+            hi = n if hi is None else hi
+            s = slice(*i.searchsorted([lo, hi]))
+            rows, w, count = i[s] - lo, v[s], hi - lo
+        flat = numeric.scatter(rows * n + k[s], w[:, None] * basis[j[s]],
+                               count * n)
+        return flat.reshape(count, n, basis.shape[1])
 
     @cached_property
     def scale(self) -> float:
@@ -143,18 +161,22 @@ class CompressedModule(Module):
     """An invariant subspace of a parent module, with no stored action.
 
     Its images go through the parent's, on its orthonormal basis.  Its
-    generator actions and scale are seeded from the stack `compress` built,
-    which it then drops, so a piece read only through hom spaces holds none.
+    generator actions are seeded with those `compress` projected; its stack
+    and scale are derived from its images when first read, so a piece read
+    only through hom spaces holds neither.
     """
 
-    def __init__(self, parent: Module, basis: np.ndarray, rho: np.ndarray):
-        super().__init__(parent.algebra, basis.shape[1], rho)
+    def __init__(self, parent: Module, basis: np.ndarray,
+                 generator_actions: np.ndarray):
+        super().__init__(parent.algebra, basis.shape[1])
         self.parent, self.basis = parent, basis
-        self.generator_actions, self.scale     # derived from rho, and kept
-        del self.rho
+        generator_actions = numeric.as_complex(generator_actions)
+        generator_actions.flags.writeable = False
+        self.generator_actions = generator_actions
 
     def images(self, basis, lo=0, hi=None) -> np.ndarray:
         return self.basis.conj().T @ self.parent.images(self.basis @ basis, lo, hi)
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +335,7 @@ def is_simple(m: Module) -> bool:
 def _cyclic_orbits(m: Module) -> np.ndarray:
     """(3, dim, dim A) stack of the orbit matrices [b_i v] of three random
     vectors v from the algebra's seed, drawn as one stack and filled in
-    compress's blocks of basis elements, so no temporary holds more than
+    blocks of ceil(dim A / 3) basis elements, so no temporary holds more than
     about dim A * dim entries."""
     rng = np.random.default_rng(m.algebra.seed)
     vs = np.column_stack([rng.standard_normal(m.dim)
@@ -338,31 +360,36 @@ def restrict(m: Module, embedding: SubalgebraEmbedding) -> Module:
 def compress(m: Module, basis: np.ndarray) -> CompressedModule:
     """Restrict the action to an invariant subspace with orthonormal basis.
 
-    The (dim A, k, k) action, k = basis.shape[1], is filled in blocks of
-    ceil(dim A / k) basis elements, and the projection is taken off a
-    block's images one basis element at a time, so no other temporary holds
-    more than about dim A * dim M entries; the result keeps its generator
-    actions and scale and drops it.  Every basis element's invariance
-    residual is checked, and a failure names the first one above tolerance.
+    A subspace invariant under the algebra's generators is invariant under
+    the algebra, so only the generators' images are projected and checked:
+    the (g, k, k) generator actions, k = basis.shape[1], are filled in blocks
+    of ceil(g / k) generators, and the projection is taken off a block's
+    images one generator at a time, so no other temporary holds more than
+    about g * dim M entries (g = dim A for an algebra without generators).
+    A failure names the first generator whose invariance residual is above
+    tolerance.
     """
-    a = m.algebra
-    n, k = a.dim, basis.shape[1]
+    gens = m.algebra.generator_stack
+    k = basis.shape[1]
     if k == 0:
         raise InvalidInput("cannot compress to a zero-dimensional subspace")
     adjoint = basis.conj().T
-    small = np.empty((n, k, k), dtype=np.complex128)
-    for lo, hi, rb in _image_blocks(m, basis):
-        small[lo:hi] = block = adjoint @ rb
+    actions = np.empty((len(gens), k, k), dtype=np.complex128)
+    step = -(-len(gens) // k)
+    for lo in range(0, len(gens), step):
+        rb = m.images(basis, gens[lo:lo + step])
+        actions[lo:lo + step] = block = adjoint @ rb
         for r, b in zip(rb, block):
             r -= basis @ b
         re, im = rb.real, rb.imag
         res = np.sqrt(np.einsum("iab,iab->i", re, re)
                       + np.einsum("iab,iab->i", im, im)) / m.scale
-        bad = (res > a.tol).nonzero()[0]
+        bad = (res > m.algebra.tol).nonzero()[0]
         if bad.size:
             raise NotARepresentation(
-                f"subspace is not invariant: residual {res[bad[0]]:.3e}")
-    return CompressedModule(m, basis, small)
+                f"subspace is not invariant: residual {res[bad[0]]:.3e} "
+                f"at generator {lo + bad[0]}")
+    return CompressedModule(m, basis, actions)
 
 
 def _image_blocks(m: Module, basis: np.ndarray):

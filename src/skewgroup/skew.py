@@ -95,10 +95,12 @@ def skew_group_algebra(action: AlgebraAction) -> SkewAlgebra:
                 np.repeat(values, ng))
     unit = np.zeros(dim, dtype=np.complex128)
     unit[group.identity::ng] = base.unit
-    # generators: each b_i at the identity of G, then each g = 1_A g
-    gens = np.zeros((da + ng, dim), dtype=np.complex128)
+    # generators: each b_i at the identity of G, then g = 1_A g for each
+    # generator g of G, which with A generate every h = 1_A h and b_i h
+    gg = np.array(group.generators, dtype=np.intp)
+    gens = np.zeros((da + gg.size, dim), dtype=np.complex128)
     gens[:da].reshape(da, da, ng)[:, :, group.identity] = np.eye(da)
-    gens[da:].reshape(ng, da, ng)[np.arange(ng), :, np.arange(ng)] = base.unit
+    gens[da:].reshape(gg.size, da, ng)[np.arange(gg.size), :, gg] = base.unit
     gens.flags.writeable = False       # so make_algebra keeps it without a copy
     alg = make_algebra(dim, nonzeros, unit, tol=base.tol, generators=gens,
                        seed=base.seed)

@@ -734,6 +734,21 @@ def test_a_value_nested_960_deep_in_any_read_field_exits_2_with_one_short_line(
         assert "cannot read job file" not in err, where
 
 
+@pytest.mark.parametrize("command", [["validate"], ["run", "--json"]])
+def test_a_long_module_name_is_cut_in_its_field_paths(tmp_path, capsys,
+                                                      command):
+    """A module name enters the paths modules.NAME.dim and .rho quoted as
+    errors.brief cuts it, so a 5,000-character one stays one short line."""
+    data = _fixture_job(capsys, "pauli")
+    spec = data["modules"].pop("M")
+    spec["dim"] = "one"
+    data["modules"]["N" * 5000] = spec
+    assert main([command[0], _write(tmp_path, data), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("parse error: modules.'NNN") and ".dim must be" in err
+
+
 def test_the_echoed_job_is_spliced_only_before_later_keys():
     text = canonical_json({"b": [1, 2], "a": "ü"})
     payload = {"tol": 1e-9, "tasks": [], "passed": True}

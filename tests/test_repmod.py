@@ -555,6 +555,17 @@ def test_compress_rejects_an_empty_basis(inst):
             compress(m, np.zeros((m.dim, 0)))
 
 
+def test_compress_checks_the_group_generators_of_a_skew_algebra():
+    """A, embedded at the identity of G, is invariant under A's basis
+    elements but not under A x| G: only a generator g = 1_A g fails."""
+    s = skew_group_algebra(random_instance(2).action)
+    with pytest.raises(NotARepresentation,
+                       match="subspace is not invariant") as err:
+        compress(regular_module(s.alg), s.base_embedding().inclusion)
+    # the first failing generator comes after A's basis elements
+    assert int(str(err.value).rsplit(" ", 1)[1]) >= s.base.dim
+
+
 def _stored_compress(m, basis):
     """compress as it was when it stored its action: the (dim A, k, k) stack
     filled in blocks of ceil(dim A / k) basis elements."""
@@ -571,7 +582,17 @@ def _stored_compress(m, basis):
 def _assert_matches_stored_compress(parent, basis):
     got, want = compress(parent, basis), _stored_compress(parent, basis)
     assert isinstance(got, CompressedModule)
-    assert got.generator_actions.tobytes() == want.generator_actions.tobytes()
+    # a generator that is a basis element b_i acts by the stored stack's
+    # rho[i], bit for bit; any other generator, such as g = 1_A g of a skew
+    # algebra, within rounding of its stored action
+    gens = parent.algebra.generator_stack
+    for x, action, stored in zip(gens, got.generator_actions,
+                                 want.generator_actions):
+        at = x.nonzero()[0]
+        if at.size == 1 and x[at[0]] == 1:
+            assert same_bits(action, want.rho[at[0]])
+        else:
+            assert np.abs(action - stored).max() <= 1e-15
     assert got.scale == want.scale
     rng = np.random.default_rng(got.dim)
     v = rng.standard_normal((got.dim, 3)) + 1j * rng.standard_normal((got.dim, 3))
@@ -612,6 +633,23 @@ def test_compressed_pieces_of_stored_modules_match_the_stored_compress(inst, nam
     for parent in (ctx.restricted, module_over_twisted(ctx.system)):
         for p in decompose(parent).pieces:
             _assert_matches_stored_compress(parent, p.basis)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_skew_generators_give_the_hom_spaces_of_every_group_element(inst, name):
+    """A x| G is generated by A and G's generators: the hom dimensions
+    between the pieces of its regular module equal those solved with every
+    g = 1_A g as a generator besides A's basis."""
+    _, s = _skew_instance(inst, name)
+    every = np.vstack([s.alg.generator_stack[:s.base.dim],
+                       [s.embed_group(g) for g in s.group.elements()]])
+    pieces = [p.module for p in decompose(regular_module(s.alg)).pieces]
+    for m in pieces:
+        for n in pieces:
+            if m.dim == n.dim:
+                pairs = list(zip(m.act(every), n.act(every)))
+                assert len(hom_space(m, n)) == len(
+                    numeric.solve_sandwich(pairs, s.alg.tol))
 
 
 def test_only_read_pieces_rebuild_their_action_stack():
@@ -716,9 +754,8 @@ SKEW_CASES = ["trivial", "swap", "pauli", "perm", "cyclic", "random2"]
 
 @pytest.mark.parametrize("name", SKEW_CASES)
 def test_sides_solve_bitwise_like_dense_pairs(inst, name):
-    s, dec, direct = _regular_decomposition(inst, name)
-    gens = s.generator_stack
-    dense_direct = reference.block_diagonal([n.act(gens)
+    _, dec, direct = _regular_decomposition(inst, name)
+    dense_direct = reference.block_diagonal([n.generator_actions
                                              for n in direct.summands])
     systems = [(rep.module, direct, dense_direct)
                for rep in dec.representatives.values()]
@@ -736,9 +773,9 @@ def test_sides_solve_bitwise_like_dense_pairs(inst, name):
 
 @pytest.mark.parametrize("name", SKEW_CASES)
 def test_direct_sum_side_is_the_finest_dense_split(inst, name):
-    s, _, direct = _regular_decomposition(inst, name)
+    _, _, direct = _regular_decomposition(inst, name)
     dense_direct = reference.block_diagonal(
-        [n.act(s.generator_stack) for n in direct.summands])
+        [n.generator_actions for n in direct.summands])
     _same_side(direct.generator_side, numeric.Side.split(dense_direct))
 
 

@@ -316,6 +316,18 @@ def test_skew72_compress_projects_one_basis_element_at_a_time():
     assert peak_bytes(lambda: compress(dec.module, basis)) <= 275e3
 
 
+def test_skew72_compress_peaks_below_one_image_block():
+    """compress projects the images of A x| G's 12 + 1 generators, three
+    at a time for a 6-dim piece, not those of its 72 basis elements, twelve
+    at a time: it peaks near 71 KB, below one (72, 72) complex block."""
+    s, dec = _skew72_decomposition()
+    assert len(s.alg.generator_stack) == 13
+    basis = dec.pieces[0].basis
+    assert basis.shape == (72, 6)
+    compress(dec.module, basis)
+    assert peak_bytes(lambda: compress(dec.module, basis)) < 72 * 72 * 16
+
+
 def test_regular_module_builds_no_action_stack(inst):
     """A regular module's generator actions are one left multiplication per
     generator: at skew dimension 72 an (18, 72, 72) stack of 1.5 MB.  Read
@@ -389,12 +401,13 @@ def test_skew72_unit_check_forms_one_side_at_a_time():
 
 
 def test_skew_generators_are_one_read_only_array():
-    """A x| G keeps its generators b_i and g as one (dim A + |G|, dim)
-    array, which generator_stack returns rather than stacking a copy."""
+    """A x| G keeps its generators b_i and g, for g among G's generators,
+    as one (dim A + len(G.generators), dim) array, which generator_stack
+    returns rather than stacking a copy."""
     _, s = _skew48()
     gens = s.alg.generators
-    assert gens.shape == (s.base.dim + s.group.order, 48)
+    assert gens.shape == (s.base.dim + len(s.group.generators), 48)
     assert s.alg.generator_stack is gens and not gens.flags.writeable
     want = [s.embed_base(np.eye(s.base.dim)[:, t]) for t in range(s.base.dim)]
-    want += [s.embed_group(g) for g in s.group.elements()]
+    want += [s.embed_group(g) for g in s.group.generators]
     assert same_bits(gens, np.array(want))
